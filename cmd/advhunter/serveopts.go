@@ -58,7 +58,7 @@ func serveFlags(fs *flag.FlagSet) serveOpts {
 	return serveOpts{
 		queue:       fs.Int("queue", 64, "admission queue capacity (full queue answers 429)"),
 		maxBatch:    fs.Int("max-batch", 8, "micro-batch size cap"),
-		batchWait:   fs.Duration("batch-wait", 2*time.Millisecond, "micro-batcher linger after the first queued request"),
+		batchWait:   fs.Duration("batch-wait", 0, "opt-in linger: a replica that took a request waits at most this long to fill -max-batch (0 = take only what is already queued)"),
 		timeout:     fs.Duration("timeout", 10*time.Second, "per-request budget including queueing"),
 		event:       fs.String("event", hpc.CacheMisses.String(), "perf event driving the adversarial verdict"),
 		truthCache:  fs.Int("truth-cache", 512, "truth-count memoisation cache entries (0 disables)"),

@@ -13,47 +13,7 @@ package parallel
 import (
 	"runtime"
 	"sync"
-	"time"
 )
-
-// Hooks optionally instruments a pool run. Every field is nil-safe; the zero
-// value is a no-op and costs nothing on the hot path beyond a nil check.
-// Hooks observe, never steer: they must not affect which worker runs which
-// item or what fn computes, so the determinism contract is untouched. Hook
-// functions may be called from multiple worker goroutines concurrently and
-// must be safe for that (the obs package's atomic gauges and histograms
-// qualify).
-type Hooks struct {
-	// Queued reports a change in the number of items waiting for a worker:
-	// +n when a run admits its items, -1 each time a worker picks one up.
-	Queued func(delta int)
-	// Start fires when a worker picks up an item.
-	Start func(worker int)
-	// Done fires when a worker finishes an item, with the task's run time.
-	// Timing is only taken when Done is set.
-	Done func(worker int, d time.Duration)
-}
-
-// start brackets one task pickup; nil-safe.
-func (h Hooks) start(worker int) time.Time {
-	if h.Queued != nil {
-		h.Queued(-1)
-	}
-	if h.Start != nil {
-		h.Start(worker)
-	}
-	if h.Done != nil {
-		return time.Now()
-	}
-	return time.Time{}
-}
-
-// done brackets one task completion; nil-safe.
-func (h Hooks) done(worker int, started time.Time) {
-	if h.Done != nil {
-		h.Done(worker, time.Since(started))
-	}
-}
 
 // Workers normalises a worker-count option: values <= 0 select
 // runtime.GOMAXPROCS(0) (one worker per schedulable CPU), and the count is
@@ -84,27 +44,14 @@ func Map[T, R any](workers int, items []T, fn func(i int, item T) R) []R {
 // worker that processes item i is scheduling-dependent — but the result of
 // item i must not be.
 func MapWorkers[T, R any](workers int, items []T, fn func(worker, i int, item T) R) []R {
-	return MapWorkersHooked(workers, items, Hooks{}, fn)
-}
-
-// MapWorkersHooked is MapWorkers with pool instrumentation: h observes queue
-// depth, task pickups and per-task run time, feeding pool-utilization metrics
-// without perturbing scheduling or results. MapWorkers(w, items, fn) and
-// MapWorkersHooked(w, items, h, fn) return identical slices.
-func MapWorkersHooked[T, R any](workers int, items []T, h Hooks, fn func(worker, i int, item T) R) []R {
 	out := make([]R, len(items))
 	if len(items) == 0 {
 		return out
 	}
-	if h.Queued != nil {
-		h.Queued(len(items))
-	}
 	workers = Workers(workers, len(items))
 	if workers == 1 {
 		for i, item := range items {
-			started := h.start(0)
 			out[i] = fn(0, i, item)
-			h.done(0, started)
 		}
 		return out
 	}
@@ -115,9 +62,7 @@ func MapWorkersHooked[T, R any](workers int, items []T, h Hooks, fn func(worker,
 		go func(worker int) {
 			defer wg.Done()
 			for i := range idx {
-				started := h.start(worker)
 				out[i] = fn(worker, i, items[i])
-				h.done(worker, started)
 			}
 		}(w)
 	}

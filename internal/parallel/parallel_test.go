@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 func TestWorkersNormalisation(t *testing.T) {
@@ -61,52 +60,6 @@ func TestMapWorkersIDsInRange(t *testing.T) {
 		if w < 0 || w >= workers {
 			t.Fatalf("item %d ran on worker %d, want [0, %d)", i, w, workers)
 		}
-	}
-}
-
-// TestMapWorkersHooked: hooks see every task exactly once, queue deltas
-// balance to zero, timings are populated, and results are identical to the
-// unhooked run — instrumentation is observe-only.
-func TestMapWorkersHooked(t *testing.T) {
-	items := make([]int, 97)
-	for i := range items {
-		items[i] = i
-	}
-	fn := func(worker, i int, v int) int { return v * v }
-	want := MapWorkers(1, items, fn)
-
-	for _, w := range []int{1, 4} {
-		var queued, started, done, timed atomic.Int64
-		h := Hooks{
-			Queued: func(delta int) { queued.Add(int64(delta)) },
-			Start:  func(worker int) { started.Add(1) },
-			Done: func(worker int, d time.Duration) {
-				done.Add(1)
-				if d >= 0 {
-					timed.Add(1)
-				}
-			},
-		}
-		got := MapWorkersHooked(w, items, h, fn)
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: hooked result[%d] = %d, want %d", w, i, got[i], want[i])
-			}
-		}
-		if queued.Load() != 0 {
-			t.Fatalf("workers=%d: queue deltas sum to %d, want 0", w, queued.Load())
-		}
-		if started.Load() != int64(len(items)) || done.Load() != int64(len(items)) {
-			t.Fatalf("workers=%d: started %d done %d, want %d each", w, started.Load(), done.Load(), len(items))
-		}
-		if timed.Load() != int64(len(items)) {
-			t.Fatalf("workers=%d: %d timed tasks, want %d", w, timed.Load(), len(items))
-		}
-	}
-
-	// The zero Hooks value is a no-op on both the serial and pooled paths.
-	if got := MapWorkersHooked(4, items, Hooks{}, fn); got[3] != want[3] {
-		t.Fatal("zero-Hooks run diverged")
 	}
 }
 

@@ -20,8 +20,8 @@ func batchTierConfigs(f *fixture, base Config) map[string]Config {
 }
 
 // TestBatchIdentityServeResponses is the end-to-end contract of the fused
-// batch path: under every tier, a server draining real multi-request batches
-// through processFused must answer byte-identically to a serial server with
+// batch path: under every tier, a server whose replicas drain real
+// multi-request batches through the fused path must answer byte-identically to a serial server with
 // batch fusion disabled — same stream of (index, input) queries, same bodies.
 // Runs under -race via the CI batch-identity job.
 func TestBatchIdentityServeResponses(t *testing.T) {
@@ -83,11 +83,12 @@ func TestBatchIdentityServeResponses(t *testing.T) {
 	}
 }
 
-// TestBatchIdentityProcessFused drives the batcher's fused path directly and
-// deterministically: one multi-job batch through process() must produce, per
-// job, exactly the verdict and tier the per-job Decide path produces, under
-// every tiering — and must increment the fused-batches counter, while a
-// DisableBatchFuse server handling the same batch must not.
+// TestBatchIdentityProcessFused drives a consumer's fused path directly and
+// deterministically: one multi-job batch through process() on replica 1 must
+// produce, per job, exactly the verdict and tier the per-job Decide path
+// produces on replica 0, under every tiering — and must increment the
+// fused-batches counter, while a DisableBatchFuse server handling the same
+// batch must not.
 func TestBatchIdentityProcessFused(t *testing.T) {
 	f := getFixture(t)
 	stream := tierStream(f)
@@ -117,8 +118,8 @@ func TestBatchIdentityProcessFused(t *testing.T) {
 			}
 
 			fusedBatch, serialBatch := makeBatch(), makeBatch()
-			sFused.process(fusedBatch)
-			sSerial.process(serialBatch)
+			sFused.process(1, fusedBatch)
+			sSerial.process(0, serialBatch)
 			for i := range stream {
 				fr := <-fusedBatch[i].out
 				sr := <-serialBatch[i].out

@@ -32,9 +32,8 @@ type metrics struct {
 	ok         *obs.Counter
 	reqSeconds *obs.Histogram
 	batchSizes *obs.Histogram
-	// fusedBatches counts micro-batches decided through the fused batch path
-	// (processFused); per-job fan-out batches are the complement against
-	// advhunter_batch_size_count.
+	// fusedBatches counts batches decided through the fused batch path;
+	// per-job batches are the complement against advhunter_batch_size_count.
 	fusedBatches *obs.Counter
 
 	// Detection layer, labelled by the served backend kind.
@@ -42,9 +41,8 @@ type metrics struct {
 	flagged *obs.Counter
 	flags   []*obs.Counter // aligned with Server.channels
 
-	// Worker-pool layer (the parallel fan-out inside process()).
+	// Worker-pool layer: one task per batch a replica's consumer decides.
 	poolBusy    *obs.Gauge
-	poolQueue   *obs.Gauge
 	poolTasks   *obs.Counter
 	poolSeconds *obs.Histogram
 
@@ -77,7 +75,7 @@ func newMetrics(backend string, channels []string) *metrics {
 	m.reqSeconds = reg.Histogram("advhunter_request_duration_seconds",
 		"End-to-end request latency.", latencyBuckets).With()
 	m.batchSizes = reg.Histogram("advhunter_batch_size",
-		"Micro-batch sizes dispatched to the worker pool.", batchBuckets).With()
+		"Sizes of the batches the replica consumers decide.", batchBuckets).With()
 	m.fusedBatches = reg.Counter("advhunter_fused_batches_total",
 		"Micro-batches decided through the fused batched measure-and-score path.").With()
 
@@ -91,10 +89,8 @@ func newMetrics(backend string, channels []string) *metrics {
 
 	m.poolBusy = reg.Gauge("advhunter_pool_busy_workers",
 		"Engine replicas currently running a measurement.").With()
-	m.poolQueue = reg.Gauge("advhunter_pool_queue_depth",
-		"Batch items admitted to the replica pool and not yet picked up.").With()
 	m.poolTasks = reg.Counter("advhunter_pool_tasks_total",
-		"Measurement tasks completed by the replica pool.").With()
+		"Batches decided by the replica pool, one task per consumer batch.").With()
 	m.poolSeconds = reg.Histogram("advhunter_pool_task_duration_seconds",
 		"Per-task time on a pool worker (measure + score).", obs.DurationBuckets).With()
 

@@ -92,7 +92,6 @@ func TestMetricsExposition(t *testing.T) {
 			"advhunter_pool_tasks_total 5",
 			"advhunter_pool_task_duration_seconds_count 5",
 			"advhunter_pool_busy_workers 0",
-			"advhunter_pool_queue_depth 0",
 		},
 		"engine": {
 			"advhunter_inference_duration_seconds_count 5",

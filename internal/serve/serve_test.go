@@ -451,6 +451,72 @@ func TestServeMaxInflight(t *testing.T) {
 	}
 }
 
+// TestServeConsumersWorkConserving: every replica runs its own consumer, so a
+// request admitted while one replica is busy is picked up by an idle replica
+// instead of waiting behind the busy batch, and a backlog of 2·k jobs is
+// shared out rather than drained by one replica: no batch holds more than k.
+func TestServeConsumersWorkConserving(t *testing.T) {
+	f := getFixture(t)
+	const k = 4 // a batch-size histogram bucket bound
+	gate := make(chan struct{})
+	s, ts := newServer(t, f, Config{Workers: 2, MaxBatch: 2 * k, QueueSize: 2 * k, gate: gate})
+	var open sync.Once
+	release := func() { open.Do(func() { close(gate) }) }
+	t.Cleanup(release)
+
+	await := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	send := func(i int) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if resp, body := post(t, ts.URL, NewRequest(f.clean[i].X, uint64(i))); resp.StatusCode != http.StatusOK {
+				t.Errorf("request %d: status %d: %s", i, resp.StatusCode, body)
+			}
+		}()
+	}
+
+	// Two requests admitted one after the other: the first holds one replica
+	// at the gate, so the second must be held by the other.
+	for i := 0; i < 2; i++ {
+		send(i)
+		await(fmt.Sprintf("%d busy replicas", i+1), func() bool { return s.stats.poolBusy.Value() == float64(i+1) })
+	}
+	for i := 2; i < 2+2*k; i++ {
+		send(i)
+	}
+	await("a full backlog", func() bool { return s.adm.QueueDepth() == 2*k })
+	release()
+	wg.Wait()
+
+	// Every batch after the two gated singletons came out of the backlog, and
+	// the fair-share cap keeps each to at most k of its 2·k jobs.
+	series := func(text, name string) string {
+		for _, line := range strings.Split(text, "\n") {
+			if v, ok := strings.CutPrefix(line, name+" "); ok {
+				return v
+			}
+		}
+		return "absent"
+	}
+	text := string(scrape(t, ts.URL))
+	total, small := series(text, "advhunter_batch_size_count"), series(text, fmt.Sprintf(`advhunter_batch_size_bucket{le="%d"}`, k))
+	if small != total {
+		t.Fatalf("%s of %s batches held at most %d jobs; a backlog of %d must split across both replicas",
+			small, total, k, 2*k)
+	}
+	if got := s.stats.batchSizes.Sum(); got != 2+2*k {
+		t.Fatalf("batches held %v jobs, want %d", got, 2+2*k)
+	}
+}
+
 // TestServeTimeout: a request whose budget expires while the pool is gated
 // answers 504 and is dropped from its batch.
 func TestServeTimeout(t *testing.T) {

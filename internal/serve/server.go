@@ -5,16 +5,18 @@
 // Architecture: a server is an assembly of three composable stages.
 // An Admission gate (bounded queue + optional in-flight token cap) turns
 // overload into backpressure — a full queue answers 429 with Retry-After —
-// and owns the drain protocol. A micro-batcher gathers admitted requests
-// (up to MaxBatch, lingering at most BatchWait) and fans each batch out over
-// a Tiering policy, which decides every query on one or two MeasurePools
-// (backend replica pool + truth cache + detector). Determinism survives the
-// concurrency: each query's measurement-noise stream is keyed by an explicit
-// request index through Measurer.MeasureAt, so its reading — and therefore
-// its detection decision — is a pure function of (model, input, seed, index),
-// independent of batching, scheduling, and worker assignment. The same
-// stages compose into other topologies: internal/cluster runs N of these
-// assemblies behind a router.
+// and owns the drain protocol. One consumer per engine replica takes an
+// admitted request together with whatever is already queued (up to its fair
+// share of the backlog, at most MaxBatch; there is no default linger) and
+// decides that batch on its replica through a Tiering policy, which decides
+// every query on one or two MeasurePools (backend replica pool + truth cache
+// + detector). Determinism survives the concurrency: each query's
+// measurement-noise stream is keyed by an explicit request index through
+// Measurer.MeasureAt, so its reading — and therefore its detection decision
+// — is a pure function of (model, input, seed, index), independent of
+// batching, scheduling, and worker assignment. The same stages compose into
+// other topologies: internal/cluster runs N of these assemblies behind a
+// router.
 package serve
 
 import (
@@ -25,6 +27,7 @@ import (
 	"log/slog"
 	"net/http"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -42,12 +45,15 @@ type Config struct {
 	// QueueSize bounds the admission queue (default 64). A full queue is
 	// the backpressure signal: new requests get 429 + Retry-After.
 	QueueSize int
-	// Workers is the engine-replica pool size (default GOMAXPROCS, min 1).
+	// Workers is the engine-replica pool size (default GOMAXPROCS, min 1);
+	// each replica runs its own consumer of the admission queue.
 	Workers int
 	// MaxBatch caps one micro-batch (default 8).
 	MaxBatch int
-	// BatchWait is the micro-batcher's linger: after the first request of a
-	// batch arrives, it waits at most this long for more (default 2ms).
+	// BatchWait is an opt-in linger. By default (0) a replica's consumer takes
+	// only what is already queued and never waits. A positive value makes it
+	// fill up to MaxBatch, waiting at most this long after its first request;
+	// the loadgen batch and cluster sweeps use it to widen batches.
 	BatchWait time.Duration
 	// Timeout is the per-request budget including queueing (default 10s);
 	// an expired request answers 504 and is dropped from its batch.
@@ -102,9 +108,9 @@ type Config struct {
 	// decides everything). Detectors that do not implement
 	// detect.Uncertainty escalate every query instead.
 	EscalationMargin float64
-	// DisableBatchFuse reverts the micro-batcher to per-job decisions: every
-	// drained batch fans out one Tiering.Decide per job instead of flowing as
-	// one fused InferBatch→ScoreBatch unit. Responses are byte-identical either
+	// DisableBatchFuse reverts the consumers to per-job decisions: every
+	// batch runs one Tiering.Decide per job instead of flowing as one fused
+	// InferBatch→ScoreBatch unit. Responses are byte-identical either
 	// way — the batched kernels are bit-identical to the per-sample ones and
 	// each job's noise stream is keyed by its index — so the knob exists for
 	// apples-to-apples benchmarking of the fast path and as an escape hatch.
@@ -150,7 +156,7 @@ type Config struct {
 
 	// gate, when non-nil, blocks batch processing until it is closed — a
 	// test-only hook for filling the queue deterministically. It must be
-	// set before New (the dispatcher reads it once at startup).
+	// set before New; every consumer reads it before each batch.
 	gate chan struct{}
 }
 
@@ -173,9 +179,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 8
-	}
-	if c.BatchWait <= 0 {
-		c.BatchWait = 2 * time.Millisecond
 	}
 	if c.Timeout <= 0 {
 		c.Timeout = 10 * time.Second
@@ -218,9 +221,9 @@ type result struct {
 	tier string
 }
 
-// Server is the online detection service: an Admission gate feeding a
-// micro-batcher that fans out over a Tiering policy. Build with New, expose
-// with Handler, stop with Shutdown.
+// Server is the online detection service: an Admission gate feeding one
+// consumer per engine replica, each deciding its batches through a Tiering
+// policy. Build with New, expose with Handler, stop with Shutdown.
 type Server struct {
 	cfg      Config
 	det      detect.Detector
@@ -232,17 +235,16 @@ type Server struct {
 	tiering Tiering          // decision stage: exact / twin / auto over MeasurePools
 	next    atomic.Uint64    // server-assigned indices for index-less requests
 	rids    atomic.Uint64    // request ids for log correlation (distinct from idx)
-	done    chan struct{}    // closed when the dispatcher exits
+	done    chan struct{}    // closed when every consumer has exited
 
-	stats     *metrics
-	logger    *slog.Logger
-	tracer    *obs.Tracer
-	flight    *obs.Recorder    // nil unless FlightInterval or AlertRules enable it
-	traces    *obs.TraceRing   // nil unless TraceRing enables it
-	alerts    *obs.AlertEngine // nil unless AlertRules enable it
-	poolHooks parallel.Hooks
-	mux       *http.ServeMux
-	gate      chan struct{} // from Config.gate; see there
+	stats  *metrics
+	logger *slog.Logger
+	tracer *obs.Tracer
+	flight *obs.Recorder    // nil unless FlightInterval or AlertRules enable it
+	traces *obs.TraceRing   // nil unless TraceRing enables it
+	alerts *obs.AlertEngine // nil unless AlertRules enable it
+	mux    *http.ServeMux
+	gate   chan struct{} // from Config.gate; see there
 }
 
 // New builds and starts the service around a measurer (whose engine defines
@@ -300,15 +302,6 @@ func New(m *core.Measurer, det detect.Detector, cfg Config) *Server {
 	}
 
 	s.stats.reg.Gauge("advhunter_pool_workers", "Engine replica pool size.").With().Set(float64(cfg.Workers))
-	s.poolHooks = parallel.Hooks{
-		Queued: func(delta int) { s.stats.poolQueue.Add(float64(delta)) },
-		Start:  func(int) { s.stats.poolBusy.Inc() },
-		Done: func(_ int, d time.Duration) {
-			s.stats.poolBusy.Dec()
-			s.stats.poolTasks.Inc()
-			s.stats.poolSeconds.Observe(d.Seconds())
-		},
-	}
 
 	// Exact measurement stage. The engine-layer hook is observe-only and
 	// shared by every replica, so install it before cloning (Clone copies it).
@@ -410,7 +403,18 @@ func New(m *core.Measurer, det detect.Detector, cfg Config) *Server {
 	if s.alerts != nil {
 		s.mux.Handle("/alerts", s.alerts.Handler())
 	}
-	go s.dispatch()
+	var consumers sync.WaitGroup
+	consumers.Add(cfg.Workers)
+	for w := 0; w < cfg.Workers; w++ {
+		go func() {
+			defer consumers.Done()
+			s.consume(w)
+		}()
+	}
+	go func() {
+		consumers.Wait()
+		close(s.done)
+	}()
 	return s
 }
 
@@ -446,11 +450,11 @@ func (s *Server) Load() int {
 }
 
 // Shutdown drains the service: new detection requests are rejected with
-// 503, queued requests are processed to completion, and the dispatcher
+// 503, queued requests are processed to completion, and every consumer
 // exits. It returns early with the context's error if draining outlives it.
 func (s *Server) Shutdown(ctx context.Context) error {
 	// Close is idempotent: the first caller runs the drain protocol, later
-	// callers (and re-entrant Shutdowns) just wait for the dispatcher.
+	// callers (and re-entrant Shutdowns) just wait for the consumers.
 	s.adm.Close()
 	select {
 	case <-s.done:
@@ -468,44 +472,72 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
-// dispatch is the micro-batcher: it gathers up to MaxBatch queued jobs
-// (lingering at most BatchWait after the first) and hands each batch to the
-// replica pool. It exits when the admission gate's queue is closed and
-// drained.
-func (s *Server) dispatch() {
-	defer close(s.done)
+// consume is one replica's consumer loop. It blocks for a job, gathers a
+// batch around it and decides that batch on its own replica index, until the
+// admission gate's queue is closed and drained. Workers of these loops share
+// one queue, so an idle replica picks up a request as soon as it is admitted.
+func (s *Server) consume(worker int) {
 	for {
 		j, ok := <-s.adm.Queue()
 		if !ok {
 			return
 		}
-		batch := []*job{j}
-		timer := time.NewTimer(s.cfg.BatchWait)
-	gather:
-		for len(batch) < s.cfg.MaxBatch {
-			select {
-			case j2, ok := <-s.adm.Queue():
-				if !ok {
-					break gather
-				}
-				batch = append(batch, j2)
-			case <-timer.C:
-				break gather
-			}
-		}
-		timer.Stop()
-		s.process(batch)
+		s.process(worker, s.gather(j))
 	}
 }
 
-// process measures and scores one micro-batch on the replica pool. Requests
-// whose deadline expired while queued are dropped (their handler has
-// already answered 504). Each job's noise stream is keyed by its index, so
-// results do not depend on batch composition or worker assignment.
-func (s *Server) process(batch []*job) {
+// gather forms one batch around first. With no linger it takes, without
+// waiting, what is already queued, up to this replica's fair share of the
+// backlog (min(MaxBatch, ⌈(1+queued)/Workers⌉)), so a backlog is spread over
+// the replicas rather than drained by whichever one woke first. A positive
+// BatchWait instead fills up to MaxBatch, waiting at most that long after
+// first.
+func (s *Server) gather(first *job) []*job {
+	q := s.adm.Queue()
+	batch := []*job{first}
+	if s.cfg.BatchWait > 0 {
+		timer := time.NewTimer(s.cfg.BatchWait)
+		defer timer.Stop()
+		for len(batch) < s.cfg.MaxBatch {
+			select {
+			case j, ok := <-q:
+				if !ok {
+					return batch
+				}
+				batch = append(batch, j)
+			case <-timer.C:
+				return batch
+			}
+		}
+		return batch
+	}
+	limit := min(s.cfg.MaxBatch, (len(q)+s.cfg.Workers)/s.cfg.Workers)
+	for len(batch) < limit {
+		select {
+		case j, ok := <-q:
+			if !ok {
+				return batch
+			}
+			batch = append(batch, j)
+		default:
+			return batch
+		}
+	}
+	return batch
+}
+
+// process measures, scores and answers one batch on replica worker. Requests
+// whose deadline expired while queued are dropped (their handler has already
+// answered 504). The pool series are updated before any job is answered, so
+// a client that has its verdict sees them settled. Each job's noise stream is
+// keyed by its index, so results do not depend on batch composition or on
+// which replica decided them.
+func (s *Server) process(worker int, batch []*job) {
+	s.stats.poolBusy.Inc()
 	if s.gate != nil {
 		<-s.gate
 	}
+	start := time.Now()
 	live := batch[:0]
 	for _, j := range batch {
 		j.qspan.End() // queue wait is over, whether the job survived it or not
@@ -513,67 +545,57 @@ func (s *Server) process(batch []*job) {
 			live = append(live, j)
 		}
 	}
-	if len(live) == 0 {
-		return
+	var out []result
+	if len(live) > 0 {
+		s.stats.batchSizes.Observe(float64(len(live)))
+		out = s.decide(worker, live)
+		s.stats.poolTasks.Inc()
+		s.stats.poolSeconds.Observe(time.Since(start).Seconds())
 	}
-	s.stats.batchSizes.Observe(float64(len(live)))
-	if len(live) >= 2 && !s.cfg.DisableBatchFuse {
-		if bt, ok := s.tiering.(BatchTiering); ok {
-			s.processFused(bt, live)
-			return
-		}
+	s.stats.poolBusy.Dec()
+	for i, j := range live {
+		j.out <- out[i]
 	}
-	parallel.MapWorkersHooked(s.cfg.Workers, live, s.poolHooks, func(worker, _ int, j *job) struct{} {
-		v, tier := s.tiering.Decide(j.ctx, worker, j.idx, j.x)
-		j.out <- result{v: v, tier: tier}
-		return struct{}{}
-	})
 }
 
-// processFused is the batched fast path of process: the live jobs are split
-// into one contiguous chunk per pool worker, and each chunk flows through the
-// tiering as a single fused measure→score unit (batched forward pass over the
-// chunk's cache misses, channel-major detector sweep). Verdicts are pure
-// functions of (idx, x), so chunking — like worker assignment — never changes
-// a response byte; each job still gets its own spans and counters, plus a
-// "batch" span recording its chunk's fused decision time. A chunk whose
-// tiering cannot fuse falls back to per-job Decide within the chunk.
-func (s *Server) processFused(bt BatchTiering, live []*job) {
+// decide runs the live jobs through the tiering on replica worker. A batch of
+// two or more flows as one fused measure→score unit (batched forward pass
+// over its cache misses, channel-major detector sweep) unless fusing is
+// disabled; each job still gets its own spans and counters, plus a "batch"
+// span recording the fused decision time. Otherwise, or when the tiering
+// cannot fuse, every job is decided on its own. Verdicts are pure functions
+// of (idx, x), so the path taken never changes a response byte.
+func (s *Server) decide(worker int, jobs []*job) []result {
+	out := make([]result, len(jobs))
+	bt, ok := s.tiering.(BatchTiering)
+	if len(jobs) < 2 || s.cfg.DisableBatchFuse || !ok {
+		for i, j := range jobs {
+			out[i].v, out[i].tier = s.tiering.Decide(j.ctx, worker, j.idx, j.x)
+		}
+		return out
+	}
 	s.stats.fusedBatches.Inc()
-	n := len(live)
-	nchunks := s.cfg.Workers
-	if nchunks > n {
-		nchunks = n
+	n := len(jobs)
+	ctxs := make([]context.Context, n)
+	idxs := make([]uint64, n)
+	xs := make([]*tensor.Tensor, n)
+	vs := make([]detect.Verdict, n)
+	tiers := make([]string, n)
+	spans := make([]*obs.Span, n)
+	for i, j := range jobs {
+		ctxs[i], idxs[i], xs[i] = j.ctx, j.idx, j.x
+		_, spans[i] = obs.StartSpan(j.ctx, "batch")
 	}
-	type span struct{ lo, hi int }
-	chunks := make([]span, nchunks)
-	for c := range chunks {
-		chunks[c] = span{lo: c * n / nchunks, hi: (c + 1) * n / nchunks}
+	if !bt.DecideBatch(ctxs, worker, idxs, xs, vs, tiers) {
+		for i, j := range jobs {
+			vs[i], tiers[i] = s.tiering.Decide(j.ctx, worker, j.idx, j.x)
+		}
 	}
-	parallel.MapWorkersHooked(s.cfg.Workers, chunks, s.poolHooks, func(worker, _ int, c span) struct{} {
-		jobs := live[c.lo:c.hi]
-		m := len(jobs)
-		ctxs := make([]context.Context, m)
-		idxs := make([]uint64, m)
-		xs := make([]*tensor.Tensor, m)
-		vs := make([]detect.Verdict, m)
-		tiers := make([]string, m)
-		spans := make([]*obs.Span, m)
-		for i, j := range jobs {
-			ctxs[i], idxs[i], xs[i] = j.ctx, j.idx, j.x
-			_, spans[i] = obs.StartSpan(j.ctx, "batch")
-		}
-		if !bt.DecideBatch(ctxs, worker, idxs, xs, vs, tiers) {
-			for i, j := range jobs {
-				vs[i], tiers[i] = s.tiering.Decide(j.ctx, worker, j.idx, j.x)
-			}
-		}
-		for i, j := range jobs {
-			spans[i].End()
-			j.out <- result{v: vs[i], tier: tiers[i]}
-		}
-		return struct{}{}
-	})
+	for i := range jobs {
+		spans[i].End()
+		out[i] = result{v: vs[i], tier: tiers[i]}
+	}
+	return out
 }
 
 // handleDetect is POST /detect: decode, validate, admit, await the verdict.
