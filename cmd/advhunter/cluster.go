@@ -18,7 +18,7 @@ import (
 )
 
 // cmdCluster runs the multi-replica serving tier: N in-process serve
-// replicas — each with its own admission gate, batcher, tier stack, and
+// replicas — each with its own admission gate, consumers, tier stack, and
 // truth caches — behind a routing policy, with one merged /metrics page
 // carrying every replica's series under its replica label.
 func cmdCluster(args []string, stdout, stderr io.Writer) error {

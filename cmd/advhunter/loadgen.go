@@ -65,34 +65,7 @@ func parseCohorts(env *experiments.Env, spec string, hot int, eps float64) (work
 type sweepResult struct {
 	Scenario string             `json:"scenario"`
 	Runs     []*workload.Report `json:"runs"`
-	Batch    *batchSection      `json:"batch,omitempty"`
 	Cluster  *clusterSection    `json:"cluster,omitempty"`
-}
-
-// batchSection is the sweep document's batch-width block: the same closed-loop
-// request stream replayed against a micro-batch linger × width grid on the
-// twin tier, recording throughput against the batch width actually realized.
-type batchSection struct {
-	Tier     string       `json:"tier"`
-	Clients  int          `json:"clients"`
-	Requests int          `json:"requests"`
-	Points   []batchPoint `json:"points"`
-}
-
-// batchPoint is one grid point. RealizedBatch is the mean drained batch width
-// read off advhunter_batch_size_sum/_count — the knob settings cap the width,
-// the queue depth at drain time decides it. FusedBatches counts how many of
-// those batches went through the fused measure-and-score path (zero when Fuse
-// is false or every drain found a single request).
-type batchPoint struct {
-	MaxBatch      int     `json:"max_batch"`
-	BatchWaitMs   float64 `json:"batch_wait_ms"`
-	Fuse          bool    `json:"fuse"`
-	ThroughputRPS float64 `json:"throughput_rps"`
-	P50Ms         float64 `json:"p50_ms"`
-	P99Ms         float64 `json:"p99_ms"`
-	RealizedBatch float64 `json:"realized_batch"`
-	FusedBatches  float64 `json:"fused_batches"`
 }
 
 // clusterSection is the sweep document's cluster block: the saturation
@@ -140,11 +113,9 @@ func cmdLoadgen(args []string, stdout, stderr io.Writer) error {
 	reqTimeout := fs.Duration("request-timeout", 30*time.Second, "per-request client budget")
 	asJSON := fs.Bool("json", false, "emit the report as JSON instead of text")
 	expo := fs.String("expo", "", "write the client-side metrics exposition to this file")
-	sweep := fs.Bool("sweep", false, "run the bench sweep — shapes {poisson,bursty,closed} × tiers {exact,twin,auto}, then the batch-width and cluster saturation/locality sweeps — self-booting each server; ignores -target/-shape/-tier")
-	sweepBatch := fs.Bool("sweep-batch", false, "run only the batch-width sweep (micro-batch linger × max-batch grid on the twin tier); writes its JSON to -out (default stdout)")
-	out := fs.String("out", "", "with -sweep/-sweep-batch: write the sweep JSON to this file (default stdout)")
+	sweep := fs.Bool("sweep", false, "run the bench sweep — shapes {poisson,bursty,closed} × tiers {exact,twin,auto}, then the cluster saturation/locality sweeps — self-booting each server; ignores -target/-shape/-tier")
+	out := fs.String("out", "", "with -sweep: write the sweep JSON to this file (default stdout)")
 	clusterOut := fs.String("cluster-out", "", "with -sweep: also write just the cluster section to this file (for bench-script inlining)")
-	batchOut := fs.String("batch-out", "", "with -sweep: also write just the batch-width section to this file (for bench-script inlining)")
 	sopts := serveFlags(fs)
 	dopts := detectorFlags(fs)
 	copts := commonFlags(fs)
@@ -159,7 +130,7 @@ func cmdLoadgen(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	// Cheap structural checks before any model loads.
-	if err := (workload.ArrivalSpec{Kind: *shape, Rate: *rate}).Validate(); err != nil && *replay == "" && !*sweep && !*sweepBatch {
+	if err := (workload.ArrivalSpec{Kind: *shape, Rate: *rate}).Validate(); err != nil && *replay == "" && !*sweep {
 		return err
 	}
 	env, err := experiments.LoadEnv(*scenario, copts.options())
@@ -171,22 +142,10 @@ func cmdLoadgen(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	if *sweep || *sweepBatch {
+	if *sweep {
 		p := sweepParams{
 			rate: *rate, duration: *duration, requests: *requests, clients: *clients,
-			seed: *loadSeed, timeout: *reqTimeout, out: *out,
-			clusterOut: *clusterOut, batchOut: *batchOut,
-		}
-		if *sweepBatch {
-			det, err := loadOrFitDetector(env, dopts)
-			if err != nil {
-				return err
-			}
-			sec, err := runBatchSweep(env, dopts, sopts, det, logger, p, stderr)
-			if err != nil {
-				return err
-			}
-			return writeJSON(p.out, stdout, sec)
+			seed: *loadSeed, timeout: *reqTimeout, out: *out, clusterOut: *clusterOut,
 		}
 		return runSweep(env, dopts, sopts, copts, mix, logger, p, stdout, stderr)
 	}
@@ -277,7 +236,6 @@ type sweepParams struct {
 	timeout    time.Duration
 	out        string
 	clusterOut string
-	batchOut   string
 }
 
 // writeJSON writes v indented to path, or to fallback when path is empty.
@@ -351,16 +309,6 @@ func runSweep(env *experiments.Env, dopts detectorOpts, sopts serveOpts, copts c
 		booted.shutdown()
 	}
 
-	result.Batch, err = runBatchSweep(env, dopts, sopts, det, logger, p, stderr)
-	if err != nil {
-		return err
-	}
-	if p.batchOut != "" {
-		if err := writeJSON(p.batchOut, nil, result.Batch); err != nil {
-			return err
-		}
-	}
-
 	result.Cluster, err = runClusterSweep(env, dopts, sopts, det, logger, p, stderr)
 	if err != nil {
 		return err
@@ -374,92 +322,10 @@ func runSweep(env *experiments.Env, dopts detectorOpts, sopts serveOpts, copts c
 	return writeJSON(p.out, stdout, result)
 }
 
-// runBatchSweep measures throughput against realized micro-batch width on the
-// twin tier: one closed-loop clean request stream is replayed byte-identically
-// against a linger × max-batch grid, plus a fusion-off control at the same
-// batching knobs, so every throughput delta is attributable to batch width or
-// to the fused measure-and-score path alone. The truth cache is disabled so
-// each request pays the forward pass whose fusion is under test, and the
-// single worker turns every drained batch into one fused unit. Realized width
-// is read off advhunter_batch_size_sum/_count; advhunter_fused_batches_total
-// confirms which points actually took the fused path.
-func runBatchSweep(env *experiments.Env, dopts detectorOpts, sopts serveOpts,
-	det *detect.Fitted, logger *slog.Logger, p sweepParams, stderr io.Writer) (*batchSection, error) {
-	const clients = 16
-	sec := &batchSection{Tier: serve.TierTwin, Clients: clients, Requests: p.requests}
-	cleanMix := workload.Mix{{Name: "clean", Weight: 1, Pool: env.DS.Test}}
-	tr, err := workload.Generate(workload.Config{
-		Name:     env.Scn.ID + "-batch-width",
-		Seed:     p.seed + 3000,
-		Arrival:  workload.ArrivalSpec{Kind: workload.Closed, Clients: clients},
-		Mix:      cleanMix,
-		Horizon:  p.duration,
-		Requests: p.requests,
-	})
-	if err != nil {
-		return nil, err
-	}
-	grid := []struct {
-		maxBatch int
-		wait     time.Duration
-		fuse     bool
-	}{
-		{1, time.Millisecond, true},      // per-sample baseline: width-1 batches never fuse
-		{8, 2 * time.Millisecond, false}, // same batching knobs, fusion off: the A/B control
-		{4, 2 * time.Millisecond, true},
-		{8, 2 * time.Millisecond, true},
-		{8, 5 * time.Millisecond, true},
-		{16, 5 * time.Millisecond, true},
-	}
-	for _, g := range grid {
-		cfg, err := sopts.config(env, dopts, det, 1, logger, serve.TierTwin)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Workers = 1
-		cfg.QueueSize = p.requests + clients
-		cfg.MaxBatch = g.maxBatch
-		cfg.BatchWait = g.wait
-		cfg.DisableBatchFuse = !g.fuse
-		cfg.TruthCacheSize = -1
-		booted, err := bootServer(env, det, cfg)
-		if err != nil {
-			return nil, err
-		}
-		res, err := workload.Run(context.Background(), booted.base, tr,
-			workload.RunOptions{Clients: clients, Timeout: p.timeout})
-		if err != nil {
-			booted.shutdown()
-			return nil, fmt.Errorf("batch sweep max-batch %d: %w", g.maxBatch, err)
-		}
-		snap, err := workload.Scrape(nil, booted.base)
-		booted.shutdown()
-		if err != nil {
-			return nil, fmt.Errorf("batch sweep max-batch %d: scraping: %w", g.maxBatch, err)
-		}
-		pt := batchPoint{
-			MaxBatch:      g.maxBatch,
-			BatchWaitMs:   float64(g.wait) / float64(time.Millisecond),
-			Fuse:          g.fuse,
-			ThroughputRPS: res.Report.ThroughputRPS,
-			P50Ms:         res.Report.Latency.P50Ms,
-			P99Ms:         res.Report.Latency.P99Ms,
-			FusedBatches:  snap.Sum("advhunter_fused_batches_total"),
-		}
-		if c := snap.Sum("advhunter_batch_size_count"); c > 0 {
-			pt.RealizedBatch = snap.Sum("advhunter_batch_size_sum") / c
-		}
-		sec.Points = append(sec.Points, pt)
-		fmt.Fprintf(stderr, "batch sweep: max-batch %d linger %s fuse=%v — %.1f req/s, p50 %.2fms p99 %.2fms, realized batch %.2f (%g fused)\n",
-			g.maxBatch, g.wait, g.fuse, pt.ThroughputRPS, pt.P50Ms, pt.P99Ms, pt.RealizedBatch, pt.FusedBatches)
-	}
-	return sec, nil
-}
-
 // runClusterSweep measures the cluster tier two ways.
 //
 // Saturation runs on the twin tier with a deliberately small per-replica
-// in-flight cap and a long micro-batch linger: the twin's µs-scale scoring
+// in-flight cap and a long batch linger: the twin's µs-scale scoring
 // keeps the shared CPU idle, so the knee measures provisioned concurrency —
 // the thing a fleet planner scales by adding replicas — rather than a CPU
 // ceiling that in-process replicas on one host could never move. Each

@@ -57,8 +57,8 @@ type serveOpts struct {
 func serveFlags(fs *flag.FlagSet) serveOpts {
 	return serveOpts{
 		queue:       fs.Int("queue", 64, "admission queue capacity (full queue answers 429)"),
-		maxBatch:    fs.Int("max-batch", 8, "micro-batch size cap"),
-		batchWait:   fs.Duration("batch-wait", 0, "opt-in linger: a replica that took a request waits at most this long to fill -max-batch (0 = take only what is already queued)"),
+		maxBatch:    fs.Int("max-batch", 8, "batch size cap of the -batch-wait linger (unused without it)"),
+		batchWait:   fs.Duration("batch-wait", 0, "opt-in linger: a replica that took a request waits at most this long to fill a batch of up to -max-batch requests (0 = one request at a time)"),
 		timeout:     fs.Duration("timeout", 10*time.Second, "per-request budget including queueing"),
 		event:       fs.String("event", hpc.CacheMisses.String(), "perf event driving the adversarial verdict"),
 		truthCache:  fs.Int("truth-cache", 512, "truth-count memoisation cache entries (0 disables)"),

@@ -2,7 +2,7 @@
 // cloud inference service — now through the real serving stack. The guard
 // is fitted once and persisted (detect.Save), reloaded the way a
 // fresh serving process would load it, and exposed as the HTTP JSON service
-// (internal/serve) with micro-batching and a replica pool. A stream of
+// (internal/serve) with one queue consumer per engine replica. A stream of
 // queries — mostly legitimate, with adversarial probing mixed in — is fired
 // by eight concurrent clients, and every decision comes back over the wire.
 // Because each query carries an explicit noise index, the verdicts are
@@ -84,10 +84,9 @@ func main() {
 	fmt.Printf("guard: detector persisted to and reloaded from %s\n", filepath.Base(artifact))
 
 	// Online phase: the detection service, exactly as `advhunter serve`
-	// runs it — bounded queue, micro-batching, engine-replica pool.
+	// runs it — bounded queue, one consumer per engine replica.
 	srv := serve.New(meas, det, serve.Config{
 		Workers:   4,
-		MaxBatch:  8,
 		ClassName: func(c int) string { return data.ClassName("cifar10", c) },
 	})
 	ts := httptest.NewServer(srv.Handler())

@@ -76,7 +76,7 @@ func (c Config) withDefaults() Config {
 }
 
 // Cluster is the multi-replica serving tier: a Router in front of N
-// serve.Server assemblies, each with its own admission gate, batcher, tier
+// serve.Server assemblies, each with its own admission gate, consumers, tier
 // stack, truth caches, and metrics registry (stamped replica="i" and merged
 // onto one /metrics page). Build with New, expose with Handler, stop with
 // Shutdown (which drains every replica).

@@ -60,10 +60,6 @@ type Measurer struct {
 	// methods are single-goroutine; replicas own their scratch, and MeasureSet
 	// gives each worker a private one.
 	scratch noiseScratch
-
-	// batch holds MeasureBatchCached's reusable gather/scatter buffers
-	// (batchmeasure.go). Single-goroutine like scratch; lazily grown.
-	batch batchScratch
 }
 
 // NewMeasurer builds a measurer with the paper's defaults (R=10, default

@@ -7,119 +7,85 @@ import (
 	"advhunter/internal/tensor"
 )
 
-// TestBatchIdentityMeasureCore pins the batched measurement contract: for the
-// same (index, input) stream, MeasureBatchCached must return exactly what a
-// sequential MeasureAtCached loop returns — measurement by measurement, hit
-// flag by hit flag — including in-batch revisits of the same input (the
-// sequential loop hits the cache on a revisit because the first occurrence's
-// Put lands before the second's Get; the batched dedupe reproduces that).
+// A serving pool hands each drained batch to one measurer replica, and every
+// replica consults the tier's one shared truth cache. These tests pin that
+// neither choice shows in the results: a stream split into batches across
+// replicas returns exactly what one measurer returns walking the stream in
+// order — measurement by measurement, hit flag by hit flag.
+
+// TestBatchIdentityMeasureCore runs a revisit-heavy batch, the same batch
+// over the warm cache, and a nil-cache batch on a cloned replica, each against
+// a sequential MeasureAtCached loop on a separately built measurer.
 func TestBatchIdentityMeasureCore(t *testing.T) {
 	samples, m := detFixture()
 	ref := NewMeasurer(engine.NewDefault(m.Clone()), 42)
-	bat := NewMeasurer(engine.NewDefault(m.Clone()), 42)
+	rep := NewMeasurer(engine.NewDefault(m.Clone()), 42).Clone()
 
 	// Revisit-heavy stream: sample order 0,1,0,2,1,0,3,2 under fresh indices.
 	order := []int{0, 1, 0, 2, 1, 0, 3, 2}
-	n := len(order)
-	idxs := make([]uint64, n)
-	xs := make([]*tensor.Tensor, n)
+	idxs := make([]uint64, len(order))
+	xs := make([]*tensor.Tensor, len(order))
 	for i, si := range order {
 		idxs[i] = uint64(i)
 		xs[i] = samples[si].X
 	}
-
 	refCache := NewTruthCache(8)
-	batCache := NewTruthCache(8)
-	wantM := make([]Measurement, n)
-	wantH := make([]bool, n)
-	for i := range order {
-		wantM[i], wantH[i] = ref.MeasureAtCached(refCache, idxs[i], xs[i])
-	}
-	gotM := make([]Measurement, n)
-	gotH := make([]bool, n)
-	bat.MeasureBatchCached(batCache, idxs, xs, gotM, gotH)
-	for i := range order {
-		if gotM[i] != wantM[i] {
-			t.Fatalf("step %d (sample %d): batched measurement diverged:\nbatch:      %+v\nsequential: %+v",
-				i, order[i], gotM[i], wantM[i])
-		}
-		if gotH[i] != wantH[i] {
-			t.Fatalf("step %d: batched hit %v, sequential %v", i, gotH[i], wantH[i])
+	repCache := NewTruthCache(8)
+	check := func(label string, refC, repC *TruthCache) {
+		t.Helper()
+		for i := range xs {
+			want, wantH := ref.MeasureAtCached(refC, idxs[i], xs[i])
+			got, gotH := rep.MeasureAtCached(repC, idxs[i], xs[i])
+			if got != want {
+				t.Fatalf("%s step %d (sample %d): replica measurement diverged:\nreplica:    %+v\nsequential: %+v",
+					label, i, order[i], got, want)
+			}
+			if gotH != wantH {
+				t.Fatalf("%s step %d: replica hit %v, sequential %v", label, i, gotH, wantH)
+			}
 		}
 	}
-	// The caches must hold the same working set afterwards (the internal
-	// Get/Put stats may differ: the batched dedupe answers in-batch revisits
-	// without a cache round-trip, which is exactly why the hit flags above —
-	// what the serve counters observe — are the contract, not Stats).
-	if rl, bl := refCache.Len(), batCache.Len(); rl != bl {
-		t.Fatalf("cache residency diverged: batch %d entries, sequential %d", bl, rl)
+	check("cold", refCache, repCache)
+	if rl, bl := refCache.Len(), repCache.Len(); rl != bl {
+		t.Fatalf("cache residency diverged: replica %d entries, sequential %d", bl, rl)
 	}
 
-	// Second batch over a warm cache: every entry must hit and still match.
+	// Second batch over a warm cache: every entry hits and still matches.
 	for i := range idxs {
 		idxs[i] += 100
-		wantM[i], wantH[i] = ref.MeasureAtCached(refCache, idxs[i], xs[i])
 	}
-	bat.MeasureBatchCached(batCache, idxs, xs, gotM, gotH)
-	for i := range order {
-		if !gotH[i] {
-			t.Fatalf("step %d: warm-cache batch missed", i)
-		}
-		if gotM[i] != wantM[i] {
-			t.Fatalf("step %d: warm-cache batched measurement diverged", i)
-		}
-	}
+	check("warm", refCache, repCache)
 
-	// nil cache disables memoisation but not batching: results still match the
-	// sequential nil-cache loop, and nothing reports a hit.
+	// nil cache disables memoisation: results still match, nothing hits.
 	for i := range idxs {
 		idxs[i] += 100
-		wantM[i], _ = ref.MeasureAtCached(nil, idxs[i], xs[i])
 	}
-	bat.MeasureBatchCached(nil, idxs, xs, gotM, gotH)
-	for i := range order {
-		if gotH[i] {
-			t.Fatalf("step %d: nil-cache batch reported a hit", i)
-		}
-		if gotM[i] != wantM[i] {
-			t.Fatalf("step %d: nil-cache batched measurement diverged", i)
-		}
-	}
+	check("nil", nil, nil)
 }
 
-// TestBatchIdentityMeasureCoreWidths sweeps batch widths (including the
-// width-1 degenerate case) against the sequential path on one shared cache
-// per measurer, interleaving widths so scratch reuse across differently-sized
-// batches is exercised.
+// TestBatchIdentityMeasureCoreWidths splits one stream into batches of
+// varying width, alternating between two replicas that share ONE cache (as
+// the pool's consumers do), and compares it with the sequential path.
 func TestBatchIdentityMeasureCoreWidths(t *testing.T) {
 	samples, m := detFixture()
 	ref := NewMeasurer(engine.NewDefault(m.Clone()), 42)
-	bat := NewMeasurer(engine.NewDefault(m.Clone()), 42)
+	base := NewMeasurer(engine.NewDefault(m.Clone()), 42)
+	reps := []*Measurer{base, base.Clone()}
 	refCache := NewTruthCache(16)
-	batCache := NewTruthCache(16)
+	shared := NewTruthCache(16)
 
 	next := uint64(0)
-	for _, n := range []int{3, 1, 8, 3, 5} {
-		idxs := make([]uint64, n)
-		xs := make([]*tensor.Tensor, n)
+	for b, n := range []int{3, 1, 8, 3, 5} {
+		rep := reps[b%len(reps)]
 		for i := 0; i < n; i++ {
-			idxs[i] = next
-			xs[i] = samples[int(next)%len(samples)].X
-			next++
-		}
-		want := make([]Measurement, n)
-		wantH := make([]bool, n)
-		for i := range idxs {
-			want[i], wantH[i] = ref.MeasureAtCached(refCache, idxs[i], xs[i])
-		}
-		got := make([]Measurement, n)
-		gotH := make([]bool, n)
-		bat.MeasureBatchCached(batCache, idxs, xs, got, gotH)
-		for i := range idxs {
-			if got[i] != want[i] || gotH[i] != wantH[i] {
-				t.Fatalf("width %d, index %d: batched (%+v, %v), sequential (%+v, %v)",
-					n, idxs[i], got[i], gotH[i], want[i], wantH[i])
+			x := samples[int(next)%len(samples)].X
+			want, wantH := ref.MeasureAtCached(refCache, next, x)
+			got, gotH := rep.MeasureAtCached(shared, next, x)
+			if got != want || gotH != wantH {
+				t.Fatalf("width %d, index %d: replica (%+v, %v), sequential (%+v, %v)",
+					n, next, got, gotH, want, wantH)
 			}
+			next++
 		}
 	}
 }

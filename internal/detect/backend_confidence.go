@@ -51,9 +51,3 @@ func (s *confidenceScorer) validate(classes int, _ []hpc.Event) error {
 	}
 	return nil
 }
-
-// ScoreBatch delegates to the per-sample Score — this backend's model has no
-// profitable batch form.
-func (s *confidenceScorer) ScoreBatch(qs []core.Measurement, out []float64, ok []bool) {
-	scoreLoop(s, qs, out, ok)
-}

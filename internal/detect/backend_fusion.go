@@ -147,9 +147,3 @@ func (s *fusionScorer) validate(classes int, _ []hpc.Event) error {
 	}
 	return nil
 }
-
-// ScoreBatch delegates to the per-sample Score — this backend's model has no
-// profitable batch form.
-func (s *fusionScorer) ScoreBatch(qs []core.Measurement, out []float64, ok []bool) {
-	scoreLoop(s, qs, out, ok)
-}

@@ -64,22 +64,6 @@ func (s *gaussScorer) Score(q core.Measurement) (float64, bool) {
 	return math.Abs(q.Counts.Get(s.Event)-s.Mean[q.Pred]) / s.Std[q.Pred], true
 }
 
-// ScoreBatch sweeps the batch with the category tables held in locals; each
-// sample evaluates the exact Mahalanobis expression Score uses, so results
-// are bit-identical to the per-sample loop.
-func (s *gaussScorer) ScoreBatch(qs []core.Measurement, out []float64, ok []bool) {
-	mean, std, okc := s.Mean, s.Std, s.Ok
-	for i := range qs {
-		q := &qs[i]
-		if q.Pred < 0 || q.Pred >= len(okc) || !okc[q.Pred] {
-			out[i], ok[i] = 0, false
-			continue
-		}
-		out[i] = math.Abs(q.Counts.Get(s.Event)-mean[q.Pred]) / std[q.Pred]
-		ok[i] = true
-	}
-}
-
 func (s *gaussScorer) validate(classes int, _ []hpc.Event) error {
 	if s.Event < 0 || s.Event >= hpc.NumEvents {
 		return fmt.Errorf("detect: gauss scorer has invalid event %d", int(s.Event))

@@ -3,7 +3,6 @@ package detect
 import (
 	"encoding/gob"
 	"fmt"
-	"math"
 
 	"advhunter/internal/core"
 	"advhunter/internal/gmm"
@@ -35,37 +34,6 @@ type gmmScorer struct {
 	Index int
 	// Models[c] is category c's mixture; the zero Model when unmodelled.
 	Models []gmm.Model
-
-	// pre[c] holds category c's hoisted per-component constants for the
-	// vectorized ScoreBatch. Built by Fit and by validate (the load path) and
-	// immutable afterwards, so concurrent serve workers can share the scorer.
-	// Unexported: never persisted, always rebuilt from Models.
-	pre []gmmPre
-}
-
-// gmmPre caches the input-independent parts of one mixture's log-likelihood
-// terms: LogW[k] = ln π_k and Base[k] = ln2π + ln σ²_k.
-type gmmPre struct {
-	logW []float64
-	base []float64
-}
-
-// buildPre refreshes the hoisted constants from Models.
-func (s *gmmScorer) buildPre() {
-	s.pre = make([]gmmPre, len(s.Models))
-	for c := range s.Models {
-		m := &s.Models[c]
-		k := m.K()
-		if k == 0 {
-			continue
-		}
-		p := gmmPre{logW: make([]float64, k), base: make([]float64, k)}
-		for j := 0; j < k; j++ {
-			p.logW[j] = math.Log(m.Weights[j])
-			p.base[j] = gmm.Log2Pi + math.Log(m.Vars[j])
-		}
-		s.pre[c] = p
-	}
 }
 
 func (s *gmmScorer) Channel() string { return s.Event.String() }
@@ -91,7 +59,6 @@ func (s *gmmScorer) Fit(t *core.Template, cfg Config) error {
 		}
 		s.Models[c] = *model
 	}
-	s.buildPre()
 	return nil
 }
 
@@ -100,44 +67,6 @@ func (s *gmmScorer) Score(q core.Measurement) (float64, bool) {
 		return 0, false
 	}
 	return s.Models[q.Pred].NegLogLikelihood(q.Counts.Get(s.Event)), true
-}
-
-// ScoreBatch evaluates the mixture likelihoods with the per-component
-// constants hoisted out of the sample loop. Per term it computes
-// logW + (−0.5·(base + d²/σ²)) with base = ln2π + lnσ² — the grouping
-// LogLikelihood's left-associative expression produces — and reduces with
-// the same LogSumExp, so every score is bit-identical to Score. The terms
-// scratch is allocated once per call (never shared), keeping the scorer
-// safe for concurrent batches.
-func (s *gmmScorer) ScoreBatch(qs []core.Measurement, out []float64, ok []bool) {
-	if s.pre == nil {
-		// A hand-built scorer that skipped Fit/validate: stay correct.
-		scoreLoop(s, qs, out, ok)
-		return
-	}
-	maxK := 0
-	for c := range s.Models {
-		if k := s.Models[c].K(); k > maxK {
-			maxK = k
-		}
-	}
-	terms := make([]float64, maxK)
-	for i := range qs {
-		q := &qs[i]
-		if q.Pred < 0 || q.Pred >= len(s.Models) || s.Models[q.Pred].K() == 0 {
-			out[i], ok[i] = 0, false
-			continue
-		}
-		m := &s.Models[q.Pred]
-		p := &s.pre[q.Pred]
-		x := q.Counts.Get(s.Event)
-		t := terms[:m.K()]
-		for k := range t {
-			d := x - m.Means[k]
-			t[k] = p.logW[k] + -0.5*(p.base[k]+d*d/m.Vars[k])
-		}
-		out[i], ok[i] = -gmm.LogSumExp(t), true
-	}
 }
 
 func (s *gmmScorer) validate(classes int, _ []hpc.Event) error {
@@ -161,8 +90,5 @@ func (s *gmmScorer) validate(classes int, _ []hpc.Event) error {
 			}
 		}
 	}
-	// validate is the load path's rebuild hook: the hoisted ScoreBatch
-	// constants are unexported (never persisted), so refresh them here.
-	s.buildPre()
 	return nil
 }

@@ -88,9 +88,3 @@ func (s *kdeScorer) validate(classes int, _ []hpc.Event) error {
 	}
 	return nil
 }
-
-// ScoreBatch delegates to the per-sample Score — this backend's model has no
-// profitable batch form.
-func (s *kdeScorer) ScoreBatch(qs []core.Measurement, out []float64, ok []bool) {
-	scoreLoop(s, qs, out, ok)
-}

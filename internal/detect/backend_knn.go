@@ -113,9 +113,3 @@ func (s *knnScorer) validate(classes int, _ []hpc.Event) error {
 	}
 	return nil
 }
-
-// ScoreBatch delegates to the per-sample Score — this backend's model has no
-// profitable batch form.
-func (s *knnScorer) ScoreBatch(qs []core.Measurement, out []float64, ok []bool) {
-	scoreLoop(s, qs, out, ok)
-}

@@ -3,20 +3,25 @@ package detect
 import (
 	"math"
 	"path/filepath"
-	"reflect"
+	"sync"
 	"testing"
 
 	"advhunter/internal/core"
 	"advhunter/internal/rng"
 )
 
-// batchSizes are the micro-batch widths the identity tests sweep: the width-1
+// A serving pool shares one fitted detector across every replica, and each
+// replica scores its batch one query at a time. These tests pin what that
+// relies on: a verdict depends on its query alone — not on the batch around
+// it, the goroutine scoring it, or whether the detector came from disk.
+
+// batchSizes are the batch widths the identity tests sweep: the width-1
 // degenerate case, odd widths, and widths past the serving default.
 var batchSizes = []int{1, 3, 8, 17}
 
-// batchQueries builds a query mix that exercises every branch of the batched
-// scorers: modelled classes at benign and anomalous levels, in-batch repeats
-// of the same level, and out-of-range / negative predictions.
+// batchQueries builds a query mix that exercises every scorer branch:
+// modelled classes at benign and anomalous levels, in-batch repeats of the
+// same level, and out-of-range / negative predictions.
 func batchQueries(classes, n int, seed uint64) []core.Measurement {
 	r := rng.New(seed)
 	qs := make([]core.Measurement, 0, n)
@@ -40,32 +45,33 @@ func batchQueries(classes, n int, seed uint64) []core.Measurement {
 	return qs
 }
 
-// requireVerdictIdentity compares a batched verdict against the per-sample
-// one field by field, bitwise on the scores.
+// requireVerdictIdentity compares two verdicts field by field, bitwise on
+// the scores.
 func requireVerdictIdentity(t *testing.T, kind string, i int, got, want Verdict) {
 	t.Helper()
 	if got.PredictedClass != want.PredictedClass || got.Modelled != want.Modelled || got.Fused != want.Fused {
-		t.Fatalf("%s: query %d: batched verdict %+v, per-sample %+v", kind, i, got, want)
+		t.Fatalf("%s: query %d: verdict %+v, want %+v", kind, i, got, want)
 	}
 	if len(got.Scores) != len(want.Scores) {
 		t.Fatalf("%s: query %d: %d scores, want %d", kind, i, len(got.Scores), len(want.Scores))
 	}
 	for si := range want.Scores {
 		if math.Float64bits(got.Scores[si]) != math.Float64bits(want.Scores[si]) {
-			t.Fatalf("%s: query %d channel %d: batched score %v (bits %x), per-sample %v (bits %x)",
+			t.Fatalf("%s: query %d channel %d: score %v (bits %x), want %v (bits %x)",
 				kind, i, si, got.Scores[si], math.Float64bits(got.Scores[si]),
 				want.Scores[si], math.Float64bits(want.Scores[si]))
 		}
 		if got.Flags[si] != want.Flags[si] {
-			t.Fatalf("%s: query %d channel %d: batched flag %v, per-sample %v", kind, i, si, got.Flags[si], want.Flags[si])
+			t.Fatalf("%s: query %d channel %d: flag %v, want %v", kind, i, si, got.Flags[si], want.Flags[si])
 		}
 	}
 }
 
-// TestBatchIdentityScoreBatch pins the Scorer contract: for every registered
-// backend, ScoreBatch fills exactly what Score returns, bit for bit, across
-// batch widths and the full query mix (modelled, anomalous, unmodelled,
-// out-of-range predictions).
+// TestBatchIdentityScoreBatch pins the Scorer sharing contract: for every
+// registered backend, one scorer scoring a batch from several goroutines at
+// once returns exactly what it returns scoring the batch serially, bit for
+// bit, across batch widths and the full query mix. Under -race this also
+// checks that Score never writes scorer state.
 func TestBatchIdentityScoreBatch(t *testing.T) {
 	const classes = 3
 	tpl := synthTemplate(classes, 60, 21)
@@ -76,11 +82,21 @@ func TestBatchIdentityScoreBatch(t *testing.T) {
 			for _, s := range d.scorers {
 				out := make([]float64, n)
 				oks := make([]bool, n)
-				s.ScoreBatch(qs, out, oks)
+				var wg sync.WaitGroup
+				for g := 0; g < 4; g++ {
+					wg.Add(1)
+					go func(g int) {
+						defer wg.Done()
+						for i := g; i < n; i += 4 {
+							out[i], oks[i] = s.Score(qs[i])
+						}
+					}(g)
+				}
+				wg.Wait()
 				for i, q := range qs {
 					want, wok := s.Score(q)
 					if oks[i] != wok || math.Float64bits(out[i]) != math.Float64bits(want) {
-						t.Fatalf("%s/%s: n=%d query %d: ScoreBatch (%v, %v), Score (%v, %v)",
+						t.Fatalf("%s/%s: n=%d query %d: concurrent (%v, %v), serial (%v, %v)",
 							kind, s.Channel(), n, i, out[i], oks[i], want, wok)
 					}
 				}
@@ -89,9 +105,10 @@ func TestBatchIdentityScoreBatch(t *testing.T) {
 	}
 }
 
-// TestBatchIdentityDetectBatch pins the Detector contract: DetectBatch fills
-// verdicts identical to Detect across every backend and batch width, and the
-// batched verdicts carry independently mutable Scores/Flags state.
+// TestBatchIdentityDetectBatch pins the Detector contract over a batch: each
+// query's verdict equals the verdict of that query detected alone, in
+// reverse batch order, and the verdicts carry independently mutable
+// Scores/Flags state.
 func TestBatchIdentityDetectBatch(t *testing.T) {
 	const classes = 3
 	tpl := synthTemplate(classes, 60, 33)
@@ -100,9 +117,11 @@ func TestBatchIdentityDetectBatch(t *testing.T) {
 		for _, n := range batchSizes {
 			qs := batchQueries(classes, n, uint64(200*n+len(kind)))
 			vs := make([]Verdict, n)
-			d.DetectBatch(qs, vs)
 			for i, q := range qs {
-				requireVerdictIdentity(t, kind, i, vs[i], d.Detect(q))
+				vs[i] = d.Detect(q)
+			}
+			for i := n - 1; i >= 0; i-- {
+				requireVerdictIdentity(t, kind, i, vs[i], d.Detect(qs[i]))
 			}
 			// Verdicts are response state: mutating one must not alias another.
 			if n >= 2 && len(vs[0].Scores) > 0 {
@@ -117,8 +136,8 @@ func TestBatchIdentityDetectBatch(t *testing.T) {
 }
 
 // TestBatchIdentityDetectPersisted covers the load path: a detector that went
-// through Save → TryLoad rebuilds its hoisted batch constants in validate, so
-// its ScoreBatch must stay bit-identical to the freshly fitted one.
+// through Save → TryLoad must return, over the full query mix, verdicts
+// bit-identical to the freshly fitted one.
 func TestBatchIdentityDetectPersisted(t *testing.T) {
 	const classes = 3
 	tpl := synthTemplate(classes, 60, 47)
@@ -132,25 +151,8 @@ func TestBatchIdentityDetectPersisted(t *testing.T) {
 		if !ok {
 			t.Fatalf("TryLoad(%q) missed a fresh artifact", kind)
 		}
-		qs := batchQueries(classes, 17, 61)
-		vs := make([]Verdict, len(qs))
-		loaded.DetectBatch(qs, vs)
-		for i, q := range qs {
-			requireVerdictIdentity(t, kind+"/persisted", i, vs[i], d.Detect(q))
+		for i, q := range batchQueries(classes, 17, 61) {
+			requireVerdictIdentity(t, kind+"/persisted", i, loaded.Detect(q), d.Detect(q))
 		}
-	}
-}
-
-// TestBatchDetectorInterface: Fitted satisfies BatchDetector, which is what
-// the serve layer type-asserts for before fusing a batch.
-func TestBatchDetectorInterface(t *testing.T) {
-	tpl := synthTemplate(2, 30, 9)
-	var det Detector = mustFit(t, "gauss", tpl, DefaultConfig())
-	bd, ok := det.(BatchDetector)
-	if !ok {
-		t.Fatal("*Fitted must implement BatchDetector")
-	}
-	if !reflect.DeepEqual(bd.Channels(), det.Channels()) {
-		t.Fatal("BatchDetector view must expose the same channels")
 	}
 }

@@ -68,24 +68,12 @@ type Scorer interface {
 	// Score returns the anomaly score of a measurement under the model of
 	// its predicted category; ok is false when that category is unmodelled
 	// by this scorer.
+	// Implementations are read-only, so one fitted scorer may serve
+	// concurrent callers.
 	Score(q core.Measurement) (float64, bool)
-	// ScoreBatch scores a micro-batch: out[i], ok[i] receive exactly what
-	// Score(qs[i]) returns, bit for bit. Vectorized backends hoist their
-	// per-category constants out of the sample loop; the rest delegate to
-	// Score per sample. Implementations are read-only, so one fitted scorer
-	// may serve concurrent batches.
-	ScoreBatch(qs []core.Measurement, out []float64, ok []bool)
 	// validate checks structural invariants of (possibly deserialized)
 	// scorer state, so a corrupt artifact can never panic Detect.
 	validate(classes int, events []hpc.Event) error
-}
-
-// scoreLoop is the per-sample ScoreBatch fallback for scorers whose models
-// have no profitable batch form (neighbour scans, kernel sums).
-func scoreLoop(s Scorer, qs []core.Measurement, out []float64, ok []bool) {
-	for i := range qs {
-		out[i], ok[i] = s.Score(qs[i])
-	}
 }
 
 // Detector is a fitted detector: Detect maps one measurement to a Verdict.
@@ -98,15 +86,6 @@ type Detector interface {
 	Channels() []string
 	// Detect runs the online phase on one measured reading.
 	Detect(q core.Measurement) Verdict
-}
-
-// BatchDetector is implemented by detectors that can score a drained
-// micro-batch in one channel-major pass; Fitted implements it, and the serve
-// layer type-asserts for it to fuse measure→score per batch. DetectBatch
-// fills vs[i] with exactly what Detect(qs[i]) returns.
-type BatchDetector interface {
-	Detector
-	DetectBatch(qs []core.Measurement, vs []Verdict)
 }
 
 // Verdict is one online-phase decision: the per-channel scores and flags,

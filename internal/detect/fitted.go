@@ -172,50 +172,3 @@ func (d *Fitted) Detect(q core.Measurement) Verdict {
 	}
 	return v
 }
-
-// DetectBatch runs the online phase over a micro-batch, channel-major: each
-// scorer's ScoreBatch sweeps the whole batch (reusing its hoisted constants
-// across samples) before the next channel runs. vs[i] is identical to
-// Detect(qs[i]) — same Scores, Flags, Modelled and Fused, with per-verdict
-// Scores/Flags freshly allocated exactly as Detect allocates them, so
-// verdicts stay independently mutable response state. The detector is
-// read-only throughout; concurrent workers may share it.
-func (d *Fitted) DetectBatch(qs []core.Measurement, vs []Verdict) {
-	n := len(qs)
-	if len(vs) < n {
-		panic("detect: DetectBatch verdict slice shorter than batch")
-	}
-	for i := range qs[:n] {
-		vs[i] = Verdict{
-			PredictedClass: qs[i].Pred,
-			Channels:       d.channels,
-			Scores:         make([]float64, len(d.scorers)),
-			Flags:          make([]bool, len(d.scorers)),
-			eventIdx:       d.eventIdx,
-		}
-		vs[i].Modelled = qs[i].Pred >= 0 && qs[i].Pred < d.classes && d.modelled[qs[i].Pred]
-	}
-	scores := make([]float64, n)
-	oks := make([]bool, n)
-	for si, s := range d.scorers {
-		s.ScoreBatch(qs, scores, oks)
-		th := d.thresholds[si]
-		for i := range qs[:n] {
-			if !vs[i].Modelled || !oks[i] {
-				continue
-			}
-			vs[i].Scores[si] = scores[i]
-			vs[i].Flags[si] = scores[i] > th[qs[i].Pred]
-		}
-	}
-	for i := range vs[:n] {
-		if !vs[i].Modelled {
-			continue
-		}
-		if d.decision >= 0 {
-			vs[i].Fused = vs[i].Flags[d.decision]
-		} else {
-			vs[i].Fused = vs[i].AnyFlag()
-		}
-	}
-}

@@ -3,7 +3,6 @@ package detect
 import (
 	"fmt"
 
-	"advhunter/internal/gmm"
 	"advhunter/internal/persist"
 	"advhunter/internal/uarch/hpc"
 )
@@ -12,7 +11,8 @@ import (
 //
 // History:
 //  1. per-event GMM detector only (core.SaveDetector): events + per-category
-//     model/threshold DTOs. Readable through the legacy shim below.
+//     model/threshold DTOs. No longer read: TryLoad reports such a file as a
+//     miss, so the caller refits and overwrites it.
 //  2. self-describing backend envelope: any registered backend's scorers are
 //     gob-encoded polymorphically, so one artifact format serves every kind.
 const DetectorSchema = 2
@@ -104,95 +104,13 @@ func Load(path string) (*Fitted, error) {
 	return d, nil
 }
 
-// legacyCatDTO and legacyDTO replicate the pre-registry schema-1 layout
-// written by core.SaveDetector (gob matches struct fields by name, so the
-// field names must stay exactly as they were).
-type legacyCatDTO struct {
-	Modelled   bool
-	Models     []gmm.Model
-	Thresholds []float64
-}
-
-type legacyDTO struct {
-	Events []hpc.Event
-	Cats   []legacyCatDTO
-}
-
-// legacySchema is the schema number core.SaveDetector wrote.
-const legacySchema = 1
-
-// loadLegacy reads a schema-1 per-event GMM artifact and lifts it into a
-// gmm-backend Fitted, so detectors saved before the registry existed keep
-// loading.
-func loadLegacy(path string) (*Fitted, error) {
-	var dto legacyDTO
-	if err := persist.Load(path, legacySchema, &dto); err != nil {
-		return nil, err
-	}
-	if len(dto.Events) == 0 || len(dto.Cats) == 0 {
-		return nil, fmt.Errorf("detect: legacy artifact is empty")
-	}
-	for _, e := range dto.Events {
-		if e < 0 || e >= hpc.NumEvents {
-			return nil, fmt.Errorf("detect: legacy artifact has invalid event %d", int(e))
-		}
-	}
-	classes := len(dto.Cats)
-	scorers := make([]Scorer, len(dto.Events))
-	thresholds := make([][]float64, len(dto.Events))
-	for n, e := range dto.Events {
-		scorers[n] = &gmmScorer{Event: e, Index: n, Models: make([]gmm.Model, classes)}
-		thresholds[n] = make([]float64, classes)
-	}
-	modelled := make([]bool, classes)
-	modelledAny := false
-	for c, cat := range dto.Cats {
-		if !cat.Modelled {
-			continue
-		}
-		if len(cat.Models) != len(dto.Events) || len(cat.Thresholds) != len(dto.Events) {
-			return nil, fmt.Errorf("detect: legacy artifact category %d is inconsistent", c)
-		}
-		for n := range dto.Events {
-			scorers[n].(*gmmScorer).Models[c] = cat.Models[n]
-			thresholds[n][c] = cat.Thresholds[n]
-		}
-		modelled[c] = true
-		modelledAny = true
-	}
-	if !modelledAny {
-		return nil, fmt.Errorf("detect: legacy artifact models no category")
-	}
-	for _, s := range scorers {
-		if err := s.validate(classes, dto.Events); err != nil {
-			return nil, err
-		}
-	}
-	d := &Fitted{
-		kind:       "gmm",
-		events:     dto.Events,
-		scorers:    scorers,
-		thresholds: thresholds,
-		modelled:   modelled,
-		classes:    classes,
-	}
-	d.finish(hpc.CacheMisses)
-	return d, nil
-}
-
 // TryLoad loads a detector artifact with miss-not-error semantics: a
 // missing, corrupt, truncated, stale-schema or unknown-backend file is a
 // cache miss (fit again and overwrite), never a failure and never a panic.
-// Schema-2 artifacts are tried first, then the schema-1 legacy layout.
 func TryLoad(path string) (*Fitted, bool) {
 	if path == "" {
 		return nil, false
 	}
-	if d, err := Load(path); err == nil {
-		return d, true
-	}
-	if d, err := loadLegacy(path); err == nil {
-		return d, true
-	}
-	return nil, false
+	d, err := Load(path)
+	return d, err == nil
 }

@@ -7,16 +7,19 @@ import (
 	"advhunter/internal/models"
 	"advhunter/internal/rng"
 	"advhunter/internal/tensor"
-	"advhunter/internal/uarch/hpc"
 )
 
-func makeCounts(n int) []hpc.Counts { return make([]hpc.Counts, n) }
+// A serving replica answers a batch of queued jobs one sample after another
+// on one long-lived engine. These tests pin that such a batch leaves no trace
+// in the results: every sample's prediction, confidence, counts and
+// sparsities equal those of a fresh engine running that sample alone, so a
+// verdict never depends on the samples processed before it.
 
-// batchIdentityArchs spans every structural feature the batch walk must
-// mirror: plain sequential (simplecnn), residual + squeeze-excite
-// (efficientnet, scenario S1), residual with projection shortcuts (resnet18,
-// scenario S2), dense concatenation growth (densenet) and parallel inception
-// branches (googlenet).
+// batchIdentityArchs spans every structural feature the scratch arena and the
+// replay pools must reset across: plain sequential (simplecnn), residual +
+// squeeze-excite (efficientnet, scenario S1), residual with projection
+// shortcuts (resnet18, scenario S2), dense concatenation growth (densenet) and
+// parallel inception branches (googlenet).
 var batchIdentityArchs = []struct {
 	arch    string
 	c, h, w int
@@ -38,33 +41,27 @@ func batchInputs(arch string, c, h, w, n int) []*tensor.Tensor {
 	return xs
 }
 
-// TestBatchIdentityInfer pins the tentpole contract: InferConfBatch over a
-// micro-batch returns, for every sample, bit-identical predictions,
-// confidences and HPC counts to a standalone InferConf on a fresh engine.
+// TestBatchIdentityInfer runs batches of several widths through ONE engine
+// and compares every sample with InferConf on a fresh engine, bit for bit.
 func TestBatchIdentityInfer(t *testing.T) {
 	for _, tc := range batchIdentityArchs {
 		tc := tc
 		t.Run(tc.arch, func(t *testing.T) {
 			t.Parallel()
 			m := models.MustBuild(tc.arch, tc.c, tc.h, tc.w, 10, 7)
-			for _, n := range []int{1, 3, 8, 17} {
-				xs := batchInputs(tc.arch, tc.c, tc.h, tc.w, n)
-				be := NewDefault(m)
-				preds := make([]int, n)
-				confs := make([]float64, n)
-				ctB := makeCounts(n)
-				be.InferConfBatch(xs, preds, confs, ctB)
-				for i, x := range xs {
-					se := NewDefault(m)
-					wp, wc, wct := se.InferConf(x)
-					if preds[i] != wp {
-						t.Fatalf("batch %d sample %d: pred %d, want %d", n, i, preds[i], wp)
+			be := NewDefault(m)
+			for _, n := range []int{1, 3, 8} {
+				for i, x := range batchInputs(tc.arch, tc.c, tc.h, tc.w, n) {
+					p, c, ct := be.InferConf(x)
+					wp, wc, wct := NewDefault(m).InferConf(x)
+					if p != wp {
+						t.Fatalf("batch %d sample %d: pred %d, want %d", n, i, p, wp)
 					}
-					if math.Float64bits(confs[i]) != math.Float64bits(wc) {
-						t.Fatalf("batch %d sample %d: conf %v, want %v", n, i, confs[i], wc)
+					if math.Float64bits(c) != math.Float64bits(wc) {
+						t.Fatalf("batch %d sample %d: conf %v, want %v", n, i, c, wc)
 					}
-					if ctB[i] != wct {
-						t.Fatalf("batch %d sample %d: counts\n got %+v\nwant %+v", n, i, ctB[i], wct)
+					if ct != wct {
+						t.Fatalf("batch %d sample %d: counts\n got %+v\nwant %+v", n, i, ct, wct)
 					}
 				}
 			}
@@ -72,36 +69,34 @@ func TestBatchIdentityInfer(t *testing.T) {
 	}
 }
 
-// TestBatchIdentityInferReuse runs several batches of varying width through
-// ONE engine, interleaved with per-sample calls, to pin that the replay tape
-// and view pools reset correctly between modes.
+// TestBatchIdentityInferReuse interleaves the three per-sample entry points
+// on ONE engine — Infer, InferConf and the machine-free ForwardStats share
+// the scratch arena and pools — and pins that switching between them changes
+// no result, and that ForwardStats agrees with InferConf on the prediction
+// and confidence the twin tier reports.
 func TestBatchIdentityInferReuse(t *testing.T) {
 	m := models.MustBuild("resnet18", 3, 32, 32, 10, 7)
 	e := NewDefault(m)
-	for _, n := range []int{3, 1, 8, 3} {
-		xs := batchInputs("resnet18", 3, 32, 32, n)
-		preds := make([]int, n)
-		counts := makeCounts(n)
-		e.InferBatch(xs, preds, counts)
-		for i, x := range xs {
-			se := NewDefault(m)
-			wp, wct := se.Infer(x)
-			if preds[i] != wp || counts[i] != wct {
-				t.Fatalf("width %d sample %d: (%d,%+v) want (%d,%+v)", n, i, preds[i], counts[i], wp, wct)
+	sp := make([]float64, e.NumLeaves())
+	for _, n := range []int{3, 1, 8} {
+		for i, x := range batchInputs("resnet18", 3, 32, 32, n) {
+			wp, wc, wct := NewDefault(m).InferConf(x)
+			if p, c := e.ForwardStats(x, sp); p != wp || math.Float64bits(c) != math.Float64bits(wc) {
+				t.Fatalf("width %d sample %d: ForwardStats (%d,%v) want (%d,%v)", n, i, p, c, wp, wc)
 			}
-			// The shared engine must also still produce identical results on
-			// the per-sample path between batched calls.
-			sp, sct := e.Infer(x)
-			if sp != wp || sct != wct {
-				t.Fatalf("width %d sample %d: interleaved per-sample Infer diverged", n, i)
+			if p, ct := e.Infer(x); p != wp || ct != wct {
+				t.Fatalf("width %d sample %d: Infer (%d,%+v) want (%d,%+v)", n, i, p, ct, wp, wct)
+			}
+			if p, c, ct := e.InferConf(x); p != wp || math.Float64bits(c) != math.Float64bits(wc) || ct != wct {
+				t.Fatalf("width %d sample %d: interleaved InferConf diverged", n, i)
 			}
 		}
 	}
 }
 
-// TestBatchIdentityForwardStats pins the twin-tier front half: the batched
-// stats walk must reproduce per-sample sparsities, predictions and
-// confidences bit-for-bit.
+// TestBatchIdentityForwardStats pins the twin-tier front half: a batch of
+// stats walks through one engine reproduces a fresh engine's per-sample
+// sparsities, predictions and confidences bit for bit.
 func TestBatchIdentityForwardStats(t *testing.T) {
 	for _, tc := range batchIdentityArchs {
 		tc := tc
@@ -110,29 +105,22 @@ func TestBatchIdentityForwardStats(t *testing.T) {
 			m := models.MustBuild(tc.arch, tc.c, tc.h, tc.w, 10, 7)
 			e := NewDefault(m)
 			leaves := e.NumLeaves()
-			for _, n := range []int{1, 3, 8, 17} {
-				xs := batchInputs(tc.arch, tc.c, tc.h, tc.w, n)
-				sp := make([][]float64, n)
-				for i := range sp {
-					sp[i] = make([]float64, leaves)
-				}
-				preds := make([]int, n)
-				confs := make([]float64, n)
-				e.ForwardStatsBatch(xs, sp, preds, confs)
-				want := make([]float64, leaves)
-				se := NewDefault(m)
-				for i, x := range xs {
-					wp, wc := se.ForwardStats(x, want)
-					if preds[i] != wp {
-						t.Fatalf("batch %d sample %d: pred %d, want %d", n, i, preds[i], wp)
+			got := make([]float64, leaves)
+			want := make([]float64, leaves)
+			for _, n := range []int{1, 3, 8} {
+				for i, x := range batchInputs(tc.arch, tc.c, tc.h, tc.w, n) {
+					p, c := e.ForwardStats(x, got)
+					wp, wc := NewDefault(m).ForwardStats(x, want)
+					if p != wp {
+						t.Fatalf("batch %d sample %d: pred %d, want %d", n, i, p, wp)
 					}
-					if math.Float64bits(confs[i]) != math.Float64bits(wc) {
-						t.Fatalf("batch %d sample %d: conf %v, want %v", n, i, confs[i], wc)
+					if math.Float64bits(c) != math.Float64bits(wc) {
+						t.Fatalf("batch %d sample %d: conf %v, want %v", n, i, c, wc)
 					}
 					for li := range want {
-						if math.Float64bits(sp[i][li]) != math.Float64bits(want[li]) {
+						if math.Float64bits(got[li]) != math.Float64bits(want[li]) {
 							t.Fatalf("batch %d sample %d leaf %d: sparsity %v, want %v",
-								n, i, li, sp[i][li], want[li])
+								n, i, li, got[li], want[li])
 						}
 					}
 				}
@@ -141,21 +129,22 @@ func TestBatchIdentityForwardStats(t *testing.T) {
 	}
 }
 
-// TestInferBatchSteadyStateZeroAlloc gates the batched fast path the same way
-// the per-sample path is gated: after one warm-up batch, batched inference
-// performs no allocations.
+// TestInferBatchSteadyStateZeroAlloc extends the Infer allocation gate to a
+// replica's batch: after one warm-up pass, running InferConf and ForwardStats
+// over a batch of distinct inputs performs no allocations.
 func TestInferBatchSteadyStateZeroAlloc(t *testing.T) {
 	m := models.MustBuild("simplecnn", 1, 16, 16, 10, 7)
 	e := NewDefault(m)
-	const n = 4
-	xs := batchInputs("simplecnn", 1, 16, 16, n)
-	preds := make([]int, n)
-	counts := makeCounts(n)
-	e.InferBatch(xs, preds, counts) // warm pools and replay tape
-	allocs := testing.AllocsPerRun(20, func() {
-		e.InferBatch(xs, preds, counts)
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state InferBatch allocates %v per run, want 0", allocs)
+	xs := batchInputs("simplecnn", 1, 16, 16, 4)
+	sp := make([]float64, e.NumLeaves())
+	batch := func() {
+		for _, x := range xs {
+			e.InferConf(x)
+			e.ForwardStats(x, sp)
+		}
+	}
+	batch() // warm pools and scratch
+	if allocs := testing.AllocsPerRun(20, batch); allocs != 0 {
+		t.Fatalf("steady-state batch allocates %v per run, want 0", allocs)
 	}
 }

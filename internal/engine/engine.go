@@ -40,24 +40,6 @@ type Engine struct {
 	// through the recursion so the stats walker stays allocation-free.
 	statSp  []float64
 	statIdx int
-
-	// Batched-execution state (batch.go). Phase A of InferBatch records the
-	// batch tensor produced at every materialization point of the walk; in
-	// phase B bN > 0 makes forward/concat/residual-sum return per-sample
-	// views of those recordings instead of recomputing, so the μarch replay
-	// stays strictly per-sample while the arithmetic ran once per batch.
-	breps   []brec
-	bcur    int
-	bsample int
-	bN      int
-	bviews  []*tensor.Tensor
-	bvi     int
-	bshape  []int
-
-	// ForwardStatsBatch walk state: per-sample sparsity rows and the batch
-	// width of the current stats walk.
-	bstatSp [][]float64
-	bstatN  int
 }
 
 // New builds an engine for the model on the configured machine.
@@ -196,13 +178,8 @@ func (e *Engine) makeRef(t *tensor.Tensor, addr uint64, tol float64) tref {
 }
 
 // forward runs the layer's inference-mode forward pass, through the scratch
-// arena when the fast path is active. During a batch replay (bN > 0) the
-// layer's output was already computed by the phase-A batch pass: the current
-// sample's view of that recording is returned instead.
+// arena when the fast path is active.
 func (e *Engine) forward(l nn.Layer, x *tensor.Tensor) *tensor.Tensor {
-	if e.bN > 0 {
-		return e.replayNext()
-	}
 	if e.sc != nil {
 		if sf, ok := l.(nn.ScratchForwarder); ok {
 			return sf.ForwardScratch(x, e.sc)
@@ -212,11 +189,8 @@ func (e *Engine) forward(l nn.Layer, x *tensor.Tensor) *tensor.Tensor {
 }
 
 // concat concatenates branch outputs along channels, into a scratch tensor
-// on the fast path; batch replays consume the recorded concatenation.
+// on the fast path.
 func (e *Engine) concat(outs []*tensor.Tensor) *tensor.Tensor {
-	if e.bN > 0 {
-		return e.replayNext()
-	}
 	if e.sc == nil {
 		return nn.ConcatChannels(outs...)
 	}
@@ -618,9 +592,7 @@ func (e *Engine) traceResidual(l *nn.Residual, in tref) tref {
 		short = e.traceLayer(l.Shortcut, in)
 	}
 	var sum *tensor.Tensor
-	if e.bN > 0 {
-		sum = e.replayNext()
-	} else if e.sc != nil {
+	if e.sc != nil {
 		sum = e.sc.Tensor(body.t.Shape()...)
 		copy(sum.Data(), body.t.Data())
 		sum.AddInPlace(short.t)

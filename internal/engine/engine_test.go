@@ -186,8 +186,8 @@ func TestLayoutDisjointAndDeterministic(t *testing.T) {
 // few traces grow the scratch arena and tape pools to their high-water marks,
 // and without the warm-up those one-time allocations amortise over b.N and
 // report a spurious nonzero allocs/op at small N (the "alloc regression" is
-// a measurement artifact, not a leak — TestInferSteadyStateZeroAlloc and the
-// batched gate pin the real steady state at zero).
+// a measurement artifact, not a leak — TestInferSteadyStateZeroAlloc pins the
+// real steady state at zero).
 func BenchmarkEngineInferSimpleCNN(b *testing.B) {
 	m := models.MustBuild("simplecnn", 3, 32, 32, 10, 1)
 	e := NewDefault(m)
@@ -213,29 +213,6 @@ func BenchmarkEngineInferResNet18(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, _ = e.Infer(x)
-	}
-}
-
-// BenchmarkEngineInferBatchResNet18 is the batched counterpart: one
-// InferBatch of width 8 per iteration, so ns/op is directly comparable to
-// 8× the per-sample benchmark. Steady state must stay allocation-free —
-// the batch views, tapes and stat buffers are all pooled.
-func BenchmarkEngineInferBatchResNet18(b *testing.B) {
-	m := models.MustBuild("resnet18", 3, 32, 32, 10, 1)
-	e := NewDefault(m)
-	const n = 8
-	xs := make([]*tensor.Tensor, n)
-	for i := range xs {
-		xs[i] = randomImage(uint64(i+1), 3, 32, 32)
-	}
-	preds := make([]int, n)
-	counts := make([]hpc.Counts, n)
-	e.InferBatch(xs, preds, counts)
-	e.InferBatch(xs, preds, counts)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.InferBatch(xs, preds, counts)
 	}
 }
 

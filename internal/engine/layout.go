@@ -96,18 +96,11 @@ func fillRef(t *tensor.Tensor, addr uint64, tol float64, lz []bool, rz [][]bool)
 // quantization with the given number of positive levels (127 for int8);
 // levels <= 0 selects exact-zero semantics.
 func quantTol(t *tensor.Tensor, levels int) float64 {
-	return quantTolData(t.Data(), levels)
-}
-
-// quantTolData is quantTol over a raw storage slice; the batched stats walk
-// uses it to derive each sample's own tolerance from its row of a batch
-// activation, keeping the threshold identical to a standalone pass.
-func quantTolData(d []float64, levels int) float64 {
 	if levels <= 0 {
 		return 0
 	}
 	maxAbs := 0.0
-	for _, v := range d {
+	for _, v := range t.Data() {
 		if v < 0 {
 			v = -v
 		}

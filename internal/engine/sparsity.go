@@ -115,12 +115,7 @@ func (e *Engine) statsLayer(l nn.Layer, x *tensor.Tensor) *tensor.Tensor {
 // the given storage-zero tolerance — the same per-line predicate fillRef
 // evaluates, without materializing the bitmap.
 func lineSparsity(t *tensor.Tensor, tol float64) float64 {
-	return lineSparsityData(t.Data(), tol)
-}
-
-// lineSparsityData is lineSparsity over a raw storage slice, so the batched
-// stats walk can score each sample's row of a batch tensor directly.
-func lineSparsityData(d []float64, tol float64) float64 {
+	d := t.Data()
 	nLines := ceilDiv(len(d), floatsPerLine)
 	if nLines == 0 {
 		return 0

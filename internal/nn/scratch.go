@@ -37,9 +37,9 @@ func (s *Scratch) Reset() { s.ti, s.vi = 0, 0 }
 // Tensor returns a tensor of the given shape backed by the arena. Contents
 // are uninitialized. Slot storage is reused whenever its capacity covers the
 // requested element count — not only on an exact match — so passes whose
-// widths vary (micro-batches of 3, then 8, then 1 through the same engine)
-// converge on the high-water buffer instead of reallocating on every width
-// change. Undersized slots grow once and stay grown.
+// batch widths vary (3, then 8, then 1 through the same layer) converge on
+// the high-water buffer instead of reallocating on every width change.
+// Undersized slots grow once and stay grown.
 func (s *Scratch) Tensor(shape ...int) *tensor.Tensor {
 	if s.ti == len(s.tensors) {
 		t := tensor.New(shape...)
@@ -88,11 +88,7 @@ type ScratchForwarder interface {
 // ForwardScratch implements ScratchForwarder. Identical arithmetic to
 // Forward (im2col + matmul, then bias), but the column and product buffers
 // are arena slots reused across samples and passes, and no backward caches
-// (in/cols/geom) are recorded. Single samples run the historical per-sample
-// path; a batch is fused into ONE panel-packed GEMM over the batched im2col
-// operand. Fusion changes only which GEMM call computes each sample's
-// columns — the weights operand, k order and zero-skip pattern are shared —
-// so batched outputs are bit-identical to the per-sample loop.
+// (in/cols/geom) are recorded. A batch runs one sample at a time.
 func (l *Conv2D) ForwardScratch(x *tensor.Tensor, s *Scratch) *tensor.Tensor {
 	checkRank(l.label, x, 4)
 	if x.Dim(1) != l.InC {
@@ -106,25 +102,6 @@ func (l *Conv2D) ForwardScratch(x *tensor.Tensor, s *Scratch) *tensor.Tensor {
 	wm := s.View(l.W.Value, 0, l.OutC, l.InC*l.Kernel*l.Kernel)
 	bias := l.B.Value.Data()
 	od := out.Data()
-	if n > 1 {
-		cols := s.Tensor(l.InC*l.Kernel*l.Kernel, n*plane)
-		tensor.Im2ColBatchInto(cols, x, g)
-		y := s.Tensor(l.OutC, n*plane)
-		pack := s.Tensor(tensor.MatMulPackLen())
-		tensor.MatMulPackedInto(y, wm, cols, pack.Data())
-		yd := y.Data()
-		for i := 0; i < n; i++ {
-			for oc := 0; oc < l.OutC; oc++ {
-				src := yd[oc*n*plane+i*plane : oc*n*plane+(i+1)*plane]
-				dst := od[(i*l.OutC+oc)*plane : (i*l.OutC+oc+1)*plane]
-				b := bias[oc]
-				for p, v := range src {
-					dst[p] = v + b
-				}
-			}
-		}
-		return out
-	}
 	cols := s.Tensor(l.InC*l.Kernel*l.Kernel, plane)
 	y := s.Tensor(l.OutC, plane)
 	yd := y.Data()

@@ -8,9 +8,10 @@ import (
 	"advhunter/internal/tensor"
 )
 
-// The fused batch GEMM in Conv2D.ForwardScratch must reproduce the
-// per-sample loop bit-for-bit: run the batch through one arena, each sample
-// alone through another, and compare raw float bits.
+// Conv2D.ForwardScratch over a batch must reproduce each sample's standalone
+// pass bit-for-bit — the shared column and product buffers carry nothing from
+// one sample to the next: run the batch through one arena, each sample alone
+// through another, and compare raw float bits.
 func TestConvScratchBatchBitIdentical(t *testing.T) {
 	r := rng.New(3)
 	l := NewConv2D("c", 3, 6, 3, 2, 1)

@@ -22,7 +22,7 @@ const (
 // token cap (the connection-level backpressure knob — TryAcquire fails when
 // every token is held). It owns the drain protocol: Close marks the gate
 // draining, waits until no Offer is mid-flight, and closes the queue so the
-// consumer (the batcher) can exit after the backlog.
+// consumers (one per engine replica) can exit after the backlog.
 //
 // The type is generic so both pipeline scopes can reuse it: the single-server
 // assembly gates *job values with a real queue, while the cluster tier gates
@@ -80,7 +80,8 @@ func (a *Admission[T]) Offer(v T) AdmitCode {
 	}
 }
 
-// Queue is the consumer side: the batcher reads admitted requests from it.
+// Queue is the consumer side: the replica consumers read admitted requests
+// from it.
 // It is closed by Close once no Offer is in flight.
 func (a *Admission[T]) Queue() <-chan T { return a.queue }
 

@@ -19,27 +19,24 @@ func batchTierConfigs(f *fixture, base Config) map[string]Config {
 	}
 }
 
-// TestBatchIdentityServeResponses is the end-to-end contract of the fused
-// batch path: under every tier, a server whose replicas drain real
-// multi-request batches through the fused path must answer byte-identically to a serial server with
-// batch fusion disabled — same stream of (index, input) queries, same bodies.
-// Runs under -race via the CI batch-identity job.
+// TestBatchIdentityServeResponses is the end-to-end concurrency contract:
+// under every tier, a server with 4 replica consumers hammered by 8 clients
+// must answer byte-identically to a serial 1-worker server — same stream of
+// (index, input) queries, same bodies, whichever replica took each request.
 func TestBatchIdentityServeResponses(t *testing.T) {
 	f := getFixture(t)
 	stream := tierStream(f)
 	for tier := range batchTierConfigs(f, Config{}) {
 		tier := tier
 		t.Run(tier, func(t *testing.T) {
-			serialCfg := batchTierConfigs(f, Config{
-				Workers: 1, MaxBatch: 1, DisableBatchFuse: true,
-			})[tier]
+			serialCfg := batchTierConfigs(f, Config{Workers: 1, MaxBatch: 1})[tier]
 			_, tsSerial := newServer(t, f, serialCfg)
 			want := replay(t, tsSerial.URL, stream)
 
-			fusedCfg := batchTierConfigs(f, Config{
+			concCfg := batchTierConfigs(f, Config{
 				Workers: 4, MaxBatch: 8, QueueSize: len(stream) + 8,
 			})[tier]
-			sFused, tsFused := newServer(t, f, fusedCfg)
+			_, tsConc := newServer(t, f, concCfg)
 			var (
 				mu  sync.Mutex
 				got = make(map[uint64]string, len(stream))
@@ -51,9 +48,9 @@ func TestBatchIdentityServeResponses(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					for req := range work {
-						resp, body := post(t, tsFused.URL, req)
+						resp, body := post(t, tsConc.URL, req)
 						if resp.StatusCode != http.StatusOK {
-							t.Errorf("fused replay: status %d: %s", resp.StatusCode, body)
+							t.Errorf("concurrent replay: status %d: %s", resp.StatusCode, body)
 							continue
 						}
 						mu.Lock()
@@ -71,38 +68,30 @@ func TestBatchIdentityServeResponses(t *testing.T) {
 				t.FailNow()
 			}
 			if len(got) != len(want) {
-				t.Fatalf("fused replay produced %d responses, serial %d", len(got), len(want))
+				t.Fatalf("concurrent replay produced %d responses, serial %d", len(got), len(want))
 			}
 			for idx, w := range want {
 				if g := got[idx]; g != w {
-					t.Fatalf("index %d: fused response differs from serial:\nfused:  %s\nserial: %s", idx, g, w)
+					t.Fatalf("index %d: concurrent response differs from serial:\nconcurrent: %s\nserial:     %s", idx, g, w)
 				}
 			}
-			_ = sFused
 		})
 	}
 }
 
-// TestBatchIdentityProcessFused drives a consumer's fused path directly and
-// deterministically: one multi-job batch through process() on replica 1 must
-// produce, per job, exactly the verdict and tier the per-job Decide path
-// produces on replica 0, under every tiering — and must increment the
-// fused-batches counter, while a DisableBatchFuse server handling the same
-// batch must not.
+// TestBatchIdentityProcessFused drives a consumer's batch path directly and
+// deterministically: one multi-job batch through process() on replica 1 and
+// the same batch again on replica 0 of the same server must give, per job,
+// the same verdict and tier under every tiering — the second pass meets a
+// warm truth cache, which must not show either.
 func TestBatchIdentityProcessFused(t *testing.T) {
 	f := getFixture(t)
 	stream := tierStream(f)
 	for tier := range batchTierConfigs(f, Config{}) {
 		tier := tier
 		t.Run(tier, func(t *testing.T) {
-			base := Config{Workers: 2, MaxBatch: len(stream), QueueSize: len(stream)}
-			fusedCfg := batchTierConfigs(f, base)[tier]
-			serial := base
-			serial.DisableBatchFuse = true
-			serialCfg := batchTierConfigs(f, serial)[tier]
-
-			sFused, _ := newServer(t, f, fusedCfg)
-			sSerial, _ := newServer(t, f, serialCfg)
+			cfg := batchTierConfigs(f, Config{Workers: 2, MaxBatch: len(stream), QueueSize: len(stream)})[tier]
+			s, _ := newServer(t, f, cfg)
 
 			makeBatch := func() []*job {
 				batch := make([]*job, len(stream))
@@ -117,22 +106,16 @@ func TestBatchIdentityProcessFused(t *testing.T) {
 				return batch
 			}
 
-			fusedBatch, serialBatch := makeBatch(), makeBatch()
-			sFused.process(1, fusedBatch)
-			sSerial.process(0, serialBatch)
+			first, second := makeBatch(), makeBatch()
+			s.process(1, first)
+			s.process(0, second)
 			for i := range stream {
-				fr := <-fusedBatch[i].out
-				sr := <-serialBatch[i].out
-				if fr.tier != sr.tier {
-					t.Fatalf("job %d: fused tier %q, serial %q", i, fr.tier, sr.tier)
+				a := <-first[i].out
+				b := <-second[i].out
+				if a.tier != b.tier {
+					t.Fatalf("job %d: replica 1 tier %q, replica 0 %q", i, a.tier, b.tier)
 				}
-				requireSameVerdict(t, i, fr.v, sr.v)
-			}
-			if got := sFused.stats.fusedBatches.Value(); got != 1 {
-				t.Fatalf("fused server counted %d fused batches, want 1", got)
-			}
-			if got := sSerial.stats.fusedBatches.Value(); got != 0 {
-				t.Fatalf("DisableBatchFuse server counted %d fused batches, want 0", got)
+				requireSameVerdict(t, i, a.v, b.v)
 			}
 		})
 	}
@@ -143,14 +126,14 @@ func TestBatchIdentityProcessFused(t *testing.T) {
 func requireSameVerdict(t *testing.T, i int, got, want detect.Verdict) {
 	t.Helper()
 	if got.PredictedClass != want.PredictedClass || got.Modelled != want.Modelled || got.Fused != want.Fused {
-		t.Fatalf("job %d: fused verdict %+v, serial %+v", i, got, want)
+		t.Fatalf("job %d: verdict %+v, want %+v", i, got, want)
 	}
 	if len(got.Scores) != len(want.Scores) || len(got.Flags) != len(want.Flags) {
-		t.Fatalf("job %d: fused verdict channel counts differ", i)
+		t.Fatalf("job %d: verdict channel counts differ", i)
 	}
 	for si := range want.Scores {
 		if got.Scores[si] != want.Scores[si] || got.Flags[si] != want.Flags[si] {
-			t.Fatalf("job %d channel %d: fused (%v, %v), serial (%v, %v)",
+			t.Fatalf("job %d channel %d: got (%v, %v), want (%v, %v)",
 				i, si, got.Scores[si], got.Flags[si], want.Scores[si], want.Flags[si])
 		}
 	}

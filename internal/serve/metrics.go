@@ -15,7 +15,7 @@ import (
 // milliseconds; queueing under load dominates the tail).
 var latencyBuckets = []float64{0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
 
-// batchBuckets are the micro-batch-size histogram bounds.
+// batchBuckets are the batch-size histogram bounds.
 var batchBuckets = []float64{1, 2, 4, 8, 16, 32}
 
 // metrics is the server's instrumentation, one obs.Registry per server so
@@ -32,9 +32,6 @@ type metrics struct {
 	ok         *obs.Counter
 	reqSeconds *obs.Histogram
 	batchSizes *obs.Histogram
-	// fusedBatches counts batches decided through the fused batch path;
-	// per-job batches are the complement against advhunter_batch_size_count.
-	fusedBatches *obs.Counter
 
 	// Detection layer, labelled by the served backend kind.
 	scans   *obs.Counter
@@ -76,8 +73,6 @@ func newMetrics(backend string, channels []string) *metrics {
 		"End-to-end request latency.", latencyBuckets).With()
 	m.batchSizes = reg.Histogram("advhunter_batch_size",
 		"Sizes of the batches the replica consumers decide.", batchBuckets).With()
-	m.fusedBatches = reg.Counter("advhunter_fused_batches_total",
-		"Micro-batches decided through the fused batched measure-and-score path.").With()
 
 	m.scans = reg.Counter("advhunter_scans_total", "Detection decisions made.", "backend").With(backend)
 	m.flagged = reg.Counter("advhunter_flagged_total", "Decisions answered adversarial.", "backend").With(backend)

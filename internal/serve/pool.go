@@ -20,18 +20,6 @@ type Measurer interface {
 	MeasureAtCached(c *core.TruthCache, i uint64, x *tensor.Tensor) (core.Measurement, bool)
 }
 
-// BatchMeasurer is the batched extension of Measurer: one fused call measures
-// a whole drained micro-batch, running the misses through the engine's batched
-// forward pass instead of one trace per sample. Both *core.Measurer and
-// *twin.Measurer implement it; the pool type-asserts for it so a custom
-// per-sample backend still serves through the fallback path. out[i] must be
-// bit-identical to MeasureAtCached(c, idxs[i], xs[i]) — the noise stream stays
-// keyed by idxs[i] alone.
-type BatchMeasurer interface {
-	Measurer
-	MeasureBatchCached(c *core.TruthCache, idxs []uint64, xs []*tensor.Tensor, out []core.Measurement, hits []bool)
-}
-
 // MeasurePool is the measurement stage of the pipeline: a pool of backend
 // replicas (one per worker slot, aligned with the parallel scheduler's worker
 // indices), the tier's truth-count memoisation cache, and the detector that
@@ -76,62 +64,4 @@ func (p *MeasurePool) Score(ctx context.Context, worker int, idx uint64, x *tens
 		p.Seconds.Observe(time.Since(start).Seconds())
 	}
 	return v
-}
-
-// ScoreBatch is the fused form of Score over a drained micro-batch: one
-// batched measurement (the misses share a single batched forward pass) and one
-// channel-major detector sweep, on the given pool worker. Every verdict is
-// bit-identical to the per-job path — vs[i] matches Score(ctxs[i], worker,
-// idxs[i], xs[i]) exactly — and every per-job observation is preserved: each
-// job still gets its measure and score spans, its cache-hit trace bit, its
-// cache counter, and an equal share of the batch latency in Seconds. It
-// returns false (touching nothing) when the worker's backend or the detector
-// has no batch form; the caller falls back to per-job Score.
-func (p *MeasurePool) ScoreBatch(ctxs []context.Context, worker int, idxs []uint64, xs []*tensor.Tensor, vs []detect.Verdict) bool {
-	bm, ok := p.Workers[worker].(BatchMeasurer)
-	if !ok {
-		return false
-	}
-	bd, ok := p.Det.(detect.BatchDetector)
-	if !ok {
-		return false
-	}
-	n := len(xs)
-	if n == 0 {
-		return true
-	}
-	start := time.Now()
-	meas := make([]core.Measurement, n)
-	hits := make([]bool, n)
-	spans := make([]*obs.Span, n)
-	sctxs := make([]context.Context, n)
-	for i := range ctxs[:n] {
-		sctxs[i], spans[i] = obs.StartSpan(ctxs[i], p.SpanMeasure)
-	}
-	bm.MeasureBatchCached(p.Truth, idxs, xs, meas, hits)
-	for i, sp := range spans {
-		sp.End()
-		obs.TraceFrom(sctxs[i]).SetCacheHit(hits[i])
-		if p.Truth != nil {
-			if hits[i] {
-				p.Hits.Inc()
-			} else {
-				p.Misses.Inc()
-			}
-		}
-	}
-	for i := range sctxs {
-		_, spans[i] = obs.StartSpan(sctxs[i], p.SpanScore)
-	}
-	bd.DetectBatch(meas, vs)
-	for _, sp := range spans {
-		sp.End()
-	}
-	if p.Seconds != nil {
-		share := time.Since(start).Seconds() / float64(n)
-		for i := 0; i < n; i++ {
-			p.Seconds.Observe(share)
-		}
-	}
-	return true
 }

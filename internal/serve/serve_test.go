@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -453,11 +454,12 @@ func TestServeMaxInflight(t *testing.T) {
 
 // TestServeConsumersWorkConserving: every replica runs its own consumer, so a
 // request admitted while one replica is busy is picked up by an idle replica
-// instead of waiting behind the busy batch, and a backlog of 2·k jobs is
-// shared out rather than drained by one replica: no batch holds more than k.
+// instead of waiting behind the busy one, and with no linger a consumer takes
+// one job at a time: a backlog of 2·k jobs is never held on one replica while
+// the other could take it, so every batch holds exactly one job.
 func TestServeConsumersWorkConserving(t *testing.T) {
 	f := getFixture(t)
-	const k = 4 // a batch-size histogram bucket bound
+	const k = 4
 	gate := make(chan struct{})
 	s, ts := newServer(t, f, Config{Workers: 2, MaxBatch: 2 * k, QueueSize: 2 * k, gate: gate})
 	var open sync.Once
@@ -496,8 +498,8 @@ func TestServeConsumersWorkConserving(t *testing.T) {
 	release()
 	wg.Wait()
 
-	// Every batch after the two gated singletons came out of the backlog, and
-	// the fair-share cap keeps each to at most k of its 2·k jobs.
+	// Every batch after the two gated singletons came out of the backlog, one
+	// job each.
 	series := func(text, name string) string {
 		for _, line := range strings.Split(text, "\n") {
 			if v, ok := strings.CutPrefix(line, name+" "); ok {
@@ -507,10 +509,9 @@ func TestServeConsumersWorkConserving(t *testing.T) {
 		return "absent"
 	}
 	text := string(scrape(t, ts.URL))
-	total, small := series(text, "advhunter_batch_size_count"), series(text, fmt.Sprintf(`advhunter_batch_size_bucket{le="%d"}`, k))
-	if small != total {
-		t.Fatalf("%s of %s batches held at most %d jobs; a backlog of %d must split across both replicas",
-			small, total, k, 2*k)
+	total, single := series(text, "advhunter_batch_size_count"), series(text, `advhunter_batch_size_bucket{le="1"}`)
+	if want := strconv.Itoa(2 + 2*k); total != want || single != want {
+		t.Fatalf("%s of %s batches held one job; want all %s batches to hold exactly one", single, total, want)
 	}
 	if got := s.stats.batchSizes.Sum(); got != 2+2*k {
 		t.Fatalf("batches held %v jobs, want %d", got, 2+2*k)

@@ -5,18 +5,17 @@
 // Architecture: a server is an assembly of three composable stages.
 // An Admission gate (bounded queue + optional in-flight token cap) turns
 // overload into backpressure — a full queue answers 429 with Retry-After —
-// and owns the drain protocol. One consumer per engine replica takes an
-// admitted request together with whatever is already queued (up to its fair
-// share of the backlog, at most MaxBatch; there is no default linger) and
-// decides that batch on its replica through a Tiering policy, which decides
-// every query on one or two MeasurePools (backend replica pool + truth cache
-// + detector). Determinism survives the concurrency: each query's
-// measurement-noise stream is keyed by an explicit request index through
-// Measurer.MeasureAt, so its reading — and therefore its detection decision
-// — is a pure function of (model, input, seed, index), independent of
-// batching, scheduling, and worker assignment. The same stages compose into
-// other topologies: internal/cluster runs N of these assemblies behind a
-// router.
+// and owns the drain protocol. One consumer per engine replica takes one
+// admitted request at a time (or, with the opt-in BatchWait linger, a batch
+// of up to MaxBatch) and decides each request on its replica through a
+// Tiering policy, which decides every query on one or two MeasurePools
+// (backend replica pool + truth cache + detector). Determinism survives the
+// concurrency: each query's measurement-noise stream is keyed by an explicit
+// request index through Measurer.MeasureAt, so its reading — and therefore
+// its detection decision — is a pure function of (model, input, seed, index),
+// independent of batching, scheduling, and worker assignment. The same
+// stages compose into other topologies: internal/cluster runs N of these
+// assemblies behind a router.
 package serve
 
 import (
@@ -48,12 +47,14 @@ type Config struct {
 	// Workers is the engine-replica pool size (default GOMAXPROCS, min 1);
 	// each replica runs its own consumer of the admission queue.
 	Workers int
-	// MaxBatch caps one micro-batch (default 8).
+	// MaxBatch caps the batch a lingering consumer gathers (default 8); it
+	// only applies when BatchWait is positive.
 	MaxBatch int
 	// BatchWait is an opt-in linger. By default (0) a replica's consumer takes
-	// only what is already queued and never waits. A positive value makes it
-	// fill up to MaxBatch, waiting at most this long after its first request;
-	// the loadgen batch and cluster sweeps use it to widen batches.
+	// one request at a time and never waits. A positive value makes it gather
+	// up to MaxBatch requests, waiting at most this long after its first one,
+	// and then decide them one after another; the loadgen cluster saturation
+	// sweep uses it to hold replicas busy.
 	BatchWait time.Duration
 	// Timeout is the per-request budget including queueing (default 10s);
 	// an expired request answers 504 and is dropped from its batch.
@@ -108,13 +109,6 @@ type Config struct {
 	// decides everything). Detectors that do not implement
 	// detect.Uncertainty escalate every query instead.
 	EscalationMargin float64
-	// DisableBatchFuse reverts the consumers to per-job decisions: every
-	// batch runs one Tiering.Decide per job instead of flowing as one fused
-	// InferBatch→ScoreBatch unit. Responses are byte-identical either
-	// way — the batched kernels are bit-identical to the per-sample ones and
-	// each job's noise stream is keyed by its index — so the knob exists for
-	// apples-to-apples benchmarking of the fast path and as an escape hatch.
-	DisableBatchFuse bool
 	// Logger receives the server's structured records (per-request debug
 	// lines, span timings). nil selects slog.Default(). Logging and tracing
 	// are observe-only: enabling them never changes a verdict or a response
@@ -486,52 +480,39 @@ func (s *Server) consume(worker int) {
 	}
 }
 
-// gather forms one batch around first. With no linger it takes, without
-// waiting, what is already queued, up to this replica's fair share of the
-// backlog (min(MaxBatch, ⌈(1+queued)/Workers⌉)), so a backlog is spread over
-// the replicas rather than drained by whichever one woke first. A positive
-// BatchWait instead fills up to MaxBatch, waiting at most that long after
-// first.
+// gather forms one batch around first. With no linger the batch is first
+// alone: jobs still queued stay there for whichever replica frees up next. A
+// positive BatchWait instead fills up to MaxBatch, waiting at most that long
+// after first.
 func (s *Server) gather(first *job) []*job {
-	q := s.adm.Queue()
 	batch := []*job{first}
-	if s.cfg.BatchWait > 0 {
-		timer := time.NewTimer(s.cfg.BatchWait)
-		defer timer.Stop()
-		for len(batch) < s.cfg.MaxBatch {
-			select {
-			case j, ok := <-q:
-				if !ok {
-					return batch
-				}
-				batch = append(batch, j)
-			case <-timer.C:
-				return batch
-			}
-		}
+	if s.cfg.BatchWait <= 0 {
 		return batch
 	}
-	limit := min(s.cfg.MaxBatch, (len(q)+s.cfg.Workers)/s.cfg.Workers)
-	for len(batch) < limit {
+	q := s.adm.Queue()
+	timer := time.NewTimer(s.cfg.BatchWait)
+	defer timer.Stop()
+	for len(batch) < s.cfg.MaxBatch {
 		select {
 		case j, ok := <-q:
 			if !ok {
 				return batch
 			}
 			batch = append(batch, j)
-		default:
+		case <-timer.C:
 			return batch
 		}
 	}
 	return batch
 }
 
-// process measures, scores and answers one batch on replica worker. Requests
-// whose deadline expired while queued are dropped (their handler has already
-// answered 504). The pool series are updated before any job is answered, so
-// a client that has its verdict sees them settled. Each job's noise stream is
-// keyed by its index, so results do not depend on batch composition or on
-// which replica decided them.
+// process decides and answers one batch on replica worker, one job after
+// another through Tiering.Decide. Requests whose deadline expired while
+// queued are dropped (their handler has already answered 504). The pool
+// series are updated before any job is answered, so a client that has its
+// verdict sees them settled. Each job's noise stream is keyed by its index,
+// so results do not depend on batch composition or on which replica decided
+// them.
 func (s *Server) process(worker int, batch []*job) {
 	s.stats.poolBusy.Inc()
 	if s.gate != nil {
@@ -545,10 +526,12 @@ func (s *Server) process(worker int, batch []*job) {
 			live = append(live, j)
 		}
 	}
-	var out []result
+	out := make([]result, len(live))
 	if len(live) > 0 {
 		s.stats.batchSizes.Observe(float64(len(live)))
-		out = s.decide(worker, live)
+		for i, j := range live {
+			out[i].v, out[i].tier = s.tiering.Decide(j.ctx, worker, j.idx, j.x)
+		}
 		s.stats.poolTasks.Inc()
 		s.stats.poolSeconds.Observe(time.Since(start).Seconds())
 	}
@@ -556,46 +539,6 @@ func (s *Server) process(worker int, batch []*job) {
 	for i, j := range live {
 		j.out <- out[i]
 	}
-}
-
-// decide runs the live jobs through the tiering on replica worker. A batch of
-// two or more flows as one fused measure→score unit (batched forward pass
-// over its cache misses, channel-major detector sweep) unless fusing is
-// disabled; each job still gets its own spans and counters, plus a "batch"
-// span recording the fused decision time. Otherwise, or when the tiering
-// cannot fuse, every job is decided on its own. Verdicts are pure functions
-// of (idx, x), so the path taken never changes a response byte.
-func (s *Server) decide(worker int, jobs []*job) []result {
-	out := make([]result, len(jobs))
-	bt, ok := s.tiering.(BatchTiering)
-	if len(jobs) < 2 || s.cfg.DisableBatchFuse || !ok {
-		for i, j := range jobs {
-			out[i].v, out[i].tier = s.tiering.Decide(j.ctx, worker, j.idx, j.x)
-		}
-		return out
-	}
-	s.stats.fusedBatches.Inc()
-	n := len(jobs)
-	ctxs := make([]context.Context, n)
-	idxs := make([]uint64, n)
-	xs := make([]*tensor.Tensor, n)
-	vs := make([]detect.Verdict, n)
-	tiers := make([]string, n)
-	spans := make([]*obs.Span, n)
-	for i, j := range jobs {
-		ctxs[i], idxs[i], xs[i] = j.ctx, j.idx, j.x
-		_, spans[i] = obs.StartSpan(j.ctx, "batch")
-	}
-	if !bt.DecideBatch(ctxs, worker, idxs, xs, vs, tiers) {
-		for i, j := range jobs {
-			vs[i], tiers[i] = s.tiering.Decide(j.ctx, worker, j.idx, j.x)
-		}
-	}
-	for i := range jobs {
-		spans[i].End()
-		out[i] = result{v: vs[i], tier: tiers[i]}
-	}
-	return out
 }
 
 // handleDetect is POST /detect: decode, validate, admit, await the verdict.

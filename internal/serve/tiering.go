@@ -18,18 +18,6 @@ type Tiering interface {
 	Decide(ctx context.Context, worker int, idx uint64, x *tensor.Tensor) (detect.Verdict, string)
 }
 
-// BatchTiering is the fused extension of Tiering: one call decides a whole
-// drained micro-batch, so the batched measurement and scoring kernels see the
-// full batch at once. DecideBatch fills vs[i] and tiers[i] with exactly what
-// Decide(ctxs[i], worker, idxs[i], xs[i]) returns — verdicts stay pure
-// functions of (idx, x), so fusing never changes a response byte. It returns
-// false (touching nothing) when the underlying pool cannot fuse; the caller
-// falls back to per-job Decide. All three built-in tierings implement it.
-type BatchTiering interface {
-	Tiering
-	DecideBatch(ctxs []context.Context, worker int, idxs []uint64, xs []*tensor.Tensor, vs []detect.Verdict, tiers []string) bool
-}
-
 // exactTiering serves every query from the exact pool. The empty tier label
 // is deliberate: plain exact serving predates tiering and its responses must
 // not change shape.
@@ -39,16 +27,6 @@ type exactTiering struct {
 
 func (t exactTiering) Decide(ctx context.Context, worker int, idx uint64, x *tensor.Tensor) (detect.Verdict, string) {
 	return t.pool.Score(ctx, worker, idx, x), ""
-}
-
-func (t exactTiering) DecideBatch(ctxs []context.Context, worker int, idxs []uint64, xs []*tensor.Tensor, vs []detect.Verdict, tiers []string) bool {
-	if !t.pool.ScoreBatch(ctxs, worker, idxs, xs, vs) {
-		return false
-	}
-	for i := range xs {
-		tiers[i] = ""
-	}
-	return true
 }
 
 // twinTiering serves every query from the twin pool.
@@ -61,17 +39,6 @@ func (t twinTiering) Decide(ctx context.Context, worker int, idx uint64, x *tens
 	v := t.pool.Score(ctx, worker, idx, x)
 	t.decided.Inc()
 	return v, TierTwin
-}
-
-func (t twinTiering) DecideBatch(ctxs []context.Context, worker int, idxs []uint64, xs []*tensor.Tensor, vs []detect.Verdict, tiers []string) bool {
-	if !t.pool.ScoreBatch(ctxs, worker, idxs, xs, vs) {
-		return false
-	}
-	for i := range xs {
-		t.decided.Inc()
-		tiers[i] = TierTwin
-	}
-	return true
 }
 
 // autoTiering screens every query with the twin pool and escalates the
@@ -104,55 +71,6 @@ func (t autoTiering) Decide(ctx context.Context, worker int, idx uint64, x *tens
 		t.agreement.Inc()
 	}
 	return ev, TierExact
-}
-
-// DecideBatch screens the whole batch with one fused twin pass, then gathers
-// the twin-uncertain subset and escalates it through one fused exact pass.
-// Every verdict and counter total matches the per-job path exactly: the
-// escalation decision reads each twin verdict independently, and escalated
-// jobs' twin verdicts are compared against their exact ones for the agreement
-// counter before being overwritten, just as Decide does one job at a time.
-func (t autoTiering) DecideBatch(ctxs []context.Context, worker int, idxs []uint64, xs []*tensor.Tensor, vs []detect.Verdict, tiers []string) bool {
-	if !t.twin.ScoreBatch(ctxs, worker, idxs, xs, vs) {
-		return false
-	}
-	var esc []int
-	for i := range xs {
-		t.screened.Inc()
-		if !t.uncertain(vs[i]) {
-			t.twinDecided.Inc()
-			tiers[i] = TierTwin
-			continue
-		}
-		t.escalations.Inc()
-		esc = append(esc, i)
-	}
-	if len(esc) == 0 {
-		return true
-	}
-	ectxs := make([]context.Context, len(esc))
-	eidxs := make([]uint64, len(esc))
-	exs := make([]*tensor.Tensor, len(esc))
-	evs := make([]detect.Verdict, len(esc))
-	for k, i := range esc {
-		ectxs[k], eidxs[k], exs[k] = ctxs[i], idxs[i], xs[i]
-	}
-	if !t.exact.ScoreBatch(ectxs, worker, eidxs, exs, evs) {
-		// The exact backend cannot fuse: escalate the subset per job. The twin
-		// screen above already ran fused, so this stays a valid hybrid.
-		for k, i := range esc {
-			evs[k] = t.exact.Score(ctxs[i], worker, idxs[i], xs[i])
-		}
-	}
-	for k, i := range esc {
-		t.exactDecided.Inc()
-		if adversarialAt(vs[i], t.decIdx) == adversarialAt(evs[k], t.decIdx) {
-			t.agreement.Inc()
-		}
-		vs[i] = evs[k]
-		tiers[i] = TierExact
-	}
-	return true
 }
 
 // uncertain decides whether a twin verdict must escalate to the exact tier:

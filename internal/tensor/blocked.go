@@ -8,12 +8,11 @@ import (
 
 // Cache-blocked GEMM. The kernel tiles the output columns (matmulJC) and the
 // k dimension (matmulKC) so one B panel is reused across every A row while it
-// is hot, optionally staging that panel contiguously in a caller-owned pack
-// buffer. The numerical contract is strict bit-identity with the naive ikj
-// loop in MatMul/MatMulInto: for every output element dst[i,j] the
-// k-contributions are applied in ascending k order with a single running
-// accumulator, and the av == 0 skip fires on exactly the same terms. Tiling
-// over i and j only changes *which element* is updated next, never the
+// is hot; B is read in place. The numerical contract is strict bit-identity
+// with the naive ikj loop in MatMul/MatMulInto: for every output element
+// dst[i,j] the k-contributions are applied in ascending k order with a single
+// running accumulator, and the av == 0 skip fires on exactly the same terms.
+// Tiling over i and j only changes *which element* is updated next, never the
 // per-element operation sequence, so the results are identical floats — this
 // is pinned by TestMatMulBlockedBitIdentical across shapes.
 const (
@@ -26,14 +25,9 @@ const (
 	matmulKC = 256
 )
 
-// MatMulPackLen returns the element count a pack buffer must have for
-// MatMulPackedInto to stage B panels; shorter buffers make it fall back to
-// reading B in place (still blocked, still bit-identical).
-func MatMulPackLen() int { return matmulKC * matmulJC }
-
 // matmulBlocked runs the blocked kernel over raw row-major storage:
-// dd (m×n, already zeroed) += ad (m×k) · bd (k×n). pack may be nil.
-func matmulBlocked(dd, ad, bd []float64, m, k, n int, pack []float64) {
+// dd (m×n, already zeroed) += ad (m×k) · bd (k×n).
+func matmulBlocked(dd, ad, bd []float64, m, k, n int) {
 	for jc := 0; jc < n; jc += matmulJC {
 		jw := n - jc
 		if jw > matmulJC {
@@ -44,23 +38,8 @@ func matmulBlocked(dd, ad, bd []float64, m, k, n int, pack []float64) {
 			if kw > matmulKC {
 				kw = matmulKC
 			}
-			// Stage the B panel contiguously when a buffer is provided:
-			// the copy changes memory layout only, never values, so the
-			// accumulation below is unaffected.
-			panel := pack
-			packed := len(pack) >= kw*jw
-			if packed {
-				for p := 0; p < kw; p++ {
-					off := (kc+p)*n + jc
-					copy(panel[p*jw:(p+1)*jw], bd[off:off+jw])
-				}
-			}
-			// brow fetches the p-th B row segment of this tile, from the
-			// packed panel or from B in place.
+			// brow fetches the p-th B row segment of this tile.
 			brow := func(p int) []float64 {
-				if packed {
-					return panel[p*jw : (p+1)*jw]
-				}
 				off := (kc+p)*n + jc
 				return bd[off : off+jw]
 			}
@@ -204,20 +183,6 @@ func checkMatMulShapes(dst, a, b *Tensor, fn string) (int, int, int) {
 	return m, k, n
 }
 
-// MatMulPackedInto is MatMulInto with panel packing: B tiles are staged
-// contiguously in pack (caller-owned, ideally MatMulPackLen() elements, e.g.
-// a scratch-arena slot) so the inner loops stream a dense panel instead of
-// strided rows of B. Results are bit-identical to MatMulInto; an undersized
-// pack buffer only disables the staging.
-func MatMulPackedInto(dst, a, b *Tensor, pack []float64) *Tensor {
-	m, k, n := checkMatMulShapes(dst, a, b, "MatMulPackedInto")
-	for i := range dst.data {
-		dst.data[i] = 0
-	}
-	matmulBlocked(dst.data, a.data, b.data, m, k, n, pack)
-	return dst
-}
-
 // MatMulParallelInto is MatMulInto with the row blocks fanned out over the
 // parallel worker pool. Workers own disjoint dst row ranges and each range
 // is computed by the same blocked kernel, so the output is bit-identical to
@@ -230,7 +195,7 @@ func MatMulParallelInto(dst, a, b *Tensor, workers int) *Tensor {
 	}
 	workers = parallel.Workers(workers, m)
 	if workers == 1 {
-		matmulBlocked(dst.data, a.data, b.data, m, k, n, nil)
+		matmulBlocked(dst.data, a.data, b.data, m, k, n)
 		return dst
 	}
 	// Contiguous row chunks, remainder spread over the leading chunks.
@@ -244,62 +209,7 @@ func MatMulParallelInto(dst, a, b *Tensor, workers int) *Tensor {
 		if lo >= hi {
 			return
 		}
-		matmulBlocked(dst.data[lo*n:hi*n], a.data[lo*k:hi*k], b.data, hi-lo, k, n, nil)
+		matmulBlocked(dst.data[lo*n:hi*n], a.data[lo*k:hi*k], b.data, hi-lo, k, n)
 	})
-	return dst
-}
-
-// Im2ColBatchInto unrolls a batch x (shape [N,C,H,W]) into dst of shape
-// [C*Kernel*Kernel, N*OutH*OutW]: sample s owns the contiguous column range
-// [s*OutH*OutW, (s+1)*OutH*OutW), and within it each column is exactly the
-// column Im2ColInto produces for that sample alone. One weight GEMM against
-// dst therefore convolves the whole batch, and because the weights operand
-// (and with it the zero-skip pattern and k order) is unchanged, every output
-// element is bit-identical to the per-sample GEMM.
-func Im2ColBatchInto(dst, x *Tensor, g ConvGeom) *Tensor {
-	g.Validate()
-	if x.Rank() != 4 || x.Dim(1) != g.InC || x.Dim(2) != g.InH || x.Dim(3) != g.InW {
-		panic(fmt.Sprintf("tensor: Im2ColBatchInto input %v does not match geometry %+v", x.Shape(), g))
-	}
-	batch := x.Dim(0)
-	oh, ow := g.OutH(), g.OutW()
-	k := g.Kernel
-	plane := oh * ow
-	if dst.Rank() != 2 || dst.Dim(0) != g.InC*k*k || dst.Dim(1) != batch*plane {
-		panic(fmt.Sprintf("tensor: Im2ColBatchInto dst %v, want [%d %d]", dst.Shape(), g.InC*k*k, batch*plane))
-	}
-	cd := dst.data
-	for i := range cd {
-		cd[i] = 0
-	}
-	colW := batch * plane
-	sample := g.InC * g.InH * g.InW
-	for s := 0; s < batch; s++ {
-		xd := x.data[s*sample : (s+1)*sample]
-		colOff := s * plane
-		for c := 0; c < g.InC; c++ {
-			chanOff := c * g.InH * g.InW
-			for ky := 0; ky < k; ky++ {
-				for kx := 0; kx < k; kx++ {
-					row := ((c*k + ky) * k) + kx
-					d := cd[row*colW+colOff : row*colW+colOff+plane]
-					for oy := 0; oy < oh; oy++ {
-						iy := oy*g.Stride + ky - g.Pad
-						if iy < 0 || iy >= g.InH {
-							continue // leave zeros
-						}
-						srcRow := chanOff + iy*g.InW
-						for ox := 0; ox < ow; ox++ {
-							ix := ox*g.Stride + kx - g.Pad
-							if ix < 0 || ix >= g.InW {
-								continue
-							}
-							d[oy*ow+ox] = xd[srcRow+ix]
-						}
-					}
-				}
-			}
-		}
-	}
 	return dst
 }

@@ -57,8 +57,8 @@ func fillMixed(r *rng.Rand, d []float64, zeroFrac float64) {
 	}
 }
 
-// The blocked kernel (plain, packed, undersized-pack, parallel at several
-// worker counts, and the allocating MatMul front end) must be bit-identical
+// The blocked kernel (plain, parallel at several worker counts, and the
+// allocating MatMul front end) must be bit-identical
 // to the naive ikj loop across shapes that straddle every tile boundary.
 func TestMatMulBlockedBitIdentical(t *testing.T) {
 	shapes := [][3]int{
@@ -72,8 +72,6 @@ func TestMatMulBlockedBitIdentical(t *testing.T) {
 		{5, 1, 600},
 	}
 	r := rng.New(7)
-	pack := make([]float64, MatMulPackLen())
-	small := make([]float64, 16) // undersized: staging must disable itself
 	for _, sh := range shapes {
 		m, k, n := sh[0], sh[1], sh[2]
 		a, b := New(m, k), New(k, n)
@@ -83,9 +81,6 @@ func TestMatMulBlockedBitIdentical(t *testing.T) {
 
 		sameBits(t, "MatMulInto", want, MatMulInto(New(m, n), a, b))
 		sameBits(t, "MatMul", want, MatMul(a, b))
-		sameBits(t, "MatMulPackedInto", want, MatMulPackedInto(New(m, n), a, b, pack))
-		sameBits(t, "MatMulPackedInto/undersized", want, MatMulPackedInto(New(m, n), a, b, small))
-		sameBits(t, "MatMulPackedInto/nil", want, MatMulPackedInto(New(m, n), a, b, nil))
 		for _, w := range []int{1, 2, 3, 8} {
 			sameBits(t, "MatMulParallelInto", want, MatMulParallelInto(New(m, n), a, b, w))
 		}
@@ -103,52 +98,6 @@ func TestMatMulBlockedZeroSkipSemantics(t *testing.T) {
 	a.Data()[3] = 1 // second row: [1 0 0]
 	want := naiveMatMulInto(New(2, 4), a, b)
 	sameBits(t, "zero-skip", want, MatMulInto(New(2, 4), a, b))
-	sameBits(t, "zero-skip/packed", want, MatMulPackedInto(New(2, 4), a, b, make([]float64, MatMulPackLen())))
-}
-
-// Im2ColBatchInto must lay sample s's columns at column offset s*OutH*OutW,
-// each bit-identical to the per-sample Im2ColInto, so the batched weight GEMM
-// equals the per-sample GEMMs column range by column range.
-func TestIm2ColBatchMatchesPerSample(t *testing.T) {
-	r := rng.New(11)
-	for _, batch := range []int{1, 3, 8} {
-		g := ConvGeom{InC: 3, InH: 9, InW: 7, Kernel: 3, Stride: 2, Pad: 1}
-		sample := g.InC * g.InH * g.InW
-		x := New(batch, g.InC, g.InH, g.InW)
-		fillMixed(r, x.Data(), 0.2)
-		oh, ow := g.OutH(), g.OutW()
-		plane := oh * ow
-		ckk := g.InC * g.Kernel * g.Kernel
-		cols := Im2ColBatchInto(New(ckk, batch*plane), x, g)
-
-		wm := New(5, ckk)
-		fillMixed(r, wm.Data(), 0.3)
-		y := MatMulInto(New(5, batch*plane), wm, cols)
-
-		for s := 0; s < batch; s++ {
-			xi := FromSlice(x.Data()[s*sample:(s+1)*sample], g.InC, g.InH, g.InW)
-			ci := Im2ColInto(New(ckk, plane), xi, g)
-			for row := 0; row < ckk; row++ {
-				for j := 0; j < plane; j++ {
-					got := cols.At(row, s*plane+j)
-					want := ci.At(row, j)
-					if math.Float64bits(got) != math.Float64bits(want) {
-						t.Fatalf("batch %d sample %d col (%d,%d): %g vs %g", batch, s, row, j, got, want)
-					}
-				}
-			}
-			yi := MatMulInto(New(5, plane), wm, ci)
-			for oc := 0; oc < 5; oc++ {
-				for j := 0; j < plane; j++ {
-					got := y.At(oc, s*plane+j)
-					want := yi.At(oc, j)
-					if math.Float64bits(got) != math.Float64bits(want) {
-						t.Fatalf("batch %d sample %d gemm (%d,%d): %g vs %g", batch, s, oc, j, got, want)
-					}
-				}
-			}
-		}
-	}
 }
 
 func benchMatMulInto(b *testing.B, size int) {
@@ -167,29 +116,3 @@ func benchMatMulInto(b *testing.B, size int) {
 func BenchmarkMatMulBlocked64(b *testing.B)  { benchMatMulInto(b, 64) }
 func BenchmarkMatMulBlocked128(b *testing.B) { benchMatMulInto(b, 128) }
 func BenchmarkMatMulBlocked256(b *testing.B) { benchMatMulInto(b, 256) }
-
-func BenchmarkMatMulPacked256(b *testing.B) {
-	r := rng.New(1)
-	x, y := New(256, 256), New(256, 256)
-	r.FillNormal(x.Data(), 0, 1)
-	r.FillNormal(y.Data(), 0, 1)
-	dst := New(256, 256)
-	pack := make([]float64, MatMulPackLen())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatMulPackedInto(dst, x, y, pack)
-	}
-}
-
-func BenchmarkIm2ColBatch8(b *testing.B) {
-	g := ConvGeom{InC: 8, InH: 16, InW: 16, Kernel: 3, Stride: 1, Pad: 1}
-	x := New(8, 8, 16, 16)
-	rng.New(1).FillNormal(x.Data(), 0, 1)
-	dst := New(8*9, 8*16*16)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Im2ColBatchInto(dst, x, g)
-	}
-}

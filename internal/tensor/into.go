@@ -33,7 +33,7 @@ func MatMulInto(dst, a, b *Tensor) *Tensor {
 	for i := range dst.data {
 		dst.data[i] = 0
 	}
-	matmulBlocked(dst.data, a.data, b.data, m, k, n, nil)
+	matmulBlocked(dst.data, a.data, b.data, m, k, n)
 	return dst
 }
 

@@ -332,7 +332,7 @@ func MatMul(a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMul inner dims %d vs %d", k, k2))
 	}
 	out := New(m, n)
-	matmulBlocked(out.data, a.data, b.data, m, k, n, nil)
+	matmulBlocked(out.data, a.data, b.data, m, k, n)
 	return out
 }
 

@@ -6,49 +6,55 @@ import (
 
 	"advhunter/internal/core"
 	"advhunter/internal/engine"
-	"advhunter/internal/tensor"
 	"advhunter/internal/uarch/hpc"
 )
 
-// TestBatchIdentityPredictBatch pins the table contract: PredictBatch fills
-// exactly what Predict returns per sparsity row, bit for bit, including
-// clamped out-of-range sparsities.
+// TestBatchIdentityPredictBatch pins the table lookup over a batch of
+// sparsity rows written into ONE reused Counts: every row's prediction equals
+// a fresh lookup, bit for bit, so Predict's zeroing leaves nothing behind, and
+// out-of-range sparsities clamp to [0, 1].
 func TestBatchIdentityPredictBatch(t *testing.T) {
 	samples, model := fixture(t)
 	tab := mustProfile(t, engine.NewDefault(model), samples, 8, 0)
 	leaves := len(tab.Layers)
+	row := func(f func(j int) float64) []float64 {
+		sp := make([]float64, leaves)
+		for j := range sp {
+			sp[j] = f(j)
+		}
+		return sp
+	}
 	rows := [][]float64{
-		make([]float64, leaves), // all zero
-		make([]float64, leaves),
-		make([]float64, leaves),
-		make([]float64, leaves),
+		row(func(int) float64 { return 0 }),
+		row(func(j int) float64 { return float64(j%10) / 10 }),
+		row(func(int) float64 { return 1.5 }),   // clamps to 1
+		row(func(int) float64 { return -0.25 }), // clamps to 0
 	}
-	for j := range rows[1] {
-		rows[1][j] = float64(j%10) / 10
-	}
-	for j := range rows[2] {
-		rows[2][j] = 1.5 // clamps to 1
-	}
-	for j := range rows[3] {
-		rows[3][j] = -0.25 // clamps to 0
-	}
-	outs := make([]hpc.Counts, len(rows))
-	tab.PredictBatch(rows, outs)
+	var reused hpc.Counts
 	for i, sp := range rows {
+		tab.Predict(sp, &reused)
 		var want hpc.Counts
 		tab.Predict(sp, &want)
 		for ev := hpc.Event(0); ev < hpc.NumEvents; ev++ {
-			if math.Float64bits(outs[i][ev]) != math.Float64bits(want[ev]) {
-				t.Fatalf("row %d event %v: PredictBatch %v, Predict %v", i, ev, outs[i][ev], want[ev])
+			if math.Float64bits(reused[ev]) != math.Float64bits(want[ev]) {
+				t.Fatalf("row %d event %v: reused %v, fresh %v", i, ev, reused[ev], want[ev])
 			}
 		}
 	}
+	var one, zero, over, under hpc.Counts
+	tab.Predict(row(func(int) float64 { return 1 }), &one)
+	tab.Predict(rows[0], &zero)
+	tab.Predict(rows[2], &over)
+	tab.Predict(rows[3], &under)
+	if over != one || under != zero {
+		t.Fatal("out-of-range sparsities must clamp to [0, 1]")
+	}
 }
 
-// TestBatchIdentityMeasureTwin is the twin-tier form of the batched
-// measurement contract: MeasureBatchCached must match a sequential
-// MeasureAtCached loop measurement for measurement — hit flags, in-batch
-// revisits, warm caches, nil cache — across interleaved batch widths.
+// TestBatchIdentityMeasureTwin is the twin-tier form of the replica contract:
+// batches of varying width, alternating between two replicas that share ONE
+// twin cache, match a sequential MeasureAtCached loop measurement for
+// measurement — hit flags, in-batch revisits, warm caches, nil cache.
 func TestBatchIdentityMeasureTwin(t *testing.T) {
 	samples, model := fixture(t)
 	tab := mustProfile(t, engine.NewDefault(model), samples, 8, 0)
@@ -56,12 +62,13 @@ func TestBatchIdentityMeasureTwin(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewMeasurer: %v", err)
 	}
-	bat, err := NewMeasurer(engine.NewDefault(model), tab, hpc.DefaultNoise(), 42, 10)
+	base, err := NewMeasurer(engine.NewDefault(model), tab, hpc.DefaultNoise(), 42, 10)
 	if err != nil {
 		t.Fatalf("NewMeasurer: %v", err)
 	}
+	reps := []*Measurer{base, base.Clone()}
 	refCache := core.NewTruthCache(16)
-	batCache := core.NewTruthCache(16)
+	shared := core.NewTruthCache(16)
 
 	// Revisit-heavy first batch, then interleaved widths over the warm cache.
 	orders := [][]int{
@@ -71,55 +78,36 @@ func TestBatchIdentityMeasureTwin(t *testing.T) {
 		{2, 1, 4, 0, 3, 2, 1, 0},
 	}
 	next := uint64(0)
-	for _, order := range orders {
-		n := len(order)
-		idxs := make([]uint64, n)
-		xs := make([]*tensor.Tensor, n)
-		for i, si := range order {
-			idxs[i] = next
-			xs[i] = samples[si%len(samples)].X
+	for b, order := range orders {
+		rep := reps[b%len(reps)]
+		for _, si := range order {
+			x := samples[si%len(samples)].X
+			want, wantH := ref.MeasureAtCached(refCache, next, x)
+			got, gotH := rep.MeasureAtCached(shared, next, x)
+			if got != want {
+				t.Fatalf("width %d, index %d: replica twin measurement diverged:\nreplica:    %+v\nsequential: %+v",
+					len(order), next, got, want)
+			}
+			if gotH != wantH {
+				t.Fatalf("width %d, index %d: replica hit %v, sequential %v", len(order), next, gotH, wantH)
+			}
 			next++
 		}
-		want := make([]core.Measurement, n)
-		wantH := make([]bool, n)
-		for i := range idxs {
-			want[i], wantH[i] = ref.MeasureAtCached(refCache, idxs[i], xs[i])
-		}
-		got := make([]core.Measurement, n)
-		gotH := make([]bool, n)
-		bat.MeasureBatchCached(batCache, idxs, xs, got, gotH)
-		for i := range idxs {
-			if got[i] != want[i] {
-				t.Fatalf("width %d, index %d: batched twin measurement diverged:\nbatch:      %+v\nsequential: %+v",
-					n, idxs[i], got[i], want[i])
-			}
-			if gotH[i] != wantH[i] {
-				t.Fatalf("width %d, index %d: batched hit %v, sequential %v", n, idxs[i], gotH[i], wantH[i])
-			}
-		}
 	}
-	// Same working set either way; the hit flags above are the contract (the
-	// batched dedupe answers in-batch revisits without a cache round-trip).
-	if rl, bl := refCache.Len(), batCache.Len(); rl != bl {
-		t.Fatalf("twin cache residency diverged: batch %d entries, sequential %d", bl, rl)
+	if rl, bl := refCache.Len(), shared.Len(); rl != bl {
+		t.Fatalf("twin cache residency diverged: replicas %d entries, sequential %d", bl, rl)
 	}
 
 	// nil cache: no memoisation, identical readings.
-	idxs := []uint64{next, next + 1, next + 2}
-	xs := []*tensor.Tensor{samples[0].X, samples[1].X, samples[0].X}
-	want := make([]core.Measurement, len(idxs))
-	for i := range idxs {
-		want[i], _ = ref.MeasureAtCached(nil, idxs[i], xs[i])
-	}
-	got := make([]core.Measurement, len(idxs))
-	gotH := make([]bool, len(idxs))
-	bat.MeasureBatchCached(nil, idxs, xs, got, gotH)
-	for i := range idxs {
-		if gotH[i] {
-			t.Fatalf("index %d: nil-cache twin batch reported a hit", idxs[i])
+	for _, si := range []int{0, 1, 0} {
+		want, _ := ref.MeasureAtCached(nil, next, samples[si].X)
+		got, hit := reps[1].MeasureAtCached(nil, next, samples[si].X)
+		if hit {
+			t.Fatalf("index %d: nil-cache twin measurement reported a hit", next)
 		}
-		if got[i] != want[i] {
-			t.Fatalf("index %d: nil-cache twin batched measurement diverged", idxs[i])
+		if got != want {
+			t.Fatalf("index %d: nil-cache twin measurement diverged", next)
 		}
+		next++
 	}
 }

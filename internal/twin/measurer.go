@@ -32,9 +32,6 @@ type Measurer struct {
 
 	sp []float64
 	ns core.NoiseStream
-
-	// batch holds MeasureBatchCached's reusable buffers (batchmeasure.go).
-	batch twinBatchScratch
 }
 
 // NewMeasurer builds a twin backend around an engine (used only for its

@@ -218,46 +218,6 @@ func (t *Table) Predict(sp []float64, out *hpc.Counts) {
 	}
 }
 
-// PredictBatch is Predict over a micro-batch: outs[i] receives the predicted
-// counts for sparsity vector sp[i]. The loop runs layers outer and samples
-// inner so each layer's knot curves are reused across the whole batch while
-// they are cache-hot; per sample the contributions still accumulate in layer
-// order with the exact expression Predict evaluates, so every outs[i] is
-// bit-identical to Predict(sp[i], &outs[i]). Allocates nothing.
-func (t *Table) PredictBatch(sp [][]float64, outs []hpc.Counts) {
-	if len(outs) < len(sp) {
-		panic("twin: PredictBatch outs shorter than sp")
-	}
-	for i := range sp {
-		for ev := range outs[i] {
-			outs[i][ev] = 0
-		}
-	}
-	kmax := t.Knots - 1
-	for li := range t.Layers {
-		lt := &t.Layers[li]
-		for i := range sp {
-			s := sp[i][li]
-			if s < 0 {
-				s = 0
-			} else if s > 1 {
-				s = 1
-			}
-			pos := s * float64(kmax)
-			k0 := int(pos)
-			if k0 > kmax-1 {
-				k0 = kmax - 1
-			}
-			frac := pos - float64(k0)
-			out := &outs[i]
-			for ev := range lt.Values {
-				v := lt.Values[ev]
-				out[ev] += v[k0] + frac*(v[k0+1]-v[k0])
-			}
-		}
-	}
-}
-
 // Bytes reports the table's approximate resident size (curve storage plus
 // per-layer bookkeeping) for the advhunter_twin_table_bytes gauge.
 func (t *Table) Bytes() int {

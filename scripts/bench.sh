@@ -1,14 +1,9 @@
 #!/usr/bin/env sh
-# Benchmark harness for the batched-execution PR (PR 10): the micro-benchmark
-# families that bracket the serving stack — end-to-end inference (now with the
-# batch-8 fused forward alongside the per-sample path), the batch measurement
-# set, the cache demand-access hot loop, the matmul/im2col kernels (naive
-# baseline plus the new blocked, packed, and batched variants), and the
-# serve-level tier benchmarks (full HTTP handler: decode, queue, measure,
-# score, encode) — plus the NEW headline: the loadgen batch-width sweep, one
-# closed-loop clean request stream replayed against a micro-batch linger ×
-# width grid on the twin tier (with a fusion-off control), recording
-# throughput against the batch width the server actually realized.
+# Micro-benchmark harness: the families that bracket the serving stack —
+# end-to-end per-sample inference, the measurement set, the cache
+# demand-access hot loop, the matmul/im2col kernels (allocating front end and
+# blocked GEMM), and the serve-level tier benchmarks (full HTTP handler:
+# decode, queue, measure, score, encode).
 #
 # Micro-benchmarks run with -benchmem -count=8. Per benchmark we record the
 # MINIMUM ns/op (this host class is a shared tenant and the minimum is the
@@ -24,33 +19,22 @@ cd "$(dirname "$0")/.."
 
 out="${1:-BENCH_10.json}"
 raw="$(mktemp)"
-tmpdir="$(mktemp -d)"
-trap 'rm -f "$raw"; rm -rf "$tmpdir"' EXIT
+trap 'rm -f "$raw"' EXIT
 
-echo "== engine inference (per-sample and batch-8) =="
+echo "== engine inference =="
 go test -run=NONE -bench='BenchmarkEngineInfer' -benchmem -count=8 ./internal/engine | tee -a "$raw"
 echo "== measurement set =="
 go test -run=NONE -bench='BenchmarkMeasureSet' -benchmem -count=8 ./internal/core | tee -a "$raw"
 echo "== cache demand access =="
 go test -run=NONE -bench='BenchmarkCacheAccess' -benchmem -count=8 ./internal/uarch/cache | tee -a "$raw"
-echo "== matmul / im2col kernels (naive, blocked, packed, batched) =="
+echo "== matmul / im2col kernels =="
 go test -run=NONE -bench='BenchmarkMatMul|BenchmarkIm2Col' -benchmem -count=8 ./internal/tensor | tee -a "$raw"
 echo "== serve tiers (full handler) =="
 go test -run=NONE -bench='BenchmarkServeTier' -benchmem -count=8 ./internal/serve | tee -a "$raw"
 
-echo "== batch-width sweep (twin tier, closed loop, scenario S1) =="
-go build -o "$tmpdir/advhunter" ./cmd/advhunter
-batchjson="$tmpdir/batch.json"
-# 320 requests from 16 closed-loop clients against each grid point; the same
-# seed generates a byte-identical trace per point, so throughput deltas are
-# attributable to the batching knobs alone. The sweep disables the truth
-# cache, so every request pays the forward pass the fused path batches.
-"$tmpdir/advhunter" loadgen -scenario S1 -sweep-batch -requests 320 -out "$batchjson"
-
 # Aggregate: min/median/variance ns/op per benchmark, last-seen B/op and
-# allocs/op, then emit JSON with the committed baseline alongside and the
-# batch-width sweep inlined.
-awk -v BATCHJSON="$batchjson" '
+# allocs/op, then emit JSON with the committed baseline alongside.
+awk '
 /^Benchmark/ {
     name = $1
     sub(/-[0-9]+$/, "", name)          # strip GOMAXPROCS suffix if present
@@ -126,18 +110,8 @@ END {
         printf "      \"speedup\": %.2f\n", speedup
         printf "    }%s\n", (i < n) ? "," : ""
     }
-    printf "  },\n"
-    # The headline: serve-level throughput against realized micro-batch width
-    # on the twin tier — the per-sample baseline (max_batch 1), the fusion-off
-    # control, and the fused grid points, identical closed-loop workload.
-    printf "  \"batch_sweep\": "
-    first = 1
-    while ((getline line < BATCHJSON) > 0) {
-        if (first) { printf "%s", line; first = 0 }
-        else printf "\n  %s", line
-    }
-    close(BATCHJSON)
-    printf "\n}\n"
+    printf "  }\n"
+    printf "}\n"
 }' "$raw" > "$out"
 
 echo "wrote $out"
