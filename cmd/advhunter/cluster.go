@@ -52,7 +52,7 @@ func cmdCluster(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	det, cfg, err := buildServeStack(env, dopts, sopts, copts, logger, "")
+	det, cfg, err := buildServeStack(env, dopts, sopts, copts, logger)
 	if err != nil {
 		return err
 	}

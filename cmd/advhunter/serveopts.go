@@ -2,7 +2,7 @@ package main
 
 // The serving-stack construction shared by `serve`, `loadgen`, and `cluster`:
 // one flag surface (serveOpts), one detector+config assembly (buildServeStack),
-// one replica factory (replicaBuilder), and the loopback boot helpers the load
+// one replica factory (replicaBuilder), and the loopback boot helper the load
 // generator uses when no -target is given. Keeping all three subcommands on
 // this file means a server booted by any of them is configured identically.
 
@@ -33,8 +33,6 @@ import (
 // booted by `loadgen` is configured exactly like one booted by `serve`.
 type serveOpts struct {
 	queue       *int
-	maxBatch    *int
-	batchWait   *time.Duration
 	timeout     *time.Duration
 	event       *string
 	truthCache  *int
@@ -57,8 +55,6 @@ type serveOpts struct {
 func serveFlags(fs *flag.FlagSet) serveOpts {
 	return serveOpts{
 		queue:       fs.Int("queue", 64, "admission queue capacity (full queue answers 429)"),
-		maxBatch:    fs.Int("max-batch", 8, "batch size cap of the -batch-wait linger (unused without it)"),
-		batchWait:   fs.Duration("batch-wait", 0, "opt-in linger: a replica that took a request waits at most this long to fill a batch of up to -max-batch requests (0 = one request at a time)"),
 		timeout:     fs.Duration("timeout", 10*time.Second, "per-request budget including queueing"),
 		event:       fs.String("event", hpc.CacheMisses.String(), "perf event driving the adversarial verdict"),
 		truthCache:  fs.Int("truth-cache", 512, "truth-count memoisation cache entries (0 disables)"),
@@ -91,13 +87,10 @@ func (o serveOpts) validate() error {
 }
 
 // config builds the serve.Config, loading the twin stack when the tier needs
-// it. tier overrides the -tier flag when non-empty (the sweep boots one
-// server per tier). Call validate first.
+// it. Call validate first.
 func (o serveOpts) config(env *experiments.Env, dopts detectorOpts, det *detect.Fitted,
-	workers int, logger *slog.Logger, tier string) (serve.Config, error) {
-	if tier == "" {
-		tier = *o.tier
-	}
+	workers int, logger *slog.Logger) (serve.Config, error) {
+	tier := *o.tier
 	decision, err := hpc.ParseEvent(*o.event)
 	if err != nil {
 		return serve.Config{}, err
@@ -112,8 +105,6 @@ func (o serveOpts) config(env *experiments.Env, dopts detectorOpts, det *detect.
 	cfg := serve.Config{
 		QueueSize:      *o.queue,
 		Workers:        workers,
-		MaxBatch:       *o.maxBatch,
-		BatchWait:      *o.batchWait,
 		Timeout:        *o.timeout,
 		DecisionEvent:  decision,
 		ClassName:      func(c int) string { return data.ClassName(dataset, c) },
@@ -202,15 +193,14 @@ func (o serveOpts) clusterObs(ccfg cluster.Config) cluster.Config {
 
 // buildServeStack is the one construction path behind `serve`, `cluster`, and
 // the load generator's self-boot: load (or fit) the detector, then assemble
-// the serve.Config from the shared flag surface. tier overrides the -tier
-// flag when non-empty.
+// the serve.Config from the shared flag surface.
 func buildServeStack(env *experiments.Env, dopts detectorOpts, sopts serveOpts, copts commonOpts,
-	logger *slog.Logger, tier string) (*detect.Fitted, serve.Config, error) {
+	logger *slog.Logger) (*detect.Fitted, serve.Config, error) {
 	det, err := loadOrFitDetector(env, dopts)
 	if err != nil {
 		return nil, serve.Config{}, err
 	}
-	cfg, err := sopts.config(env, dopts, det, *copts.workers, logger, tier)
+	cfg, err := sopts.config(env, dopts, det, *copts.workers, logger)
 	if err != nil {
 		return nil, serve.Config{}, err
 	}
@@ -272,36 +262,5 @@ func (b *bootedServer) shutdown() {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	b.srv.Shutdown(ctx)
-	b.http.Shutdown(ctx)
-}
-
-// bootedCluster is an in-process cluster tier on a loopback port, for the
-// load generator's cluster sweep.
-type bootedCluster struct {
-	base string
-	c    *cluster.Cluster
-	http *http.Server
-}
-
-// bootCluster starts a cluster of replicas on a kernel-picked loopback port.
-func bootCluster(env *experiments.Env, det *detect.Fitted, cfg serve.Config, ccfg cluster.Config) (*bootedCluster, error) {
-	c := cluster.New(ccfg, replicaBuilder(env, det, cfg))
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	hs := &http.Server{Handler: c.Handler()}
-	go func() {
-		if err := hs.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			slog.Error("loadgen cluster", slog.String("err", err.Error()))
-		}
-	}()
-	return &bootedCluster{base: "http://" + ln.Addr().String(), c: c, http: hs}, nil
-}
-
-func (b *bootedCluster) shutdown() {
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	b.c.Shutdown(ctx)
 	b.http.Shutdown(ctx)
 }

@@ -1,7 +1,6 @@
 // Package cluster is the multi-replica tier of the serving stack: N
 // in-process serve.Server assemblies behind a Router, with cluster-level
-// admission, a merged per-replica /metrics page, and a SaturationAnalyzer
-// that locates each configuration's latency/throughput knee.
+// admission and a merged per-replica /metrics page.
 //
 // The design constraint comes from the truth cache: each replica memoises
 // noise-free counts by query fingerprint, so a router that scatters repeats

@@ -1,20 +1,24 @@
 package core
 
 import (
+	"encoding/binary"
+	"hash/maphash"
 	"math"
 	"sync"
 	"time"
+	"unsafe"
 
 	"advhunter/internal/tensor"
 	"advhunter/internal/uarch/hpc"
 )
 
 // Fingerprint hashes a tensor's shape and exact float64 contents (FNV-1a over
-// the raw bit patterns, so -0/+0 and NaN payloads are distinguished exactly
-// like the engine would distinguish them). Two tensors share a fingerprint
-// only if they would produce the identical inference trace, which is what
-// makes truth-count memoisation sound: the simulated engine is deterministic,
-// so equal inputs imply equal (pred, conf, counts).
+// the raw bit patterns). It is unkeyed and cheap to invert: each step is
+// (h ^ w) * prime with an invertible prime, so a client can pick its last
+// pixel to land any input on any chosen fingerprint. It is therefore only
+// fit for affinity routing, where a collision costs cache locality and
+// nothing else; never key state that decides a verdict by it — the truth
+// cache uses the seeded TruthCache.Key instead.
 func Fingerprint(x *tensor.Tensor) uint64 {
 	const prime = 1099511628211
 	h := uint64(14695981039346656037)
@@ -47,11 +51,12 @@ type TruthCacheStats struct {
 	Misses uint64
 }
 
-// TruthCache memoises Truth values by input fingerprint with LRU eviction.
-// It is safe for concurrent use — serve workers measuring on separate engine
-// replicas share one cache, so a repeated query pays the simulated inference
-// only once regardless of which worker sees it.
+// TruthCache memoises Truth values by input key (see Key) with LRU
+// eviction. It is safe for concurrent use — serve workers measuring on
+// separate engine replicas share one cache, so a repeated query pays the
+// simulated inference only once regardless of which worker sees it.
 type TruthCache struct {
+	seed  maphash.Seed // per-cache secret keying Key
 	mu    sync.Mutex
 	cap   int
 	index map[uint64]int
@@ -62,7 +67,7 @@ type TruthCache struct {
 }
 
 type truthSlot struct {
-	fp         uint64
+	key        uint64
 	truth      Truth
 	prev, next int
 }
@@ -76,6 +81,7 @@ func NewTruthCache(capacity int) *TruthCache {
 		return nil
 	}
 	return &TruthCache{
+		seed:  maphash.MakeSeed(),
 		cap:   capacity,
 		index: make(map[uint64]int, capacity),
 		head:  -1,
@@ -83,15 +89,40 @@ func NewTruthCache(capacity int) *TruthCache {
 	}
 }
 
-// Get returns the memoised truth for fp, marking the entry most recently
+// Key is x's cache key: a maphash, under the cache's per-process random
+// seed, of x's rank, shape and raw float64 bit patterns (so -0/+0 and NaN
+// payloads are distinguished exactly like the engine would distinguish
+// them). A client that cannot see the seed cannot aim an input at another
+// input's key, which is what makes serving a hit without comparing inputs
+// sound: the simulated engine is deterministic, so equal inputs imply equal
+// (pred, conf, counts), and unequal ones collide only by 64-bit chance. A
+// nil cache keys everything 0.
+func (c *TruthCache) Key(x *tensor.Tensor) uint64 {
+	if c == nil {
+		return 0
+	}
+	// The data is hashed as the float64s' own bytes — their bit patterns —
+	// in one call, which is several times faster than re-encoding them.
+	data := x.Data()
+	raw := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(data))), 8*len(data))
+	var buf [64]byte
+	b := binary.LittleEndian.AppendUint64(buf[:0], uint64(x.Rank()))
+	for _, d := range x.Shape() {
+		b = binary.LittleEndian.AppendUint64(b, uint64(d))
+	}
+	b = binary.LittleEndian.AppendUint64(b, maphash.Bytes(c.seed, raw))
+	return maphash.Bytes(c.seed, b)
+}
+
+// Get returns the memoised truth for key, marking the entry most recently
 // used.
-func (c *TruthCache) Get(fp uint64) (Truth, bool) {
+func (c *TruthCache) Get(key uint64) (Truth, bool) {
 	if c == nil {
 		return Truth{}, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	i, ok := c.index[fp]
+	i, ok := c.index[key]
 	if !ok {
 		c.stats.Misses++
 		return Truth{}, false
@@ -101,16 +132,16 @@ func (c *TruthCache) Get(fp uint64) (Truth, bool) {
 	return c.slots[i].truth, true
 }
 
-// Put stores the truth for fp, evicting the least recently used entry at
-// capacity. Storing an existing fingerprint refreshes its recency (the truth
+// Put stores the truth for key, evicting the least recently used entry at
+// capacity. Storing an existing key refreshes its recency (the truth
 // is identical by construction — it is a pure function of the input).
-func (c *TruthCache) Put(fp uint64, t Truth) {
+func (c *TruthCache) Put(key uint64, t Truth) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if i, ok := c.index[fp]; ok {
+	if i, ok := c.index[key]; ok {
 		c.slots[i].truth = t
 		c.moveFront(i)
 		return
@@ -122,11 +153,11 @@ func (c *TruthCache) Put(fp uint64, t Truth) {
 	} else {
 		i = c.tail
 		c.unlink(i)
-		delete(c.index, c.slots[i].fp)
+		delete(c.index, c.slots[i].key)
 	}
-	c.slots[i] = truthSlot{fp: fp, truth: t, prev: -1, next: -1}
+	c.slots[i] = truthSlot{key: key, truth: t, prev: -1, next: -1}
 	c.pushFront(i)
-	c.index[fp] = i
+	c.index[key] = i
 }
 
 // Len returns the number of resident entries.
@@ -140,7 +171,7 @@ func (c *TruthCache) Len() int {
 }
 
 // Bytes reports the cache's approximate resident size: the slot array
-// (fingerprint, truth, recency links) plus a per-entry share of the index
+// (key, truth, recency links) plus a per-entry share of the index
 // map. It is an accounting estimate for capacity planning — the
 // advhunter_*_cache_bytes gauges — not an exact heap measurement.
 func (c *TruthCache) Bytes() int {
@@ -149,7 +180,7 @@ func (c *TruthCache) Bytes() int {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	// One slot: fp (8) + Truth{Pred, Conf, Counts} (16 + 8·NumEvents) +
+	// One slot: key (8) + Truth{Pred, Conf, Counts} (16 + 8·NumEvents) +
 	// prev/next (16). One index entry: key + value + bucket overhead ≈ 48.
 	const slotBytes = 8 + 16 + 8*int(hpc.NumEvents) + 16
 	const indexBytes = 48
@@ -204,8 +235,8 @@ func (c *TruthCache) moveFront(i int) {
 }
 
 // MeasureAtCached is MeasureAt with truth-count memoisation: the noise-free
-// inference outcome is looked up in (or inserted into) cache by input
-// fingerprint, and the R noisy readings are then drawn from sample index i's
+// inference outcome is looked up in (or inserted into) cache by
+// cache.Key(x), and the R noisy readings are then drawn from sample index i's
 // stream exactly as MeasureAt would draw them. Because the noise is keyed by
 // i — never by the truth's provenance — the returned Measurement is
 // bit-identical to an uncached MeasureAt(i, x) on both hit and miss paths.
@@ -219,12 +250,12 @@ func (m *Measurer) MeasureAtCached(cache *TruthCache, i uint64, x *tensor.Tensor
 	if m.Observe != nil {
 		start = time.Now()
 	}
-	fp := Fingerprint(x)
-	t, hit := cache.Get(fp)
+	key := cache.Key(x)
+	t, hit := cache.Get(key)
 	if !hit {
 		pred, conf, truth := m.Engine.InferConf(x)
 		t = Truth{Pred: pred, Conf: conf, Counts: truth}
-		cache.Put(fp, t)
+		cache.Put(key, t)
 	}
 	meas := Measurement{
 		Pred:      t.Pred,

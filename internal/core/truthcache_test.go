@@ -28,6 +28,37 @@ func TestFingerprintSensitivity(t *testing.T) {
 	}
 }
 
+// TestTruthCacheKey: the cache key separates exactly what Fingerprint
+// separates, allocates nothing, and is keyed per cache, so no fixed input
+// pair collides in every process.
+func TestTruthCacheKey(t *testing.T) {
+	c := NewTruthCache(4)
+	a := tensor.FromSlice([]float64{1, 2, 3, 4}, 2, 2)
+	if c.Key(a) != c.Key(a.Clone()) {
+		t.Fatal("equal tensors must share a key")
+	}
+	b := a.Clone()
+	b.Data()[3] = math.Nextafter(4, 5)
+	if c.Key(a) == c.Key(b) {
+		t.Fatal("a one-ulp data change must change the key")
+	}
+	if c.Key(a) == c.Key(a.Reshape(4, 1)) {
+		t.Fatal("same data under a different shape must change the key")
+	}
+	z := tensor.FromSlice([]float64{0}, 1)
+	nz := tensor.FromSlice([]float64{math.Copysign(0, -1)}, 1)
+	if c.Key(z) == c.Key(nz) {
+		t.Fatal("key must distinguish -0 from +0")
+	}
+	if c.Key(a) == NewTruthCache(4).Key(a) {
+		t.Fatal("two caches must key the same input differently")
+	}
+	big := tensor.New(3, 32, 32)
+	if allocs := testing.AllocsPerRun(10, func() { c.Key(big) }); allocs != 0 {
+		t.Fatalf("Key allocs/run = %v, want 0", allocs)
+	}
+}
+
 func TestTruthCacheLRU(t *testing.T) {
 	c := NewTruthCache(2)
 	c.Put(1, Truth{Pred: 1})

@@ -245,14 +245,17 @@ func TraceFrom(ctx context.Context) TraceContext {
 }
 
 // TraceRing is a bounded ring of the most recent finished trace records plus
-// the pool recycling them. A nil *TraceRing is a valid no-op source: Start
-// returns a nil record every setter accepts.
+// a free list recycling the records it evicts. A nil *TraceRing is a valid
+// no-op source: Start returns a nil record every setter accepts.
 type TraceRing struct {
 	mu   sync.Mutex
 	buf  []*TraceRecord
 	next int // ring write cursor
 	size int
-	pool sync.Pool
+	// free holds evicted records for Start to reuse, at most len(buf) of
+	// them. Unlike a sync.Pool it never drops a record, so the steady state
+	// allocates nothing under the race detector or a GC cycle either.
+	free []*TraceRecord
 
 	sinkMu sync.Mutex
 	sink   io.Writer // optional JSONL sink; one TraceView per line
@@ -265,9 +268,7 @@ func NewTraceRing(n int, sink io.Writer) *TraceRing {
 	if n < 1 {
 		n = 1
 	}
-	r := &TraceRing{buf: make([]*TraceRecord, n), sink: sink}
-	r.pool.New = func() any { return &TraceRecord{} }
-	return r
+	return &TraceRing{buf: make([]*TraceRecord, n), free: make([]*TraceRecord, 0, n), sink: sink}
 }
 
 // Start issues a (recycled) record for one request. nil-safe: a nil ring
@@ -276,13 +277,22 @@ func (r *TraceRing) Start(id string) *TraceRecord {
 	if r == nil {
 		return nil
 	}
-	t := r.pool.Get().(*TraceRecord)
+	var t *TraceRecord
+	r.mu.Lock()
+	if k := len(r.free); k > 0 {
+		t = r.free[k-1]
+		r.free = r.free[:k-1]
+	}
+	r.mu.Unlock()
+	if t == nil {
+		t = &TraceRecord{}
+	}
 	t.reset(id)
 	return t
 }
 
 // Finish stamps the record's total duration and publishes it into the ring;
-// the record the ring slot previously held goes back to the pool. With a
+// the record the ring slot previously held goes onto the free list. With a
 // sink configured the finished trace is also encoded out as one JSON line.
 func (r *TraceRing) Finish(t *TraceRecord) {
 	if r == nil || t == nil {
@@ -307,10 +317,10 @@ func (r *TraceRing) Finish(t *TraceRecord) {
 	if r.size < len(r.buf) {
 		r.size++
 	}
-	r.mu.Unlock()
-	if old != nil {
-		r.pool.Put(old)
+	if old != nil && len(r.free) < cap(r.free) {
+		r.free = append(r.free, old)
 	}
+	r.mu.Unlock()
 }
 
 // Last returns views of the most recent min(n, held) finished traces, oldest

@@ -29,12 +29,12 @@ func TestBatchIdentityServeResponses(t *testing.T) {
 	for tier := range batchTierConfigs(f, Config{}) {
 		tier := tier
 		t.Run(tier, func(t *testing.T) {
-			serialCfg := batchTierConfigs(f, Config{Workers: 1, MaxBatch: 1})[tier]
+			serialCfg := batchTierConfigs(f, Config{Workers: 1})[tier]
 			_, tsSerial := newServer(t, f, serialCfg)
 			want := replay(t, tsSerial.URL, stream)
 
 			concCfg := batchTierConfigs(f, Config{
-				Workers: 4, MaxBatch: 8, QueueSize: len(stream) + 8,
+				Workers: 4, QueueSize: len(stream) + 8,
 			})[tier]
 			_, tsConc := newServer(t, f, concCfg)
 			var (
@@ -79,39 +79,32 @@ func TestBatchIdentityServeResponses(t *testing.T) {
 	}
 }
 
-// TestBatchIdentityProcessFused drives a consumer's batch path directly and
-// deterministically: one multi-job batch through process() on replica 1 and
-// the same batch again on replica 0 of the same server must give, per job,
-// the same verdict and tier under every tiering — the second pass meets a
-// warm truth cache, which must not show either.
+// TestBatchIdentityProcessFused drives a consumer's job path directly and
+// deterministically: every job through process() on replica 1 and the same
+// job again on replica 0 of the same server must give the same verdict and
+// tier under every tiering — the second pass meets a warm truth cache, which
+// must not show either.
 func TestBatchIdentityProcessFused(t *testing.T) {
 	f := getFixture(t)
 	stream := tierStream(f)
 	for tier := range batchTierConfigs(f, Config{}) {
 		tier := tier
 		t.Run(tier, func(t *testing.T) {
-			cfg := batchTierConfigs(f, Config{Workers: 2, MaxBatch: len(stream), QueueSize: len(stream)})[tier]
+			cfg := batchTierConfigs(f, Config{Workers: 2, QueueSize: len(stream)})[tier]
 			s, _ := newServer(t, f, cfg)
 
-			makeBatch := func() []*job {
-				batch := make([]*job, len(stream))
-				for i, req := range stream {
-					batch[i] = &job{
-						idx: *req.Index,
-						x:   req.Tensor(),
-						ctx: context.Background(),
-						out: make(chan result, 1),
-					}
+			decide := func(worker int, req Request) result {
+				j := &job{
+					idx: *req.Index,
+					x:   req.Tensor(),
+					ctx: context.Background(),
+					out: make(chan result, 1),
 				}
-				return batch
+				s.process(worker, j)
+				return <-j.out
 			}
-
-			first, second := makeBatch(), makeBatch()
-			s.process(1, first)
-			s.process(0, second)
-			for i := range stream {
-				a := <-first[i].out
-				b := <-second[i].out
+			for i, req := range stream {
+				a, b := decide(1, req), decide(0, req)
 				if a.tier != b.tier {
 					t.Fatalf("job %d: replica 1 tier %q, replica 0 %q", i, a.tier, b.tier)
 				}

@@ -85,11 +85,10 @@ func getBenchFixture(b *testing.B) *benchFixture {
 // handler via httptest recorders, so decode, queueing, dispatch, measurement,
 // scoring and encoding are all on the clock; only the TCP socket is not.
 // Per-iteration latencies are reported as p50-ns and p99-ns custom metrics
-// alongside the usual ns/op (scripts/bench.sh aggregates them into
-// BENCH_6.json).
+// alongside the usual ns/op.
 func BenchmarkServeTierResNet18(b *testing.B) {
 	f := getBenchFixture(b)
-	base := Config{Workers: 1, MaxBatch: 1, QueueSize: 16}
+	base := Config{Workers: 1, QueueSize: 16}
 	tiered := func(tier string, cacheSize int) Config {
 		cfg := base
 		cfg.Tier = tier
@@ -102,7 +101,7 @@ func BenchmarkServeTierResNet18(b *testing.B) {
 		name string
 		cfg  Config
 	}{
-		{"exact-nocache", Config{Workers: 1, MaxBatch: 1, QueueSize: 16, TruthCacheSize: -1}},
+		{"exact-nocache", Config{Workers: 1, QueueSize: 16, TruthCacheSize: -1}},
 		{"exact", base},
 		{"twin-nocache", tiered(TierTwin, -1)},
 		{"twin", tiered(TierTwin, 0)},

@@ -10,7 +10,7 @@ import (
 // once serially, once with 8 in-flight clients — and requires byte-identical
 // response bodies per (seed, index) pair. This is the serving form of the
 // offline pipeline's determinism contract: a reading is a pure function of
-// (model, input, seed, index), never of batching or worker scheduling. Runs
+// (model, input, seed, index), never of worker scheduling. Runs
 // under -race via scripts/verify.sh.
 func TestServeConcurrencyDeterminism(t *testing.T) {
 	f := getFixture(t)
@@ -28,8 +28,8 @@ func TestServeConcurrencyDeterminism(t *testing.T) {
 		stream = append(stream, streamItem{NewRequest(f.adv[i].X, uint64(500+i))})
 	}
 
-	// Serial replay: one client, one worker, batches of one.
-	_, tsSerial := newServer(t, f, Config{Workers: 1, MaxBatch: 1})
+	// Serial replay: one client, one worker.
+	_, tsSerial := newServer(t, f, Config{Workers: 1})
 	serial := make(map[uint64]string, len(stream))
 	for _, it := range stream {
 		resp, body := post(t, tsSerial.URL, it.req)
@@ -39,9 +39,9 @@ func TestServeConcurrencyDeterminism(t *testing.T) {
 		serial[*it.req.Index] = string(body)
 	}
 
-	// Concurrent replay: 8 in-flight clients against a multi-replica pool
-	// with micro-batching enabled; queue sized to never reject.
-	_, tsConc := newServer(t, f, Config{Workers: 4, MaxBatch: 8, QueueSize: len(stream) + 8})
+	// Concurrent replay: 8 in-flight clients against a multi-replica pool;
+	// queue sized to never reject.
+	_, tsConc := newServer(t, f, Config{Workers: 4, QueueSize: len(stream) + 8})
 	var (
 		mu         sync.Mutex
 		concurrent = make(map[uint64]string, len(stream))

@@ -15,8 +15,10 @@ import (
 // milliseconds; queueing under load dominates the tail).
 var latencyBuckets = []float64{0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
 
-// batchBuckets are the batch-size histogram bounds.
-var batchBuckets = []float64{1, 2, 4, 8, 16, 32}
+// batchBuckets are the batch-size histogram bounds. A consumer decides one
+// job at a time, so every observation is 1; the series stays because
+// dashboards and the serving benchmark read its mean batch width.
+var batchBuckets = []float64{1}
 
 // metrics is the server's instrumentation, one obs.Registry per server so
 // tests and co-resident instances never share series. Every handle the
@@ -38,7 +40,7 @@ type metrics struct {
 	flagged *obs.Counter
 	flags   []*obs.Counter // aligned with Server.channels
 
-	// Worker-pool layer: one task per batch a replica's consumer decides.
+	// Worker-pool layer: one task per job a replica's consumer decides.
 	poolBusy    *obs.Gauge
 	poolTasks   *obs.Counter
 	poolSeconds *obs.Histogram
@@ -72,7 +74,7 @@ func newMetrics(backend string, channels []string) *metrics {
 	m.reqSeconds = reg.Histogram("advhunter_request_duration_seconds",
 		"End-to-end request latency.", latencyBuckets).With()
 	m.batchSizes = reg.Histogram("advhunter_batch_size",
-		"Sizes of the batches the replica consumers decide.", batchBuckets).With()
+		"Jobs per consumer decision (always 1: a consumer decides one job at a time).", batchBuckets).With()
 
 	m.scans = reg.Counter("advhunter_scans_total", "Detection decisions made.", "backend").With(backend)
 	m.flagged = reg.Counter("advhunter_flagged_total", "Decisions answered adversarial.", "backend").With(backend)
@@ -85,7 +87,7 @@ func newMetrics(backend string, channels []string) *metrics {
 	m.poolBusy = reg.Gauge("advhunter_pool_busy_workers",
 		"Engine replicas currently running a measurement.").With()
 	m.poolTasks = reg.Counter("advhunter_pool_tasks_total",
-		"Batches decided by the replica pool, one task per consumer batch.").With()
+		"Jobs decided by the replica pool, one task per job.").With()
 	m.poolSeconds = reg.Histogram("advhunter_pool_task_duration_seconds",
 		"Per-task time on a pool worker (measure + score).", obs.DurationBuckets).With()
 

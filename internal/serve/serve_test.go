@@ -309,7 +309,7 @@ func TestServeBackpressure(t *testing.T) {
 	f := getFixture(t)
 	gate := make(chan struct{})
 	s := New(f.meas.Clone(), f.det, Config{
-		QueueSize: 1, Workers: 1, MaxBatch: 1, RetryAfter: 7, gate: gate,
+		QueueSize: 1, Workers: 1, RetryAfter: 7, gate: gate,
 	})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -382,7 +382,7 @@ func TestServeMaxInflight(t *testing.T) {
 	f := getFixture(t)
 	gate := make(chan struct{})
 	s := New(f.meas.Clone(), f.det, Config{
-		QueueSize: 32, Workers: 1, MaxBatch: 1, MaxInflight: 2, RetryAfter: 3, gate: gate,
+		QueueSize: 32, Workers: 1, MaxInflight: 2, RetryAfter: 3, gate: gate,
 	})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -454,14 +454,14 @@ func TestServeMaxInflight(t *testing.T) {
 
 // TestServeConsumersWorkConserving: every replica runs its own consumer, so a
 // request admitted while one replica is busy is picked up by an idle replica
-// instead of waiting behind the busy one, and with no linger a consumer takes
-// one job at a time: a backlog of 2·k jobs is never held on one replica while
-// the other could take it, so every batch holds exactly one job.
+// instead of waiting behind the busy one, and a consumer takes one job at a
+// time: a backlog of 2·k jobs is never held on one replica while the other
+// could take it, so every decision covers exactly one job.
 func TestServeConsumersWorkConserving(t *testing.T) {
 	f := getFixture(t)
 	const k = 4
 	gate := make(chan struct{})
-	s, ts := newServer(t, f, Config{Workers: 2, MaxBatch: 2 * k, QueueSize: 2 * k, gate: gate})
+	s, ts := newServer(t, f, Config{Workers: 2, QueueSize: 2 * k, gate: gate})
 	var open sync.Once
 	release := func() { open.Do(func() { close(gate) }) }
 	t.Cleanup(release)
@@ -498,8 +498,8 @@ func TestServeConsumersWorkConserving(t *testing.T) {
 	release()
 	wg.Wait()
 
-	// Every batch after the two gated singletons came out of the backlog, one
-	// job each.
+	// Every decision after the two gated singletons came out of the backlog,
+	// one job each.
 	series := func(text, name string) string {
 		for _, line := range strings.Split(text, "\n") {
 			if v, ok := strings.CutPrefix(line, name+" "); ok {
@@ -519,7 +519,7 @@ func TestServeConsumersWorkConserving(t *testing.T) {
 }
 
 // TestServeTimeout: a request whose budget expires while the pool is gated
-// answers 504 and is dropped from its batch.
+// answers 504 and is dropped before it is decided.
 func TestServeTimeout(t *testing.T) {
 	f := getFixture(t)
 	gate := make(chan struct{})

@@ -6,14 +6,13 @@
 // An Admission gate (bounded queue + optional in-flight token cap) turns
 // overload into backpressure — a full queue answers 429 with Retry-After —
 // and owns the drain protocol. One consumer per engine replica takes one
-// admitted request at a time (or, with the opt-in BatchWait linger, a batch
-// of up to MaxBatch) and decides each request on its replica through a
-// Tiering policy, which decides every query on one or two MeasurePools
-// (backend replica pool + truth cache + detector). Determinism survives the
+// admitted request at a time and decides it on its replica through a Tiering
+// policy, which decides every query on one or two MeasurePools (backend
+// replica pool + truth cache + detector). Determinism survives the
 // concurrency: each query's measurement-noise stream is keyed by an explicit
 // request index through Measurer.MeasureAt, so its reading — and therefore
 // its detection decision — is a pure function of (model, input, seed, index),
-// independent of batching, scheduling, and worker assignment. The same
+// independent of scheduling and worker assignment. The same
 // stages compose into other topologies: internal/cluster runs N of these
 // assemblies behind a router.
 package serve
@@ -45,19 +44,11 @@ type Config struct {
 	// the backpressure signal: new requests get 429 + Retry-After.
 	QueueSize int
 	// Workers is the engine-replica pool size (default GOMAXPROCS, min 1);
-	// each replica runs its own consumer of the admission queue.
+	// each replica runs its own consumer of the admission queue, which takes
+	// one request at a time and never waits for more.
 	Workers int
-	// MaxBatch caps the batch a lingering consumer gathers (default 8); it
-	// only applies when BatchWait is positive.
-	MaxBatch int
-	// BatchWait is an opt-in linger. By default (0) a replica's consumer takes
-	// one request at a time and never waits. A positive value makes it gather
-	// up to MaxBatch requests, waiting at most this long after its first one,
-	// and then decide them one after another; the loadgen cluster saturation
-	// sweep uses it to hold replicas busy.
-	BatchWait time.Duration
 	// Timeout is the per-request budget including queueing (default 10s);
-	// an expired request answers 504 and is dropped from its batch.
+	// an expired request answers 504 and is dropped before it is decided.
 	Timeout time.Duration
 	// DecisionEvent drives the top-level "adversarial" verdict (default
 	// cache-misses, the paper's strongest event). If the detector does not
@@ -69,9 +60,9 @@ type Config struct {
 	RetryAfter int
 	// MaxInflight caps requests concurrently admitted into the handler —
 	// the connection-level backpressure knob, independent of QueueSize.
-	// QueueSize bounds jobs *waiting* for a batch slot, but a closed-loop
+	// QueueSize bounds jobs *waiting* for a consumer, but a closed-loop
 	// client holds its connection through decode, measurement, and the
-	// response write as well: total in-flight work is queued + in-batch +
+	// response write as well: total in-flight work is queued + deciding +
 	// awaiting-write, and with enough concurrent clients that sum grows
 	// beyond the queue bound without a single 429. A positive MaxInflight
 	// caps it (excess requests answer 429 + Retry-After before their body
@@ -148,9 +139,9 @@ type Config struct {
 	// this long before its alert fires (0 fires immediately).
 	AlertFor time.Duration
 
-	// gate, when non-nil, blocks batch processing until it is closed — a
+	// gate, when non-nil, blocks job processing until it is closed — a
 	// test-only hook for filling the queue deterministically. It must be
-	// set before New; every consumer reads it before each batch.
+	// set before New; every consumer reads it before each job.
 	gate chan struct{}
 }
 
@@ -170,9 +161,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Workers <= 0 {
 		c.Workers = parallel.Workers(0, 0)
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 8
 	}
 	if c.Timeout <= 0 {
 		c.Timeout = 10 * time.Second
@@ -198,7 +186,7 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// job is one admitted request travelling queue → batch → worker.
+// job is one admitted request travelling queue → consumer.
 type job struct {
 	idx   uint64
 	x     *tensor.Tensor
@@ -216,7 +204,7 @@ type result struct {
 }
 
 // Server is the online detection service: an Admission gate feeding one
-// consumer per engine replica, each deciding its batches through a Tiering
+// consumer per engine replica, each deciding its jobs through a Tiering
 // policy. Build with New, expose with Handler, stop with Shutdown.
 type Server struct {
 	cfg      Config
@@ -466,79 +454,40 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
-// consume is one replica's consumer loop. It blocks for a job, gathers a
-// batch around it and decides that batch on its own replica index, until the
-// admission gate's queue is closed and drained. Workers of these loops share
-// one queue, so an idle replica picks up a request as soon as it is admitted.
+// consume is one replica's consumer loop: it takes one job at a time and
+// decides it on its own replica index, until the admission gate's queue is
+// closed and drained. Workers of these loops share one queue, so an idle
+// replica picks up a request as soon as it is admitted.
 func (s *Server) consume(worker int) {
-	for {
-		j, ok := <-s.adm.Queue()
-		if !ok {
-			return
-		}
-		s.process(worker, s.gather(j))
+	for j := range s.adm.Queue() {
+		s.process(worker, j)
 	}
 }
 
-// gather forms one batch around first. With no linger the batch is first
-// alone: jobs still queued stay there for whichever replica frees up next. A
-// positive BatchWait instead fills up to MaxBatch, waiting at most that long
-// after first.
-func (s *Server) gather(first *job) []*job {
-	batch := []*job{first}
-	if s.cfg.BatchWait <= 0 {
-		return batch
-	}
-	q := s.adm.Queue()
-	timer := time.NewTimer(s.cfg.BatchWait)
-	defer timer.Stop()
-	for len(batch) < s.cfg.MaxBatch {
-		select {
-		case j, ok := <-q:
-			if !ok {
-				return batch
-			}
-			batch = append(batch, j)
-		case <-timer.C:
-			return batch
-		}
-	}
-	return batch
-}
-
-// process decides and answers one batch on replica worker, one job after
-// another through Tiering.Decide. Requests whose deadline expired while
-// queued are dropped (their handler has already answered 504). The pool
-// series are updated before any job is answered, so a client that has its
-// verdict sees them settled. Each job's noise stream is keyed by its index,
-// so results do not depend on batch composition or on which replica decided
-// them.
-func (s *Server) process(worker int, batch []*job) {
+// process decides and answers one job on replica worker through
+// Tiering.Decide. A job whose deadline expired while queued is dropped (its
+// handler has already answered 504). The pool series are updated before the
+// job is answered, so a client that has its verdict sees them settled. The
+// job's noise stream is keyed by its index, so its result does not depend on
+// which replica decided it.
+func (s *Server) process(worker int, j *job) {
 	s.stats.poolBusy.Inc()
 	if s.gate != nil {
 		<-s.gate
 	}
+	j.qspan.End() // queue wait is over, whether the job survived it or not
+	if j.ctx.Err() != nil {
+		s.stats.poolBusy.Dec()
+		return
+	}
 	start := time.Now()
-	live := batch[:0]
-	for _, j := range batch {
-		j.qspan.End() // queue wait is over, whether the job survived it or not
-		if j.ctx.Err() == nil {
-			live = append(live, j)
-		}
-	}
-	out := make([]result, len(live))
-	if len(live) > 0 {
-		s.stats.batchSizes.Observe(float64(len(live)))
-		for i, j := range live {
-			out[i].v, out[i].tier = s.tiering.Decide(j.ctx, worker, j.idx, j.x)
-		}
-		s.stats.poolTasks.Inc()
-		s.stats.poolSeconds.Observe(time.Since(start).Seconds())
-	}
+	var r result
+	r.v, r.tier = s.tiering.Decide(j.ctx, worker, j.idx, j.x)
+	s.stats.batchSizes.Observe(1)
+	s.stats.poolTasks.Inc()
+	s.stats.poolSeconds.Observe(time.Since(start).Seconds())
 	s.stats.poolBusy.Dec()
-	for i, j := range live {
-		j.out <- out[i]
-	}
+	j.out <- r
 }
 
 // handleDetect is POST /detect: decode, validate, admit, await the verdict.

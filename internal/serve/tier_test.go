@@ -45,10 +45,10 @@ func TestServeTierTwin(t *testing.T) {
 	f := getFixture(t)
 	stream := tierStream(f)
 
-	_, tsExact := newServer(t, f, Config{Workers: 1, MaxBatch: 1})
+	_, tsExact := newServer(t, f, Config{Workers: 1})
 	exact := replay(t, tsExact.URL, stream)
 
-	_, tsTwin := newServer(t, f, f.tierConfig(TierTwin, Config{Workers: 1, MaxBatch: 1}))
+	_, tsTwin := newServer(t, f, f.tierConfig(TierTwin, Config{Workers: 1}))
 	bodies := replay(t, tsTwin.URL, stream)
 	for idx, body := range bodies {
 		var r, e Response
@@ -120,10 +120,10 @@ func TestServeTierAutoEscalatesAll(t *testing.T) {
 	f := getFixture(t)
 	stream := tierStream(f)
 
-	_, tsExact := newServer(t, f, Config{Workers: 1, MaxBatch: 1})
+	_, tsExact := newServer(t, f, Config{Workers: 1})
 	exact := replay(t, tsExact.URL, stream)
 
-	cfg := f.tierConfig(TierAuto, Config{Workers: 1, MaxBatch: 1})
+	cfg := f.tierConfig(TierAuto, Config{Workers: 1})
 	cfg.EscalationMargin = 1e9
 	s, ts := newServer(t, f, cfg)
 	for idx, body := range replay(t, ts.URL, stream) {
@@ -167,10 +167,10 @@ func TestServeTierAutoNeverEscalates(t *testing.T) {
 	f := getFixture(t)
 	stream := tierStream(f)
 
-	_, tsTwin := newServer(t, f, f.tierConfig(TierTwin, Config{Workers: 1, MaxBatch: 1}))
+	_, tsTwin := newServer(t, f, f.tierConfig(TierTwin, Config{Workers: 1}))
 	want := replay(t, tsTwin.URL, stream)
 
-	cfg := f.tierConfig(TierAuto, Config{Workers: 1, MaxBatch: 1})
+	cfg := f.tierConfig(TierAuto, Config{Workers: 1})
 	cfg.EscalationMargin = -1
 	_, ts := newServer(t, f, cfg)
 	for idx, body := range replay(t, ts.URL, stream) {
@@ -214,11 +214,11 @@ func TestServeTierAutoConcurrencyDeterminism(t *testing.T) {
 	f := getFixture(t)
 	stream := tierStream(f)
 
-	_, tsSerial := newServer(t, f, f.tierConfig(TierAuto, Config{Workers: 1, MaxBatch: 1}))
+	_, tsSerial := newServer(t, f, f.tierConfig(TierAuto, Config{Workers: 1}))
 	serial := replay(t, tsSerial.URL, stream)
 
 	_, tsConc := newServer(t, f, f.tierConfig(TierAuto, Config{
-		Workers: 4, MaxBatch: 8, QueueSize: len(stream) + 8,
+		Workers: 4, QueueSize: len(stream) + 8,
 	}))
 	var (
 		mu         sync.Mutex

@@ -12,8 +12,8 @@ import (
 // produces the verdict and the tier label recorded in the response ("" under
 // plain exact serving, keeping those response bodies byte-identical to
 // pre-tier versions). Implementations must be pure functions of (idx, x) so
-// the tier chosen — and the response — never depends on batching, scheduling,
-// or worker assignment.
+// the tier chosen — and the response — never depends on scheduling or worker
+// assignment.
 type Tiering interface {
 	Decide(ctx context.Context, worker int, idx uint64, x *tensor.Tensor) (detect.Verdict, string)
 }

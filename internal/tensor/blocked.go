@@ -1,10 +1,6 @@
 package tensor
 
-import (
-	"fmt"
-
-	"advhunter/internal/parallel"
-)
+import "fmt"
 
 // Cache-blocked GEMM. The kernel tiles the output columns (matmulJC) and the
 // k dimension (matmulKC) so one B panel is reused across every A row while it
@@ -167,49 +163,19 @@ func axpy2(o, b0, b1 []float64, a0, a1 float64) {
 	}
 }
 
-// checkMatMulShapes validates one dst = a·b call and returns (m, k, n).
-func checkMatMulShapes(dst, a, b *Tensor, fn string) (int, int, int) {
+// checkMatMulShapes validates one MatMulInto dst = a·b call and returns
+// (m, k, n).
+func checkMatMulShapes(dst, a, b *Tensor) (int, int, int) {
 	if a.Rank() != 2 || b.Rank() != 2 {
-		panic(fmt.Sprintf("tensor: %s needs rank-2 operands, got %v × %v", fn, a.shape, b.shape))
+		panic(fmt.Sprintf("tensor: MatMulInto needs rank-2 operands, got %v × %v", a.shape, b.shape))
 	}
 	m, k := a.shape[0], a.shape[1]
 	k2, n := b.shape[0], b.shape[1]
 	if k != k2 {
-		panic(fmt.Sprintf("tensor: %s inner dims %d vs %d", fn, k, k2))
+		panic(fmt.Sprintf("tensor: MatMulInto inner dims %d vs %d", k, k2))
 	}
 	if dst.Rank() != 2 || dst.shape[0] != m || dst.shape[1] != n {
-		panic(fmt.Sprintf("tensor: %s dst %v, want [%d %d]", fn, dst.shape, m, n))
+		panic(fmt.Sprintf("tensor: MatMulInto dst %v, want [%d %d]", dst.shape, m, n))
 	}
 	return m, k, n
-}
-
-// MatMulParallelInto is MatMulInto with the row blocks fanned out over the
-// parallel worker pool. Workers own disjoint dst row ranges and each range
-// is computed by the same blocked kernel, so the output is bit-identical to
-// the serial call for every worker count (parallel's determinism contract).
-// workers <= 1 degenerates to the serial kernel on the calling goroutine.
-func MatMulParallelInto(dst, a, b *Tensor, workers int) *Tensor {
-	m, k, n := checkMatMulShapes(dst, a, b, "MatMulParallelInto")
-	for i := range dst.data {
-		dst.data[i] = 0
-	}
-	workers = parallel.Workers(workers, m)
-	if workers == 1 {
-		matmulBlocked(dst.data, a.data, b.data, m, k, n)
-		return dst
-	}
-	// Contiguous row chunks, remainder spread over the leading chunks.
-	chunk, rem := m/workers, m%workers
-	parallel.ForEach(workers, workers, func(w int) {
-		lo := w*chunk + min(w, rem)
-		hi := lo + chunk
-		if w < rem {
-			hi++
-		}
-		if lo >= hi {
-			return
-		}
-		matmulBlocked(dst.data[lo*n:hi*n], a.data[lo*k:hi*k], b.data, hi-lo, k, n)
-	})
-	return dst
 }

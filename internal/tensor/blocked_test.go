@@ -57,9 +57,8 @@ func fillMixed(r *rng.Rand, d []float64, zeroFrac float64) {
 	}
 }
 
-// The blocked kernel (plain, parallel at several worker counts, and the
-// allocating MatMul front end) must be bit-identical
-// to the naive ikj loop across shapes that straddle every tile boundary.
+// The blocked kernel (plain, and the allocating MatMul front end) must be
+// bit-identical to the naive ikj loop across shapes that straddle every tile boundary.
 func TestMatMulBlockedBitIdentical(t *testing.T) {
 	shapes := [][3]int{
 		{1, 1, 1},
@@ -81,9 +80,6 @@ func TestMatMulBlockedBitIdentical(t *testing.T) {
 
 		sameBits(t, "MatMulInto", want, MatMulInto(New(m, n), a, b))
 		sameBits(t, "MatMul", want, MatMul(a, b))
-		for _, w := range []int{1, 2, 3, 8} {
-			sameBits(t, "MatMulParallelInto", want, MatMulParallelInto(New(m, n), a, b, w))
-		}
 	}
 }
 

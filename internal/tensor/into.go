@@ -29,7 +29,7 @@ func (t *Tensor) Alias(data []float64, shape ...int) *Tensor {
 // skip), so results are bit-identical to the historical ikj loop; see
 // blocked.go for the blocking scheme and the identity argument.
 func MatMulInto(dst, a, b *Tensor) *Tensor {
-	m, k, n := checkMatMulShapes(dst, a, b, "MatMulInto")
+	m, k, n := checkMatMulShapes(dst, a, b)
 	for i := range dst.data {
 		dst.data[i] = 0
 	}

@@ -104,11 +104,11 @@ func (m *Measurer) MeasureAtCached(cache *core.TruthCache, i uint64, x *tensor.T
 	if cache == nil {
 		return m.MeasureAt(i, x), false
 	}
-	fp := core.Fingerprint(x)
-	t, hit := cache.Get(fp)
+	key := cache.Key(x)
+	t, hit := cache.Get(key)
 	if !hit {
 		t = m.Truth(x)
-		cache.Put(fp, t)
+		cache.Put(key, t)
 	}
 	return core.Measurement{
 		Pred:      t.Pred,

@@ -59,7 +59,7 @@ func TestTraceRecordReplayRoundTrip(t *testing.T) {
 // changes a response byte.
 func TestReplayConcurrencyDeterminism(t *testing.T) {
 	f := getFixture(t)
-	ts := newServer(t, f, serve.Config{Workers: 2, MaxBatch: 4})
+	ts := newServer(t, f, serve.Config{Workers: 2})
 	tr, err := Generate(Config{
 		Name: "replay", Seed: 29,
 		Arrival:  ArrivalSpec{Kind: Closed, Clients: 8},

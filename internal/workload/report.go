@@ -81,7 +81,7 @@ type ServerStats struct {
 
 // Report is the distilled result of one run: client-side rates and latency
 // quantiles per traffic shape, per-cohort breakdowns, and the server-side
-// counter deltas. It is the unit scripts/bench.sh records into BENCH_7.json.
+// counter deltas. It is the unit `advhunter loadgen -json` prints.
 type Report struct {
 	Name          string                  `json:"name"`
 	Shape         string                  `json:"shape"`
@@ -140,7 +140,7 @@ func buildReport(tr *Trace, outcomes []Outcome, before, after Snapshot, samples 
 		}
 	}
 	// Guard the empty run: a trace that completed zero requests (a saturated
-	// sweep point, a cancelled run) must report zero rates, not NaN — NaN is
+	// server, a cancelled run) must report zero rates, not NaN — NaN is
 	// unencodable as JSON and would poison the whole report file.
 	if n := float64(len(outcomes)); n > 0 {
 		rep.Rate429 = float64(rep.Status["429"]) / n

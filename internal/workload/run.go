@@ -28,8 +28,8 @@ type RunOptions struct {
 	// trace's own).
 	Think time.Duration
 	// KeepBodies retains every response body in the outcomes — the
-	// determinism tests compare them byte-for-byte; load sweeps leave this
-	// off to keep memory flat.
+	// determinism tests compare them byte-for-byte; load runs leave this off
+	// to keep memory flat.
 	KeepBodies bool
 	// SampleEvery is the cadence at which the collector scrapes /metrics
 	// during the run to track queue-depth and in-flight gauges (0 selects

@@ -264,7 +264,7 @@ func TestWorkloadArrivalShapes(t *testing.T) {
 // claim.)
 func TestWorkloadBackpressure(t *testing.T) {
 	f := getFixture(t)
-	ts := newServer(t, f, serve.Config{QueueSize: 1, Workers: 1, MaxBatch: 1})
+	ts := newServer(t, f, serve.Config{QueueSize: 1, Workers: 1})
 	tr, err := Generate(Config{
 		Name: "overload", Seed: 13,
 		Arrival: ArrivalSpec{Kind: Poisson, Rate: 2000},
@@ -295,7 +295,7 @@ func TestWorkloadBackpressure(t *testing.T) {
 // end through the harness.
 func TestWorkloadMaxInflight(t *testing.T) {
 	f := getFixture(t)
-	ts := newServer(t, f, serve.Config{QueueSize: 256, Workers: 1, MaxBatch: 1, MaxInflight: 1})
+	ts := newServer(t, f, serve.Config{QueueSize: 256, Workers: 1, MaxInflight: 1})
 	tr, err := Generate(Config{
 		Name: "inflight-cap", Seed: 17,
 		Arrival: ArrivalSpec{Kind: Poisson, Rate: 2000},

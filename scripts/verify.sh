@@ -24,6 +24,9 @@ go build ./...
 echo "== vet =="
 go vet ./...
 
+echo "== vet benchmark module (servebench/ is a nested module ./... skips) =="
+(cd servebench && go vet ./...)
+
 echo "== examples (build smoke) =="
 go build ./examples/...
 go vet ./examples/...
