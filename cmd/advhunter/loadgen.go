@@ -68,16 +68,10 @@ func cmdLoadgen(args []string, stdout, stderr io.Writer) error {
 	requests := fs.Int("requests", 128, "closed-loop request count")
 	clients := fs.Int("clients", 4, "closed-loop client count (also the open-loop in-flight socket cap)")
 	think := fs.Duration("think", 0, "closed-loop think time between a response and the next request")
-	burst := fs.Float64("burst", 8, "bursty on-phase rate multiplier")
-	onFraction := fs.Float64("on", 0.25, "bursty on-phase fraction of each period")
-	period := fs.Duration("period", time.Second, "bursty on/off cycle length")
-	cycles := fs.Int("cycles", 2, "diurnal sinusoid cycles across the horizon")
 	cohorts := fs.String("cohorts", "clean=6,fgsm=2,repeat=2", "cohort=weight list (cohorts: clean, fgsm, mim, pgd, repeat)")
 	hot := fs.Int("hot", 2, "repeat cohort hot-set size (distinct inputs it cycles through)")
 	eps := fs.Float64("eps", 0.5, "attack strength for the adversarial cohorts")
 	loadSeed := fs.Uint64("load-seed", 1, "workload generation seed (equal seeds generate byte-identical traces)")
-	record := fs.String("record", "", "write the generated trace to this file for later -replay")
-	replay := fs.String("replay", "", "replay a recorded trace instead of generating one")
 	reqTimeout := fs.Duration("request-timeout", 30*time.Second, "per-request client budget")
 	asJSON := fs.Bool("json", false, "emit the report as JSON instead of text")
 	expo := fs.String("expo", "", "write the client-side metrics exposition to this file")
@@ -95,7 +89,7 @@ func cmdLoadgen(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	// Cheap structural checks before any model loads.
-	if err := (workload.ArrivalSpec{Kind: *shape, Rate: *rate}).Validate(); err != nil && *replay == "" {
+	if err := (workload.ArrivalSpec{Kind: *shape, Rate: *rate}).Validate(); err != nil {
 		return err
 	}
 	env, err := experiments.LoadEnv(*scenario, copts.options())
@@ -107,37 +101,19 @@ func cmdLoadgen(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	// One trace: replayed from disk or generated from the flags.
-	var tr *workload.Trace
-	if *replay != "" {
-		loaded, ok := workload.TryLoadTrace(*replay)
-		if !ok {
-			return fmt.Errorf("trace %s is missing, corrupt, or stale-schema", *replay)
-		}
-		tr = loaded
-	} else {
-		tr, err = workload.Generate(workload.Config{
-			Name: *scenario + "-" + *shape,
-			Seed: *loadSeed,
-			Arrival: workload.ArrivalSpec{
-				Kind: *shape, Rate: *rate,
-				Burst: *burst, OnFraction: *onFraction, Period: *period,
-				Cycles:  *cycles,
-				Clients: *clients, Think: *think,
-			},
-			Mix:      mix,
-			Horizon:  *duration,
-			Requests: *requests,
-		})
-		if err != nil {
-			return err
-		}
-	}
-	if *record != "" {
-		if err := workload.SaveTrace(*record, tr); err != nil {
-			return fmt.Errorf("recording trace to %s: %w", *record, err)
-		}
-		fmt.Fprintf(stderr, "recorded %d events to %s\n", len(tr.Events), *record)
+	tr, err := workload.Generate(workload.Config{
+		Name: *scenario + "-" + *shape,
+		Seed: *loadSeed,
+		Arrival: workload.ArrivalSpec{
+			Kind: *shape, Rate: *rate,
+			Clients: *clients, Think: *think,
+		},
+		Mix:      mix,
+		Horizon:  *duration,
+		Requests: *requests,
+	})
+	if err != nil {
+		return err
 	}
 
 	base := *target

@@ -13,7 +13,7 @@
 //	advhunter scan -scenario S2 [-n 20] [-detector FILE] [-backend gmm]
 //	advhunter twin-profile -scenario S2 [-dir artifacts/twin] [-knots 16] [-force]
 //	advhunter serve -scenario S2 -addr :8080 [-detector FILE] [-backend gmm] [-tier auto]
-//	advhunter loadgen -scenario S1 [-target URL] [-shape poisson] [-rate 50]
+//	advhunter loadgen -scenario S1 [-target URL] [-shape poisson|closed] [-rate 50]
 //	advhunter watch -target http://host:8080 [-interval 2s]
 package main
 

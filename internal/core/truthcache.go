@@ -95,8 +95,11 @@ func NewTruthCache(capacity int) *TruthCache {
 // them). A client that cannot see the seed cannot aim an input at another
 // input's key, which is what makes serving a hit without comparing inputs
 // sound: the simulated engine is deterministic, so equal inputs imply equal
-// (pred, conf, counts), and unequal ones collide only by 64-bit chance. A
-// nil cache keys everything 0.
+// (pred, conf, counts), and unequal ones collide only by 64-bit chance.
+// With n resident entries, a lookup of an input the cache has never seen
+// hits falsely with probability at most n/2⁶⁴: for the default 512 entries,
+// 512/2⁶⁴ ≈ 2.8·10⁻¹⁷. The seed is secret, so no client can do better than
+// that chance. A nil cache keys everything 0.
 func (c *TruthCache) Key(x *tensor.Tensor) uint64 {
 	if c == nil {
 		return 0

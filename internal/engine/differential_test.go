@@ -12,7 +12,7 @@ import (
 )
 
 // differentialConfigs spans every machine feature whose event accounting the
-// fast replay path re-implements: all four replacement policies, both
+// coalesced replay re-implements: all four replacement policies, both
 // prefetchers, the co-runner (which forces per-line run fallback), branchy
 // kernels, quantised zero detection, a TLB-less hierarchy, and a kitchen-sink
 // combination.
@@ -65,78 +65,99 @@ func randInput(r *rng.Rand) *tensor.Tensor {
 	return x
 }
 
-// requireSame asserts two inference outcomes are bit-identical.
-func requireSame(t *testing.T, label string, pf, ps int, cf, cs float64, nf, ns hpc.Counts) {
+// perLineConfig is cfg with a co-runner that never fires, unless cfg already
+// has one: any attached co-runner makes Machine.loadRun and storeRun replay
+// each span line by line instead of through the hierarchy's run loop.
+func perLineConfig(cfg MachineConfig) MachineConfig {
+	if cfg.CoRunner.EveryN <= 0 || cfg.CoRunner.Burst <= 0 {
+		cfg.CoRunner = CoRunnerConfig{EveryN: math.MaxInt, Burst: 1}
+	}
+	return cfg
+}
+
+// referenceForward classifies x through the model's allocating Net.Forward
+// and returns the prediction and the softmax confidence of the predicted
+// class.
+func referenceForward(m *models.Model, x *tensor.Tensor) (int, float64) {
+	meta := m.Meta
+	out := m.Net.Forward(x.Clone().Reshape(1, meta.InC, meta.InH, meta.InW), false)
+	logits := out.Data()
+	lmax := logits[0]
+	for _, v := range logits[1:] {
+		if v > lmax {
+			lmax = v
+		}
+	}
+	sum := 0.0
+	for _, v := range logits {
+		sum += math.Exp(v - lmax)
+	}
+	return out.Argmax(), 1 / sum
+}
+
+// requireSame asserts that e's reading of x is bit-identical to the
+// references: prediction and confidence to the allocating forward pass of
+// fwd, every HPC event to the per-line engine perLine.
+func requireSame(t *testing.T, label string, e, perLine *Engine, fwd *models.Model, x *tensor.Tensor) {
 	t.Helper()
-	if pf != ps {
-		t.Fatalf("%s: pred fast=%d scalar=%d", label, pf, ps)
+	p, c, n := e.InferConf(x)
+	pr, cr := referenceForward(fwd, x)
+	_, _, nr := perLine.InferConf(x)
+	if p != pr {
+		t.Fatalf("%s: pred engine=%d reference=%d", label, p, pr)
 	}
-	if math.Float64bits(cf) != math.Float64bits(cs) {
-		t.Fatalf("%s: conf fast=%x scalar=%x", label, math.Float64bits(cf), math.Float64bits(cs))
+	if math.Float64bits(c) != math.Float64bits(cr) {
+		t.Fatalf("%s: conf engine=%x reference=%x", label, math.Float64bits(c), math.Float64bits(cr))
 	}
-	for e := hpc.Event(0); e < hpc.NumEvents; e++ {
-		if math.Float64bits(nf[e]) != math.Float64bits(ns[e]) {
-			t.Fatalf("%s: event %v fast=%v scalar=%v", label, e, nf[e], ns[e])
+	for ev := hpc.Event(0); ev < hpc.NumEvents; ev++ {
+		if math.Float64bits(n[ev]) != math.Float64bits(nr[ev]) {
+			t.Fatalf("%s: event %v engine=%v per-line=%v", label, ev, n[ev], nr[ev])
 		}
 	}
 }
 
-// TestFastReplayMatchesScalar pins the coalesced zero-allocation replay path
-// to the original per-line scalar path, count for count: for every
-// architecture and machine configuration, predictions, confidences and all
-// HPC events must be bit-identical, on the original engines, on Clone
+// TestReplayMatchesReference pins the coalesced zero-allocation replay to
+// two independent references: for every architecture and machine
+// configuration, the prediction and confidence must equal the allocating
+// forward pass's, and all HPC events must equal those of an engine that
+// replays every span line by line — on the original engines, on Clone
 // replicas, and on repeated queries of one input.
-func TestFastReplayMatchesScalar(t *testing.T) {
+func TestReplayMatchesReference(t *testing.T) {
 	for _, arch := range models.Architectures() {
 		for ci, cfg := range differentialConfigs() {
-			scfg := cfg
-			scfg.ScalarReplay = true
-			// Identically-seeded model builds: scalar-mode forwards write
-			// layer caches, so the two engines get private model instances.
-			fast := New(models.MustBuild(arch, 1, 16, 16, 10, 7), cfg)
-			slow := New(models.MustBuild(arch, 1, 16, 16, 10, 7), scfg)
+			// Identically seeded model builds: the allocating forward writes
+			// layer caches, so it gets a private model instance.
+			eng := New(models.MustBuild(arch, 1, 16, 16, 10, 7), cfg)
+			perLine := New(models.MustBuild(arch, 1, 16, 16, 10, 7), perLineConfig(cfg))
+			fwd := models.MustBuild(arch, 1, 16, 16, 10, 7)
 			r := rng.New(uint64(ci)*1000003 + 17)
 			for rep := 0; rep < 2; rep++ {
-				x := randInput(r)
-				pf, cf, nf := fast.InferConf(x)
-				ps, cs, ns := slow.InferConf(x)
-				requireSame(t, arch+" rep", pf, ps, cf, cs, nf, ns)
+				requireSame(t, arch+" rep", eng, perLine, fwd, randInput(r))
 			}
 			// Replicas must replay the identical trace.
-			fc, sc := fast.Clone(), slow.Clone()
+			ec, pc := eng.Clone(), perLine.Clone()
 			x := randInput(r)
-			pf, cf, nf := fc.InferConf(x)
-			ps, cs, ns := sc.InferConf(x)
-			requireSame(t, arch+" clone", pf, ps, cf, cs, nf, ns)
-			// Repeated query: re-measuring the same input must agree across
-			// paths. (Not necessarily with its own first reading — the Random
-			// policy's victim stream deliberately survives machine resets.)
-			p2, c2, n2 := fc.InferConf(x)
-			ps2, cs2, ns2 := sc.InferConf(x)
-			requireSame(t, arch+" repeat", p2, ps2, c2, cs2, n2, ns2)
+			requireSame(t, arch+" clone", ec, pc, fwd, x)
+			// Repeated query: re-measuring the same input must agree with the
+			// references. (Not necessarily with its own first reading — the
+			// Random policy's victim stream deliberately survives machine
+			// resets.)
+			requireSame(t, arch+" repeat", ec, pc, fwd, x)
 		}
 	}
 }
 
-// TestCloneSharesLayoutFast verifies the fast-mode Clone fix: replicas share
-// the original's model and address layout by pointer identity instead of
-// rebuilding them, which both saves the rebuild and guarantees an identical
-// synthetic memory map.
+// TestCloneSharesLayoutFast verifies that replicas share the original's
+// model and address layout by pointer identity instead of rebuilding them,
+// which both saves the rebuild and guarantees an identical synthetic memory
+// map.
 func TestCloneSharesLayoutFast(t *testing.T) {
 	e := New(models.MustBuild("simplecnn", 1, 16, 16, 10, 3), DefaultMachineConfig())
 	c := e.Clone()
 	if c.lo != e.lo {
-		t.Fatal("fast-mode Clone must share the layout pointer")
+		t.Fatal("Clone must share the layout pointer")
 	}
 	if c.Model != e.Model {
-		t.Fatal("fast-mode Clone must share the model")
-	}
-	// Scalar mode keeps the deep-clone semantics.
-	scfg := DefaultMachineConfig()
-	scfg.ScalarReplay = true
-	se := New(models.MustBuild("simplecnn", 1, 16, 16, 10, 3), scfg)
-	sc := se.Clone()
-	if sc.Model == se.Model {
-		t.Fatal("scalar-mode Clone must deep-clone the model")
+		t.Fatal("Clone must share the model")
 	}
 }

@@ -21,9 +21,8 @@ type Engine struct {
 	branchy bool
 	qlevels int
 
-	// Fast-path state (nil/unused when cfg.ScalarReplay is set): the layer
-	// scratch arena plus ordered-replay pools for ref metadata. Together they
-	// make steady-state Infer allocation-free.
+	// The layer scratch arena plus ordered-replay pools for ref metadata.
+	// Together they make steady-state Infer allocation-free.
 	sc    *nn.Scratch
 	lzs   slicePool[bool]
 	rzs   slicePool[[]bool]
@@ -44,18 +43,15 @@ type Engine struct {
 
 // New builds an engine for the model on the configured machine.
 func New(m *models.Model, cfg MachineConfig) *Engine {
-	e := &Engine{
+	return &Engine{
 		Model:   m,
 		M:       NewMachine(cfg),
 		cfg:     cfg,
 		lo:      buildLayout(m.Net),
 		branchy: cfg.BranchyKernels,
 		qlevels: cfg.QuantLevels,
+		sc:      &nn.Scratch{},
 	}
-	if !cfg.ScalarReplay {
-		e.sc = &nn.Scratch{}
-	}
-	return e
 }
 
 // NewDefault builds an engine on the default machine.
@@ -65,20 +61,13 @@ func NewDefault(m *models.Model) *Engine { return New(m, DefaultMachineConfig())
 // the machine — cache hierarchy, branch predictor, co-runner — is rebuilt
 // from the engine's MachineConfig in its power-on state, and the replica gets
 // its own scratch arena and replay pools. The model and the address layout
-// are shared: the fast-path forward (nn.ScratchForwarder) never writes layer
+// are shared: the scratch forward (nn.ScratchForwarder) never writes layer
 // state, so replicas can trace the shared network concurrently, and sharing
 // the layout keeps the replica's synthetic address map byte-identical to the
 // original's — Infer on a replica returns exactly the counts the original
 // would return for the same input. (A ReLU Record hook, if installed, fires
 // from every replica; hooks that aggregate must synchronize themselves.)
-//
-// In scalar-replay mode the layer forwards write backward caches, so the
-// model is deep-cloned (sharing weight tensors) and the layout rebuilt; walk
-// order is preserved, keeping the address map byte-identical there too.
 func (e *Engine) Clone() *Engine {
-	if e.sc == nil {
-		return New(e.Model.Clone(), e.cfg)
-	}
 	return &Engine{
 		Model:   e.Model,
 		M:       NewMachine(e.cfg),
@@ -90,29 +79,31 @@ func (e *Engine) Clone() *Engine {
 	}
 }
 
+// input rewinds the scratch arena and the replay pools and copies the image
+// x into a fresh [1,C,H,W] batch tensor from the arena.
+func (e *Engine) input(x *tensor.Tensor) *tensor.Tensor {
+	e.sc.Reset()
+	e.lzs.reset()
+	e.rzs.reset()
+	e.refs.reset()
+	e.touts.reset()
+	meta := e.Model.Meta
+	batch := e.sc.Tensor(1, meta.InC, meta.InH, meta.InW)
+	bd, xd := batch.Data(), x.Data()
+	if len(bd) != len(xd) {
+		panic(fmt.Sprintf("engine: input has %d elements, model expects %d", len(xd), len(bd)))
+	}
+	copy(bd, xd)
+	return batch
+}
+
 // trace resets the machine and replays one forward pass, returning the
-// placed output ref. In fast mode the batch tensor and all ref metadata come
-// from the engine's pools; in scalar mode the original allocating path runs.
+// placed output ref. The batch tensor and all ref metadata come from the
+// engine's pools.
 func (e *Engine) trace(x *tensor.Tensor) tref {
 	e.M.Reset()
 	e.ar.reset()
-	meta := e.Model.Meta
-	var batch *tensor.Tensor
-	if e.sc != nil {
-		e.sc.Reset()
-		e.lzs.reset()
-		e.rzs.reset()
-		e.refs.reset()
-		e.touts.reset()
-		batch = e.sc.Tensor(1, meta.InC, meta.InH, meta.InW)
-		bd, xd := batch.Data(), x.Data()
-		if len(bd) != len(xd) {
-			panic(fmt.Sprintf("engine: input has %d elements, model expects %d", len(xd), len(bd)))
-		}
-		copy(bd, xd)
-	} else {
-		batch = x.Clone().Reshape(1, meta.InC, meta.InH, meta.InW)
-	}
+	batch := e.input(x)
 	in := e.makeRef(batch, inputBase, quantTol(batch, e.qlevels))
 	return e.traceLayer(e.Model.Net, in)
 }
@@ -139,18 +130,24 @@ func (e *Engine) Predict(x *tensor.Tensor) int {
 // paper compares against.
 func (e *Engine) InferConf(x *tensor.Tensor) (int, float64, hpc.Counts) {
 	out := e.trace(x)
-	logits := out.t.Data()
-	lmax := logits[0]
-	for _, v := range logits[1:] {
+	pred, conf := topClass(out.t)
+	return pred, conf, e.M.Counts()
+}
+
+// topClass returns the argmax of the logits and its softmax confidence.
+func topClass(logits *tensor.Tensor) (int, float64) {
+	d := logits.Data()
+	lmax := d[0]
+	for _, v := range d[1:] {
 		if v > lmax {
 			lmax = v
 		}
 	}
 	sum := 0.0
-	for _, v := range logits {
+	for _, v := range d {
 		sum += math.Exp(v - lmax)
 	}
-	return out.t.Argmax(), 1 / sum, e.M.Counts()
+	return logits.Argmax(), 1 / sum
 }
 
 // newOutput places a freshly produced activation tensor in the arena.
@@ -158,13 +155,9 @@ func (e *Engine) newOutput(t *tensor.Tensor) tref {
 	return e.makeRef(t, e.ar.alloc(t.Len()*8), quantTol(t, e.qlevels))
 }
 
-// makeRef builds the zero-metadata ref for t at addr. In fast mode the
-// lineZero/rowZero bitmaps come from the ordered-replay pools; scalar mode
-// allocates them fresh.
+// makeRef builds the zero-metadata ref for t at addr, with the
+// lineZero/rowZero bitmaps from the ordered-replay pools.
 func (e *Engine) makeRef(t *tensor.Tensor, addr uint64, tol float64) tref {
-	if e.sc == nil {
-		return makeRef(t, addr, tol)
-	}
 	lz := e.lzs.get(ceilDiv(t.Len(), floatsPerLine))
 	var rz [][]bool
 	if t.Rank() == 4 && t.Dim(0) == 1 {
@@ -178,22 +171,16 @@ func (e *Engine) makeRef(t *tensor.Tensor, addr uint64, tol float64) tref {
 }
 
 // forward runs the layer's inference-mode forward pass, through the scratch
-// arena when the fast path is active.
+// arena when the layer supports it.
 func (e *Engine) forward(l nn.Layer, x *tensor.Tensor) *tensor.Tensor {
-	if e.sc != nil {
-		if sf, ok := l.(nn.ScratchForwarder); ok {
-			return sf.ForwardScratch(x, e.sc)
-		}
+	if sf, ok := l.(nn.ScratchForwarder); ok {
+		return sf.ForwardScratch(x, e.sc)
 	}
 	return l.Forward(x, false)
 }
 
-// concat concatenates branch outputs along channels, into a scratch tensor
-// on the fast path.
+// concat concatenates branch outputs along channels, into a scratch tensor.
 func (e *Engine) concat(outs []*tensor.Tensor) *tensor.Tensor {
-	if e.sc == nil {
-		return nn.ConcatChannels(outs...)
-	}
 	totalC := 0
 	for _, o := range outs {
 		totalC += o.Dim(1)
@@ -253,32 +240,19 @@ func (e *Engine) traceLayer(l nn.Layer, in tref) tref {
 }
 
 // loadSpan loads the lines covering elements [elemOff, elemOff+n) of ref,
-// honouring per-line zero content. The fast path emits the whole span as one
-// run (resolved in a tight loop over precomputed set/tag strides); scalar
-// mode replays it line by line. Both produce the same event sequence.
+// honouring per-line zero content. The whole span goes out as one run,
+// resolved in a tight loop over precomputed set/tag strides.
 func (e *Engine) loadSpan(ref tref, elemOff, n int) {
 	first := elemOff / floatsPerLine
 	last := (elemOff + n - 1) / floatsPerLine
-	if e.sc != nil {
-		e.M.loadRun(ref.addr+uint64(first*lineB), last-first+1, ref.lineZero[first:last+1])
-		return
-	}
-	for li := first; li <= last; li++ {
-		e.M.loadLine(ref.addr+uint64(li*lineB), ref.lineZero[li])
-	}
+	e.M.loadRun(ref.addr+uint64(first*lineB), last-first+1, ref.lineZero[first:last+1])
 }
 
 // storeSpan stores the lines covering elements [elemOff, elemOff+n) of ref.
 func (e *Engine) storeSpan(ref tref, elemOff, n int) {
 	first := elemOff / floatsPerLine
 	last := (elemOff + n - 1) / floatsPerLine
-	if e.sc != nil {
-		e.M.storeRun(ref.addr+uint64(first*lineB), last-first+1, ref.lineZero[first:last+1])
-		return
-	}
-	for li := first; li <= last; li++ {
-		e.M.storeLine(ref.addr+uint64(li*lineB), ref.lineZero[li])
-	}
+	e.M.storeRun(ref.addr+uint64(first*lineB), last-first+1, ref.lineZero[first:last+1])
 }
 
 // loadWeights loads parameter elements [elemOff, elemOff+n) of the layer's
@@ -286,13 +260,7 @@ func (e *Engine) storeSpan(ref tref, elemOff, n int) {
 func (e *Engine) loadWeights(base uint64, elemOff, n int) {
 	first := elemOff / floatsPerLine
 	last := (elemOff + n - 1) / floatsPerLine
-	if e.sc != nil {
-		e.M.loadRun(base+uint64(first*lineB), last-first+1, nil)
-		return
-	}
-	for li := first; li <= last; li++ {
-		e.M.loadLine(base+uint64(li*lineB), false)
-	}
+	e.M.loadRun(base+uint64(first*lineB), last-first+1, nil)
 }
 
 // rowGroupBuf returns the engine's reusable elision-predicate buffer, grown
@@ -591,14 +559,9 @@ func (e *Engine) traceResidual(l *nn.Residual, in tref) tref {
 	if l.Shortcut != nil {
 		short = e.traceLayer(l.Shortcut, in)
 	}
-	var sum *tensor.Tensor
-	if e.sc != nil {
-		sum = e.sc.Tensor(body.t.Shape()...)
-		copy(sum.Data(), body.t.Data())
-		sum.AddInPlace(short.t)
-	} else {
-		sum = tensor.Add(body.t, short.t)
-	}
+	sum := e.sc.Tensor(body.t.Shape()...)
+	copy(sum.Data(), body.t.Data())
+	sum.AddInPlace(short.t)
 	out := e.newOutput(sum)
 	cb := e.lo.code[l]
 	m := e.M
@@ -616,15 +579,8 @@ func (e *Engine) traceResidual(l *nn.Residual, in tref) tref {
 // traceParallel replays every branch on the same input and the channel
 // concatenation of their outputs.
 func (e *Engine) traceParallel(l *nn.Parallel, in tref) tref {
-	var refs []tref
-	var outs []*tensor.Tensor
-	if e.sc != nil {
-		refs = e.refs.get(len(l.Branches))
-		outs = e.touts.get(len(l.Branches))
-	} else {
-		refs = make([]tref, len(l.Branches))
-		outs = make([]*tensor.Tensor, len(l.Branches))
-	}
+	refs := e.refs.get(len(l.Branches))
+	outs := e.touts.get(len(l.Branches))
 	for i, b := range l.Branches {
 		refs[i] = e.traceLayer(b, in)
 		outs[i] = refs[i].t

@@ -147,7 +147,8 @@ func TestMakeRefZeroMetadata(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		x.Set(1.0, 0, 0, 1, i) // second row nonzero
 	}
-	ref := makeRef(x, 0x1000, 0)
+	rz := [][]bool{make([]bool, 2)}
+	ref := fillRef(x, 0x1000, 0, make([]bool, 4), rz)
 	if ref.lines() != 4 {
 		t.Fatalf("lines = %d", ref.lines())
 	}

@@ -24,30 +24,15 @@ type tref struct {
 // lines returns the number of cache lines the tensor occupies.
 func (r tref) lines() int { return len(r.lineZero) }
 
-// makeRef computes the zero metadata of t at the given address. tol is the
+// fillRef computes the zero metadata of t at the given address into the
+// caller-provided buffers (lz sized to the line count; rz, when the tensor is
+// rank-4 single-batch, sized [C][H]) and fully overwrites them. tol is the
 // magnitude below which a value is storage-zero: the engine models the
 // deployment-standard quantized tensor format, where activations with
 // |v| < maxAbs/levels quantize to the zero point exactly, so a line of small
 // activations really is an all-zero line in memory. tol = 0 models exact
-// float zeros (post-ReLU only).
-func makeRef(t *tensor.Tensor, addr uint64, tol float64) tref {
-	d := t.Data()
-	lz := make([]bool, ceilDiv(len(d), floatsPerLine))
-	var rz [][]bool
-	if t.Rank() == 4 && t.Dim(0) == 1 {
-		rz = make([][]bool, t.Dim(1))
-		for ci := range rz {
-			rz[ci] = make([]bool, t.Dim(2))
-		}
-	}
-	return fillRef(t, addr, tol, lz, rz)
-}
-
-// fillRef is makeRef's core: it computes the zero metadata into the
-// caller-provided buffers (lz sized to the line count; rz, when the tensor is
-// rank-4 single-batch, sized [C][H]) and fully overwrites them. The fast path
-// feeds it pooled buffers so steady-state inference builds refs without
-// allocating.
+// float zeros (post-ReLU only). The engine feeds it pooled buffers so
+// steady-state inference builds refs without allocating.
 func fillRef(t *tensor.Tensor, addr uint64, tol float64, lz []bool, rz [][]bool) tref {
 	d := t.Data()
 	isZero := func(v float64) bool {

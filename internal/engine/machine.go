@@ -50,8 +50,7 @@ type Machine struct {
 	// Instructions is the architectural retired-instruction counter.
 	Instructions uint64
 
-	co     *coRunner
-	scalar bool
+	co *coRunner
 }
 
 // MachineConfig selects the hardware model.
@@ -81,12 +80,6 @@ type MachineConfig struct {
 	// process (mechanical interference, as opposed to the post-hoc
 	// statistical noise model).
 	CoRunner CoRunnerConfig
-	// ScalarReplay selects the original per-line replay loops and the
-	// allocating layer forward passes instead of the coalesced-run fast path
-	// with the scratch arena. Counts and predictions are bit-identical either
-	// way — the flag exists so differential tests and ablations can A/B the
-	// two implementations.
-	ScalarReplay bool
 }
 
 // DefaultMachineConfig mirrors the scaled-down desktop part described in
@@ -106,10 +99,9 @@ func NewMachine(cfg MachineConfig) *Machine {
 	}
 	hier := cache.NewHierarchy(cfg.Hierarchy)
 	return &Machine{
-		Hier:   hier,
-		BP:     branch.NewCounted(p),
-		co:     newCoRunner(cfg.CoRunner, hier.LLC),
-		scalar: cfg.ScalarReplay,
+		Hier: hier,
+		BP:   branch.NewCounted(p),
+		co:   newCoRunner(cfg.CoRunner, hier.LLC),
 	}
 }
 
@@ -126,22 +118,6 @@ func (m *Machine) Reset() {
 // Counts snapshots the HPC bank.
 func (m *Machine) Counts() hpc.Counts {
 	return hpc.Collect(m.Instructions, m.Hier, m.BP)
-}
-
-// loadLine issues one demand load of the line containing addr.
-func (m *Machine) loadLine(addr uint64, zero bool) {
-	m.Hier.Load(addr&^uint64(lineB-1), zero)
-	if m.co != nil {
-		m.co.tick()
-	}
-}
-
-// storeLine issues one demand store of the line containing addr.
-func (m *Machine) storeLine(addr uint64, zero bool) {
-	m.Hier.Store(addr&^uint64(lineB-1), zero)
-	if m.co != nil {
-		m.co.tick()
-	}
 }
 
 // loadRun issues n demand loads over consecutive lines starting at base
@@ -177,15 +153,8 @@ func (m *Machine) storeRun(base uint64, n int, zero []bool) {
 }
 
 // fetchCode fetches n consecutive code lines starting at base. Instruction
-// fetches never tick the co-runner, so the run path is always legal; the
-// scalar loop is kept selectable for honest A/B benchmarking.
+// fetches never tick the co-runner, so the run path is always legal.
 func (m *Machine) fetchCode(base uint64, n int) {
-	if m.scalar {
-		for i := 0; i < n; i++ {
-			m.Hier.Fetch(base + uint64(i*lineB))
-		}
-		return
-	}
 	m.Hier.FetchRun(base, n)
 }
 

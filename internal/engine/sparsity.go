@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"math"
 
 	"advhunter/internal/nn"
 	"advhunter/internal/tensor"
@@ -19,43 +18,17 @@ import (
 // the same input: this is the serve-time front half of the analytical twin,
 // which predicts the counter reading from these sparsities by table lookup.
 //
-// sp must have length NumLeaves(). On the fast path the pass allocates
-// nothing in steady state.
+// sp must have length NumLeaves(). The pass allocates nothing in steady
+// state.
 func (e *Engine) ForwardStats(x *tensor.Tensor, sp []float64) (int, float64) {
-	meta := e.Model.Meta
-	var batch *tensor.Tensor
-	if e.sc != nil {
-		e.sc.Reset()
-		e.touts.reset()
-		batch = e.sc.Tensor(1, meta.InC, meta.InH, meta.InW)
-		bd, xd := batch.Data(), x.Data()
-		if len(bd) != len(xd) {
-			panic(fmt.Sprintf("engine: input has %d elements, model expects %d", len(xd), len(bd)))
-		}
-		copy(bd, xd)
-	} else {
-		batch = x.Clone().Reshape(1, meta.InC, meta.InH, meta.InW)
-	}
 	e.statSp, e.statIdx = sp, 0
-	out := e.statsLayer(e.Model.Net, batch)
+	out := e.statsLayer(e.Model.Net, e.input(x))
 	if e.statIdx != len(sp) {
 		panic(fmt.Sprintf("engine: ForwardStats visited %d leaves, sp has %d entries (want NumLeaves)",
 			e.statIdx, len(sp)))
 	}
 	e.statSp = nil
-
-	logits := out.Data()
-	lmax := logits[0]
-	for _, v := range logits[1:] {
-		if v > lmax {
-			lmax = v
-		}
-	}
-	sum := 0.0
-	for _, v := range logits {
-		sum += math.Exp(v - lmax)
-	}
-	return out.Argmax(), 1 / sum
+	return topClass(out)
 }
 
 // statsLayer is traceLayer without the machine: identical dispatch and
@@ -78,20 +51,12 @@ func (e *Engine) statsLayer(l nn.Layer, x *tensor.Tensor) *tensor.Tensor {
 		if l.Shortcut != nil {
 			short = e.statsLayer(l.Shortcut, x)
 		}
-		if e.sc != nil {
-			sum := e.sc.Tensor(body.Shape()...)
-			copy(sum.Data(), body.Data())
-			sum.AddInPlace(short)
-			return sum
-		}
-		return tensor.Add(body, short)
+		sum := e.sc.Tensor(body.Shape()...)
+		copy(sum.Data(), body.Data())
+		sum.AddInPlace(short)
+		return sum
 	case *nn.Parallel:
-		var outs []*tensor.Tensor
-		if e.sc != nil {
-			outs = e.touts.get(len(l.Branches))
-		} else {
-			outs = make([]*tensor.Tensor, len(l.Branches))
-		}
+		outs := e.touts.get(len(l.Branches))
 		for i, b := range l.Branches {
 			outs[i] = e.statsLayer(b, x)
 		}

@@ -2,12 +2,16 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 
 	"advhunter/internal/core"
 	"advhunter/internal/detect"
+	"advhunter/internal/engine"
+	"advhunter/internal/twin"
 	"advhunter/internal/uarch/hpc"
 )
 
@@ -62,6 +66,34 @@ func TestLoadEnvTrainsAndCaches(t *testing.T) {
 	x := env.DS.Test[0].X
 	if env.Model.Predict(x) != env2.Model.Predict(x) {
 		t.Fatal("cached model predicts differently")
+	}
+}
+
+// TestCommittedTwinTablesHit pins the committed twin tables to their
+// scenarios' cached models under the default machine config. A miss here
+// means a model or machine hash drifted: serving would silently re-profile
+// the table at start-up instead of loading it.
+func TestCommittedTwinTablesHit(t *testing.T) {
+	cacheDir := filepath.Join("..", "..", "artifacts", "cache")
+	tables := []struct{ scenario, path string }{
+		{"S1", filepath.Join("..", "..", "artifacts", "twin", "S1.gob")},
+		{"S2", filepath.Join("..", "..", "artifacts", "twin", "S2.gob")},
+		{"S2", filepath.Join(cacheDir, cacheVersionDir, "S2", fmt.Sprintf("twin-k%d.gob", twin.DefaultKnots))},
+	}
+	machine := twin.MachineHash(engine.DefaultMachineConfig())
+	envs := map[string]*Env{}
+	for _, tc := range tables {
+		env, ok := envs[tc.scenario]
+		if !ok {
+			var err error
+			if env, err = LoadEnv(tc.scenario, Options{CacheDir: cacheDir}); err != nil {
+				t.Fatalf("loading %s: %v", tc.scenario, err)
+			}
+			envs[tc.scenario] = env
+		}
+		if _, ok := twin.TryLoad(tc.path, twin.ModelHash(env.Model), machine); !ok {
+			t.Errorf("%s: committed twin table misses under the default machine config", tc.path)
+		}
 	}
 }
 

@@ -8,50 +8,30 @@ import (
 	"advhunter/internal/rng"
 )
 
-// Arrival-process kinds. The open-loop kinds (Poisson, Bursty, Diurnal)
-// schedule request *offsets* ahead of time and fire them regardless of how
-// the server responds — offered load is an input. The closed-loop kind
-// (Closed) has no schedule at all: a fixed set of clients each issue their
-// next request when the previous response arrives, so offered load is an
-// output of server latency, the shape that exposes capacity knees.
+// Arrival-process kinds. The open-loop kind (Poisson) schedules request
+// *offsets* ahead of time and fires them regardless of how the server
+// responds — offered load is an input. The closed-loop kind (Closed) has no
+// schedule at all: a fixed set of clients each issue their next request when
+// the previous response arrives, so offered load is an output of server
+// latency, the shape that exposes capacity knees.
 const (
 	Poisson = "poisson"
-	Bursty  = "bursty"
-	Diurnal = "diurnal"
 	Closed  = "closed"
 )
 
 // Kinds lists the arrival-process kinds.
-func Kinds() []string { return []string{Poisson, Bursty, Diurnal, Closed} }
+func Kinds() []string { return []string{Poisson, Closed} }
 
 // ArrivalSpec configures one arrival process. The zero value of every knob
-// selects a sensible default; Kind and (for open-loop kinds) Rate are the
-// only required fields. The spec is recorded in the trace header, so a
-// replayed trace documents the shape that produced it.
+// selects a sensible default; Kind and (for Poisson) Rate are the only
+// required fields. The spec travels in the trace header, so a trace
+// documents the shape that produced it.
 type ArrivalSpec struct {
-	// Kind is one of Poisson, Bursty, Diurnal, Closed.
+	// Kind is Poisson or Closed.
 	Kind string
-	// Rate is the mean offered load in requests/second for the open-loop
-	// kinds (the baseline rate for bursty and diurnal modulation).
+	// Rate is the mean offered load in requests/second of a Poisson
+	// process.
 	Rate float64
-
-	// Burst is the bursty on-phase rate multiplier (default 8): during the
-	// on window the instantaneous rate is Rate·Burst.
-	Burst float64
-	// OnFraction is the fraction of each Period spent in the on phase
-	// (default 0.25). Off-phase rate is Rate·Idle.
-	OnFraction float64
-	// Idle is the bursty off-phase rate multiplier (default 0.1).
-	Idle float64
-	// Period is the bursty on/off cycle length (default 1s).
-	Period time.Duration
-
-	// Cycles is the number of full diurnal sinusoid cycles across the run
-	// horizon (default 2) — a compressed multi-day rate curve.
-	Cycles int
-	// Depth is the diurnal modulation depth in [0, 1) (default 0.8):
-	// rate(t) = Rate·(1 + Depth·sin(2π·Cycles·t/horizon)).
-	Depth float64
 
 	// Clients is the closed-loop concurrency (default 4).
 	Clients int
@@ -62,35 +42,17 @@ type ArrivalSpec struct {
 
 // withDefaults fills the zero-valued knobs.
 func (a ArrivalSpec) withDefaults() ArrivalSpec {
-	if a.Burst <= 0 {
-		a.Burst = 8
-	}
-	if a.OnFraction <= 0 || a.OnFraction >= 1 {
-		a.OnFraction = 0.25
-	}
-	if a.Idle <= 0 {
-		a.Idle = 0.1
-	}
-	if a.Period <= 0 {
-		a.Period = time.Second
-	}
-	if a.Cycles <= 0 {
-		a.Cycles = 2
-	}
-	if a.Depth <= 0 || a.Depth >= 1 {
-		a.Depth = 0.8
-	}
 	if a.Clients <= 0 {
 		a.Clients = 4
 	}
 	return a
 }
 
-// Validate rejects malformed specs: an unknown kind, or an open-loop kind
+// Validate rejects malformed specs: an unknown kind, or a Poisson spec
 // without a positive rate.
 func (a ArrivalSpec) Validate() error {
 	switch a.Kind {
-	case Poisson, Bursty, Diurnal:
+	case Poisson:
 		if a.Rate <= 0 {
 			return fmt.Errorf("workload: arrival kind %q needs Rate > 0, got %g", a.Kind, a.Rate)
 		}
@@ -102,72 +64,35 @@ func (a ArrivalSpec) Validate() error {
 	}
 }
 
-// rateAt returns the instantaneous target rate (requests/second) at offset t
-// of a run with the given horizon. Only meaningful for open-loop kinds.
-func (a ArrivalSpec) rateAt(t, horizon float64) float64 {
-	switch a.Kind {
-	case Bursty:
-		p := a.Period.Seconds()
-		if math.Mod(t, p)/p < a.OnFraction {
-			return a.Rate * a.Burst
-		}
-		return a.Rate * a.Idle
-	case Diurnal:
-		return a.Rate * (1 + a.Depth*math.Sin(2*math.Pi*float64(a.Cycles)*t/horizon))
-	default: // Poisson
-		return a.Rate
-	}
-}
-
-// peakRate returns a majorant of rateAt over the whole horizon — the
-// thinning envelope.
-func (a ArrivalSpec) peakRate() float64 {
-	switch a.Kind {
-	case Bursty:
-		return a.Rate * a.Burst
-	case Diurnal:
-		return a.Rate * (1 + a.Depth)
-	default:
-		return a.Rate
-	}
-}
-
-// Schedule generates the deterministic request offsets of one open-loop run
-// over the horizon, drawing from r (Lewis thinning over the kind's
-// instantaneous rate curve: exponential gaps at the peak rate, acceptance
-// with probability rate(t)/peak). Equal (spec, rng state, horizon) yield
-// identical schedules. Closed-loop specs have no schedule and return nil.
+// Schedule generates the deterministic request offsets of one Poisson run
+// over the horizon, drawing from r: exponential gaps at the target rate.
+// Equal (spec, rng state, horizon) yield identical schedules. Closed-loop
+// specs have no schedule and return nil.
 func (a ArrivalSpec) Schedule(r *rng.Rand, horizon time.Duration) []time.Duration {
-	a = a.withDefaults()
 	if a.Kind == Closed {
 		return nil
 	}
-	peak := a.peakRate()
 	h := horizon.Seconds()
 	var out []time.Duration
 	for t := 0.0; ; {
 		// Inverse-CDF exponential gap; Log1p(-u) is finite for u in [0, 1).
-		t += -math.Log1p(-r.Float64()) / peak
+		t += -math.Log1p(-r.Float64()) / a.Rate
 		if t >= h {
 			return out
 		}
-		if r.Float64()*peak <= a.rateAt(t, h) {
-			out = append(out, time.Duration(t*float64(time.Second)))
-		}
+		// A second draw per arrival, once the acceptance test of a thinning
+		// sampler, keeps every seed's schedule identical to the one it has
+		// always produced.
+		r.Float64()
+		out = append(out, time.Duration(t*float64(time.Second)))
 	}
 }
 
 // String renders the spec for report headers.
 func (a ArrivalSpec) String() string {
-	a = a.withDefaults()
-	switch a.Kind {
-	case Bursty:
-		return fmt.Sprintf("bursty(rate=%g,burst=%g,on=%g,period=%s)", a.Rate, a.Burst, a.OnFraction, a.Period)
-	case Diurnal:
-		return fmt.Sprintf("diurnal(rate=%g,cycles=%d,depth=%g)", a.Rate, a.Cycles, a.Depth)
-	case Closed:
+	if a.Kind == Closed {
+		a = a.withDefaults()
 		return fmt.Sprintf("closed(clients=%d,think=%s)", a.Clients, a.Think)
-	default:
-		return fmt.Sprintf("poisson(rate=%g)", a.Rate)
 	}
+	return fmt.Sprintf("poisson(rate=%g)", a.Rate)
 }

@@ -2,7 +2,7 @@ package workload
 
 import (
 	"bytes"
-	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -23,95 +23,52 @@ func tinySamples(n int, base float64) []data.Sample {
 }
 
 func TestScheduleDeterministic(t *testing.T) {
-	for _, kind := range []string{Poisson, Bursty, Diurnal} {
-		spec := ArrivalSpec{Kind: kind, Rate: 200}
-		a := spec.Schedule(rng.New(7), time.Second)
-		b := spec.Schedule(rng.New(7), time.Second)
-		if len(a) == 0 {
-			t.Fatalf("%s: empty schedule", kind)
+	spec := ArrivalSpec{Kind: Poisson, Rate: 200}
+	a := spec.Schedule(rng.New(7), time.Second)
+	b := spec.Schedule(rng.New(7), time.Second)
+	if len(a) == 0 {
+		t.Fatal("empty schedule")
+	}
+	if len(a) != len(b) {
+		t.Fatalf("schedules differ in length: %d vs %d", len(a), len(b))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("offset %d differs: %s vs %s", i, a[i], b[i])
 		}
-		if len(a) != len(b) {
-			t.Fatalf("%s: schedules differ in length: %d vs %d", kind, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("%s: offset %d differs: %s vs %s", kind, i, a[i], b[i])
-			}
-		}
-		c := spec.Schedule(rng.New(8), time.Second)
-		same := len(a) == len(c)
-		for i := 0; same && i < len(a); i++ {
-			same = a[i] == c[i]
-		}
-		if same {
-			t.Fatalf("%s: different seeds produced identical schedules", kind)
-		}
+	}
+	c := spec.Schedule(rng.New(8), time.Second)
+	same := len(a) == len(c)
+	for i := 0; same && i < len(a); i++ {
+		same = a[i] == c[i]
+	}
+	if same {
+		t.Fatal("different seeds produced identical schedules")
 	}
 }
 
 func TestScheduleOffsetsOrderedWithinHorizon(t *testing.T) {
 	horizon := 2 * time.Second
-	for _, kind := range []string{Poisson, Bursty, Diurnal} {
-		offs := ArrivalSpec{Kind: kind, Rate: 300}.Schedule(rng.New(3), horizon)
-		var prev time.Duration
-		for i, o := range offs {
-			if o < prev {
-				t.Fatalf("%s: offset %d (%s) precedes offset %d (%s)", kind, i, o, i-1, prev)
-			}
-			if o >= horizon {
-				t.Fatalf("%s: offset %d (%s) beyond horizon %s", kind, i, o, horizon)
-			}
-			prev = o
+	offs := ArrivalSpec{Kind: Poisson, Rate: 300}.Schedule(rng.New(3), horizon)
+	var prev time.Duration
+	for i, o := range offs {
+		if o < prev {
+			t.Fatalf("offset %d (%s) precedes offset %d (%s)", i, o, i-1, prev)
 		}
+		if o >= horizon {
+			t.Fatalf("offset %d (%s) beyond horizon %s", i, o, horizon)
+		}
+		prev = o
 	}
 }
 
-// TestPoissonRateMatchesTarget: the thinning construction must deliver the
-// configured mean rate (a degenerate thinning for the flat Poisson curve).
+// TestPoissonRateMatchesTarget: the exponential gaps must deliver the
+// configured mean rate.
 func TestPoissonRateMatchesTarget(t *testing.T) {
 	offs := ArrivalSpec{Kind: Poisson, Rate: 500}.Schedule(rng.New(11), 4*time.Second)
 	got := float64(len(offs)) / 4
 	if got < 400 || got > 600 {
 		t.Fatalf("poisson at 500/s delivered %.0f/s", got)
-	}
-}
-
-// TestBurstyConcentratesInOnPhase: most arrivals must land inside the on
-// window (with Burst=8, Idle=0.1 and OnFraction=0.25 the on-phase carries
-// ~96%% of the mass).
-func TestBurstyConcentratesInOnPhase(t *testing.T) {
-	spec := ArrivalSpec{Kind: Bursty, Rate: 100, Period: 500 * time.Millisecond}
-	offs := spec.Schedule(rng.New(5), 4*time.Second)
-	if len(offs) < 50 {
-		t.Fatalf("bursty schedule too sparse: %d arrivals", len(offs))
-	}
-	on := 0
-	period := 500 * time.Millisecond
-	for _, o := range offs {
-		if math.Mod(o.Seconds(), period.Seconds())/period.Seconds() < 0.25 {
-			on++
-		}
-	}
-	if frac := float64(on) / float64(len(offs)); frac < 0.75 {
-		t.Fatalf("only %.2f of bursty arrivals in the on phase", frac)
-	}
-}
-
-// TestDiurnalFollowsSinusoid: with one cycle the first half-horizon carries
-// the positive half of the sinusoid and must receive more arrivals.
-func TestDiurnalFollowsSinusoid(t *testing.T) {
-	spec := ArrivalSpec{Kind: Diurnal, Rate: 200, Cycles: 1}
-	horizon := 4 * time.Second
-	offs := spec.Schedule(rng.New(9), horizon)
-	first := 0
-	for _, o := range offs {
-		if o < horizon/2 {
-			first++
-		}
-	}
-	second := len(offs) - first
-	if first <= second {
-		t.Fatalf("diurnal cycle=1: first half %d arrivals, second half %d — rate curve not followed", first, second)
 	}
 }
 
@@ -251,7 +208,8 @@ func TestQuantiles(t *testing.T) {
 	}
 }
 
-// TestTraceEncodeStable: equal traces encode to byte-identical envelopes.
+// TestTraceEncodeStable: equal configs generate deeply equal traces, body
+// bytes included.
 func TestTraceEncodeStable(t *testing.T) {
 	cfg := Config{
 		Name: "stable", Seed: 99,
@@ -267,15 +225,7 @@ func TestTraceEncodeStable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ab, err := a.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	bb, err := b.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(ab, bb) {
-		t.Fatal("equal configs produced different trace bytes")
+	if !reflect.DeepEqual(a, b) {
+		t.Fatal("equal configs produced different traces")
 	}
 }

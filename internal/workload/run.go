@@ -122,7 +122,7 @@ type verdictBody struct {
 }
 
 // Run replays a trace against the server at base (e.g. "http://127.0.0.1:8080"),
-// open-loop paced by the recorded offsets or closed-loop over a fixed client
+// open-loop paced by the scheduled offsets or closed-loop over a fixed client
 // pool, and returns the outcomes plus a report built from the client-side
 // observations and the /metrics delta around the run.
 func Run(ctx context.Context, base string, tr *Trace, opts RunOptions) (*RunResult, error) {
@@ -233,7 +233,7 @@ func runClosed(ctx context.Context, tr *Trace, opts RunOptions, issue func(int))
 	wg.Wait()
 }
 
-// runOpen fires each event at its recorded offset regardless of responses
+// runOpen fires each event at its scheduled offset regardless of responses
 // (offered load is an input). Concurrency is bounded only by the socket cap:
 // a saturated cap delays dispatch, which shows up as latency — the honest
 // open-loop failure mode, not silent load shedding.
@@ -241,12 +241,15 @@ func runOpen(ctx context.Context, tr *Trace, opts RunOptions, issue func(int)) {
 	sem := make(chan struct{}, opts.Clients)
 	start := time.Now()
 	var wg sync.WaitGroup
+	// A cancelled context stops dispatch but still waits for the requests
+	// already in flight: Run reads their outcomes as soon as this returns.
+pace:
 	for i := range tr.Events {
 		if d := tr.Events[i].At - time.Since(start); d > 0 {
 			select {
 			case <-time.After(d):
 			case <-ctx.Done():
-				return
+				break pace
 			}
 		}
 		if ctx.Err() != nil {

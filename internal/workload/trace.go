@@ -2,27 +2,17 @@ package workload
 
 import (
 	"fmt"
-	"os"
 	"time"
-
-	"advhunter/internal/persist"
 )
 
-// TraceSchema versions the recorded-trace wire format. Decoding a trace
-// written under a different schema (or corrupt bytes) fails, which file
-// callers uniformly treat as a miss — the same envelope protocol every other
-// artifact class in the repository uses (internal/persist).
-const TraceSchema = 1
-
-// Event is one recorded request: when to fire it, which cohort drew it, the
+// Event is one scheduled request: when to fire it, which cohort drew it, the
 // noise index it carries, and the exact JSON body to POST to /detect. The
-// body is recorded byte-for-byte (not re-encoded at replay time), so a
-// replayed trace reproduces the original request sequence exactly — the
-// property the determinism suite pins.
+// body is encoded once, at generation time, so every replay of a trace
+// posts the same bytes — the property the determinism suite pins.
 type Event struct {
-	// At is the offset from run start at which an open-loop replay fires
-	// this event. Closed-loop traces carry zero offsets: events are issued
-	// in order, as fast as the client pool allows.
+	// At is the offset from run start at which an open-loop run fires this
+	// event. Closed-loop traces carry zero offsets: events are issued in
+	// order, as fast as the client pool allows.
 	At time.Duration
 	// Cohort names the cohort that drew this event's sample.
 	Cohort string
@@ -34,58 +24,21 @@ type Event struct {
 	Body []byte
 }
 
-// Trace is one recorded request sequence plus the generator configuration
+// Trace is one generated request sequence plus the generator configuration
 // that produced it.
 type Trace struct {
 	// Name labels the trace in reports.
 	Name string
-	// Seed is the generator seed the trace was recorded under.
+	// Seed is the generator seed the trace was generated under.
 	Seed uint64
 	// Arrival is the arrival process that scheduled the events.
 	Arrival ArrivalSpec
-	// Events are the recorded requests, in issue order.
+	// Events are the requests, in issue order.
 	Events []Event
 }
 
-// Encode renders the trace as schema-tagged envelope bytes. Equal traces
-// encode to identical bytes (record twice under one seed ⇒ byte-identical
-// recordings).
-func (t *Trace) Encode() ([]byte, error) {
-	return persist.Encode(TraceSchema, t)
-}
-
-// DecodeTrace parses envelope bytes produced by Encode. Corrupt bytes and
-// foreign schemas return an error; no input may panic (FuzzTraceDecode holds
-// that line).
-func DecodeTrace(raw []byte) (*Trace, error) {
-	var t Trace
-	if err := persist.Decode(raw, TraceSchema, &t); err != nil {
-		return nil, err
-	}
-	return &t, nil
-}
-
-// SaveTrace atomically writes the trace to path (directories created).
-func SaveTrace(path string, t *Trace) error {
-	return persist.Save(path, TraceSchema, t)
-}
-
-// TryLoadTrace loads a recorded trace, with miss-not-error semantics:
-// a missing, corrupt, or stale-schema file returns (nil, false).
-func TryLoadTrace(path string) (*Trace, bool) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, false
-	}
-	t, err := DecodeTrace(raw)
-	if err != nil || t.validate() != nil {
-		return nil, false
-	}
-	return t, true
-}
-
-// validate rejects structurally broken traces (whatever their origin): an
-// unknown arrival kind, out-of-order open-loop offsets, or an empty body.
+// validate rejects structurally broken traces: an unknown arrival kind,
+// out-of-order open-loop offsets, or an empty body.
 func (t *Trace) validate() error {
 	if err := t.Arrival.Validate(); err != nil {
 		return err

@@ -1,19 +1,18 @@
-// Package workload is the synthetic traffic generator and closed-loop load
-// harness for the serving stack: it turns a seed, an arrival process, and a
-// weighted mix of client cohorts into a replayable request trace, drives a
-// live `advhunter serve` instance with it (open-loop paced or closed-loop
-// fixed-concurrency), and distils the run into a structured report —
-// latency quantiles, throughput, backpressure and timeout rates, and the
-// server-side deltas (truth-cache hits, tier escalations, queue depth)
-// scraped from /metrics before, during, and after the run.
+// Package workload is the synthetic traffic generator and load harness for
+// the serving stack: it turns a seed, an arrival process (open-loop Poisson
+// or closed-loop fixed concurrency), and a weighted mix of client cohorts
+// into a request trace, drives a live `advhunter serve` instance with it,
+// and distils the run into a structured report — latency quantiles,
+// throughput, backpressure and timeout rates, and the server-side deltas
+// (truth-cache hits, tier escalations, queue depth) scraped from /metrics
+// before, during, and after the run.
 //
 // Everything stochastic draws from internal/rng keyed by the configuration
-// seed, so a generated trace is a pure function of its Config: record once,
-// replay byte-identically, and get the same per-request verdict sequence
-// whatever the client concurrency — the serving layer already guarantees
-// verdicts are pure functions of (input, noise index), and the trace pins
-// both. This package is the measurement substrate the scaling roadmap items
-// are judged against (BENCH_7.json carries its serve-level numbers).
+// seed, so a generated trace is a pure function of its Config: generate it
+// twice and get the same bytes, and get the same per-request verdict
+// sequence whatever the client concurrency — the serving layer already
+// guarantees verdicts are pure functions of (input, noise index), and the
+// trace pins both.
 package workload
 
 import (
@@ -51,7 +50,7 @@ type Config struct {
 // a cohort (weighted) and a sample (uniform in the cohort's pool) from an
 // rng stream forked by event position — so the i-th event's identity never
 // depends on how many events precede it being inspected, only on (Seed, i).
-// Request bodies are encoded once, here; replay posts the recorded bytes.
+// Request bodies are encoded once, here; Run posts these exact bytes.
 func Generate(cfg Config) (*Trace, error) {
 	if err := cfg.Arrival.Validate(); err != nil {
 		return nil, err

@@ -216,25 +216,21 @@ func TestWorkloadEndToEndTiers(t *testing.T) {
 	}
 }
 
-// TestWorkloadArrivalShapes replays each open-loop arrival process against
-// one exact-tier server: every scheduled request must complete without
-// backpressure when capacity comfortably exceeds offered load.
+// TestWorkloadArrivalShapes replays each arrival process against one
+// exact-tier server: every request must complete without backpressure when
+// capacity comfortably exceeds offered load.
 func TestWorkloadArrivalShapes(t *testing.T) {
 	f := getFixture(t)
 	ts := newServer(t, f, serve.Config{Workers: 2, QueueSize: 256})
-	specs := []ArrivalSpec{
-		{Kind: Poisson, Rate: 60},
-		{Kind: Bursty, Rate: 15, Period: 250 * time.Millisecond},
-		{Kind: Diurnal, Rate: 60, Cycles: 1},
-	}
-	for _, spec := range specs {
-		spec := spec
-		t.Run(spec.Kind, func(t *testing.T) {
+	for _, kind := range Kinds() {
+		spec := ArrivalSpec{Kind: kind, Rate: 60}
+		t.Run(kind, func(t *testing.T) {
 			tr, err := Generate(Config{
-				Name: "shape-" + spec.Kind, Seed: 11,
-				Arrival: spec,
-				Mix:     standardMix(f),
-				Horizon: 500 * time.Millisecond,
+				Name: "shape-" + kind, Seed: 11,
+				Arrival:  spec,
+				Mix:      standardMix(f),
+				Horizon:  500 * time.Millisecond,
+				Requests: 30,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -258,7 +254,7 @@ func TestWorkloadArrivalShapes(t *testing.T) {
 // the queue can hold — open-loop traffic offered far above the single
 // worker's service rate piles onto a tiny queue and sheds, and the
 // server-side counter delta agrees with the client view. (Open-loop, not
-// closed-loop: recorded offsets fire regardless of responses, so the
+// closed-loop: scheduled offsets fire regardless of responses, so the
 // overload is real even when a starved CI host serialises goroutines —
 // modest rates staying 429-free is TestWorkloadArrivalShapes' half of the
 // claim.)
