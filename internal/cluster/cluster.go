@@ -123,7 +123,14 @@ func New(cfg Config, build func(replica int) *serve.Server) *Cluster {
 		c.replicas[i].Registry().SetConstLabels("replica", strconv.Itoa(i))
 		regs = append(regs, c.replicas[i].Registry())
 	}
+	// The router validates a body against one shape and hands the decoded
+	// request to whichever replica it picks, so every replica must serve it.
 	c.shape = c.replicas[0].Shape()
+	for i, s := range c.replicas {
+		if s.Shape() != c.shape {
+			panic(fmt.Sprintf("cluster: replica %d serves shape %v, replica 0 %v", i, s.Shape(), c.shape))
+		}
+	}
 
 	router, err := newRouter(cfg.Policy, c.replicas, cfg.VNodes)
 	if err != nil {
@@ -239,20 +246,22 @@ func (c *Cluster) Shutdown(ctx context.Context) error {
 }
 
 // handleDetect admits, routes, and delegates one detection request. The
-// chosen replica's handler does all the real work — decode validation,
-// per-replica admission, the verdict, the response bytes — so a cluster of
-// one replica answers byte-identically to that replica served directly.
+// chosen replica does all the real work — validation, per-replica admission,
+// the verdict, the response bytes — so a cluster of one replica answers
+// byte-identically to that replica served directly.
 func (c *Cluster) handleDetect(w http.ResponseWriter, r *http.Request) {
 	// One request id across the hop: a well-formed caller-supplied
 	// X-Request-ID passes through untouched; otherwise the cluster mints one
 	// ("c" prefix) and stamps it on the delegated request, so the replica
 	// adopts it — the routed log below, the replica's request log, and the
-	// replica's trace record all carry the same id.
+	// replica's trace record all carry the same id. The cluster's own
+	// rejections below echo it too.
 	id := r.Header.Get("X-Request-ID")
 	if !obs.ValidRequestID(id) {
 		id = "c" + strconv.FormatUint(c.rids.Add(1), 10)
 		r.Header.Set("X-Request-ID", id)
 	}
+	w.Header().Set("X-Request-ID", id)
 	rctx := obs.WithRequestID(r.Context(), id)
 	release, ok := c.adm.TryAcquire()
 	if !ok {
@@ -267,22 +276,28 @@ func (c *Cluster) handleDetect(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// The affinity policy needs the query fingerprint, which means reading
-	// the body here; the other policies route without touching it. Raw body
-	// bytes cannot serve as the key — two replays of one query differ in
-	// their index field — so the key is the decoded tensor's fingerprint,
-	// the same one the replica's truth cache uses.
+	// The affinity policy needs the query fingerprint, the same one the
+	// replica's truth cache uses, so the router reads and decodes the body
+	// here and hands the decoded request to the replica, which does not
+	// decode it again: one read and one decode per request. Raw body bytes
+	// cannot serve as the key — two replays of one query differ in their
+	// index field. A body that does not decode is forwarded as raw bytes, so
+	// the replica answers the same 400 a directly served replica would. The
+	// other policies route without touching the body.
+	var req *serve.Request
 	fp, fpOK := uint64(0), false
 	if c.router.Policy() == PolicyAffinity && r.Method == http.MethodPost {
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, serve.MaxRequestBytes))
+		body, err := serve.ReadBody(w, r)
 		if err != nil {
 			c.writeError(w, http.StatusBadRequest, "request body too large or unreadable")
 			return
 		}
-		r.Body = io.NopCloser(bytes.NewReader(body))
-		r.ContentLength = int64(len(body))
-		if req, err := serve.DecodeRequest(body, c.shape); err == nil {
+		defer body.Release() // after the replica has read any forwarded bytes
+		if req, err = serve.DecodeRequest(body.Bytes(), c.shape); err == nil {
 			fp, fpOK = core.Fingerprint(req.Tensor()), true
+		} else {
+			r.Body = io.NopCloser(bytes.NewReader(body.Bytes()))
+			r.ContentLength = int64(len(body.Bytes()))
 		}
 	}
 	target := c.router.Route(fp, fpOK)
@@ -290,7 +305,7 @@ func (c *Cluster) handleDetect(w http.ResponseWriter, r *http.Request) {
 	c.logger.DebugContext(rctx, "routed",
 		slog.Int("replica", target),
 		slog.String("policy", c.router.Policy()))
-	c.replicas[target].Handler().ServeHTTP(w, r)
+	c.replicas[target].ServeDecoded(w, r, req)
 }
 
 func (c *Cluster) handleHealthz(w http.ResponseWriter, _ *http.Request) {

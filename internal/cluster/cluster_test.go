@@ -85,6 +85,11 @@ func post(t *testing.T, url string, req serve.Request) (*http.Response, []byte) 
 	if err != nil {
 		t.Fatal(err)
 	}
+	return postRaw(t, url, raw)
+}
+
+func postRaw(t *testing.T, url string, raw []byte) (*http.Response, []byte) {
+	t.Helper()
 	resp, err := http.Post(url+"/detect", "application/json", bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
@@ -112,9 +117,24 @@ func scrapeHitRate(t *testing.T, url string) float64 {
 	return hits / (hits + misses)
 }
 
+// decodeSpans counts the decode stage spans every replica behind url
+// recorded.
+func decodeSpans(t *testing.T, url string) float64 {
+	t.Helper()
+	snap, err := workload.Scrape(nil, url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap.SumMatch("advhunter_stage_duration_seconds_count", "stage", "decode")
+}
+
 // TestClusterSingleReplicaByteIdentical: a cluster of one replica answers
 // exactly what that replica would answer served directly — routing adds no
 // bytes. With every policy, since each must route a 1-replica fleet to 0.
+// Malformed bodies get the direct server's 400 too: the affinity router
+// cannot decode them, so it forwards the raw bytes. Valid bodies are decoded
+// once per request: by the affinity router, which hands the request to the
+// replica, and by the replica under every other policy.
 func TestClusterSingleReplicaByteIdentical(t *testing.T) {
 	f := getFixture(t)
 	direct := serve.New(f.meas.Clone(), f.det, serve.Config{Workers: 1})
@@ -123,6 +143,26 @@ func TestClusterSingleReplicaByteIdentical(t *testing.T) {
 		direct.Shutdown(context.Background())
 		dts.Close()
 	}()
+
+	valid, err := json.Marshal(serve.NewRequest(f.inputs[0], 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	outOfRange := serve.NewRequest(f.inputs[0], 7)
+	outOfRange.Data[3] = 1e7
+	outOfRangeRaw, err := json.Marshal(outOfRange)
+	if err != nil {
+		t.Fatal(err)
+	}
+	malformed := []struct {
+		name string
+		body []byte
+	}{
+		{"bad json", valid[:len(valid)/2]},
+		{"wrong shape", []byte(`{"shape":[2,2,2],"data":[0,0,0,0,0,0,0,0]}`)},
+		{"out of range", outOfRangeRaw},
+		{"trailing garbage", append(append([]byte(nil), valid...), " x"...)},
+	}
 
 	for _, policy := range Policies {
 		policy := policy
@@ -139,7 +179,75 @@ func TestClusterSingleReplicaByteIdentical(t *testing.T) {
 					t.Fatalf("query %d: cluster body diverges from direct server:\n direct: %s\ncluster: %s", i, dbody, cbody)
 				}
 			}
+			want := 4.0
+			if policy == PolicyAffinity {
+				want = 0
+			}
+			if got := decodeSpans(t, cts.URL); got != want {
+				t.Fatalf("replica recorded %v decode spans for 4 valid bodies, want %v", got, want)
+			}
+			for _, m := range malformed {
+				dresp, dbody := postRaw(t, dts.URL, m.body)
+				cresp, cbody := postRaw(t, cts.URL, m.body)
+				if dresp.StatusCode != http.StatusBadRequest || cresp.StatusCode != dresp.StatusCode || !bytes.Equal(dbody, cbody) {
+					t.Fatalf("%s: direct %d %s, cluster %d %s", m.name, dresp.StatusCode, dbody, cresp.StatusCode, cbody)
+				}
+			}
+			if got, want := decodeSpans(t, cts.URL), want+float64(len(malformed)); got != want {
+				t.Fatalf("replica recorded %v decode spans after the malformed bodies, want %v", got, want)
+			}
 		})
+	}
+}
+
+// TestClusterRejectsMixedShapes: replicas that serve different input shapes
+// are a configuration error, since the router validates every body against
+// one shape and hands the decoded request to any replica.
+func TestClusterRejectsMixedShapes(t *testing.T) {
+	f := getFixture(t)
+	other := core.NewMeasurer(engine.NewDefault(models.MustBuild("simplecnn", 3, 32, 32, 10, 9)), 1)
+	var built []*serve.Server
+	defer func() {
+		for _, s := range built {
+			s.Shutdown(context.Background())
+		}
+		if recover() == nil {
+			t.Fatal("cluster.New accepted replicas of different input shapes")
+		}
+	}()
+	New(Config{Replicas: 2}, func(i int) *serve.Server {
+		m := f.meas.Clone()
+		if i == 1 {
+			m = other
+		}
+		s := serve.New(m, f.det, serve.Config{Workers: 1})
+		built = append(built, s)
+		return s
+	})
+}
+
+// TestClusterRejectionsEchoRequestID: the cluster's own answers carry the
+// request id, like every replica answer — here the 400 for a body beyond
+// serve.MaxRequestBytes, which the affinity router reads itself.
+func TestClusterRejectionsEchoRequestID(t *testing.T) {
+	f := getFixture(t)
+	_, ts := newCluster(t, f, Config{Replicas: 2, Policy: PolicyAffinity})
+	huge := bytes.Repeat([]byte(" "), serve.MaxRequestBytes+1)
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/detect", bytes.NewReader(huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("X-Request-ID", "caller-42")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("oversized body: status %d, want 400", resp.StatusCode)
+	}
+	if got := resp.Header.Get("X-Request-ID"); got != "caller-42" {
+		t.Fatalf("oversized body: X-Request-ID %q, want the caller's caller-42", got)
 	}
 }
 
@@ -245,6 +353,9 @@ func TestClusterShutdownDrains(t *testing.T) {
 	resp, _ = post(t, ts.URL, serve.NewRequest(f.inputs[0], 2))
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("post-drain query: status %d, want 503", resp.StatusCode)
+	}
+	if !obs.ValidRequestID(resp.Header.Get("X-Request-ID")) {
+		t.Fatalf("post-drain 503 carries no request id: %q", resp.Header.Get("X-Request-ID"))
 	}
 	r, err := http.Get(ts.URL + "/readyz")
 	if err != nil {

@@ -43,10 +43,16 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Add([]byte(`{"shape":[1,-4,4],"data":[]}`))
 	f.Add([]byte(`{"shape":[1,4,4],"data":[0.1,0.2]}{"shape":[1,4,4]}`))
 	f.Add([]byte(strings.Repeat(" ", 64) + `{"shape":[1,4,4],"data":[]}`))
+	// One literal per conversion case of the number parser: 17 significant
+	// digits (the 128/64 division), a round-half-even tie, and 20 digits
+	// (strconv).
+	f.Add([]byte(`{"shape":[1,4,4],"data":[0.90196078431372551,-0.5019607843137255]}`))
+	f.Add([]byte(`{"shape":[1,4,4],"data":[9007199254740993,9007199254740993.0]}`))
+	f.Add([]byte(`{"shape":[1,4,4],"data":[0.12345678901234567890]}`))
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		// Differential contract between the decode paths: anything the fast
-		// scanner accepts, the reference decoder must accept with identical
+		// scanner accepts, the reference decoder must accept with bit-identical
 		// values — the fast path may only narrow the language, never bend it.
 		if fq, ok := fastDecodeRequest(body, want); ok {
 			sq, err := slowDecodeRequest(body)
@@ -55,6 +61,11 @@ func FuzzDecodeRequest(f *testing.F) {
 			}
 			if !reflect.DeepEqual(fq.Shape, sq.Shape) || !reflect.DeepEqual(fq.Data, sq.Data) {
 				t.Fatalf("fast path decoded %+v, reference %+v\nbody: %q", fq, sq, body)
+			}
+			for i := range fq.Data { // DeepEqual compares floats with ==, so -0 equals 0
+				if math.Float64bits(fq.Data[i]) != math.Float64bits(sq.Data[i]) {
+					t.Fatalf("fast path data[%d] = %v, reference %v\nbody: %q", i, fq.Data[i], sq.Data[i], body)
+				}
 			}
 			if (fq.Index == nil) != (sq.Index == nil) || (fq.Index != nil && *fq.Index != *sq.Index) {
 				t.Fatalf("fast path index %v, reference %v\nbody: %q", fq.Index, sq.Index, body)

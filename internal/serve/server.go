@@ -369,7 +369,7 @@ func New(m *core.Measurer, det detect.Detector, cfg Config) *Server {
 	}
 
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("/detect", s.handleDetect)
+	s.mux.HandleFunc("/detect", func(w http.ResponseWriter, r *http.Request) { s.ServeDecoded(w, r, nil) })
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/readyz", s.handleReadyz)
 	// /metrics chains the server's private registry with the process-wide one
@@ -490,8 +490,12 @@ func (s *Server) process(worker int, j *job) {
 	j.out <- r
 }
 
-// handleDetect is POST /detect: decode, validate, admit, await the verdict.
-func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
+// ServeDecoded answers one POST /detect: decode, validate, admit, await the
+// verdict. req, when non-nil, is r's body already decoded by DecodeRequest
+// against Shape — a router that decoded the body to route it hands it over,
+// and the body is neither read nor decoded again. A nil req reads and
+// decodes the body here, which is what the server's own /detect route does.
+func (s *Server) ServeDecoded(w http.ResponseWriter, r *http.Request, req *Request) {
 	start := time.Now()
 	// A well-formed caller-supplied X-Request-ID is adopted (so one id follows
 	// a request through a router hop into the replica that served it);
@@ -533,19 +537,22 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxRequestBytes))
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "request body too large or unreadable")
-		status(http.StatusBadRequest)
-		return
-	}
-	_, sp := obs.StartSpan(rctx, "decode")
-	req, err := DecodeRequest(body, s.shape)
-	sp.End()
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err.Error())
-		status(http.StatusBadRequest)
-		return
+	if req == nil {
+		body, err := ReadBody(w, r)
+		if err != nil {
+			s.writeError(w, http.StatusBadRequest, "request body too large or unreadable")
+			status(http.StatusBadRequest)
+			return
+		}
+		_, sp := obs.StartSpan(rctx, "decode")
+		req, err = DecodeRequest(body.Bytes(), s.shape)
+		sp.End()
+		body.Release()
+		if err != nil {
+			s.writeError(w, http.StatusBadRequest, err.Error())
+			status(http.StatusBadRequest)
+			return
+		}
 	}
 
 	idx := s.next.Add(1) - 1

@@ -37,6 +37,9 @@ go test ./...
 echo "== race (parallel pipeline + detection + serving + cluster + twin + observability + workload + cache runs) =="
 go test -race ./internal/parallel ./internal/core ./internal/engine ./internal/detect ./internal/serve ./internal/cluster ./internal/twin ./internal/obs ./internal/workload ./internal/uarch/cache
 
+echo "== fuzz (request decoder: fast path against encoding/json) =="
+go test -run='^$' -fuzz=FuzzDecodeRequest -fuzztime=30s ./internal/serve
+
 echo "== bench smoke (compile + one iteration of every benchmark) =="
 go test -run=NONE -bench=. -benchtime=1x ./...
 
