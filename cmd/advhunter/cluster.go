@@ -1,17 +1,10 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"net"
-	"net/http"
-	"os"
-	"os/signal"
-	"syscall"
-	"time"
 
 	"advhunter/internal/cluster"
 	"advhunter/internal/experiments"
@@ -63,41 +56,8 @@ func cmdCluster(args []string, stdout, stderr io.Writer) error {
 		Logger:      logger,
 	}), replicaBuilder(env, det, cfg))
 
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		return err
-	}
-	httpSrv := &http.Server{Handler: c.Handler()}
-
-	// Graceful drain on SIGTERM/SIGINT, mirroring `serve`: the cluster gate
-	// stops admitting, every replica drains, then the listener closes.
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, os.Interrupt)
-	defer stop()
-	errc := make(chan error, 1)
-	go func() {
-		if err := httpSrv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			errc <- err
-		}
-	}()
-	// Same announcement shape as `serve`: scripted callers
-	// (scripts/servesmoke) parse the address out of this line.
-	fmt.Fprintf(stdout, "serving %s (%s × %s, tier %s, %d replicas, policy %s) on %s — POST /detect, GET /healthz /readyz /metrics%s\n",
-		env.Scn.ID, env.Scn.Dataset, env.Scn.Arch, *sopts.tier, *replicas, c.Policy(), ln.Addr(), sopts.obsEndpoints(true))
-
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	fmt.Fprintln(stdout, "signal received, draining…")
-	drainCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := c.Shutdown(drainCtx); err != nil {
-		return fmt.Errorf("draining cluster replicas: %w", err)
-	}
-	if err := httpSrv.Shutdown(drainCtx); err != nil {
-		return fmt.Errorf("closing http server: %w", err)
-	}
-	fmt.Fprintln(stdout, "drained cleanly")
-	return nil
+	return listenAndDrain(*addr, c.Handler(), c.Shutdown, stdout, func(a net.Addr) string {
+		return fmt.Sprintf("serving %s (%s × %s, tier %s, %d replicas, policy %s) on %s — POST /detect, GET /healthz /readyz /metrics%s",
+			env.Scn.ID, env.Scn.Dataset, env.Scn.Arch, *sopts.tier, *replicas, c.Policy(), a, sopts.obsEndpoints(true))
+	})
 }

@@ -13,12 +13,10 @@
 //	advhunter scan -scenario S2 [-n 20] [-detector FILE] [-backend gmm]
 //	advhunter twin-profile -scenario S2 [-dir artifacts/twin] [-knots 16] [-force]
 //	advhunter serve -scenario S2 -addr :8080 [-detector FILE] [-backend gmm] [-tier auto]
-//	advhunter loadgen -scenario S1 [-target URL] [-shape poisson|closed] [-rate 50]
 //	advhunter watch -target http://host:8080 [-interval 2s]
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -29,11 +27,9 @@ import (
 	"net/http"
 	httppprof "net/http/pprof"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"syscall"
 	"time"
 
 	"advhunter/internal/data"
@@ -80,8 +76,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		err = cmdServe(args[1:], stdout, stderr)
 	case "cluster":
 		err = cmdCluster(args[1:], stdout, stderr)
-	case "loadgen":
-		err = cmdLoadgen(args[1:], stdout, stderr)
 	case "watch":
 		err = cmdWatch(args[1:], stdout, stderr)
 	case "-h", "--help", "help":
@@ -116,7 +110,6 @@ commands:
   twin-profile  precompute the analytical-twin count tables for a scenario
   serve       run the online detection service (HTTP JSON, /detect)
   cluster     run the multi-replica serving tier (N replicas behind a routing policy, merged /metrics)
-  loadgen     drive a serve instance with synthetic traffic and report latency, throughput, and backpressure
   watch       live terminal dashboard over a running serve or cluster (-target URL)
 
 run 'advhunter <command> -h' for flags.`)
@@ -481,7 +474,7 @@ func cmdScan(args []string, stdout, stderr io.Writer) error {
 
 // cmdTwinProfile precomputes the analytical-twin count tables for one
 // scenario and writes them where tiered serving looks first, so a later
-// `serve -tier twin|auto` boots without paying the profiling sweep. The
+// `serve -tier auto` boots without paying the profiling sweep. The
 // probe workload is Env.TwinProbes — identical to what serve would profile
 // on a miss — so the precomputed table and an on-demand one are the same
 // table.
@@ -591,41 +584,8 @@ func cmdServe(args []string, stdout, stderr io.Writer) error {
 		outer.HandleFunc("/debug/pprof/trace", httppprof.Trace)
 		handler = outer
 	}
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		return err
-	}
-	httpSrv := &http.Server{Handler: handler}
-
-	// Graceful drain on SIGTERM/SIGINT: stop accepting, finish queued work,
-	// then close the listener.
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, os.Interrupt)
-	defer stop()
-	errc := make(chan error, 1)
-	go func() {
-		if err := httpSrv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			errc <- err
-		}
-	}()
-	// Print the listener's actual address: with ":0" the kernel picks the
-	// port, and scripted callers (scripts/servesmoke) parse this line.
-	fmt.Fprintf(stdout, "serving %s (%s × %s, tier %s) on %s — POST /detect, GET /healthz /readyz /metrics%s\n",
-		env.Scn.ID, env.Scn.Dataset, env.Scn.Arch, *sopts.tier, ln.Addr(), sopts.obsEndpoints(false))
-
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	fmt.Fprintln(stdout, "signal received, draining…")
-	drainCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(drainCtx); err != nil {
-		return fmt.Errorf("draining detection queue: %w", err)
-	}
-	if err := httpSrv.Shutdown(drainCtx); err != nil {
-		return fmt.Errorf("closing http server: %w", err)
-	}
-	fmt.Fprintln(stdout, "drained cleanly")
-	return nil
+	return listenAndDrain(*addr, handler, srv.Shutdown, stdout, func(a net.Addr) string {
+		return fmt.Sprintf("serving %s (%s × %s, tier %s) on %s — POST /detect, GET /healthz /readyz /metrics%s",
+			env.Scn.ID, env.Scn.Dataset, env.Scn.Arch, *sopts.tier, a, sopts.obsEndpoints(false))
+	})
 }

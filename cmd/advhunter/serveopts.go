@@ -1,21 +1,24 @@
 package main
 
-// The serving-stack construction shared by `serve`, `loadgen`, and `cluster`:
-// one flag surface (serveOpts), one detector+config assembly (buildServeStack),
-// one replica factory (replicaBuilder), and the loopback boot helper the load
-// generator uses when no -target is given. Keeping all three subcommands on
-// this file means a server booted by any of them is configured identically.
+// The serving-stack construction shared by `serve` and `cluster`: one flag
+// surface (serveOpts), one detector+config assembly (buildServeStack), one
+// replica factory (replicaBuilder), and one listen-and-drain loop
+// (listenAndDrain). Keeping both subcommands on this file means a server
+// booted by either is configured and drained identically.
 
 import (
 	"context"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"net"
 	"net/http"
 	"os"
+	"os/signal"
 	"path/filepath"
+	"syscall"
 	"time"
 
 	"advhunter/internal/cluster"
@@ -28,9 +31,9 @@ import (
 	"advhunter/internal/uarch/hpc"
 )
 
-// serveOpts holds the serving-stack flags shared by `serve`, `cluster`, and
-// the load generator's self-boot path — one registration point, so a server
-// booted by `loadgen` is configured exactly like one booted by `serve`.
+// serveOpts holds the serving-stack flags shared by `serve` and `cluster` —
+// one registration point, so a cluster replica is configured exactly like a
+// single server.
 type serveOpts struct {
 	queue       *int
 	timeout     *time.Duration
@@ -59,8 +62,8 @@ func serveFlags(fs *flag.FlagSet) serveOpts {
 		event:       fs.String("event", hpc.CacheMisses.String(), "perf event driving the adversarial verdict"),
 		truthCache:  fs.Int("truth-cache", 512, "truth-count memoisation cache entries (0 disables)"),
 		maxInflight: fs.Int("max-inflight", 0, "cap on concurrently admitted requests, independent of -queue (0 = unlimited)"),
-		tier:        fs.String("tier", serve.TierExact, "serving tier: exact, twin (analytical twin only), or auto (twin screens, uncertain verdicts escalate to exact)"),
-		twinDir:     fs.String("twin-dir", "artifacts/twin", "precomputed twin-table directory (tables are profiled on a miss; used when -tier is twin or auto)"),
+		tier:        fs.String("tier", serve.TierExact, "serving tier: exact, or auto (twin screens, uncertain verdicts escalate to exact; -margin -1 lets the twin decide every query)"),
+		twinDir:     fs.String("twin-dir", "artifacts/twin", "precomputed twin-table directory (tables are profiled on a miss; used when -tier is auto)"),
 		margin:      fs.Float64("margin", 0.15, "auto-tier escalation band around the detector threshold (0 = default, negative = never escalate)"),
 
 		flight:        fs.Duration("flight", 0, "flight-recorder sampling interval (0 disables; negative = manual mode, sampled only when /debug/flight is queried)"),
@@ -78,9 +81,9 @@ func serveFlags(fs *flag.FlagSet) serveOpts {
 // training.
 func (o serveOpts) validate() error {
 	switch *o.tier {
-	case serve.TierExact, serve.TierTwin, serve.TierAuto:
+	case serve.TierExact, serve.TierAuto:
 	default:
-		return fmt.Errorf("unknown tier %q (have %s, %s, %s)", *o.tier, serve.TierExact, serve.TierTwin, serve.TierAuto)
+		return fmt.Errorf("unknown tier %q (have %s, %s)", *o.tier, serve.TierExact, serve.TierAuto)
 	}
 	_, err := hpc.ParseEvent(*o.event)
 	return err
@@ -127,7 +130,7 @@ func (o serveOpts) config(env *experiments.Env, dopts detectorOpts, det *detect.
 		// shutdown, and O_APPEND keeps concurrent replica writes whole lines.
 		cfg.TraceLog = f
 	}
-	if tier != serve.TierExact {
+	if tier == serve.TierAuto {
 		dcfg, err := dopts.config()
 		if err != nil {
 			return serve.Config{}, err
@@ -191,9 +194,9 @@ func (o serveOpts) clusterObs(ccfg cluster.Config) cluster.Config {
 	return ccfg
 }
 
-// buildServeStack is the one construction path behind `serve`, `cluster`, and
-// the load generator's self-boot: load (or fit) the detector, then assemble
-// the serve.Config from the shared flag surface.
+// buildServeStack is the one construction path behind `serve` and `cluster`:
+// load (or fit) the detector, then assemble the serve.Config from the shared
+// flag surface.
 func buildServeStack(env *experiments.Env, dopts detectorOpts, sopts serveOpts, copts commonOpts,
 	logger *slog.Logger) (*detect.Fitted, serve.Config, error) {
 	det, err := loadOrFitDetector(env, dopts)
@@ -233,34 +236,42 @@ func validPolicy(p string) bool {
 	return false
 }
 
-// bootedServer is one in-process serve instance the load generator drives
-// when no -target is given.
-type bootedServer struct {
-	base string
-	srv  *serve.Server
-	http *http.Server
-	ln   net.Listener
-}
-
-// bootServer starts a serve instance on a kernel-picked loopback port.
-func bootServer(env *experiments.Env, det *detect.Fitted, cfg serve.Config) (*bootedServer, error) {
-	srv := serve.New(env.Meas.Clone(), det, cfg)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+// listenAndDrain serves handler on addr until SIGTERM or SIGINT, then drains:
+// drain finishes the admitted work, then the HTTP server closes. announce
+// renders the boot line from the listener's actual address: with ":0" the
+// kernel picks the port, and scripted callers (scripts/servesmoke) parse the
+// line.
+func listenAndDrain(addr string, handler http.Handler, drain func(context.Context) error,
+	stdout io.Writer, announce func(net.Addr) string) error {
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	hs := &http.Server{Handler: srv.Handler()}
+	httpSrv := &http.Server{Handler: handler}
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, os.Interrupt)
+	defer stop()
+	errc := make(chan error, 1)
 	go func() {
-		if err := hs.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			slog.Error("loadgen server", slog.String("err", err.Error()))
+		if err := httpSrv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
+			errc <- err
 		}
 	}()
-	return &bootedServer{base: "http://" + ln.Addr().String(), srv: srv, http: hs, ln: ln}, nil
-}
+	fmt.Fprintln(stdout, announce(ln.Addr()))
 
-func (b *bootedServer) shutdown() {
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	select {
+	case err := <-errc:
+		return err
+	case <-ctx.Done():
+	}
+	fmt.Fprintln(stdout, "signal received, draining…")
+	drainCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	b.srv.Shutdown(ctx)
-	b.http.Shutdown(ctx)
+	if err := drain(drainCtx); err != nil {
+		return fmt.Errorf("draining: %w", err)
+	}
+	if err := httpSrv.Shutdown(drainCtx); err != nil {
+		return fmt.Errorf("closing http server: %w", err)
+	}
+	fmt.Fprintln(stdout, "drained cleanly")
+	return nil
 }

@@ -3,9 +3,8 @@ package main
 // `advhunter watch` — a terminal dashboard over a running serve or cluster
 // instance. It polls the plain HTTP surfaces every instance already exposes
 // (/metrics, /debug/flight, /alerts, /debug/trace), so it needs no agent in
-// the target process and works identically against a single server, a
-// cluster router (where the merged pages aggregate the fleet), or a server
-// booted by loadgen.
+// the target process and works identically against a single server or a
+// cluster router (where the merged pages aggregate the fleet).
 
 import (
 	"context"

@@ -9,12 +9,13 @@ import (
 	"advhunter/internal/detect"
 )
 
-// batchTierConfigs enumerates the three tierings with the fixture's twin
-// stack plugged in where required.
+// batchTierConfigs enumerates exact, auto, and auto with a negative margin
+// (keyed "twin": the twin decides every query), with the fixture's twin stack
+// plugged in where required.
 func batchTierConfigs(f *fixture, base Config) map[string]Config {
 	return map[string]Config{
 		TierExact: func() Config { c := base; c.Tier = TierExact; return c }(),
-		TierTwin:  f.tierConfig(TierTwin, base),
+		TierTwin:  f.twinOnlyConfig(base),
 		TierAuto:  f.tierConfig(TierAuto, base),
 	}
 }

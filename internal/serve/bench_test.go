@@ -89,12 +89,15 @@ func getBenchFixture(b *testing.B) *benchFixture {
 func BenchmarkServeTierResNet18(b *testing.B) {
 	f := getBenchFixture(b)
 	base := Config{Workers: 1, QueueSize: 16}
-	tiered := func(tier string, cacheSize int) Config {
+	// The twin cases run auto with a negative margin: the twin decides every
+	// query.
+	tiered := func(margin float64, cacheSize int) Config {
 		cfg := base
-		cfg.Tier = tier
+		cfg.Tier = TierAuto
 		cfg.Twin = f.twin.Clone()
 		cfg.TwinDetector = f.twinDet
 		cfg.TruthCacheSize = cacheSize
+		cfg.EscalationMargin = margin
 		return cfg
 	}
 	cases := []struct {
@@ -103,9 +106,9 @@ func BenchmarkServeTierResNet18(b *testing.B) {
 	}{
 		{"exact-nocache", Config{Workers: 1, QueueSize: 16, TruthCacheSize: -1}},
 		{"exact", base},
-		{"twin-nocache", tiered(TierTwin, -1)},
-		{"twin", tiered(TierTwin, 0)},
-		{"auto", tiered(TierAuto, 0)},
+		{"twin-nocache", tiered(-1, -1)},
+		{"twin", tiered(-1, 0)},
+		{"auto", tiered(0, 0)},
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {

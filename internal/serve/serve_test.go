@@ -21,6 +21,7 @@ import (
 	"advhunter/internal/detect"
 	"advhunter/internal/engine"
 	"advhunter/internal/models"
+	"advhunter/internal/tensor"
 	"advhunter/internal/train"
 	"advhunter/internal/twin"
 	"advhunter/internal/uarch/hpc"
@@ -115,6 +116,13 @@ func (f *fixture) tierConfig(tier string, cfg Config) Config {
 	return cfg
 }
 
+// twinOnlyConfig returns cfg serving the auto tier with a negative margin,
+// so the twin decides every query.
+func (f *fixture) twinOnlyConfig(cfg Config) Config {
+	cfg.EscalationMargin = -1
+	return f.tierConfig(TierAuto, cfg)
+}
+
 // newServer builds a server (and cleanup) around a fresh measurer clone so
 // tests never share engine state.
 func newServer(t *testing.T, f *fixture, cfg Config) (*Server, *httptest.Server) {
@@ -180,46 +188,69 @@ func TestServeEndToEnd(t *testing.T) {
 	if nAdv > len(f.adv) {
 		nAdv = len(f.adv)
 	}
-	cleanFlags := 0
-	for i := 0; i < nClean; i++ {
-		resp, body := post(t, ts.URL, NewRequest(f.clean[i].X, uint64(i)))
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("clean query %d: status %d: %s", i, resp.StatusCode, body)
+	// flagCounts posts the clean and adversarial queries and counts the
+	// flagged responses of each set.
+	flagCounts := func(t *testing.T, url string) (cleanFlags, advFlags int) {
+		t.Helper()
+		flagged := func(x *tensor.Tensor, idx uint64) bool {
+			resp, body := post(t, url, NewRequest(x, idx))
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("query %d: status %d: %s", idx, resp.StatusCode, body)
+			}
+			var r Response
+			if err := json.Unmarshal(body, &r); err != nil {
+				t.Fatalf("query %d: %v", idx, err)
+			}
+			if r.Index != idx {
+				t.Fatalf("query %d echoed index %d", idx, r.Index)
+			}
+			return r.Adversarial
 		}
-		var r Response
-		if err := json.Unmarshal(body, &r); err != nil {
-			t.Fatalf("clean query %d: %v", i, err)
+		for i := 0; i < nClean; i++ {
+			if flagged(f.clean[i].X, uint64(i)) {
+				cleanFlags++
+			}
 		}
-		if r.Index != uint64(i) {
-			t.Fatalf("clean query %d echoed index %d", i, r.Index)
+		for i := 0; i < nAdv; i++ {
+			if flagged(f.adv[i].X, uint64(1_000_000+i)) {
+				advFlags++
+			}
 		}
-		if r.Adversarial {
-			cleanFlags++
-		}
+		return cleanFlags, advFlags
 	}
-	advFlags := 0
-	for i := 0; i < nAdv; i++ {
-		resp, body := post(t, ts.URL, NewRequest(f.adv[i].X, uint64(1_000_000+i)))
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("adv query %d: status %d: %s", i, resp.StatusCode, body)
-		}
-		var r Response
-		if err := json.Unmarshal(body, &r); err != nil {
-			t.Fatalf("adv query %d: %v", i, err)
-		}
-		if r.Adversarial {
-			advFlags++
-		}
+
+	// Detection quality over HTTP, per tier: adversarial queries must be
+	// flagged more often than clean ones on exact, on auto, and on auto with
+	// a negative margin ("twin"), where the twin decides every query.
+	var cleanFlags, advFlags int // the exact server's, for the /metrics checks
+	for _, tier := range []string{TierExact, TierAuto, TierTwin} {
+		t.Run(tier, func(t *testing.T) {
+			url := ts.URL
+			switch tier {
+			case TierAuto:
+				_, tts := newServer(t, f, f.tierConfig(TierAuto, Config{Workers: 2}))
+				url = tts.URL
+			case TierTwin:
+				_, tts := newServer(t, f, f.twinOnlyConfig(Config{Workers: 2}))
+				url = tts.URL
+			}
+			c, a := flagCounts(t, url)
+			cleanRate, advRate := float64(c)/float64(nClean), float64(a)/float64(nAdv)
+			t.Logf("clean flag rate %.2f (%d/%d), adversarial flag rate %.2f (%d/%d)",
+				cleanRate, c, nClean, advRate, a, nAdv)
+			if advRate <= cleanRate {
+				t.Fatalf("adversarial flag rate %.2f must exceed clean false-positive rate %.2f", advRate, cleanRate)
+			}
+			if tier == TierExact {
+				if advRate < 0.5 {
+					t.Fatalf("adversarial flag rate %.2f is too weak for the e2e fixture", advRate)
+				}
+				cleanFlags, advFlags = c, a
+			}
+		})
 	}
-	cleanRate := float64(cleanFlags) / float64(nClean)
-	advRate := float64(advFlags) / float64(nAdv)
-	t.Logf("clean flag rate %.2f (%d/%d), adversarial flag rate %.2f (%d/%d)",
-		cleanRate, cleanFlags, nClean, advRate, advFlags, nAdv)
-	if advRate <= cleanRate {
-		t.Fatalf("adversarial flag rate %.2f must exceed clean false-positive rate %.2f", advRate, cleanRate)
-	}
-	if advRate < 0.5 {
-		t.Fatalf("adversarial flag rate %.2f is too weak for the e2e fixture", advRate)
+	if t.Failed() {
+		return
 	}
 
 	// /metrics must reflect the traffic.
@@ -370,6 +401,11 @@ func TestServeBackpressure(t *testing.T) {
 	}
 	if completed < 1 || completed+rejected != n {
 		t.Fatalf("completed %d rejected %d of %d", completed, rejected, n)
+	}
+	// The server's own 429 counter must agree with what the clients saw.
+	want429 := fmt.Sprintf("advhunter_requests_total{code=\"429\"} %d\n", rejected)
+	if m := string(scrape(t, ts.URL)); !strings.Contains(m, want429) {
+		t.Fatalf("/metrics missing %q:\n%s", want429, grepLines(m, "requests_total"))
 	}
 }
 

@@ -76,14 +76,15 @@ type Config struct {
 	// tiered serving the same size caps the twin tier's separate truth cache
 	// (twin and exact truths differ, so the caches are never shared).
 	TruthCacheSize int
-	// Tier selects the measurement tier (default TierExact). TierTwin
-	// predicts every query's counts from the analytical twin's tables;
-	// TierAuto screens every query with the twin and escalates the
-	// twin-uncertain ones to the exact simulator. Both require Twin; New
-	// panics otherwise (a configuration error, like an unknown tier name).
+	// Tier selects the measurement tier: TierExact (the default) or
+	// TierAuto, which screens every query with the twin and escalates the
+	// twin-uncertain ones to the exact simulator. A negative
+	// EscalationMargin lets the twin decide every query. TierAuto requires
+	// Twin; New panics otherwise (a configuration error, like an unknown
+	// tier name).
 	Tier string
-	// Twin is the twin measurement backend (internal/twin) for the twin and
-	// auto tiers. The server takes ownership and clones it across the worker
+	// Twin is the twin measurement backend (internal/twin) for the auto
+	// tier. The server takes ownership and clones it across the worker
 	// pool, exactly like the exact measurer.
 	Twin *twin.Measurer
 	// TwinDetector optionally scores twin-tier measurements. The twin's
@@ -145,11 +146,12 @@ type Config struct {
 	gate chan struct{}
 }
 
-// The measurement tiers of Config.Tier.
+// The measurement tiers of Config.Tier, and the tier labels of responses.
 const (
 	// TierExact simulates every query on the exact engine (the default).
 	TierExact = "exact"
-	// TierTwin predicts every query's counts from the twin tables.
+	// TierTwin labels a response the twin decided. It is not a Config.Tier
+	// value: TierAuto with a negative EscalationMargin serves twin only.
 	TierTwin = "twin"
 	// TierAuto screens with the twin and escalates uncertain queries.
 	TierAuto = "auto"
@@ -236,11 +238,11 @@ type Server struct {
 func New(m *core.Measurer, det detect.Detector, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	switch cfg.Tier {
-	case TierExact, TierTwin, TierAuto:
+	case TierExact, TierAuto:
 	default:
 		panic(fmt.Sprintf("serve: unknown tier %q", cfg.Tier))
 	}
-	if cfg.Tier != TierExact && cfg.Twin == nil {
+	if cfg.Tier == TierAuto && cfg.Twin == nil {
 		panic(fmt.Sprintf("serve: tier %q requires Config.Twin", cfg.Tier))
 	}
 	meta := m.Engine.Model.Meta
@@ -269,16 +271,13 @@ func New(m *core.Measurer, det detect.Detector, cfg Config) *Server {
 	s.tracer = obs.NewTracer(s.stats.reg, s.logger)
 	s.stats.registerAdmission(s.adm)
 
-	// Truth caches, one per tier that can serve: twin and exact truths for
-	// the same input differ, so they are never shared, and the twin-only tier
-	// never simulates and therefore carries no exact cache at all.
+	// Truth caches, one per tier: twin and exact truths for the same input
+	// differ, so they are never shared.
 	var truth, twinTruth *core.TruthCache
 	if cfg.TruthCacheSize > 0 {
-		if cfg.Tier != TierTwin {
-			truth = core.NewTruthCache(cfg.TruthCacheSize)
-			s.stats.registerTruthCache(truth)
-		}
-		if cfg.Tier != TierExact {
+		truth = core.NewTruthCache(cfg.TruthCacheSize)
+		s.stats.registerTruthCache(truth)
+		if cfg.Tier == TierAuto {
 			twinTruth = core.NewTruthCache(cfg.TruthCacheSize)
 		}
 	}
@@ -299,12 +298,12 @@ func New(m *core.Measurer, det detect.Detector, cfg Config) *Server {
 		Hits: s.stats.truthHits, Misses: s.stats.truthMisses,
 	}
 
-	// Tiering stage: the twin and auto tiers add a twin measurement stage in
-	// front (or instead) of the exact one.
+	// Tiering stage: the auto tier adds a twin measurement stage in front of
+	// the exact one.
 	switch cfg.Tier {
 	case TierExact:
 		s.tiering = exactTiering{pool: exactPool}
-	default:
+	case TierAuto:
 		twinDet := det
 		if cfg.TwinDetector != nil {
 			// The service decision rule (decIdx) and the response channel maps
@@ -333,17 +332,13 @@ func New(m *core.Measurer, det detect.Detector, cfg Config) *Server {
 			Hits: s.stats.twinTruthHits, Misses: s.stats.twinTruthMisses,
 			Seconds: s.stats.tierSecondsTwin,
 		}
-		if cfg.Tier == TierTwin {
-			s.tiering = twinTiering{pool: twinPool, decided: s.stats.tierTwin}
-		} else {
-			exactPool.Seconds = s.stats.tierSecondsExact
-			s.tiering = autoTiering{
-				twin: twinPool, exact: exactPool,
-				twinDet: twinDet, decIdx: decIdx, margin: cfg.EscalationMargin,
-				screened: s.stats.tierScreened, escalations: s.stats.tierEscalations,
-				twinDecided: s.stats.tierTwin, exactDecided: s.stats.tierExact,
-				agreement: s.stats.tierAgreement,
-			}
+		exactPool.Seconds = s.stats.tierSecondsExact
+		s.tiering = autoTiering{
+			twin: twinPool, exact: exactPool,
+			twinDet: twinDet, decIdx: decIdx, margin: cfg.EscalationMargin,
+			screened: s.stats.tierScreened, escalations: s.stats.tierEscalations,
+			twinDecided: s.stats.tierTwin, exactDecided: s.stats.tierExact,
+			agreement: s.stats.tierAgreement,
 		}
 	}
 

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"advhunter/internal/tensor"
 )
 
 // tierStream is the query mix the tier tests replay: clean and adversarial
@@ -38,9 +40,10 @@ func replay(t *testing.T, url string, stream []Request) map[uint64]string {
 	return out
 }
 
-// TestServeTierTwin: under the twin tier every response is decided — and
-// labelled — by the twin, predictions are bit-identical to the exact path
-// (the forward numerics are shared), and /metrics exports the tier series.
+// TestServeTierTwin: under auto with a negative margin every response is
+// decided — and labelled — by the twin, nothing escalates, predictions are
+// bit-identical to the exact path (the forward numerics are shared), and
+// /metrics exports the tier series.
 func TestServeTierTwin(t *testing.T) {
 	f := getFixture(t)
 	stream := tierStream(f)
@@ -48,7 +51,7 @@ func TestServeTierTwin(t *testing.T) {
 	_, tsExact := newServer(t, f, Config{Workers: 1})
 	exact := replay(t, tsExact.URL, stream)
 
-	_, tsTwin := newServer(t, f, f.tierConfig(TierTwin, Config{Workers: 1}))
+	_, tsTwin := newServer(t, f, f.twinOnlyConfig(Config{Workers: 1}))
 	bodies := replay(t, tsTwin.URL, stream)
 	for idx, body := range bodies {
 		var r, e Response
@@ -75,6 +78,7 @@ func TestServeTierTwin(t *testing.T) {
 	text := string(mbody)
 	for _, want := range []string{
 		`advhunter_tier_requests_total{tier="twin"} 24`,
+		"advhunter_tier_escalations_total 0",
 		"advhunter_twin_table_bytes",
 		"advhunter_twin_truth_cache_entries",
 		"advhunter_twin_truth_cache_bytes",
@@ -83,13 +87,7 @@ func TestServeTierTwin(t *testing.T) {
 			t.Errorf("/metrics missing %q", want)
 		}
 	}
-	// The twin-only tier never simulates, so it must not export the exact
-	// truth cache's series.
-	if strings.Contains(text, "advhunter_truth_cache_hits_total") {
-		t.Error("twin-only server exports the exact truth-cache series")
-	}
-
-	// The exact server, by contrast, exports its truth cache's size gauge.
+	// The exact server exports its truth cache's size gauge.
 	eresp, err := http.Get(tsExact.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -162,20 +160,31 @@ func TestServeTierAutoEscalatesAll(t *testing.T) {
 }
 
 // TestServeTierAutoNeverEscalates: a negative margin makes no twin verdict
-// uncertain, so auto serving must be byte-identical to twin-only serving.
+// uncertain, so every auto response must be the twin's own verdict: the twin
+// detector's scores and flags on the twin measurement at that index.
 func TestServeTierAutoNeverEscalates(t *testing.T) {
 	f := getFixture(t)
 	stream := tierStream(f)
-
-	_, tsTwin := newServer(t, f, f.tierConfig(TierTwin, Config{Workers: 1}))
-	want := replay(t, tsTwin.URL, stream)
-
-	cfg := f.tierConfig(TierAuto, Config{Workers: 1})
-	cfg.EscalationMargin = -1
-	_, ts := newServer(t, f, cfg)
-	for idx, body := range replay(t, ts.URL, stream) {
-		if body != want[idx] {
-			t.Fatalf("index %d: auto(-margin) differs from twin-only:\nauto: %s\ntwin: %s", idx, body, want[idx])
+	_, ts := newServer(t, f, f.twinOnlyConfig(Config{Workers: 1}))
+	bodies := replay(t, ts.URL, stream)
+	tm := f.twin.Clone()
+	for _, req := range stream {
+		idx := *req.Index
+		x := tensor.FromSlice(req.Data, req.Shape...)
+		want := f.twinDet.Detect(tm.MeasureAt(idx, x))
+		var got Response
+		if err := json.Unmarshal([]byte(bodies[idx]), &got); err != nil {
+			t.Fatal(err)
+		}
+		if got.Tier != TierTwin || got.PredictedClass != want.PredictedClass || got.Modelled != want.Modelled {
+			t.Fatalf("index %d: got tier %q class %d modelled %v, want twin class %d modelled %v",
+				idx, got.Tier, got.PredictedClass, got.Modelled, want.PredictedClass, want.Modelled)
+		}
+		for i, ch := range want.Channels {
+			if got.Scores[ch] != want.Scores[i] || got.Flags[ch] != want.Flags[i] {
+				t.Fatalf("index %d channel %s: score %g flag %v, twin detector gives %g %v",
+					idx, ch, got.Scores[ch], got.Flags[ch], want.Scores[i], want.Flags[i])
+			}
 		}
 	}
 }
@@ -196,8 +205,8 @@ func TestServeTierInvalidConfig(t *testing.T) {
 	mustPanic("unknown tier", func() {
 		New(f.meas.Clone(), f.det, Config{Tier: "warp"})
 	})
-	mustPanic("twin tier without twin", func() {
-		New(f.meas.Clone(), f.det, Config{Tier: TierTwin})
+	mustPanic("twin is not a tier", func() {
+		New(f.meas.Clone(), f.det, Config{Tier: TierTwin, Twin: f.twin.Clone()})
 	})
 	mustPanic("auto tier without twin", func() {
 		New(f.meas.Clone(), f.det, Config{Tier: TierAuto})

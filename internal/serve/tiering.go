@@ -29,18 +29,6 @@ func (t exactTiering) Decide(ctx context.Context, worker int, idx uint64, x *ten
 	return t.pool.Score(ctx, worker, idx, x), ""
 }
 
-// twinTiering serves every query from the twin pool.
-type twinTiering struct {
-	pool    *MeasurePool
-	decided *obs.Counter // advhunter_tier_requests_total{tier="twin"}
-}
-
-func (t twinTiering) Decide(ctx context.Context, worker int, idx uint64, x *tensor.Tensor) (detect.Verdict, string) {
-	v := t.pool.Score(ctx, worker, idx, x)
-	t.decided.Inc()
-	return v, TierTwin
-}
-
 // autoTiering screens every query with the twin pool and escalates the
 // twin-uncertain ones to the exact pool, tracking agreement between the two
 // tiers on escalated queries.

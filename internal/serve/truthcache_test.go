@@ -13,7 +13,8 @@ import (
 )
 
 // TestTruthCacheByteIdenticalResponses is the serve-layer memoisation
-// differential, on the exact and twin tiers: the same request sequence —
+// differential, on the exact tier and on the twin (auto with a negative
+// margin, so the twin decides every query): the same request sequence —
 // including repeated queries of one image under fresh indices, and an input
 // crafted to share the first image's core.Fingerprint — must produce
 // byte-identical response bodies with memoisation on and off, while the
@@ -30,7 +31,7 @@ func TestTruthCacheByteIdenticalResponses(t *testing.T) {
 				if tc.tier == TierExact {
 					return c
 				}
-				return f.tierConfig(tc.tier, c)
+				return f.twinOnlyConfig(c)
 			}
 			_, tsOn := newServer(t, f, config(Config{Workers: 2})) // default: cache enabled (512)
 			_, tsOff := newServer(t, f, config(Config{Workers: 2, TruthCacheSize: -1}))

@@ -4,43 +4,26 @@ import (
 	"fmt"
 
 	"advhunter/internal/data"
-	"advhunter/internal/rng"
 )
 
 // Cohort is one client population with a distinct query mix: a weight (its
-// share of the traffic) and a sample pool it draws queries from. The
-// canonical cohorts are clean test images, FGSM and MIM adversarial
-// examples, and a repeated-query cohort — the Blacklight-shaped traffic of
-// an iterative black-box attacker, which re-issues a tiny hot set of inputs
-// and is what exercises the serve tier's fingerprint-keyed truth cache.
+// share of the traffic) and a sample pool it draws queries from — clean test
+// images, say, or FGSM and MIM adversarial examples.
 type Cohort struct {
-	// Name labels the cohort in traces and reports ("clean", "fgsm", …).
+	// Name labels the cohort in traces ("clean", "fgsm", …).
 	Name string
 	// Weight is the cohort's share of the traffic, relative to the other
 	// cohorts' weights (any positive scale).
 	Weight float64
 	// Pool holds the samples the cohort draws from, uniformly at random.
 	Pool []data.Sample
-	// Hot, when > 0, restricts draws to the first Hot pool entries — the
-	// repeated-query cohort: byte-identical inputs recur every few requests,
-	// so the server's truth cache should absorb their simulation cost.
-	Hot int
-}
-
-// draw picks one sample from the cohort's (possibly Hot-restricted) pool.
-func (c Cohort) draw(r *rng.Rand) data.Sample {
-	n := len(c.Pool)
-	if c.Hot > 0 && c.Hot < n {
-		n = c.Hot
-	}
-	return c.Pool[r.Intn(n)]
 }
 
 // Mix is a weighted set of cohorts.
 type Mix []Cohort
 
 // validate rejects empty mixes, non-positive weights, empty pools, and
-// duplicate cohort names (reports key per-cohort stats by name).
+// duplicate cohort names (callers tell events apart by cohort name).
 func (m Mix) validate() error {
 	if len(m) == 0 {
 		return fmt.Errorf("workload: empty cohort mix")
@@ -59,9 +42,6 @@ func (m Mix) validate() error {
 		}
 		if len(c.Pool) == 0 {
 			return fmt.Errorf("workload: cohort %q has an empty sample pool", c.Name)
-		}
-		if c.Hot < 0 {
-			return fmt.Errorf("workload: cohort %q has negative Hot %d", c.Name, c.Hot)
 		}
 	}
 	return nil

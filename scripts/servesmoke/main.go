@@ -2,10 +2,9 @@
 // it launches a built advhunter binary as a real child process, waits for the
 // listener announcement, scrapes /metrics (holding the output to the strict
 // exposition linter and to a multi-layer series checklist), pulls a pprof
-// heap profile, runs a short `advhunter loadgen` burst against the live
-// listener (asserting the report parses and the client exposition lints), and
-// then checks the SIGTERM drain path exits cleanly. It then repeats the
-// exercise against `advhunter cluster` with two replicas, asserting the
+// heap profile, POSTs a burst of the scenario's test images (each must answer
+// 200), and then checks the SIGTERM drain path exits cleanly. It then repeats
+// the exercise against `advhunter cluster` with two replicas, asserting the
 // merged /metrics page lints and carries replica-labelled serve series plus
 // the cluster's own routing counters.
 //
@@ -15,6 +14,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -22,30 +22,36 @@ import (
 	"net/http"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
 
+	"advhunter/internal/experiments"
 	"advhunter/internal/obs"
+	"advhunter/internal/serve"
 )
 
 func main() {
 	bin := flag.String("bin", "", "path to the built advhunter binary")
 	scenario := flag.String("scenario", "S1", "scenario to serve")
 	flag.Parse()
-	if err := run(*bin, *scenario); err != nil {
+	bodies, err := burstBodies(*scenario)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "servesmoke: %v\n", err)
 		os.Exit(1)
 	}
-	if err := runCluster(*bin, *scenario); err != nil {
+	if err := run(*bin, *scenario, bodies); err != nil {
+		fmt.Fprintf(os.Stderr, "servesmoke: %v\n", err)
+		os.Exit(1)
+	}
+	if err := runCluster(*bin, *scenario, bodies); err != nil {
 		fmt.Fprintf(os.Stderr, "servesmoke: cluster: %v\n", err)
 		os.Exit(1)
 	}
 	fmt.Println("servesmoke: OK")
 }
 
-func run(bin, scenario string) error {
+func run(bin, scenario string, bodies [][]byte) error {
 	if bin == "" {
 		return fmt.Errorf("missing -bin (path to the advhunter binary)")
 	}
@@ -139,7 +145,7 @@ func run(bin, scenario string) error {
 		return fmt.Errorf("/debug/build body %q missing go_version", build)
 	}
 
-	if err := loadgenSmoke(bin, scenario, base); err != nil {
+	if err := burst(base, bodies); err != nil {
 		return err
 	}
 	if err := obsSmoke(bin, base); err != nil {
@@ -163,7 +169,7 @@ func run(bin, scenario string) error {
 	return nil
 }
 
-// obsSmoke exercises the observability surfaces after the loadgen burst: the
+// obsSmoke exercises the observability surfaces after the burst: the
 // flight recorder page (manual mode samples on each query), the request-trace
 // ring (the burst must have left traces carrying request ids), the alerts
 // page with the stock rules, and one frame of `advhunter watch` — the
@@ -223,14 +229,14 @@ func obsSmoke(bin, base string) error {
 	return nil
 }
 
-// runCluster boots a 2-replica cluster as a child process, fires a loadgen
-// burst at it, and lints the merged /metrics page: every replica's serve
+// runCluster boots a 2-replica cluster as a child process, fires the burst
+// at it, and lints the merged /metrics page: every replica's serve
 // series must appear under its replica label alongside the cluster's own
 // routing counters, with one family block per name (the linter rejects the
 // duplicated HELP/TYPE blocks a naive multi-registry concatenation would
 // produce). The exact tier keeps the second boot fast; the tiered series are
 // already covered by the single-server pass.
-func runCluster(bin, scenario string) error {
+func runCluster(bin, scenario string, bodies [][]byte) error {
 	cmd := exec.Command(bin, "cluster",
 		"-scenario", scenario,
 		"-addr", "127.0.0.1:0",
@@ -277,7 +283,7 @@ func runCluster(bin, scenario string) error {
 	}
 	base := "http://" + addr
 
-	if err := loadgenSmoke(bin, scenario, base); err != nil {
+	if err := burst(base, bodies); err != nil {
 		return err
 	}
 
@@ -354,52 +360,39 @@ func runCluster(bin, scenario string) error {
 	return nil
 }
 
-// loadgenSmoke drives the live server with a short open-loop Poisson run via
-// `advhunter loadgen -target`, then asserts the JSON report parses with a
-// plausible shape and the client-side metrics exposition passes the strict
-// linter — the end-to-end check on the PR-7 load harness.
-func loadgenSmoke(bin, scenario, base string) error {
-	dir, err := os.MkdirTemp("", "loadgen-smoke")
+// burstBodies encodes the /detect bodies of the scenario's first 40 test
+// images, each under its own noise index. The scenario loads from the
+// committed cache, like the server's.
+func burstBodies(scenario string) ([][]byte, error) {
+	env, err := experiments.LoadEnv(scenario, experiments.Options{CacheDir: "artifacts/cache"})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	defer os.RemoveAll(dir)
-	expo := filepath.Join(dir, "client-metrics.prom")
+	var bodies [][]byte
+	for i, s := range env.DS.Test[:min(40, len(env.DS.Test))] {
+		body, err := json.Marshal(serve.NewRequest(s.X, uint64(i)))
+		if err != nil {
+			return nil, err
+		}
+		bodies = append(bodies, body)
+	}
+	return bodies, nil
+}
 
-	lg := exec.Command(bin, "loadgen",
-		"-target", base,
-		"-scenario", scenario,
-		"-shape", "poisson", "-rate", "20", "-duration", "2s",
-		"-cohorts", "clean=3,repeat=1", // no attack crafting: the smoke stays fast
-		"-json", "-expo", expo,
-		"-log-format", "json", "-log-level", "warn")
-	lg.Stderr = os.Stderr
-	out, err := lg.Output()
-	if err != nil {
-		return fmt.Errorf("loadgen against %s: %w", base, err)
+// burst POSTs every body to the live listener and requires a 200 for each.
+func burst(base string, bodies [][]byte) error {
+	for i, body := range bodies {
+		resp, err := http.Post(base+"/detect", "application/json", bytes.NewReader(body))
+		if err != nil {
+			return err
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			return fmt.Errorf("burst request %d: status %d: %s", i, resp.StatusCode, msg)
+		}
 	}
-	var rep struct {
-		Requests  int     `json:"requests"`
-		Completed int     `json:"completed"`
-		Wall      float64 `json:"wall_seconds"`
-	}
-	if err := json.Unmarshal(out, &rep); err != nil {
-		return fmt.Errorf("loadgen report is not JSON: %w\n%s", err, out)
-	}
-	if rep.Requests == 0 || rep.Completed == 0 || rep.Wall <= 0 {
-		return fmt.Errorf("loadgen report looks empty: %s", out)
-	}
-	exposition, err := os.ReadFile(expo)
-	if err != nil {
-		return err
-	}
-	if err := obs.Lint(exposition); err != nil {
-		return fmt.Errorf("loadgen exposition failed the linter: %w\n%s", err, exposition)
-	}
-	if !strings.Contains(string(exposition), "advhunter_loadgen_requests_total") {
-		return fmt.Errorf("loadgen exposition missing client counters:\n%s", exposition)
-	}
-	fmt.Printf("servesmoke: loadgen completed %d/%d requests in %.2fs\n", rep.Completed, rep.Requests, rep.Wall)
+	fmt.Printf("servesmoke: burst answered %d/%d requests\n", len(bodies), len(bodies))
 	return nil
 }
 

@@ -43,7 +43,7 @@ go test -run='^$' -fuzz=FuzzDecodeRequest -fuzztime=30s ./internal/serve
 echo "== bench smoke (compile + one iteration of every benchmark) =="
 go test -run=NONE -bench=. -benchtime=1x ./...
 
-echo "== serve smoke (/metrics + pprof + loadgen burst + 2-replica cluster + graceful drain) =="
+echo "== serve smoke (/metrics + pprof + /detect burst + 2-replica cluster + graceful drain) =="
 smoketmp="$(mktemp -d)"
 trap 'rm -rf "$smoketmp"' EXIT
 go build -o "$smoketmp/advhunter" ./cmd/advhunter
