@@ -12,15 +12,15 @@ import (
 
 // cmdCluster runs the multi-replica serving tier: N in-process serve
 // replicas — each with its own admission gate, consumers, tier stack, and
-// truth caches — behind a routing policy, with one merged /metrics page
-// carrying every replica's series under its replica label.
+// truth caches — behind a fingerprint-affinity router, with one merged
+// /metrics page carrying every replica's series under its replica label.
 func cmdCluster(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("cluster", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	scenario := fs.String("scenario", "S2", "scenario id (defines the served model)")
 	addr := fs.String("addr", ":8080", "listen address")
 	replicas := fs.Int("replicas", 2, "in-process serve replicas behind the router")
-	policy := fs.String("policy", cluster.PolicyRoundRobin, fmt.Sprintf("routing policy: %v", cluster.Policies))
+	policy := fs.String("policy", cluster.PolicyAffinity, "routing policy: affinity, the only one (accepted for scripts that pass it)")
 	clusterInflight := fs.Int("cluster-inflight", 0, "cluster-level cap on concurrently admitted requests, on top of each replica's -max-inflight (0 = unlimited)")
 	dopts := detectorFlags(fs)
 	sopts := serveFlags(fs)
@@ -38,8 +38,8 @@ func cmdCluster(args []string, stdout, stderr io.Writer) error {
 	if *replicas < 1 {
 		return fmt.Errorf("-replicas %d: a cluster needs at least one replica", *replicas)
 	}
-	if !validPolicy(*policy) {
-		return fmt.Errorf("unknown policy %q (have %v)", *policy, cluster.Policies)
+	if *policy != cluster.PolicyAffinity {
+		return fmt.Errorf("unknown policy %q (have %s)", *policy, cluster.PolicyAffinity)
 	}
 	env, err := experiments.LoadEnv(*scenario, copts.options())
 	if err != nil {
@@ -51,13 +51,12 @@ func cmdCluster(args []string, stdout, stderr io.Writer) error {
 	}
 	c := cluster.New(sopts.clusterObs(cluster.Config{
 		Replicas:    *replicas,
-		Policy:      *policy,
 		MaxInflight: *clusterInflight,
 		Logger:      logger,
 	}), replicaBuilder(env, det, cfg))
 
 	return listenAndDrain(*addr, c.Handler(), c.Shutdown, stdout, func(a net.Addr) string {
 		return fmt.Sprintf("serving %s (%s × %s, tier %s, %d replicas, policy %s) on %s — POST /detect, GET /healthz /readyz /metrics%s",
-			env.Scn.ID, env.Scn.Dataset, env.Scn.Arch, *sopts.tier, *replicas, c.Policy(), a, sopts.obsEndpoints(true))
+			env.Scn.ID, env.Scn.Dataset, env.Scn.Arch, *sopts.tier, *replicas, cluster.PolicyAffinity, a, sopts.obsEndpoints(true))
 	})
 }

@@ -109,7 +109,7 @@ commands:
   scan        run the deployed pipeline on test images and print decisions
   twin-profile  precompute the analytical-twin count tables for a scenario
   serve       run the online detection service (HTTP JSON, /detect)
-  cluster     run the multi-replica serving tier (N replicas behind a routing policy, merged /metrics)
+  cluster     run the multi-replica serving tier (N replicas behind an affinity router, merged /metrics)
   watch       live terminal dashboard over a running serve or cluster (-target URL)
 
 run 'advhunter <command> -h' for flags.`)

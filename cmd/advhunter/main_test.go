@@ -97,6 +97,11 @@ func TestDispatch(t *testing.T) {
 			wantCode: 1, wantStderr: `unknown tier "warp"`,
 		},
 		{
+			name:     "cluster rejects a policy other than affinity",
+			args:     []string{"cluster", "-policy", "roundrobin"},
+			wantCode: 1, wantStderr: `unknown policy "roundrobin"`,
+		},
+		{
 			name:     "twin-profile -h lists its flags",
 			args:     []string{"twin-profile", "-h"},
 			wantCode: 0, wantStderr: "-knots",

@@ -93,7 +93,6 @@ func (o serveOpts) validate() error {
 // it. Call validate first.
 func (o serveOpts) config(env *experiments.Env, dopts detectorOpts, det *detect.Fitted,
 	workers int, logger *slog.Logger) (serve.Config, error) {
-	tier := *o.tier
 	decision, err := hpc.ParseEvent(*o.event)
 	if err != nil {
 		return serve.Config{}, err
@@ -130,7 +129,7 @@ func (o serveOpts) config(env *experiments.Env, dopts detectorOpts, det *detect.
 		// shutdown, and O_APPEND keeps concurrent replica writes whole lines.
 		cfg.TraceLog = f
 	}
-	if tier == serve.TierAuto {
+	if *o.tier == serve.TierAuto {
 		dcfg, err := dopts.config()
 		if err != nil {
 			return serve.Config{}, err
@@ -145,7 +144,6 @@ func (o serveOpts) config(env *experiments.Env, dopts detectorOpts, det *detect.
 		if err != nil {
 			return serve.Config{}, err
 		}
-		cfg.Tier = tier
 		cfg.Twin = tm
 		cfg.TwinDetector = tdet
 		cfg.EscalationMargin = *o.margin
@@ -154,8 +152,8 @@ func (o serveOpts) config(env *experiments.Env, dopts detectorOpts, det *detect.
 }
 
 // alertRules returns a fresh stock rule set when -alerts is on, nil
-// otherwise. Rules are stateful, so every engine (each replica, or the
-// cluster router) must get its own set — hence a constructor, not a field.
+// otherwise. Rules are stateful, so every engine (the server's, or the
+// cluster router's) must get its own set — hence a constructor, not a field.
 func (o serveOpts) alertRules() []obs.Rule {
 	if o.alerts == nil || !*o.alerts {
 		return nil
@@ -182,9 +180,11 @@ func (o serveOpts) obsEndpoints(alwaysTrace bool) string {
 
 // clusterObs copies the observability selections to the cluster router's
 // config, where the flight recorder spans the router and every replica
-// registry and the alert engine judges fleet-wide aggregates. The per-replica
-// serve.Config keeps its own recorder and rules too: fleet totals answer "is
-// the service healthy", per-replica history answers "which replica isn't".
+// registry and the alert engine judges fleet-wide aggregates. Replicas build
+// neither (replicaBuilder strips them): the router's recorder already holds
+// every replica's series under its replica label, so fleet totals answer "is
+// the service healthy" and the per-replica series answer "which replica
+// isn't".
 func (o serveOpts) clusterObs(ccfg cluster.Config) cluster.Config {
 	ccfg.FlightInterval = *o.flight
 	ccfg.FlightSamples = *o.flightSamples
@@ -214,26 +214,19 @@ func buildServeStack(env *experiments.Env, dopts detectorOpts, sopts serveOpts, 
 // ownership of the measurer and the twin backend it is handed, so each
 // replica must get its own clones — sharing either across replicas is a data
 // race. The fitted detector is read-only and safely shared, exactly as the
-// single-server path shares it across its worker pool.
+// single-server path shares it across its worker pool. Replicas get no flight
+// recorder and no alert engine: the cluster router runs the fleet's (see
+// clusterObs), and alert rules carry per-engine state that replicas must not
+// share.
 func replicaBuilder(env *experiments.Env, det *detect.Fitted, cfg serve.Config) func(replica int) *serve.Server {
 	return func(int) *serve.Server {
 		rcfg := cfg
+		rcfg.FlightInterval, rcfg.AlertRules = 0, nil
 		if rcfg.Twin != nil {
 			rcfg.Twin = cfg.Twin.Clone()
 		}
 		return serve.New(env.Meas.Clone(), det, rcfg)
 	}
-}
-
-// validPolicy reports whether p names a known routing policy — checked up
-// front so a typo returns a usage error instead of cluster.New's panic.
-func validPolicy(p string) bool {
-	for _, q := range cluster.Policies {
-		if q == p {
-			return true
-		}
-	}
-	return false
 }
 
 // listenAndDrain serves handler on addr until SIGTERM or SIGINT, then drains:

@@ -18,23 +18,22 @@ import (
 	"advhunter/internal/serve"
 )
 
-// Config tunes the cluster tier. The zero value runs two round-robin
-// replicas with no cluster-level admission cap.
+// PolicyAffinity names the cluster's routing policy, the policy label of
+// advhunter_cluster_routed_total: queries route by fingerprint over a
+// consistent-hash ring, so repeats of one query always land on the same
+// replica and its truth cache keeps single-replica hit rates.
+const PolicyAffinity = "affinity"
+
+// Config tunes the cluster tier. The zero value runs two replicas with no
+// cluster-level admission cap.
 type Config struct {
 	// Replicas is the in-process replica count (default 2, minimum 1).
 	Replicas int
-	// Policy selects the routing policy (default PolicyRoundRobin).
-	Policy string
 	// MaxInflight caps requests concurrently admitted into the cluster
 	// handler, on top of each replica's own admission (0: unlimited). The
 	// cluster-level cap is what bounds fleet-wide memory under a flood that
 	// no single replica's gate can see.
 	MaxInflight int
-	// RetryAfter is the Retry-After hint on cluster-level 429s (default 1).
-	RetryAfter int
-	// VNodes is the affinity ring's virtual-node count per replica
-	// (default DefaultVNodes).
-	VNodes int
 	// Logger receives the cluster's structured records. nil selects
 	// slog.Default().
 	Logger *slog.Logger
@@ -66,24 +65,18 @@ func (c Config) withDefaults() Config {
 	if c.Replicas <= 0 {
 		c.Replicas = 2
 	}
-	if c.Policy == "" {
-		c.Policy = PolicyRoundRobin
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = 1
-	}
 	return c
 }
 
-// Cluster is the multi-replica serving tier: a Router in front of N
+// Cluster is the multi-replica serving tier: an affinity router in front of N
 // serve.Server assemblies, each with its own admission gate, consumers, tier
 // stack, truth caches, and metrics registry (stamped replica="i" and merged
 // onto one /metrics page). Build with New, expose with Handler, stop with
 // Shutdown (which drains every replica).
 type Cluster struct {
-	cfg      Config
 	replicas []*serve.Server
-	router   Router
+	ring     *Ring
+	spread   atomic.Uint64              // round-robin cursor for requests without a fingerprint
 	adm      *serve.Admission[struct{}] // token-only gate; replicas do the queueing
 	shape    [3]int
 
@@ -107,7 +100,6 @@ type Cluster struct {
 func New(cfg Config, build func(replica int) *serve.Server) *Cluster {
 	cfg = cfg.withDefaults()
 	c := &Cluster{
-		cfg:    cfg,
 		adm:    serve.NewAdmission[struct{}](0, cfg.MaxInflight),
 		reg:    obs.NewRegistry(),
 		logger: cfg.Logger,
@@ -132,18 +124,14 @@ func New(cfg Config, build func(replica int) *serve.Server) *Cluster {
 		}
 	}
 
-	router, err := newRouter(cfg.Policy, c.replicas, cfg.VNodes)
-	if err != nil {
-		panic(err.Error()) // a configuration error, like serve's unknown tier
-	}
-	c.router = router
+	c.ring = NewRing(cfg.Replicas, DefaultVNodes)
 
 	c.reg.Gauge("advhunter_cluster_replicas", "Cluster replica count.").With().Set(float64(cfg.Replicas))
 	routedVec := c.reg.Counter("advhunter_cluster_routed_total",
 		"Requests routed to each replica.", "policy", "replica")
 	c.routed = make([]*obs.Counter, cfg.Replicas)
 	for i := range c.routed {
-		c.routed[i] = routedVec.With(cfg.Policy, strconv.Itoa(i))
+		c.routed[i] = routedVec.With(PolicyAffinity, strconv.Itoa(i))
 	}
 	c.rejected = c.reg.Counter("advhunter_cluster_rejected_total",
 		"Requests rejected by cluster-level admission (429).").With()
@@ -181,7 +169,7 @@ func New(cfg Config, build func(replica int) *serve.Server) *Cluster {
 	// One scrape sees every layer: the cluster's own registry, each
 	// replica's serve registry under its replica label (merged into one
 	// family block per name), and the process-wide registry.
-	c.mux.Handle("/metrics", obs.MergedHandler(append(regs, obs.Default)...))
+	c.mux.Handle("/metrics", obs.Handler(append(regs, obs.Default)...))
 	c.mux.Handle("/debug/build", obs.BuildInfoHandler())
 	if c.flight != nil {
 		c.mux.Handle("/debug/flight", c.flight.Handler())
@@ -204,9 +192,6 @@ func (c *Cluster) Handler() http.Handler { return c.mux }
 
 // Replicas returns the live replica set (do not mutate).
 func (c *Cluster) Replicas() []*serve.Server { return c.replicas }
-
-// Policy returns the active routing policy name.
-func (c *Cluster) Policy() string { return c.router.Policy() }
 
 // Flight returns the cluster's fleet flight recorder, or nil when disabled.
 func (c *Cluster) Flight() *obs.Recorder { return c.flight }
@@ -266,7 +251,7 @@ func (c *Cluster) handleDetect(w http.ResponseWriter, r *http.Request) {
 	release, ok := c.adm.TryAcquire()
 	if !ok {
 		c.rejected.Inc()
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", c.cfg.RetryAfter))
+		w.Header().Set("Retry-After", serve.RetryAfter)
 		c.writeError(w, http.StatusTooManyRequests, "cluster at capacity")
 		return
 	}
@@ -276,17 +261,16 @@ func (c *Cluster) handleDetect(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// The affinity policy needs the query fingerprint, the same one the
-	// replica's truth cache uses, so the router reads and decodes the body
-	// here and hands the decoded request to the replica, which does not
-	// decode it again: one read and one decode per request. Raw body bytes
-	// cannot serve as the key — two replays of one query differ in their
-	// index field. A body that does not decode is forwarded as raw bytes, so
-	// the replica answers the same 400 a directly served replica would. The
-	// other policies route without touching the body.
+	// Routing needs the query fingerprint, the same one the replica's truth
+	// cache uses, so the router reads and decodes the body here and hands
+	// the decoded request to the replica, which does not decode it again:
+	// one read and one decode per request. Raw body bytes cannot serve as
+	// the key — two replays of one query differ in their index field. A body
+	// that does not decode is forwarded as raw bytes, so the replica answers
+	// the same 400 a directly served replica would.
 	var req *serve.Request
 	fp, fpOK := uint64(0), false
-	if c.router.Policy() == PolicyAffinity && r.Method == http.MethodPost {
+	if r.Method == http.MethodPost {
 		body, err := serve.ReadBody(w, r)
 		if err != nil {
 			c.writeError(w, http.StatusBadRequest, "request body too large or unreadable")
@@ -300,12 +284,21 @@ func (c *Cluster) handleDetect(w http.ResponseWriter, r *http.Request) {
 			r.ContentLength = int64(len(body.Bytes()))
 		}
 	}
-	target := c.router.Route(fp, fpOK)
+	target := c.route(fp, fpOK)
 	c.routed[target].Inc()
-	c.logger.DebugContext(rctx, "routed",
-		slog.Int("replica", target),
-		slog.String("policy", c.router.Policy()))
+	c.logger.DebugContext(rctx, "routed", slog.Int("replica", target))
 	c.replicas[target].ServeDecoded(w, r, req)
+}
+
+// route picks the replica for one admitted request: the ring owner of a
+// decodable query's fingerprint. A request without one (a malformed or
+// non-POST body) goes round-robin, and the chosen replica renders the same
+// error response a single server would.
+func (c *Cluster) route(fp uint64, fpOK bool) int {
+	if !fpOK {
+		return int((c.spread.Add(1) - 1) % uint64(len(c.replicas)))
+	}
+	return c.ring.Lookup(fp)
 }
 
 func (c *Cluster) handleHealthz(w http.ResponseWriter, _ *http.Request) {

@@ -130,11 +130,9 @@ func decodeSpans(t *testing.T, url string) float64 {
 
 // TestClusterSingleReplicaByteIdentical: a cluster of one replica answers
 // exactly what that replica would answer served directly — routing adds no
-// bytes. With every policy, since each must route a 1-replica fleet to 0.
-// Malformed bodies get the direct server's 400 too: the affinity router
-// cannot decode them, so it forwards the raw bytes. Valid bodies are decoded
-// once per request: by the affinity router, which hands the request to the
-// replica, and by the replica under every other policy.
+// bytes. Malformed bodies get the direct server's 400 too: the router cannot
+// decode them, so it forwards the raw bytes. Valid bodies are decoded once
+// per request, by the router, which hands the request to the replica.
 func TestClusterSingleReplicaByteIdentical(t *testing.T) {
 	f := getFixture(t)
 	direct := serve.New(f.meas.Clone(), f.det, serve.Config{Workers: 1})
@@ -164,39 +162,30 @@ func TestClusterSingleReplicaByteIdentical(t *testing.T) {
 		{"trailing garbage", append(append([]byte(nil), valid...), " x"...)},
 	}
 
-	for _, policy := range Policies {
-		policy := policy
-		t.Run(policy, func(t *testing.T) {
-			_, cts := newCluster(t, f, Config{Replicas: 1, Policy: policy})
-			for i := 0; i < 4; i++ {
-				req := serve.NewRequest(f.inputs[i], uint64(100+i))
-				dresp, dbody := post(t, dts.URL, req)
-				cresp, cbody := post(t, cts.URL, req)
-				if dresp.StatusCode != http.StatusOK || cresp.StatusCode != http.StatusOK {
-					t.Fatalf("query %d: direct %d, cluster %d", i, dresp.StatusCode, cresp.StatusCode)
-				}
-				if !bytes.Equal(dbody, cbody) {
-					t.Fatalf("query %d: cluster body diverges from direct server:\n direct: %s\ncluster: %s", i, dbody, cbody)
-				}
-			}
-			want := 4.0
-			if policy == PolicyAffinity {
-				want = 0
-			}
-			if got := decodeSpans(t, cts.URL); got != want {
-				t.Fatalf("replica recorded %v decode spans for 4 valid bodies, want %v", got, want)
-			}
-			for _, m := range malformed {
-				dresp, dbody := postRaw(t, dts.URL, m.body)
-				cresp, cbody := postRaw(t, cts.URL, m.body)
-				if dresp.StatusCode != http.StatusBadRequest || cresp.StatusCode != dresp.StatusCode || !bytes.Equal(dbody, cbody) {
-					t.Fatalf("%s: direct %d %s, cluster %d %s", m.name, dresp.StatusCode, dbody, cresp.StatusCode, cbody)
-				}
-			}
-			if got, want := decodeSpans(t, cts.URL), want+float64(len(malformed)); got != want {
-				t.Fatalf("replica recorded %v decode spans after the malformed bodies, want %v", got, want)
-			}
-		})
+	_, cts := newCluster(t, f, Config{Replicas: 1})
+	for i := 0; i < 4; i++ {
+		req := serve.NewRequest(f.inputs[i], uint64(100+i))
+		dresp, dbody := post(t, dts.URL, req)
+		cresp, cbody := post(t, cts.URL, req)
+		if dresp.StatusCode != http.StatusOK || cresp.StatusCode != http.StatusOK {
+			t.Fatalf("query %d: direct %d, cluster %d", i, dresp.StatusCode, cresp.StatusCode)
+		}
+		if !bytes.Equal(dbody, cbody) {
+			t.Fatalf("query %d: cluster body diverges from direct server:\n direct: %s\ncluster: %s", i, dbody, cbody)
+		}
+	}
+	if got := decodeSpans(t, cts.URL); got != 0 {
+		t.Fatalf("replica recorded %v decode spans for 4 router-decoded bodies, want 0", got)
+	}
+	for _, m := range malformed {
+		dresp, dbody := postRaw(t, dts.URL, m.body)
+		cresp, cbody := postRaw(t, cts.URL, m.body)
+		if dresp.StatusCode != http.StatusBadRequest || cresp.StatusCode != dresp.StatusCode || !bytes.Equal(dbody, cbody) {
+			t.Fatalf("%s: direct %d %s, cluster %d %s", m.name, dresp.StatusCode, dbody, cresp.StatusCode, cbody)
+		}
+	}
+	if got, want := decodeSpans(t, cts.URL), float64(len(malformed)); got != want {
+		t.Fatalf("replica recorded %v decode spans after the malformed bodies, want %v", got, want)
 	}
 }
 
@@ -228,10 +217,10 @@ func TestClusterRejectsMixedShapes(t *testing.T) {
 
 // TestClusterRejectionsEchoRequestID: the cluster's own answers carry the
 // request id, like every replica answer — here the 400 for a body beyond
-// serve.MaxRequestBytes, which the affinity router reads itself.
+// serve.MaxRequestBytes, which the router reads itself.
 func TestClusterRejectionsEchoRequestID(t *testing.T) {
 	f := getFixture(t)
-	_, ts := newCluster(t, f, Config{Replicas: 2, Policy: PolicyAffinity})
+	_, ts := newCluster(t, f, Config{Replicas: 2})
 	huge := bytes.Repeat([]byte(" "), serve.MaxRequestBytes+1)
 	req, err := http.NewRequest(http.MethodPost, ts.URL+"/detect", bytes.NewReader(huge))
 	if err != nil {
@@ -257,7 +246,7 @@ func TestClusterRejectionsEchoRequestID(t *testing.T) {
 // per name, no duplicate series).
 func TestClusterMetricsMerged(t *testing.T) {
 	f := getFixture(t)
-	_, ts := newCluster(t, f, Config{Replicas: 2, Policy: PolicyRoundRobin})
+	_, ts := newCluster(t, f, Config{Replicas: 2})
 	for i := 0; i < 4; i++ {
 		resp, body := post(t, ts.URL, serve.NewRequest(f.inputs[i], uint64(i)))
 		if resp.StatusCode != http.StatusOK {
@@ -282,22 +271,31 @@ func TestClusterMetricsMerged(t *testing.T) {
 		`advhunter_queue_depth{replica="0"}`,
 		`advhunter_queue_depth{replica="1"}`,
 		`advhunter_cluster_replicas 2`,
-		`advhunter_cluster_routed_total{policy="roundrobin",replica="0"} 2`,
-		`advhunter_cluster_routed_total{policy="roundrobin",replica="1"} 2`,
 	} {
 		if !strings.Contains(string(page), want) {
 			t.Errorf("missing %q in cluster /metrics", want)
 		}
 	}
+	// Affinity decides the split, so only the total is fixed: both replicas'
+	// routed series exist and together count every request.
+	snap := workload.ParseMetrics(page)
+	routed := 0.0
+	for _, rep := range []string{"0", "1"} {
+		v, ok := snap[`advhunter_cluster_routed_total{policy="affinity",replica="`+rep+`"}`]
+		if !ok {
+			t.Fatalf("missing the affinity routed series of replica %s", rep)
+		}
+		routed += v
+	}
+	if routed != 4 {
+		t.Fatalf("affinity routed series sum to %v, want 4", routed)
+	}
 }
 
-// TestAffinityCacheLocality is the tentpole's locality claim: with repeats
-// of the same queries, fingerprint-affinity routing keeps the fleet-wide
-// truth-cache hit rate at the single-replica level, while round-robin
-// scatters each query's repeats across replicas and pays the simulated
-// inference once per replica. The request stream uses an odd number of
-// distinct inputs so strict alternation cannot accidentally align repeats
-// with one replica.
+// TestAffinityCacheLocality is the cluster's locality claim: with repeats of
+// the same queries, fingerprint-affinity routing keeps the fleet-wide
+// truth-cache hit rate at the single-replica level, because every repeat
+// lands on the replica that already memoised the query.
 func TestAffinityCacheLocality(t *testing.T) {
 	f := getFixture(t)
 	const distinct, rounds = 7, 4
@@ -315,24 +313,17 @@ func TestAffinityCacheLocality(t *testing.T) {
 		}
 	}
 
-	_, single := newCluster(t, f, Config{Replicas: 1, Policy: PolicyRoundRobin})
+	_, single := newCluster(t, f, Config{Replicas: 1})
 	drive(single.URL)
 	singleRate := scrapeHitRate(t, single.URL)
 
-	_, rr := newCluster(t, f, Config{Replicas: 2, Policy: PolicyRoundRobin})
-	drive(rr.URL)
-	rrRate := scrapeHitRate(t, rr.URL)
-
-	_, aff := newCluster(t, f, Config{Replicas: 2, Policy: PolicyAffinity})
+	_, aff := newCluster(t, f, Config{Replicas: 2})
 	drive(aff.URL)
 	affRate := scrapeHitRate(t, aff.URL)
 
-	t.Logf("truth-cache hit rate: single=%.3f roundrobin=%.3f affinity=%.3f", singleRate, rrRate, affRate)
+	t.Logf("truth-cache hit rate: single=%.3f affinity=%.3f", singleRate, affRate)
 	if affRate < singleRate-0.05 {
 		t.Fatalf("affinity hit rate %.3f falls more than 5 points below single-replica %.3f", affRate, singleRate)
-	}
-	if affRate <= rrRate {
-		t.Fatalf("affinity hit rate %.3f does not beat round-robin %.3f", affRate, rrRate)
 	}
 }
 
@@ -370,36 +361,23 @@ func TestClusterShutdownDrains(t *testing.T) {
 	}
 }
 
-// TestRouterPolicies: the stateless policy mechanics, without HTTP.
-func TestRouterPolicies(t *testing.T) {
-	replicas := make([]*serve.Server, 3)
-
-	rr, err := newRouter(PolicyRoundRobin, replicas, 0)
-	if err != nil {
-		t.Fatal(err)
+// TestRoute: the routing mechanics, without HTTP. Repeats of a fingerprint
+// always land on one replica; requests without a fingerprint spread evenly.
+func TestRoute(t *testing.T) {
+	c := &Cluster{replicas: make([]*serve.Server, 3), ring: NewRing(3, DefaultVNodes)}
+	for fp := uint64(0); fp < 100; fp++ {
+		a, b := c.route(fp, true), c.route(fp, true)
+		if a != b {
+			t.Fatalf("fp %d routed to %d then %d", fp, a, b)
+		}
 	}
 	seen := make(map[int]int)
 	for i := 0; i < 9; i++ {
-		seen[rr.Route(0, false)]++
+		seen[c.route(0, false)]++
 	}
 	for rep := 0; rep < 3; rep++ {
 		if seen[rep] != 3 {
-			t.Fatalf("round-robin replica %d got %d of 9 requests, want 3", rep, seen[rep])
+			t.Fatalf("replica %d got %d of 9 fingerprint-less requests, want 3", rep, seen[rep])
 		}
-	}
-
-	aff, err := newRouter(PolicyAffinity, replicas, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for fp := uint64(0); fp < 100; fp++ {
-		a, b := aff.Route(fp, true), aff.Route(fp, true)
-		if a != b {
-			t.Fatalf("affinity routed fp %d to %d then %d", fp, a, b)
-		}
-	}
-
-	if _, err := newRouter("bogus", replicas, 0); err == nil {
-		t.Fatal("unknown policy accepted")
 	}
 }

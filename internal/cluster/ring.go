@@ -1,12 +1,12 @@
 // Package cluster is the multi-replica tier of the serving stack: N
-// in-process serve.Server assemblies behind a Router, with cluster-level
-// admission and a merged per-replica /metrics page.
+// in-process serve.Server assemblies behind a fingerprint-affinity router,
+// with cluster-level admission and a merged per-replica /metrics page.
 //
 // The design constraint comes from the truth cache: each replica memoises
-// noise-free counts by query fingerprint, so a router that scatters repeats
-// of the same query across replicas multiplies the simulated-inference cost
-// by the replica count. The fingerprint-affinity policy (a consistent-hash
-// ring) keeps every repeat on one replica, preserving single-replica cache
+// noise-free counts by query fingerprint, so a router that scattered repeats
+// of the same query across replicas would multiply the simulated-inference
+// cost by the replica count. Routing by fingerprint over a consistent-hash
+// ring keeps every repeat on one replica, preserving single-replica cache
 // locality while the fleet scales — the same sharded-state-without-losing-
 // lookup-locality constraint Blacklight's per-client state tables face.
 package cluster
@@ -24,8 +24,7 @@ import (
 // and removing the last replica moves only the keys it owned — the minimal-
 // disruption property the rebalance tests pin.
 type Ring struct {
-	replicas int
-	points   []ringPoint // sorted by hash
+	points []ringPoint // sorted by hash
 }
 
 type ringPoint struct {
@@ -47,7 +46,7 @@ func NewRing(replicas, vnodes int) *Ring {
 	if vnodes <= 0 {
 		vnodes = DefaultVNodes
 	}
-	r := &Ring{replicas: replicas, points: make([]ringPoint, 0, replicas*vnodes)}
+	r := &Ring{points: make([]ringPoint, 0, replicas*vnodes)}
 	for rep := 0; rep < replicas; rep++ {
 		for v := 0; v < vnodes; v++ {
 			// Each vnode's position depends only on (replica, vnode), never on
@@ -59,9 +58,6 @@ func NewRing(replicas, vnodes int) *Ring {
 	sort.Slice(r.points, func(i, j int) bool { return r.points[i].hash < r.points[j].hash })
 	return r
 }
-
-// Replicas returns the fleet size the ring was built for.
-func (r *Ring) Replicas() int { return r.replicas }
 
 // Lookup assigns one key (a query fingerprint) to a replica: binary search
 // for the first ring point at or after the key's mixed hash, wrapping past

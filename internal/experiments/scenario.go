@@ -451,19 +451,6 @@ func (e *Env) Craft(spec AttackSpec, nSources int) (*craftedSet, error) {
 	return set, nil
 }
 
-// CraftSamples crafts (or loads) the successful adversarial examples for one
-// attack spec and returns them as plain samples (Label carries the source
-// category) WITHOUT measuring them — the load generator's adversarial
-// cohorts draw inputs from these, and measurement happens inside the serving
-// stack under test.
-func (e *Env) CraftSamples(spec AttackSpec, nSources int) ([]data.Sample, error) {
-	set, err := e.Craft(spec, nSources)
-	if err != nil {
-		return nil, err
-	}
-	return fromDTOs(set.Successful), nil
-}
-
 // Attack crafts (or loads) the workload for one attack spec and measures the
 // successful adversarial examples on the default machine.
 func (e *Env) Attack(spec AttackSpec, nSources int) (*AttackResult, error) {

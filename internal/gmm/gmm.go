@@ -33,11 +33,6 @@ const log2Pi = 1.8378770664093453 // ln(2π)
 // makes (log2Pi + ln σ²) + d²/σ² the grouping both forms evaluate.
 const Log2Pi = log2Pi
 
-// LogSumExp computes ln Σ exp(v_i) stably — the exported form of the reducer
-// LogLikelihood uses, so batched scorers can finish hoisted term vectors with
-// bit-identical results.
-func LogSumExp(v []float64) float64 { return logSumExp(v) }
-
 // logGauss returns ln N(x | mean, variance).
 func logGauss(x, mean, variance float64) float64 {
 	d := x - mean

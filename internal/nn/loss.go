@@ -60,10 +60,3 @@ func SoftmaxCrossEntropy(logits *tensor.Tensor, labels []int) (float64, *tensor.
 	grad.ScaleInPlace(invN)
 	return loss * invN, grad
 }
-
-// CrossEntropyTowards returns the gradient of the mean cross-entropy toward
-// an arbitrary per-row target class (identical math to SoftmaxCrossEntropy,
-// exposed separately so targeted attacks read naturally at call sites).
-func CrossEntropyTowards(logits *tensor.Tensor, targets []int) (float64, *tensor.Tensor) {
-	return SoftmaxCrossEntropy(logits, targets)
-}

@@ -24,7 +24,7 @@ import (
 //     present and equals _count, and every le value parses as a float.
 //
 // It returns nil for valid output and a line-numbered error otherwise. The
-// registry's WriteTo output passes by construction; the serve tests run it
+// output of WriteMerged passes by construction; the serve tests run it
 // over the full /metrics body.
 func Lint(data []byte) error {
 	l := &linter{

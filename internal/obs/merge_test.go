@@ -18,7 +18,7 @@ func TestConstLabelsRender(t *testing.T) {
 	reg.SetConstLabels("replica", "7")
 
 	var b strings.Builder
-	if _, err := reg.WriteTo(&b); err != nil {
+	if _, err := WriteMerged(&b, reg); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -76,7 +76,7 @@ func TestWriteMerged(t *testing.T) {
 	r0 := newReplicaRegistry(t, "0", 5)
 	r1 := newReplicaRegistry(t, "1", 9)
 	other := NewRegistry()
-	other.Counter("advhunter_cluster_routed_total", "Routed requests.", "policy").With("roundrobin").Inc()
+	other.Counter("advhunter_cluster_routed_total", "Routed requests.", "policy").With("affinity").Inc()
 
 	var b strings.Builder
 	if _, err := WriteMerged(&b, other, r0, r1, nil, r0); err != nil {
@@ -92,7 +92,7 @@ func TestWriteMerged(t *testing.T) {
 		`advhunter_requests_total{code="200",replica="1"} 9`,
 		`advhunter_queue_depth{replica="0"} 5`,
 		`advhunter_queue_depth{replica="1"} 9`,
-		`advhunter_cluster_routed_total{policy="roundrobin"} 1`,
+		`advhunter_cluster_routed_total{policy="affinity"} 1`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q in:\n%s", want, out)
@@ -122,29 +122,9 @@ func TestWriteMergedZeroRegistries(t *testing.T) {
 	}
 
 	rr := httptest.NewRecorder()
-	MergedHandler().ServeHTTP(rr, httptest.NewRequest("GET", "/metrics", nil))
+	Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/metrics", nil))
 	if rr.Code != 200 || rr.Body.Len() != 0 {
-		t.Fatalf("empty MergedHandler = %d %q", rr.Code, rr.Body.String())
-	}
-}
-
-// TestWriteMergedSingleRegistry: merging one registry degenerates to WriteTo
-// byte for byte — the single-replica cluster must scrape like plain serve.
-func TestWriteMergedSingleRegistry(t *testing.T) {
-	reg := newReplicaRegistry(t, "0", 4)
-	var solo, merged strings.Builder
-	if _, err := reg.WriteTo(&solo); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := WriteMerged(&merged, reg); err != nil {
-		t.Fatal(err)
-	}
-	if solo.String() != merged.String() {
-		t.Fatalf("single-registry merge diverges from WriteTo:\n--- WriteTo\n%s--- WriteMerged\n%s",
-			solo.String(), merged.String())
-	}
-	if err := Lint([]byte(merged.String())); err != nil {
-		t.Fatalf("single-registry merge fails lint: %v", err)
+		t.Fatalf("empty Handler = %d %q", rr.Code, rr.Body.String())
 	}
 }
 

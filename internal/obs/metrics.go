@@ -3,7 +3,6 @@ package obs
 import (
 	"math"
 	"sync/atomic"
-	"time"
 )
 
 // counterCell is a monotone integer cell.
@@ -43,7 +42,7 @@ func (c *Counter) Inc() { c.c.count.v.Add(1) }
 func (c *Counter) Add(n uint64) { c.c.count.v.Add(n) }
 
 // Value returns the current count — for run summaries and tests, not for
-// exposition (WriteTo renders the whole registry).
+// exposition (WriteMerged renders the whole registry).
 func (c *Counter) Value() uint64 { return c.c.count.v.Load() }
 
 // GaugeVec is a labelled gauge family.
@@ -99,9 +98,6 @@ func (h *Histogram) Observe(v float64) {
 	h.c.count.v.Add(1)
 	h.c.sum.add(v)
 }
-
-// ObserveDuration records d in seconds.
-func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
 
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 { return h.c.count.v.Load() }

@@ -195,28 +195,12 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels ...str
 	return &HistogramVec{f: r.register(name, help, kindHistogram, labels, buckets)}
 }
 
-// Handler returns an http.Handler that renders each registry in order under
-// the Prometheus text content type. Passing a registry twice (or Default
-// alongside itself) renders it once.
+// Handler returns an http.Handler rendering WriteMerged over the registries
+// under the Prometheus text content type — the one /metrics surface of serve
+// and cluster alike. A cluster passes each replica's registry, which repeats
+// the serve families under its own replica label, and the exposition still
+// has one family block per name.
 func Handler(regs ...*Registry) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		seen := make(map[*Registry]bool, len(regs))
-		for _, r := range regs {
-			if r == nil || seen[r] {
-				continue
-			}
-			seen[r] = true
-			r.WriteTo(w)
-		}
-	})
-}
-
-// MergedHandler returns an http.Handler rendering WriteMerged over the
-// registries — the cluster-tier /metrics surface, where each replica's
-// registry repeats the serve families under its own replica label and the
-// exposition still needs one family block per name.
-func MergedHandler(regs ...*Registry) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 		WriteMerged(w, regs...)

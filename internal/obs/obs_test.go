@@ -16,8 +16,8 @@ import (
 func render(t *testing.T, r *Registry) string {
 	t.Helper()
 	var buf bytes.Buffer
-	if _, err := r.WriteTo(&buf); err != nil {
-		t.Fatalf("WriteTo: %v", err)
+	if _, err := WriteMerged(&buf, r); err != nil {
+		t.Fatalf("WriteMerged: %v", err)
 	}
 	return buf.String()
 }

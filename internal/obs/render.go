@@ -9,29 +9,6 @@ import (
 	"strings"
 )
 
-// WriteTo renders every family in Prometheus text exposition format (version
-// 0.0.4): families sorted by name, each with its # HELP and # TYPE lines
-// followed by its series sorted by label values; histograms render cumulative
-// buckets with a trailing +Inf plus _sum and _count. The output passes Lint
-// by construction.
-func (r *Registry) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	cw := &countingWriter{w: bw}
-
-	fams, cn, cv := r.snapshotFamilies()
-	for _, f := range fams {
-		f.writeMeta(cw)
-		f.write(cw, cn, cv)
-		if cw.err != nil {
-			return cw.n, cw.err
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return cw.n, err
-	}
-	return cw.n, nil
-}
-
 // snapshotFamilies returns the registry's families sorted by name plus its
 // const-label pairs, under one read lock.
 func (r *Registry) snapshotFamilies() ([]*family, []string, []string) {
@@ -49,14 +26,19 @@ func (r *Registry) snapshotFamilies() ([]*family, []string, []string) {
 	return fams, r.constNames, r.constValues
 }
 
-// WriteMerged renders several registries as one exposition page, merging
-// families that share a name into a single HELP/TYPE block — the shape a
-// multi-replica scrape needs, where every replica's registry exports the same
-// families and only the registries' const labels (SetConstLabels) tell their
-// series apart. Families merged under one name must agree on kind, help,
-// label set and bucket layout; a mismatch panics, exactly like re-registering
-// a name differently on one registry does. A nil or repeated registry is
-// skipped.
+// WriteMerged renders several registries as one page in Prometheus text
+// exposition format (version 0.0.4): families sorted by name, each with its
+// # HELP and # TYPE lines followed by its series sorted by label values;
+// histograms render cumulative buckets with a trailing +Inf plus _sum and
+// _count. The output passes Lint by construction.
+//
+// Families that share a name merge into a single HELP/TYPE block — the shape
+// a multi-replica scrape needs, where every replica's registry exports the
+// same families and only the registries' const labels (SetConstLabels) tell
+// their series apart. Families merged under one name must agree on kind,
+// help, label set and bucket layout; a mismatch panics, exactly like
+// re-registering a name differently on one registry does. A nil or repeated
+// registry is skipped.
 func WriteMerged(w io.Writer, regs ...*Registry) (int64, error) {
 	bw := bufio.NewWriter(w)
 	cw := &countingWriter{w: bw}

@@ -32,7 +32,7 @@ type SeriesSample struct {
 // EachSeries walks every series of the registry in render order and calls fn
 // with one SeriesSample per would-be exposition line (histograms contribute
 // their buckets, _sum and _count individually). It takes the same snapshot
-// locks as WriteTo, so walking is as safe against concurrent recording as
+// locks as WriteMerged, so walking is as safe against concurrent recording as
 // scraping is, and the values fn sees are what a scrape at the same instant
 // would have rendered.
 func (r *Registry) EachSeries(fn func(SeriesSample)) {

@@ -242,7 +242,7 @@ func TestAlertEngineTransitions(t *testing.T) {
 	}
 
 	var b strings.Builder
-	reg.WriteTo(&b)
+	WriteMerged(&b, reg)
 	out := b.String()
 	for _, want := range []string{
 		`advhunter_alert_active{rule="r1"} 1`,
@@ -262,7 +262,7 @@ func TestAlertEngineTransitions(t *testing.T) {
 		t.Fatalf("no resolved transition log:\n%s", logBuf.String())
 	}
 	b.Reset()
-	reg.WriteTo(&b)
+	WriteMerged(&b, reg)
 	if !strings.Contains(b.String(), `advhunter_alert_active{rule="r1"} 0`) {
 		t.Fatalf("active gauge not cleared:\n%s", b.String())
 	}

@@ -113,7 +113,7 @@ func TestSpanFeedsTrace(t *testing.T) {
 		t.Fatalf("span did not reach the trace record: %+v", views)
 	}
 	var b strings.Builder
-	reg.WriteTo(&b)
+	WriteMerged(&b, reg)
 	if !strings.Contains(b.String(), `advhunter_stage_duration_seconds_count{stage="measure"} 1`) {
 		t.Fatal("span missed the stage histogram")
 	}

@@ -23,7 +23,7 @@ func TestEachSeriesMatchesRender(t *testing.T) {
 	reg.SetConstLabels("replica", "3")
 
 	var b strings.Builder
-	if _, err := reg.WriteTo(&b); err != nil {
+	if _, err := WriteMerged(&b, reg); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()

@@ -106,9 +106,6 @@ func (r *Rand) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Int63 returns a non-negative int64.
-func (r *Rand) Int63() int64 { return int64(r.Uint64() >> 1) }
-
 // NormFloat64 returns a standard normal variate (Box-Muller).
 func (r *Rand) NormFloat64() float64 {
 	if r.hasGauss {

@@ -14,9 +14,9 @@ import (
 // plugged in where required.
 func batchTierConfigs(f *fixture, base Config) map[string]Config {
 	return map[string]Config{
-		TierExact: func() Config { c := base; c.Tier = TierExact; return c }(),
+		TierExact: base,
 		TierTwin:  f.twinOnlyConfig(base),
-		TierAuto:  f.tierConfig(TierAuto, base),
+		TierAuto:  f.autoConfig(base),
 	}
 }
 

@@ -93,7 +93,6 @@ func BenchmarkServeTierResNet18(b *testing.B) {
 	// query.
 	tiered := func(margin float64, cacheSize int) Config {
 		cfg := base
-		cfg.Tier = TierAuto
 		cfg.Twin = f.twin.Clone()
 		cfg.TwinDetector = f.twinDet
 		cfg.TruthCacheSize = cacheSize

@@ -143,8 +143,8 @@ type Response struct {
 	Modelled       bool   `json:"modelled"`
 	Adversarial    bool   `json:"adversarial"`
 	// Tier names the measurement tier that decided the verdict ("twin" or
-	// "exact"). Present only under tiered serving (Config.Tier auto);
-	// plain exact serving renders byte-identical bodies to earlier versions.
+	// "exact"). Present only under tiered serving (Config.Twin set); plain
+	// exact serving renders byte-identical bodies to earlier versions.
 	Tier   string             `json:"tier,omitempty"`
 	Scores map[string]float64 `json:"scores"`
 	Flags  map[string]bool    `json:"flags"`

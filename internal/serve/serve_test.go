@@ -107,10 +107,9 @@ func getFixture(t testing.TB) *fixture {
 	return fix
 }
 
-// tierConfig returns cfg with the fixture's twin stack plugged in for the
-// given tier, leaving the caller's other knobs intact.
-func (f *fixture) tierConfig(tier string, cfg Config) Config {
-	cfg.Tier = tier
+// autoConfig returns cfg serving the auto tier: the fixture's twin stack
+// plugged in, the caller's other knobs left intact.
+func (f *fixture) autoConfig(cfg Config) Config {
 	cfg.Twin = f.twin.Clone()
 	cfg.TwinDetector = f.twinDet
 	return cfg
@@ -120,7 +119,7 @@ func (f *fixture) tierConfig(tier string, cfg Config) Config {
 // so the twin decides every query.
 func (f *fixture) twinOnlyConfig(cfg Config) Config {
 	cfg.EscalationMargin = -1
-	return f.tierConfig(TierAuto, cfg)
+	return f.autoConfig(cfg)
 }
 
 // newServer builds a server (and cleanup) around a fresh measurer clone so
@@ -228,7 +227,7 @@ func TestServeEndToEnd(t *testing.T) {
 			url := ts.URL
 			switch tier {
 			case TierAuto:
-				_, tts := newServer(t, f, f.tierConfig(TierAuto, Config{Workers: 2}))
+				_, tts := newServer(t, f, f.autoConfig(Config{Workers: 2}))
 				url = tts.URL
 			case TierTwin:
 				_, tts := newServer(t, f, f.twinOnlyConfig(Config{Workers: 2}))
@@ -340,7 +339,7 @@ func TestServeBackpressure(t *testing.T) {
 	f := getFixture(t)
 	gate := make(chan struct{})
 	s := New(f.meas.Clone(), f.det, Config{
-		QueueSize: 1, Workers: 1, RetryAfter: 7, gate: gate,
+		QueueSize: 1, Workers: 1, gate: gate,
 	})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -374,7 +373,7 @@ func TestServeBackpressure(t *testing.T) {
 			if o.status != http.StatusTooManyRequests {
 				t.Fatalf("got status %d before the gate opened", o.status)
 			}
-			if o.retryAfter == "7" {
+			if o.retryAfter == RetryAfter {
 				sawRetryAfter = true
 			}
 			rejected++
@@ -383,7 +382,7 @@ func TestServeBackpressure(t *testing.T) {
 		}
 	}
 	if !sawRetryAfter {
-		t.Fatal("429 responses must carry the configured Retry-After header")
+		t.Fatal("429 responses must carry the Retry-After header")
 	}
 	close(gate)
 	wg.Wait()
@@ -418,7 +417,7 @@ func TestServeMaxInflight(t *testing.T) {
 	f := getFixture(t)
 	gate := make(chan struct{})
 	s := New(f.meas.Clone(), f.det, Config{
-		QueueSize: 32, Workers: 1, MaxInflight: 2, RetryAfter: 3, gate: gate,
+		QueueSize: 32, Workers: 1, MaxInflight: 2, gate: gate,
 	})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -452,7 +451,7 @@ func TestServeMaxInflight(t *testing.T) {
 			if o.status != http.StatusTooManyRequests {
 				t.Fatalf("got status %d before the gate opened", o.status)
 			}
-			if o.retryAfter == "3" {
+			if o.retryAfter == RetryAfter {
 				sawRetryAfter = true
 			}
 			rejected++
@@ -461,7 +460,7 @@ func TestServeMaxInflight(t *testing.T) {
 		}
 	}
 	if !sawRetryAfter {
-		t.Fatal("in-flight 429s must carry the configured Retry-After header")
+		t.Fatal("in-flight 429s must carry the Retry-After header")
 	}
 	close(gate)
 	wg.Wait()

@@ -56,8 +56,6 @@ type Config struct {
 	DecisionEvent hpc.Event
 	// ClassName optionally renders class names in responses.
 	ClassName func(int) string
-	// RetryAfter is the Retry-After hint on 429s, in seconds (default 1).
-	RetryAfter int
 	// MaxInflight caps requests concurrently admitted into the handler —
 	// the connection-level backpressure knob, independent of QueueSize.
 	// QueueSize bounds jobs *waiting* for a consumer, but a closed-loop
@@ -76,16 +74,12 @@ type Config struct {
 	// tiered serving the same size caps the twin tier's separate truth cache
 	// (twin and exact truths differ, so the caches are never shared).
 	TruthCacheSize int
-	// Tier selects the measurement tier: TierExact (the default) or
-	// TierAuto, which screens every query with the twin and escalates the
-	// twin-uncertain ones to the exact simulator. A negative
-	// EscalationMargin lets the twin decide every query. TierAuto requires
-	// Twin; New panics otherwise (a configuration error, like an unknown
-	// tier name).
-	Tier string
-	// Twin is the twin measurement backend (internal/twin) for the auto
-	// tier. The server takes ownership and clones it across the worker
-	// pool, exactly like the exact measurer.
+	// Twin, when non-nil, selects the auto tier: every query is screened by
+	// this twin measurement backend (internal/twin) and the twin-uncertain
+	// ones escalate to the exact simulator; a negative EscalationMargin lets
+	// the twin decide every query. nil serves the exact tier. The server
+	// takes ownership and clones it across the worker pool, exactly like the
+	// exact measurer.
 	Twin *twin.Measurer
 	// TwinDetector optionally scores twin-tier measurements. The twin's
 	// count predictions carry a small systematic bias relative to the exact
@@ -146,16 +140,22 @@ type Config struct {
 	gate chan struct{}
 }
 
-// The measurement tiers of Config.Tier, and the tier labels of responses.
+// The measurement tiers: the tier labels of responses, and the names the
+// command line selects a tier by.
 const (
 	// TierExact simulates every query on the exact engine (the default).
 	TierExact = "exact"
-	// TierTwin labels a response the twin decided. It is not a Config.Tier
-	// value: TierAuto with a negative EscalationMargin serves twin only.
+	// TierTwin labels a response the twin decided. It is not a tier of its
+	// own: TierAuto with a negative EscalationMargin serves twin only.
 	TierTwin = "twin"
-	// TierAuto screens with the twin and escalates uncertain queries.
+	// TierAuto screens with the twin and escalates uncertain queries
+	// (Config.Twin set).
 	TierAuto = "auto"
 )
+
+// RetryAfter is the Retry-After hint, in seconds, on every 429 — the
+// server's and the cluster's.
+const RetryAfter = "1"
 
 func (c Config) withDefaults() Config {
 	if c.QueueSize <= 0 {
@@ -170,14 +170,8 @@ func (c Config) withDefaults() Config {
 	if c.DecisionEvent == 0 {
 		c.DecisionEvent = hpc.CacheMisses
 	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = 1
-	}
 	if c.TruthCacheSize == 0 {
 		c.TruthCacheSize = 512
-	}
-	if c.Tier == "" {
-		c.Tier = TierExact
 	}
 	if c.EscalationMargin == 0 {
 		c.EscalationMargin = 0.15
@@ -237,14 +231,6 @@ type Server struct {
 // detect.TryLoad, the "fit once, serve many" path.
 func New(m *core.Measurer, det detect.Detector, cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	switch cfg.Tier {
-	case TierExact, TierAuto:
-	default:
-		panic(fmt.Sprintf("serve: unknown tier %q", cfg.Tier))
-	}
-	if cfg.Tier == TierAuto && cfg.Twin == nil {
-		panic(fmt.Sprintf("serve: tier %q requires Config.Twin", cfg.Tier))
-	}
 	meta := m.Engine.Model.Meta
 	channels := det.Channels()
 	decIdx := -1
@@ -277,7 +263,7 @@ func New(m *core.Measurer, det detect.Detector, cfg Config) *Server {
 	if cfg.TruthCacheSize > 0 {
 		truth = core.NewTruthCache(cfg.TruthCacheSize)
 		s.stats.registerTruthCache(truth)
-		if cfg.Tier == TierAuto {
+		if cfg.Twin != nil {
 			twinTruth = core.NewTruthCache(cfg.TruthCacheSize)
 		}
 	}
@@ -300,10 +286,9 @@ func New(m *core.Measurer, det detect.Detector, cfg Config) *Server {
 
 	// Tiering stage: the auto tier adds a twin measurement stage in front of
 	// the exact one.
-	switch cfg.Tier {
-	case TierExact:
+	if cfg.Twin == nil {
 		s.tiering = exactTiering{pool: exactPool}
-	case TierAuto:
+	} else {
 		twinDet := det
 		if cfg.TwinDetector != nil {
 			// The service decision rule (decIdx) and the response channel maps
@@ -367,7 +352,7 @@ func New(m *core.Measurer, det detect.Detector, cfg Config) *Server {
 	s.mux.HandleFunc("/detect", func(w http.ResponseWriter, r *http.Request) { s.ServeDecoded(w, r, nil) })
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/readyz", s.handleReadyz)
-	// /metrics chains the server's private registry with the process-wide one
+	// /metrics merges the server's private registry with the process-wide one
 	// (cache-op counters, build info), so one scrape sees every layer.
 	s.mux.Handle("/metrics", obs.Handler(s.stats.reg, obs.Default))
 	s.mux.Handle("/debug/build", obs.BuildInfoHandler())
@@ -418,13 +403,6 @@ func (s *Server) Alerts() *obs.AlertEngine { return s.alerts }
 // Shape returns the served model's input shape (C, H, W) — what a router in
 // front of the server needs to decode and fingerprint request bodies.
 func (s *Server) Shape() [3]int { return s.shape }
-
-// Load reports the server's instantaneous occupancy: requests waiting in the
-// admission queue plus requests holding an in-flight token. Routers use it
-// for least-loaded replica selection.
-func (s *Server) Load() int {
-	return s.adm.QueueDepth() + s.adm.InflightDepth()
-}
 
 // Shutdown drains the service: new detection requests are rejected with
 // 503, queued requests are processed to completion, and every consumer
@@ -526,7 +504,7 @@ func (s *Server) ServeDecoded(w http.ResponseWriter, r *http.Request, req *Reque
 	// away at the cheapest possible point.
 	release, ok := s.adm.TryAcquire()
 	if !ok {
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", s.cfg.RetryAfter))
+		w.Header().Set("Retry-After", RetryAfter)
 		s.writeError(w, http.StatusTooManyRequests, "too many in-flight requests")
 		status(http.StatusTooManyRequests)
 		return
@@ -566,7 +544,7 @@ func (s *Server) ServeDecoded(w http.ResponseWriter, r *http.Request, req *Reque
 		status(http.StatusServiceUnavailable)
 		return
 	case AdmitFull:
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", s.cfg.RetryAfter))
+		w.Header().Set("Retry-After", RetryAfter)
 		s.writeError(w, http.StatusTooManyRequests, "queue full")
 		status(http.StatusTooManyRequests)
 		return

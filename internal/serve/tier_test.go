@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"advhunter/internal/detect"
 	"advhunter/internal/tensor"
 )
 
@@ -121,7 +122,7 @@ func TestServeTierAutoEscalatesAll(t *testing.T) {
 	_, tsExact := newServer(t, f, Config{Workers: 1})
 	exact := replay(t, tsExact.URL, stream)
 
-	cfg := f.tierConfig(TierAuto, Config{Workers: 1})
+	cfg := f.autoConfig(Config{Workers: 1})
 	cfg.EscalationMargin = 1e9
 	s, ts := newServer(t, f, cfg)
 	for idx, body := range replay(t, ts.URL, stream) {
@@ -189,28 +190,39 @@ func TestServeTierAutoNeverEscalates(t *testing.T) {
 	}
 }
 
-// TestServeTierInvalidConfig: misconfiguration is a panic at construction,
-// never a silently wrong tier.
-func TestServeTierInvalidConfig(t *testing.T) {
+// channelsDetector reports a chosen channel list in place of the wrapped
+// detector's — what New checks a twin detector by.
+type channelsDetector struct {
+	detect.Detector
+	channels []string
+}
+
+func (d channelsDetector) Channels() []string { return d.channels }
+
+// TestServeTwinDetectorChannelMismatch: the service decision rule and the
+// response channel maps are shared across tiers, so a twin detector that
+// does not score the main detector's channels in the same order is a panic
+// at construction, never a silently misread verdict.
+func TestServeTwinDetectorChannelMismatch(t *testing.T) {
 	f := getFixture(t)
-	mustPanic := func(name string, fn func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: New did not panic", name)
-			}
-		}()
-		fn()
+	main := f.det.Channels()
+	renamed := append([]string(nil), main...)
+	renamed[0] += "-twin"
+	for name, channels := range map[string][]string{
+		"fewer channels":  main[:len(main)-1],
+		"renamed channel": renamed,
+	} {
+		t.Run(name, func(t *testing.T) {
+			cfg := f.autoConfig(Config{Workers: 1})
+			cfg.TwinDetector = channelsDetector{Detector: f.twinDet, channels: channels}
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("New accepted twin channels %v against main %v", channels, main)
+				}
+			}()
+			New(f.meas.Clone(), f.det, cfg)
+		})
 	}
-	mustPanic("unknown tier", func() {
-		New(f.meas.Clone(), f.det, Config{Tier: "warp"})
-	})
-	mustPanic("twin is not a tier", func() {
-		New(f.meas.Clone(), f.det, Config{Tier: TierTwin, Twin: f.twin.Clone()})
-	})
-	mustPanic("auto tier without twin", func() {
-		New(f.meas.Clone(), f.det, Config{Tier: TierAuto})
-	})
 }
 
 // TestServeTierAutoConcurrencyDeterminism is the tiered form of the serving
@@ -223,10 +235,10 @@ func TestServeTierAutoConcurrencyDeterminism(t *testing.T) {
 	f := getFixture(t)
 	stream := tierStream(f)
 
-	_, tsSerial := newServer(t, f, f.tierConfig(TierAuto, Config{Workers: 1}))
+	_, tsSerial := newServer(t, f, f.autoConfig(Config{Workers: 1}))
 	serial := replay(t, tsSerial.URL, stream)
 
-	_, tsConc := newServer(t, f, f.tierConfig(TierAuto, Config{
+	_, tsConc := newServer(t, f, f.autoConfig(Config{
 		Workers: 4, QueueSize: len(stream) + 8,
 	}))
 	var (

@@ -186,14 +186,6 @@ func (t *Tensor) ScaleInPlace(s float64) *Tensor {
 	return t
 }
 
-// AddScalarInPlace adds s to every element and returns t.
-func (t *Tensor) AddScalarInPlace(s float64) *Tensor {
-	for i := range t.data {
-		t.data[i] += s
-	}
-	return t
-}
-
 // Add returns t + o as a new tensor.
 func Add(t, o *Tensor) *Tensor { return t.Clone().AddInPlace(o) }
 

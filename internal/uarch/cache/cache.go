@@ -116,14 +116,6 @@ type Stats struct {
 	WriteBacks     uint64
 }
 
-// MissRate returns misses per access (0 when idle).
-func (s Stats) MissRate() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(s.Accesses)
-}
-
 // Level is anything that can absorb a memory access: a lower cache or DRAM.
 type Level interface {
 	Access(addr uint64, kind AccessKind)
