@@ -11,8 +11,8 @@ import (
 )
 
 // cmdCluster runs the multi-replica serving tier: N in-process serve
-// replicas — each with its own admission gate, consumers, tier stack, and
-// truth caches — behind a fingerprint-affinity router, with one merged
+// replicas — each with its own admission bound, engine replicas, tier stack,
+// and truth caches — behind a fingerprint-affinity router, with one merged
 // /metrics page carrying every replica's series under its replica label.
 func cmdCluster(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("cluster", flag.ContinueOnError)
@@ -21,7 +21,6 @@ func cmdCluster(args []string, stdout, stderr io.Writer) error {
 	addr := fs.String("addr", ":8080", "listen address")
 	replicas := fs.Int("replicas", 2, "in-process serve replicas behind the router")
 	policy := fs.String("policy", cluster.PolicyAffinity, "routing policy: affinity, the only one (accepted for scripts that pass it)")
-	clusterInflight := fs.Int("cluster-inflight", 0, "cluster-level cap on concurrently admitted requests, on top of each replica's -max-inflight (0 = unlimited)")
 	dopts := detectorFlags(fs)
 	sopts := serveFlags(fs)
 	copts := commonFlags(fs)
@@ -50,9 +49,8 @@ func cmdCluster(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	c := cluster.New(sopts.clusterObs(cluster.Config{
-		Replicas:    *replicas,
-		MaxInflight: *clusterInflight,
-		Logger:      logger,
+		Replicas: *replicas,
+		Logger:   logger,
 	}), replicaBuilder(env, det, cfg))
 
 	return listenAndDrain(*addr, c.Handler(), c.Shutdown, stdout, func(a net.Addr) string {

@@ -35,14 +35,13 @@ import (
 // one registration point, so a cluster replica is configured exactly like a
 // single server.
 type serveOpts struct {
-	queue       *int
-	timeout     *time.Duration
-	event       *string
-	truthCache  *int
-	maxInflight *int
-	tier        *string
-	twinDir     *string
-	margin      *float64
+	queue      *int
+	timeout    *time.Duration
+	event      *string
+	truthCache *int
+	tier       *string
+	twinDir    *string
+	margin     *float64
 
 	// Observability: the flight recorder, request traces, and alerting are
 	// all opt-in so the default boot stays byte-for-byte what it was.
@@ -57,14 +56,13 @@ type serveOpts struct {
 
 func serveFlags(fs *flag.FlagSet) serveOpts {
 	return serveOpts{
-		queue:       fs.Int("queue", 64, "admission queue capacity (full queue answers 429)"),
-		timeout:     fs.Duration("timeout", 10*time.Second, "per-request budget including queueing"),
-		event:       fs.String("event", hpc.CacheMisses.String(), "perf event driving the adversarial verdict"),
-		truthCache:  fs.Int("truth-cache", 512, "truth-count memoisation cache entries (0 disables)"),
-		maxInflight: fs.Int("max-inflight", 0, "cap on concurrently admitted requests, independent of -queue (0 = unlimited)"),
-		tier:        fs.String("tier", serve.TierExact, "serving tier: exact, or auto (twin screens, uncertain verdicts escalate to exact; -margin -1 lets the twin decide every query)"),
-		twinDir:     fs.String("twin-dir", "artifacts/twin", "precomputed twin-table directory (tables are profiled on a miss; used when -tier is auto)"),
-		margin:      fs.Float64("margin", 0.15, "auto-tier escalation band around the detector threshold (0 = default, negative = never escalate)"),
+		queue:      fs.Int("queue", 64, "requests admitted beyond the replicas; the excess answers 429 before the body is read"),
+		timeout:    fs.Duration("timeout", 10*time.Second, "per-request budget for waiting for a free replica (an expired request answers 504)"),
+		event:      fs.String("event", hpc.CacheMisses.String(), "perf event driving the adversarial verdict"),
+		truthCache: fs.Int("truth-cache", 512, "truth-count memoisation cache entries (0 disables)"),
+		tier:       fs.String("tier", serve.TierExact, "serving tier: exact, or auto (twin screens, uncertain verdicts escalate to exact; -margin -1 lets the twin decide every query)"),
+		twinDir:    fs.String("twin-dir", "artifacts/twin", "precomputed twin-table directory (tables are profiled on a miss; used when -tier is auto)"),
+		margin:     fs.Float64("margin", 0.15, "auto-tier escalation band around the detector threshold (0 = default, negative = never escalate)"),
 
 		flight:        fs.Duration("flight", 0, "flight-recorder sampling interval (0 disables; negative = manual mode, sampled only when /debug/flight is queried)"),
 		flightSamples: fs.Int("flight-samples", 0, "flight-recorder ring depth per series (0 = default 256)"),
@@ -112,7 +110,6 @@ func (o serveOpts) config(env *experiments.Env, dopts detectorOpts, det *detect.
 		ClassName:      func(c int) string { return data.ClassName(dataset, c) },
 		Logger:         logger,
 		TruthCacheSize: truthSize,
-		MaxInflight:    *o.maxInflight,
 		FlightInterval: *o.flight,
 		FlightSamples:  *o.flightSamples,
 		TraceRing:      *o.traceRing,

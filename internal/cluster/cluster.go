@@ -24,16 +24,10 @@ import (
 // replica and its truth cache keeps single-replica hit rates.
 const PolicyAffinity = "affinity"
 
-// Config tunes the cluster tier. The zero value runs two replicas with no
-// cluster-level admission cap.
+// Config tunes the cluster tier. The zero value runs two replicas.
 type Config struct {
 	// Replicas is the in-process replica count (default 2, minimum 1).
 	Replicas int
-	// MaxInflight caps requests concurrently admitted into the cluster
-	// handler, on top of each replica's own admission (0: unlimited). The
-	// cluster-level cap is what bounds fleet-wide memory under a flood that
-	// no single replica's gate can see.
-	MaxInflight int
 	// Logger receives the cluster's structured records. nil selects
 	// slog.Default().
 	Logger *slog.Logger
@@ -69,22 +63,21 @@ func (c Config) withDefaults() Config {
 }
 
 // Cluster is the multi-replica serving tier: an affinity router in front of N
-// serve.Server assemblies, each with its own admission gate, consumers, tier
-// stack, truth caches, and metrics registry (stamped replica="i" and merged
+// serve.Server instances, each with its own admission bound, engine replicas,
+// tier stack, truth caches, and metrics registry (stamped replica="i" and merged
 // onto one /metrics page). Build with New, expose with Handler, stop with
 // Shutdown (which drains every replica).
 type Cluster struct {
 	replicas []*serve.Server
 	ring     *Ring
-	spread   atomic.Uint64              // round-robin cursor for requests without a fingerprint
-	adm      *serve.Admission[struct{}] // token-only gate; replicas do the queueing
+	spread   atomic.Uint64 // round-robin cursor for requests without a fingerprint
+	draining atomic.Bool   // set by Shutdown; /detect and /readyz answer 503
 	shape    [3]int
 
-	reg      *obs.Registry
-	routed   []*obs.Counter // per replica, pre-resolved
-	rejected *obs.Counter
-	logger   *slog.Logger
-	mux      *http.ServeMux
+	reg    *obs.Registry
+	routed []*obs.Counter // per replica, pre-resolved
+	logger *slog.Logger
+	mux    *http.ServeMux
 
 	rids   atomic.Uint64    // cluster-generated request ids ("c" prefix)
 	flight *obs.Recorder    // nil unless FlightInterval or AlertRules enable it
@@ -100,7 +93,6 @@ type Cluster struct {
 func New(cfg Config, build func(replica int) *serve.Server) *Cluster {
 	cfg = cfg.withDefaults()
 	c := &Cluster{
-		adm:    serve.NewAdmission[struct{}](0, cfg.MaxInflight),
 		reg:    obs.NewRegistry(),
 		logger: cfg.Logger,
 	}
@@ -132,16 +124,6 @@ func New(cfg Config, build func(replica int) *serve.Server) *Cluster {
 	c.routed = make([]*obs.Counter, cfg.Replicas)
 	for i := range c.routed {
 		c.routed[i] = routedVec.With(PolicyAffinity, strconv.Itoa(i))
-	}
-	c.rejected = c.reg.Counter("advhunter_cluster_rejected_total",
-		"Requests rejected by cluster-level admission (429).").With()
-	if c.adm.InflightCapacity() > 0 {
-		c.reg.GaugeFunc("advhunter_cluster_inflight_requests",
-			"Requests concurrently admitted into the cluster handler.",
-			func() float64 { return float64(c.adm.InflightDepth()) })
-		c.reg.GaugeFunc("advhunter_cluster_inflight_capacity",
-			"Config.MaxInflight: the cluster-level in-flight cap.",
-			func() float64 { return float64(c.adm.InflightCapacity()) })
 	}
 
 	// Fleet observability: the recorder samples the cluster registry plus
@@ -199,11 +181,11 @@ func (c *Cluster) Flight() *obs.Recorder { return c.flight }
 // Alerts returns the cluster's alert engine, or nil when disabled.
 func (c *Cluster) Alerts() *obs.AlertEngine { return c.alerts }
 
-// Shutdown drains the cluster: the cluster gate stops admitting, then every
+// Shutdown drains the cluster: the router stops taking requests, then every
 // replica drains concurrently. The first replica error (or the context's)
 // is returned.
 func (c *Cluster) Shutdown(ctx context.Context) error {
-	c.adm.Close()
+	c.draining.Store(true)
 	errs := make([]error, len(c.replicas))
 	var wg sync.WaitGroup
 	for i, s := range c.replicas {
@@ -230,10 +212,10 @@ func (c *Cluster) Shutdown(ctx context.Context) error {
 	return nil
 }
 
-// handleDetect admits, routes, and delegates one detection request. The
-// chosen replica does all the real work — validation, per-replica admission,
-// the verdict, the response bytes — so a cluster of one replica answers
-// byte-identically to that replica served directly.
+// handleDetect routes and delegates one detection request. The chosen
+// replica does all the real work — admission, validation, the verdict, the
+// response bytes — so a cluster of one replica answers byte-identically to
+// that replica served directly.
 func (c *Cluster) handleDetect(w http.ResponseWriter, r *http.Request) {
 	// One request id across the hop: a well-formed caller-supplied
 	// X-Request-ID passes through untouched; otherwise the cluster mints one
@@ -248,15 +230,7 @@ func (c *Cluster) handleDetect(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("X-Request-ID", id)
 	rctx := obs.WithRequestID(r.Context(), id)
-	release, ok := c.adm.TryAcquire()
-	if !ok {
-		c.rejected.Inc()
-		w.Header().Set("Retry-After", serve.RetryAfter)
-		c.writeError(w, http.StatusTooManyRequests, "cluster at capacity")
-		return
-	}
-	defer release()
-	if c.adm.Draining() {
+	if c.draining.Load() {
 		c.writeError(w, http.StatusServiceUnavailable, "draining")
 		return
 	}
@@ -307,7 +281,7 @@ func (c *Cluster) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (c *Cluster) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	if c.adm.Draining() {
+	if c.draining.Load() {
 		w.WriteHeader(http.StatusServiceUnavailable)
 		io.WriteString(w, "draining\n")
 		return

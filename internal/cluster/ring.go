@@ -1,6 +1,6 @@
 // Package cluster is the multi-replica tier of the serving stack: N
-// in-process serve.Server assemblies behind a fingerprint-affinity router,
-// with cluster-level admission and a merged per-replica /metrics page.
+// in-process serve.Server instances behind a fingerprint-affinity router,
+// with a merged per-replica /metrics page.
 //
 // The design constraint comes from the truth cache: each replica memoises
 // noise-free counts by query fingerprint, so a router that scattered repeats

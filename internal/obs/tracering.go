@@ -191,7 +191,8 @@ type StageView struct {
 // record pointer plus the generation it was issued for. The zero value (no
 // active trace) is a no-op, and a stale generation — the record was finished
 // and recycled to another request — turns writes into no-ops too, so a late
-// span (a queued job that timed out) can never corrupt a stranger's record.
+// span from any context that outlives its handler can never corrupt a
+// stranger's record.
 type TraceContext struct {
 	rec *TraceRecord
 	gen uint64

@@ -71,7 +71,8 @@ func TestTraceNilSafety(t *testing.T) {
 
 // TestTraceGenerationGuard: a TraceContext issued for one request cannot
 // write into the record after it has been recycled to a later request — the
-// late-span hazard (a queued job timing out after the handler answered).
+// late-span hazard (a context that outlives its handler writing after the
+// record was finished).
 func TestTraceGenerationGuard(t *testing.T) {
 	ring := NewTraceRing(1, nil)
 	first := ring.Start("first")

@@ -15,8 +15,8 @@ import (
 // milliseconds; queueing under load dominates the tail).
 var latencyBuckets = []float64{0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
 
-// batchBuckets are the batch-size histogram bounds. A consumer decides one
-// job at a time, so every observation is 1; the series stays because
+// batchBuckets are the batch-size histogram bounds. A replica decides one
+// request at a time, so every observation is 1; the series stays because
 // dashboards and the serving benchmark read its mean batch width.
 var batchBuckets = []float64{1}
 
@@ -40,7 +40,7 @@ type metrics struct {
 	flagged *obs.Counter
 	flags   []*obs.Counter // aligned with Server.channels
 
-	// Worker-pool layer: one task per job a replica's consumer decides.
+	// Worker-pool layer: one task per request a replica decides.
 	poolBusy    *obs.Gauge
 	poolTasks   *obs.Counter
 	poolSeconds *obs.Histogram
@@ -74,7 +74,7 @@ func newMetrics(backend string, channels []string) *metrics {
 	m.reqSeconds = reg.Histogram("advhunter_request_duration_seconds",
 		"End-to-end request latency.", latencyBuckets).With()
 	m.batchSizes = reg.Histogram("advhunter_batch_size",
-		"Jobs per consumer decision (always 1: a consumer decides one job at a time).", batchBuckets).With()
+		"Requests per replica decision (always 1: a replica decides one request at a time).", batchBuckets).With()
 
 	m.scans = reg.Counter("advhunter_scans_total", "Detection decisions made.", "backend").With(backend)
 	m.flagged = reg.Counter("advhunter_flagged_total", "Decisions answered adversarial.", "backend").With(backend)
@@ -87,7 +87,7 @@ func newMetrics(backend string, channels []string) *metrics {
 	m.poolBusy = reg.Gauge("advhunter_pool_busy_workers",
 		"Engine replicas currently running a measurement.").With()
 	m.poolTasks = reg.Counter("advhunter_pool_tasks_total",
-		"Jobs decided by the replica pool, one task per job.").With()
+		"Requests decided by the replica pool, one task per request.").With()
 	m.poolSeconds = reg.Histogram("advhunter_pool_task_duration_seconds",
 		"Per-task time on a pool worker (measure + score).", obs.DurationBuckets).With()
 
@@ -184,24 +184,4 @@ func (m *metrics) registerTier(table *twin.Table, twinTruth *core.TruthCache) {
 		m.reg.GaugeFunc("advhunter_twin_truth_cache_bytes",
 			"Approximate resident size of the twin truth cache.", func() float64 { return float64(twinTruth.Bytes()) })
 	}
-}
-
-// registerAdmission publishes the admission-stage gauges, sampled at scrape
-// time from the live gate: the queue depth/capacity always, and the
-// connection-level in-flight series only when a cap is configured
-// (Config.MaxInflight > 0) — an unlimited server exports none at all.
-func (m *metrics) registerAdmission(adm *Admission[*job]) {
-	m.reg.GaugeFunc("advhunter_queue_depth",
-		"Requests waiting in the admission queue.", func() float64 { return float64(adm.QueueDepth()) })
-	m.reg.GaugeFunc("advhunter_queue_capacity",
-		"Admission queue capacity.", func() float64 { return float64(adm.QueueCapacity()) })
-	if adm.InflightCapacity() == 0 {
-		return
-	}
-	m.reg.GaugeFunc("advhunter_inflight_requests",
-		"Requests concurrently admitted into the handler (decode through response write).",
-		func() float64 { return float64(adm.InflightDepth()) })
-	m.reg.GaugeFunc("advhunter_inflight_capacity",
-		"Config.MaxInflight: the in-flight request cap.",
-		func() float64 { return float64(adm.InflightCapacity()) })
 }

@@ -332,9 +332,10 @@ func TestServeAnyBackend(t *testing.T) {
 	}
 }
 
-// TestServeBackpressure: with the worker pool gated shut, concurrent
-// requests overflow the bounded queue and the overflow answers 429 with a
-// Retry-After hint; releasing the gate completes the admitted requests.
+// TestServeBackpressure: with the replica gated shut, Workers+QueueSize
+// requests are admitted and every other concurrent request answers 429 with
+// a Retry-After hint before its body is read; opening the gate completes the
+// admitted ones.
 func TestServeBackpressure(t *testing.T) {
 	f := getFixture(t)
 	gate := make(chan struct{})
@@ -361,138 +362,70 @@ func TestServeBackpressure(t *testing.T) {
 		}(i)
 	}
 
-	// At most 1 request is held by the dispatcher, 1 sits in the queue, and
-	// a third may slip in as the dispatcher dequeues; everything else must
-	// be rejected immediately. Wait for those rejections, then release.
-	rejected := 0
-	var sawRetryAfter bool
+	// The 2 admitted requests are held until the gate opens, so the other 8
+	// must answer 429 while it is shut.
 	timeout := time.After(30 * time.Second)
-	for rejected < n-3 {
+	for rejected := 0; rejected < n-2; rejected++ {
 		select {
 		case o := <-results:
 			if o.status != http.StatusTooManyRequests {
 				t.Fatalf("got status %d before the gate opened", o.status)
 			}
-			if o.retryAfter == RetryAfter {
-				sawRetryAfter = true
+			if o.retryAfter != RetryAfter {
+				t.Fatalf("429 carries Retry-After %q, want %q", o.retryAfter, RetryAfter)
 			}
-			rejected++
 		case <-timeout:
 			t.Fatalf("only %d rejections before timeout", rejected)
 		}
 	}
-	if !sawRetryAfter {
-		t.Fatal("429 responses must carry the Retry-After header")
-	}
 	close(gate)
 	wg.Wait()
 	close(results)
-	completed := 0
 	for o := range results {
-		switch o.status {
-		case http.StatusOK:
-			completed++
-		case http.StatusTooManyRequests:
-			rejected++
-		default:
-			t.Fatalf("unexpected status %d", o.status)
+		if o.status != http.StatusOK {
+			t.Fatalf("admitted request answered %d, want 200", o.status)
 		}
 	}
-	if completed < 1 || completed+rejected != n {
-		t.Fatalf("completed %d rejected %d of %d", completed, rejected, n)
-	}
-	// The server's own 429 counter must agree with what the clients saw.
-	want429 := fmt.Sprintf("advhunter_requests_total{code=\"429\"} %d\n", rejected)
-	if m := string(scrape(t, ts.URL)); !strings.Contains(m, want429) {
-		t.Fatalf("/metrics missing %q:\n%s", want429, grepLines(m, "requests_total"))
+	// The server's counters agree with the clients, and only the admitted
+	// requests had their bodies decoded.
+	m := string(scrape(t, ts.URL))
+	for _, want := range []string{
+		`advhunter_requests_total{code="200"} 2` + "\n",
+		`advhunter_requests_total{code="429"} 8` + "\n",
+		`advhunter_stage_duration_seconds_count{stage="decode"} 2` + "\n",
+	} {
+		if !strings.Contains(m, want) {
+			t.Fatalf("/metrics missing %q:\n%s", want, m)
+		}
 	}
 }
 
-// TestServeMaxInflight: the connection-level cap rejects over-concurrent
-// clients even when the admission queue has plenty of room — the knob is
-// independent of QueueSize (queued jobs are only part of in-flight work; a
-// closed-loop client also holds its connection through measurement and the
-// response write).
-func TestServeMaxInflight(t *testing.T) {
-	f := getFixture(t)
-	gate := make(chan struct{})
-	s := New(f.meas.Clone(), f.det, Config{
-		QueueSize: 32, Workers: 1, MaxInflight: 2, gate: gate,
-	})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	defer s.Shutdown(context.Background())
-
-	const n = 10
-	type outcome struct {
-		status     int
-		retryAfter string
-	}
-	results := make(chan outcome, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, _ := post(t, ts.URL, NewRequest(f.clean[0].X, uint64(i)))
-			results <- outcome{resp.StatusCode, resp.Header.Get("Retry-After")}
-		}(i)
-	}
-
-	// The queue (capacity 32) can hold every request, so all rejections here
-	// are the in-flight cap's: exactly 2 requests may be admitted, the other
-	// 8 must answer 429 while the pool is gated shut.
-	rejected := 0
-	var sawRetryAfter bool
-	timeout := time.After(30 * time.Second)
-	for rejected < n-2 {
-		select {
-		case o := <-results:
-			if o.status != http.StatusTooManyRequests {
-				t.Fatalf("got status %d before the gate opened", o.status)
-			}
-			if o.retryAfter == RetryAfter {
-				sawRetryAfter = true
-			}
-			rejected++
-		case <-timeout:
-			t.Fatalf("only %d in-flight rejections before timeout", rejected)
+// await polls cond until it holds, failing the test after 10 s.
+func await(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
 		}
-	}
-	if !sawRetryAfter {
-		t.Fatal("in-flight 429s must carry the Retry-After header")
-	}
-	close(gate)
-	wg.Wait()
-	close(results)
-	completed := 0
-	for o := range results {
-		if o.status == http.StatusOK {
-			completed++
-		}
-	}
-	if completed != 2 {
-		t.Fatalf("completed %d requests, want exactly the 2 admitted ones", completed)
-	}
-
-	// The cap is observable: the server exports the in-flight gauges.
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if !strings.Contains(string(body), "advhunter_inflight_capacity 2") {
-		t.Fatalf("/metrics missing advhunter_inflight_capacity 2:\n%s", body)
 	}
 }
 
-// TestServeConsumersWorkConserving: every replica runs its own consumer, so a
-// request admitted while one replica is busy is picked up by an idle replica
-// instead of waiting behind the busy one, and a consumer takes one job at a
-// time: a backlog of 2·k jobs is never held on one replica while the other
-// could take it, so every decision covers exactly one job.
-func TestServeConsumersWorkConserving(t *testing.T) {
+// series returns the value of one series on an exposition page, or "absent".
+func series(page, name string) string {
+	for _, line := range strings.Split(page, "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			return v
+		}
+	}
+	return "absent"
+}
+
+// TestServeReplicasWorkConserving: a request admitted while one replica is
+// busy is decided on the idle one instead of waiting behind the busy one,
+// and a replica decides one request at a time: with two gated requests
+// holding both replicas and 2·k more waiting, every one of the 2+2·k is
+// decided on its own once the gate opens.
+func TestServeReplicasWorkConserving(t *testing.T) {
 	f := getFixture(t)
 	const k = 4
 	gate := make(chan struct{})
@@ -501,14 +434,6 @@ func TestServeConsumersWorkConserving(t *testing.T) {
 	release := func() { open.Do(func() { close(gate) }) }
 	t.Cleanup(release)
 
-	await := func(what string, cond func() bool) {
-		t.Helper()
-		for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
-			if time.Now().After(deadline) {
-				t.Fatalf("timed out waiting for %s", what)
-			}
-		}
-	}
 	var wg sync.WaitGroup
 	send := func(i int) {
 		wg.Add(1)
@@ -524,37 +449,29 @@ func TestServeConsumersWorkConserving(t *testing.T) {
 	// at the gate, so the second must be held by the other.
 	for i := 0; i < 2; i++ {
 		send(i)
-		await(fmt.Sprintf("%d busy replicas", i+1), func() bool { return s.stats.poolBusy.Value() == float64(i+1) })
+		await(t, fmt.Sprintf("%d busy replicas", i+1), func() bool { return s.stats.poolBusy.Value() == float64(i+1) })
 	}
 	for i := 2; i < 2+2*k; i++ {
 		send(i)
 	}
-	await("a full backlog", func() bool { return s.adm.QueueDepth() == 2*k })
+	depth := strconv.Itoa(2 * k)
+	await(t, "a full queue", func() bool { return series(string(scrape(t, ts.URL)), "advhunter_queue_depth") == depth })
 	release()
 	wg.Wait()
 
-	// Every decision after the two gated singletons came out of the backlog,
-	// one job each.
-	series := func(text, name string) string {
-		for _, line := range strings.Split(text, "\n") {
-			if v, ok := strings.CutPrefix(line, name+" "); ok {
-				return v
-			}
-		}
-		return "absent"
-	}
+	// Every request was decided on its own.
 	text := string(scrape(t, ts.URL))
 	total, single := series(text, "advhunter_batch_size_count"), series(text, `advhunter_batch_size_bucket{le="1"}`)
 	if want := strconv.Itoa(2 + 2*k); total != want || single != want {
-		t.Fatalf("%s of %s batches held one job; want all %s batches to hold exactly one", single, total, want)
+		t.Fatalf("%s of %s decisions held one request; want all %s to hold exactly one", single, total, want)
 	}
 	if got := s.stats.batchSizes.Sum(); got != 2+2*k {
-		t.Fatalf("batches held %v jobs, want %d", got, 2+2*k)
+		t.Fatalf("decisions held %v requests, want %d", got, 2+2*k)
 	}
 }
 
-// TestServeTimeout: a request whose budget expires while the pool is gated
-// answers 504 and is dropped before it is decided.
+// TestServeTimeout: a request whose budget expires while the replica is
+// gated answers 504 and is never decided.
 func TestServeTimeout(t *testing.T) {
 	f := getFixture(t)
 	gate := make(chan struct{})
@@ -571,43 +488,106 @@ func TestServeTimeout(t *testing.T) {
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status %d (%s), want 504", resp.StatusCode, body)
 	}
+	if got := s.stats.poolTasks.Value(); got != 0 {
+		t.Fatalf("%v requests decided, want 0", got)
+	}
 	close(gate)
 }
 
-// TestServeDrain: Shutdown completes queued work, flips /readyz to 503, and
-// rejects new detection requests with 503.
+// TestServeDrain: Shutdown answers every admitted request, flips /readyz to
+// 503, and rejects new detection requests with 503 — on an idle server and
+// with one request holding the replica and another waiting for it.
 func TestServeDrain(t *testing.T) {
 	f := getFixture(t)
-	s := New(f.meas.Clone(), f.det, Config{Workers: 1})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	t.Run("idle", func(t *testing.T) {
+		s := New(f.meas.Clone(), f.det, Config{Workers: 1})
+		ts := httptest.NewServer(s.Handler())
+		defer ts.Close()
 
-	if resp, _ := http.Get(ts.URL + "/readyz"); resp.StatusCode != http.StatusOK {
-		t.Fatalf("readyz before drain: %d", resp.StatusCode)
-	}
-	if resp, body := post(t, ts.URL, NewRequest(f.clean[0].X, 0)); resp.StatusCode != http.StatusOK {
-		t.Fatalf("detect before drain: %d (%s)", resp.StatusCode, body)
-	}
+		if resp, _ := http.Get(ts.URL + "/readyz"); resp.StatusCode != http.StatusOK {
+			t.Fatalf("readyz before drain: %d", resp.StatusCode)
+		}
+		if resp, body := post(t, ts.URL, NewRequest(f.clean[0].X, 0)); resp.StatusCode != http.StatusOK {
+			t.Fatalf("detect before drain: %d (%s)", resp.StatusCode, body)
+		}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := s.Shutdown(ctx); err != nil {
-		t.Fatalf("Shutdown: %v", err)
-	}
-	if resp, _ := http.Get(ts.URL + "/readyz"); resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("readyz after drain: %d", resp.StatusCode)
-	}
-	if resp, _ := post(t, ts.URL, NewRequest(f.clean[0].X, 1)); resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("detect after drain: %d", resp.StatusCode)
-	}
-	// healthz stays 200: the process is alive, just not accepting work.
-	if resp, _ := http.Get(ts.URL + "/healthz"); resp.StatusCode != http.StatusOK {
-		t.Fatalf("healthz after drain: %d", resp.StatusCode)
-	}
-	// Shutdown is idempotent.
-	if err := s.Shutdown(ctx); err != nil {
-		t.Fatalf("second Shutdown: %v", err)
-	}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := s.Shutdown(ctx); err != nil {
+			t.Fatalf("Shutdown: %v", err)
+		}
+		if resp, _ := http.Get(ts.URL + "/readyz"); resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("readyz after drain: %d", resp.StatusCode)
+		}
+		if resp, _ := post(t, ts.URL, NewRequest(f.clean[0].X, 1)); resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("detect after drain: %d", resp.StatusCode)
+		}
+		// healthz stays 200: the process is alive, just not accepting work.
+		if resp, _ := http.Get(ts.URL + "/healthz"); resp.StatusCode != http.StatusOK {
+			t.Fatalf("healthz after drain: %d", resp.StatusCode)
+		}
+		// Shutdown is idempotent.
+		if err := s.Shutdown(ctx); err != nil {
+			t.Fatalf("second Shutdown: %v", err)
+		}
+	})
+	t.Run("in-flight", func(t *testing.T) {
+		gate := make(chan struct{})
+		s := New(f.meas.Clone(), f.det, Config{Workers: 1, gate: gate})
+		ts := httptest.NewServer(s.Handler())
+		defer ts.Close()
+		var open sync.Once
+		release := func() { open.Do(func() { close(gate) }) }
+		defer release()
+
+		// One request holds the replica at the gate, another waits for it.
+		statuses := make(chan int, 2)
+		for i := 0; i < 2; i++ {
+			go func(i int) {
+				resp, _ := post(t, ts.URL, NewRequest(f.clean[i].X, uint64(i)))
+				statuses <- resp.StatusCode
+			}(i)
+		}
+		await(t, "one held and one waiting request", func() bool {
+			return s.stats.poolBusy.Value() == 1 && s.waiting.Load() == 1
+		})
+
+		short, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		defer cancel()
+		if err := s.Shutdown(short); err != context.DeadlineExceeded {
+			t.Fatalf("Shutdown past its deadline: %v, want %v", err, context.DeadlineExceeded)
+		}
+		if resp, _ := post(t, ts.URL, NewRequest(f.clean[2].X, 2)); resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("detect while draining: %d, want 503", resp.StatusCode)
+		}
+		drained := make(chan error, 1)
+		go func() { drained <- s.Shutdown(context.Background()) }()
+		select {
+		case err := <-drained:
+			t.Fatalf("Shutdown returned (%v) before the gate opened", err)
+		case <-time.After(50 * time.Millisecond):
+		}
+
+		release()
+		for i := 0; i < 2; i++ {
+			select {
+			case code := <-statuses:
+				if code != http.StatusOK {
+					t.Fatalf("in-flight request answered %d, want 200", code)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("in-flight request not answered")
+			}
+		}
+		select {
+		case err := <-drained:
+			if err != nil {
+				t.Fatalf("Shutdown: %v", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("Shutdown did not return after the last answer")
+		}
+	})
 }
 
 // TestServeRejectsMalformed: handler-level 400s for the decode failures the

@@ -2,19 +2,19 @@
 // JSON service that scores every inference query from its simulated HPC
 // reading, the MLaaS-guard shape the paper motivates (Section 1).
 //
-// Architecture: a server is an assembly of three composable stages.
-// An Admission gate (bounded queue + optional in-flight token cap) turns
-// overload into backpressure — a full queue answers 429 with Retry-After —
-// and owns the drain protocol. One consumer per engine replica takes one
-// admitted request at a time and decides it on its replica through a Tiering
-// policy, which decides every query on one or two MeasurePools (backend
-// replica pool + truth cache + detector). Determinism survives the
-// concurrency: each query's measurement-noise stream is keyed by an explicit
-// request index through Measurer.MeasureAt, so its reading — and therefore
-// its detection decision — is a pure function of (model, input, seed, index),
-// independent of scheduling and worker assignment. The same
-// stages compose into other topologies: internal/cluster runs N of these
-// assemblies behind a router.
+// Architecture: each POST /detect is decided on its own handler goroutine.
+// The handler admits the request before reading its body — at most
+// Workers+QueueSize requests are admitted at once, and the excess answers 429
+// with Retry-After — then decodes it, waits until its deadline for a free
+// engine replica, and decides it on that replica through a Tiering policy,
+// which decides every query on one or two MeasurePools (backend replica pool
+// + truth cache + detector). Shutdown stops admitting and returns once every
+// admitted request has been answered. Determinism survives the concurrency:
+// each query's measurement-noise stream is keyed by an explicit request index
+// through Measurer.MeasureAt, so its reading — and therefore its detection
+// decision — is a pure function of (model, input, seed, index), independent
+// of scheduling and replica assignment. internal/cluster runs N of these
+// servers behind a router.
 package serve
 
 import (
@@ -40,15 +40,16 @@ import (
 
 // Config tunes the service. The zero value serves with sensible defaults.
 type Config struct {
-	// QueueSize bounds the admission queue (default 64). A full queue is
-	// the backpressure signal: new requests get 429 + Retry-After.
+	// QueueSize is the number of requests admitted beyond the replicas
+	// (default 64); the excess answers 429 + Retry-After before its body is
+	// read. A request counts from handler entry until its response is
+	// written, so the bound covers the body read, the decode and the write.
 	QueueSize int
 	// Workers is the engine-replica pool size (default GOMAXPROCS, min 1);
-	// each replica runs its own consumer of the admission queue, which takes
-	// one request at a time and never waits for more.
+	// an admitted request holds one replica while it is decided.
 	Workers int
-	// Timeout is the per-request budget including queueing (default 10s);
-	// an expired request answers 504 and is dropped before it is decided.
+	// Timeout bounds a request's wait for a free replica (default 10s): a
+	// request whose deadline passes first answers 504 and is never decided.
 	Timeout time.Duration
 	// DecisionEvent drives the top-level "adversarial" verdict (default
 	// cache-misses, the paper's strongest event). If the detector does not
@@ -56,16 +57,6 @@ type Config struct {
 	DecisionEvent hpc.Event
 	// ClassName optionally renders class names in responses.
 	ClassName func(int) string
-	// MaxInflight caps requests concurrently admitted into the handler —
-	// the connection-level backpressure knob, independent of QueueSize.
-	// QueueSize bounds jobs *waiting* for a consumer, but a closed-loop
-	// client holds its connection through decode, measurement, and the
-	// response write as well: total in-flight work is queued + deciding +
-	// awaiting-write, and with enough concurrent clients that sum grows
-	// beyond the queue bound without a single 429. A positive MaxInflight
-	// caps it (excess requests answer 429 + Retry-After before their body
-	// is read); 0 leaves it unlimited, the historical behaviour.
-	MaxInflight int
 	// TruthCacheSize caps the fingerprint-keyed truth-count memoisation
 	// cache shared by the replica pool: a repeated query pays the simulated
 	// inference once, and the cached noise-free counts are re-noised per
@@ -134,9 +125,9 @@ type Config struct {
 	// this long before its alert fires (0 fires immediately).
 	AlertFor time.Duration
 
-	// gate, when non-nil, blocks job processing until it is closed — a
-	// test-only hook for filling the queue deterministically. It must be
-	// set before New; every consumer reads it before each job.
+	// gate, when non-nil, holds every acquired replica until it is closed or
+	// the request's deadline passes — a test-only hook for filling the
+	// queue deterministically. It must be set before New.
 	gate chan struct{}
 }
 
@@ -153,8 +144,7 @@ const (
 	TierAuto = "auto"
 )
 
-// RetryAfter is the Retry-After hint, in seconds, on every 429 — the
-// server's and the cluster's.
+// RetryAfter is the Retry-After hint, in seconds, on every 429.
 const RetryAfter = "1"
 
 func (c Config) withDefaults() Config {
@@ -182,25 +172,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// job is one admitted request travelling queue → consumer.
-type job struct {
-	idx   uint64
-	x     *tensor.Tensor
-	ctx   context.Context
-	out   chan result // buffered(1); worker send never blocks
-	qspan *obs.Span   // admission-to-pickup queue span; nil-safe
-}
-
-// result is one job's outcome: the verdict plus the measurement tier that
-// decided it ("" under plain exact serving, keeping those response bodies
-// byte-identical to pre-tier versions).
-type result struct {
-	v    detect.Verdict
-	tier string
-}
-
-// Server is the online detection service: an Admission gate feeding one
-// consumer per engine replica, each deciding its jobs through a Tiering
+// Server is the online detection service: each admitted request waits for
+// one of Workers engine replicas and is decided on it through a Tiering
 // policy. Build with New, expose with Handler, stop with Shutdown.
 type Server struct {
 	cfg      Config
@@ -209,11 +182,16 @@ type Server struct {
 	shape    [3]int
 	decIdx   int // index of DecisionEvent in det.Channels(), -1 if absent
 
-	adm     *Admission[*job] // gate stage: queue + inflight cap + drain protocol
-	tiering Tiering          // decision stage: exact / twin / auto over MeasurePools
-	next    atomic.Uint64    // server-assigned indices for index-less requests
-	rids    atomic.Uint64    // request ids for log correlation (distinct from idx)
-	done    chan struct{}    // closed when every consumer has exited
+	tiering  Tiering       // decision stage: exact / auto over MeasurePools
+	replicas chan int      // free replica indices
+	waiting  atomic.Int64  // admitted requests waiting for a free replica
+	next     atomic.Uint64 // server-assigned indices for index-less requests
+	rids     atomic.Uint64 // request ids for log correlation (distinct from idx)
+
+	mu       sync.Mutex    // guards admitted, draining and closing idle
+	admitted int           // requests between admission and their answer
+	draining bool          // set by Shutdown; admission answers 503
+	idle     chan struct{} // closed once draining with nothing admitted
 
 	stats  *metrics
 	logger *slog.Logger
@@ -245,8 +223,8 @@ func New(m *core.Measurer, det detect.Detector, cfg Config) *Server {
 		channels: channels,
 		shape:    [3]int{meta.InC, meta.InH, meta.InW},
 		decIdx:   decIdx,
-		adm:      NewAdmission[*job](cfg.QueueSize, cfg.MaxInflight),
-		done:     make(chan struct{}),
+		replicas: make(chan int, cfg.Workers),
+		idle:     make(chan struct{}),
 		stats:    newMetrics(det.Kind(), channels),
 		logger:   cfg.Logger,
 		gate:     cfg.gate,
@@ -255,7 +233,6 @@ func New(m *core.Measurer, det detect.Detector, cfg Config) *Server {
 		s.logger = slog.Default()
 	}
 	s.tracer = obs.NewTracer(s.stats.reg, s.logger)
-	s.stats.registerAdmission(s.adm)
 
 	// Truth caches, one per tier: twin and exact truths for the same input
 	// differ, so they are never shared.
@@ -268,7 +245,14 @@ func New(m *core.Measurer, det detect.Detector, cfg Config) *Server {
 		}
 	}
 
+	for w := 0; w < cfg.Workers; w++ {
+		s.replicas <- w
+	}
 	s.stats.reg.Gauge("advhunter_pool_workers", "Engine replica pool size.").With().Set(float64(cfg.Workers))
+	s.stats.reg.GaugeFunc("advhunter_queue_depth",
+		"Admitted requests waiting for a free replica.", func() float64 { return float64(s.waiting.Load()) })
+	s.stats.reg.Gauge("advhunter_queue_capacity",
+		"Requests admitted beyond the replicas (Config.QueueSize).").With().Set(float64(cfg.QueueSize))
 
 	// Exact measurement stage. The engine-layer hook is observe-only and
 	// shared by every replica, so install it before cloning (Clone copies it).
@@ -365,18 +349,6 @@ func New(m *core.Measurer, det detect.Detector, cfg Config) *Server {
 	if s.alerts != nil {
 		s.mux.Handle("/alerts", s.alerts.Handler())
 	}
-	var consumers sync.WaitGroup
-	consumers.Add(cfg.Workers)
-	for w := 0; w < cfg.Workers; w++ {
-		go func() {
-			defer consumers.Done()
-			s.consume(w)
-		}()
-	}
-	go func() {
-		consumers.Wait()
-		close(s.done)
-	}()
 	return s
 }
 
@@ -404,17 +376,23 @@ func (s *Server) Alerts() *obs.AlertEngine { return s.alerts }
 // front of the server needs to decode and fingerprint request bodies.
 func (s *Server) Shape() [3]int { return s.shape }
 
-// Shutdown drains the service: new detection requests are rejected with
-// 503, queued requests are processed to completion, and every consumer
-// exits. It returns early with the context's error if draining outlives it.
+// Shutdown drains the service: new detection requests and /readyz answer
+// 503, and Shutdown returns once every admitted request has been answered.
+// It returns early with the context's error if draining outlives it; a later
+// Shutdown waits again.
 func (s *Server) Shutdown(ctx context.Context) error {
-	// Close is idempotent: the first caller runs the drain protocol, later
-	// callers (and re-entrant Shutdowns) just wait for the consumers.
-	s.adm.Close()
+	s.mu.Lock()
+	if !s.draining {
+		s.draining = true
+		if s.admitted == 0 {
+			close(s.idle)
+		}
+	}
+	s.mu.Unlock()
 	select {
-	case <-s.done:
-		// Quiesce the observability background loops after the pipeline has
-		// drained; both Stops are idempotent, so re-entrant Shutdowns are fine.
+	case <-s.idle:
+		// Quiesce the observability background loops after the last answer;
+		// both Stops are idempotent, so re-entrant Shutdowns are fine.
 		if s.alerts != nil {
 			s.alerts.Stop()
 		}
@@ -427,47 +405,87 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
-// consume is one replica's consumer loop: it takes one job at a time and
-// decides it on its own replica index, until the admission gate's queue is
-// closed and drained. Workers of these loops share one queue, so an idle
-// replica picks up a request as soon as it is admitted.
-func (s *Server) consume(worker int) {
-	for j := range s.adm.Queue() {
-		s.process(worker, j)
+// admit counts one request in before its body is read: it answers 503 while
+// draining and 429 once Workers+QueueSize requests are admitted, else 200.
+// An admitted request is counted out by done once its response is written.
+func (s *Server) admit() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	switch {
+	case s.draining:
+		return http.StatusServiceUnavailable
+	case s.admitted == s.cfg.Workers+s.cfg.QueueSize:
+		return http.StatusTooManyRequests
 	}
+	s.admitted++
+	return http.StatusOK
 }
 
-// process decides and answers one job on replica worker through
-// Tiering.Decide. A job whose deadline expired while queued is dropped (its
-// handler has already answered 504). The pool series are updated before the
-// job is answered, so a client that has its verdict sees them settled. The
-// job's noise stream is keyed by its index, so its result does not depend on
-// which replica decided it.
-func (s *Server) process(worker int, j *job) {
+// done counts an answered request out; the last one out of a drain ends it.
+func (s *Server) done() {
+	s.mu.Lock()
+	s.admitted--
+	if s.draining && s.admitted == 0 {
+		close(s.idle)
+	}
+	s.mu.Unlock()
+}
+
+// acquire waits for a free replica until ctx's deadline — the request's
+// queue span — and reports false if the deadline passed first. With the test
+// gate set, the acquired replica is held until the gate opens or the
+// deadline passes.
+func (s *Server) acquire(ctx context.Context) (int, bool) {
+	_, sp := obs.StartSpan(ctx, "queue")
+	defer sp.End()
+	s.waiting.Add(1)
+	replica := -1
+	select {
+	case replica = <-s.replicas:
+	case <-ctx.Done():
+	}
+	s.waiting.Add(-1)
+	if replica < 0 {
+		return 0, false
+	}
 	s.stats.poolBusy.Inc()
 	if s.gate != nil {
-		<-s.gate
+		select {
+		case <-s.gate:
+		case <-ctx.Done():
+			s.release(replica)
+			return 0, false
+		}
 	}
-	j.qspan.End() // queue wait is over, whether the job survived it or not
-	if j.ctx.Err() != nil {
-		s.stats.poolBusy.Dec()
-		return
-	}
+	return replica, true
+}
+
+// release hands a replica back to the pool.
+func (s *Server) release(replica int) {
+	s.stats.poolBusy.Dec()
+	s.replicas <- replica
+}
+
+// decide runs one request's tiering decision on replica and records the pool
+// series; it returns the verdict and the tier that decided it ("" under plain
+// exact serving, keeping those response bodies byte-identical to pre-tier
+// versions). The noise stream is keyed by idx, so the result does not depend
+// on which replica decided it.
+func (s *Server) decide(ctx context.Context, replica int, idx uint64, x *tensor.Tensor) (detect.Verdict, string) {
 	start := time.Now()
-	var r result
-	r.v, r.tier = s.tiering.Decide(j.ctx, worker, j.idx, j.x)
+	v, tier := s.tiering.Decide(ctx, replica, idx, x)
 	s.stats.batchSizes.Observe(1)
 	s.stats.poolTasks.Inc()
 	s.stats.poolSeconds.Observe(time.Since(start).Seconds())
-	s.stats.poolBusy.Dec()
-	j.out <- r
+	return v, tier
 }
 
-// ServeDecoded answers one POST /detect: decode, validate, admit, await the
-// verdict. req, when non-nil, is r's body already decoded by DecodeRequest
-// against Shape — a router that decoded the body to route it hands it over,
-// and the body is neither read nor decoded again. A nil req reads and
-// decodes the body here, which is what the server's own /detect route does.
+// ServeDecoded answers one POST /detect on the calling goroutine: admit,
+// decode, validate, wait for a replica, decide. req, when non-nil, is r's
+// body already decoded by DecodeRequest against Shape — a router that decoded
+// the body to route it hands it over, and the body is neither read nor
+// decoded again. A nil req reads and decodes the body here, which is what the
+// server's own /detect route does.
 func (s *Server) ServeDecoded(w http.ResponseWriter, r *http.Request, req *Request) {
 	start := time.Now()
 	// A well-formed caller-supplied X-Request-ID is adopted (so one id follows
@@ -499,17 +517,20 @@ func (s *Server) ServeDecoded(w http.ResponseWriter, r *http.Request, req *Reque
 		status(http.StatusMethodNotAllowed)
 		return
 	}
-	// Connection-level backpressure: acquire an in-flight token before even
-	// reading the body, so an over-concurrent closed-loop client is turned
-	// away at the cheapest possible point.
-	release, ok := s.adm.TryAcquire()
-	if !ok {
+	// Admit before the body is read, so a rejected request costs
+	// neither the read nor the decode.
+	switch code := s.admit(); code {
+	case http.StatusServiceUnavailable:
+		s.writeError(w, code, "draining")
+		status(code)
+		return
+	case http.StatusTooManyRequests:
 		w.Header().Set("Retry-After", RetryAfter)
-		s.writeError(w, http.StatusTooManyRequests, "too many in-flight requests")
-		status(http.StatusTooManyRequests)
+		s.writeError(w, code, "queue full")
+		status(code)
 		return
 	}
-	defer release()
+	defer s.done()
 	if req == nil {
 		body, err := ReadBody(w, r)
 		if err != nil {
@@ -535,59 +556,45 @@ func (s *Server) ServeDecoded(w http.ResponseWriter, r *http.Request, req *Reque
 	tr.SetIndex(idx)
 	ctx, cancel := context.WithTimeout(rctx, s.cfg.Timeout)
 	defer cancel()
-	_, qspan := obs.StartSpan(rctx, "queue")
-	j := &job{idx: idx, x: req.Tensor(), ctx: ctx, out: make(chan result, 1), qspan: qspan}
-
-	switch s.adm.Offer(j) {
-	case AdmitDraining:
-		s.writeError(w, http.StatusServiceUnavailable, "draining")
-		status(http.StatusServiceUnavailable)
-		return
-	case AdmitFull:
-		w.Header().Set("Retry-After", RetryAfter)
-		s.writeError(w, http.StatusTooManyRequests, "queue full")
-		status(http.StatusTooManyRequests)
-		return
-	}
-
-	select {
-	case r := <-j.out:
-		v := r.v
-		_, sp := obs.StartSpan(rctx, "verdict")
-		resp := s.response(idx, r)
-		s.stats.observeDecision(v.Flags, resp.Adversarial)
-		sp.End()
-		tr.SetTier(r.tier)
-		tr.SetBackend(resp.Backend)
-		if resp.Adversarial {
-			tr.SetVerdict("adversarial")
-		} else {
-			tr.SetVerdict("benign")
-		}
-		if resp.Adversarial {
-			s.logger.DebugContext(rctx, "adversarial query flagged",
-				slog.Uint64("index", idx),
-				slog.String("backend", resp.Backend),
-				slog.Int("predicted_class", resp.PredictedClass))
-		}
-		s.writeJSON(w, http.StatusOK, resp)
-		status(http.StatusOK)
-	case <-ctx.Done():
+	replica, ok := s.acquire(ctx)
+	if !ok {
 		s.writeError(w, http.StatusGatewayTimeout, "detection timed out")
 		status(http.StatusGatewayTimeout)
+		return
 	}
+	v, tier := s.decide(ctx, replica, idx, req.Tensor())
+	s.release(replica)
+
+	_, sp := obs.StartSpan(rctx, "verdict")
+	resp := s.response(idx, v, tier)
+	s.stats.observeDecision(v.Flags, resp.Adversarial)
+	sp.End()
+	tr.SetTier(tier)
+	tr.SetBackend(resp.Backend)
+	if resp.Adversarial {
+		tr.SetVerdict("adversarial")
+	} else {
+		tr.SetVerdict("benign")
+	}
+	if resp.Adversarial {
+		s.logger.DebugContext(rctx, "adversarial query flagged",
+			slog.Uint64("index", idx),
+			slog.String("backend", resp.Backend),
+			slog.Int("predicted_class", resp.PredictedClass))
+	}
+	s.writeJSON(w, http.StatusOK, resp)
+	status(http.StatusOK)
 }
 
 // response renders one detection verdict.
-func (s *Server) response(idx uint64, r result) Response {
-	v := r.v
+func (s *Server) response(idx uint64, v detect.Verdict, tier string) Response {
 	resp := Response{
 		Index:          idx,
 		PredictedClass: v.PredictedClass,
 		Backend:        s.det.Kind(),
 		Modelled:       v.Modelled,
 		Adversarial:    adversarialAt(v, s.decIdx),
-		Tier:           r.tier,
+		Tier:           tier,
 		Scores:         make(map[string]float64, len(s.channels)),
 		Flags:          make(map[string]bool, len(s.channels)),
 	}
@@ -607,7 +614,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	if s.adm.Draining() {
+	s.mu.Lock()
+	draining := s.draining
+	s.mu.Unlock()
+	if draining {
 		w.WriteHeader(http.StatusServiceUnavailable)
 		io.WriteString(w, "draining\n")
 		return

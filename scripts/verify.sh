@@ -37,6 +37,9 @@ go test ./...
 echo "== race (parallel pipeline + detection + serving + cluster + twin + observability + workload + cache runs) =="
 go test -race ./internal/parallel ./internal/core ./internal/engine ./internal/detect ./internal/serve ./internal/cluster ./internal/twin ./internal/obs ./internal/workload ./internal/uarch/cache
 
+echo "== race, repeated (gate-driven admission, timeout and drain tests) =="
+go test -race -count=10 -run 'TestServe(Backpressure|Timeout|Drain|ReplicasWorkConserving)' ./internal/serve
+
 echo "== fuzz (request decoder: fast path against encoding/json) =="
 go test -run='^$' -fuzz=FuzzDecodeRequest -fuzztime=30s ./internal/serve
 
