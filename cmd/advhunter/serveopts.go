@@ -208,7 +208,7 @@ func buildServeStack(env *experiments.Env, dopts detectorOpts, sopts serveOpts, 
 }
 
 // replicaBuilder returns the cluster replica factory. serve.New takes
-// ownership of the measurer and the twin backend it is handed, so each
+// ownership of the measurer and the twin measurer it is handed, so each
 // replica must get its own clones — sharing either across replicas is a data
 // race. The fitted detector is read-only and safely shared, exactly as the
 // single-server path shares it across its worker pool. Replicas get no flight

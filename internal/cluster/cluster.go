@@ -86,7 +86,7 @@ type Cluster struct {
 
 // New assembles a cluster, calling build once per replica index to construct
 // each serve.Server. The factory owns per-replica resource cloning (the
-// measurer, the twin backend): serve.New takes ownership of what it is
+// measurer, the twin measurer): serve.New takes ownership of what it is
 // given, so handing two replicas the same measurer is a data race. New
 // stamps each replica's registry with its replica label; the factory must
 // not have exposed the registry to a scrape before New returns.

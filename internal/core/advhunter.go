@@ -19,17 +19,33 @@ import (
 	"advhunter/internal/uarch/hpc"
 )
 
+// CountModel is a source of true counts that stands in for the simulated
+// machine: it predicts one inference's noise-free HPC reading from the
+// per-leaf input sparsities of a machine-free forward pass
+// (Engine.ForwardStats). Predict overwrites every event of out. Replicas
+// share one model (Clone copies it), so Predict must be safe for concurrent
+// calls. *twin.Table implements it.
+type CountModel interface {
+	Predict(sp []float64, out *hpc.Counts)
+}
+
 // Measurer performs the paper's measurement protocol: run one inference on
 // the instrumented engine, read the HPC bank R times under measurement
-// noise, and keep the per-event mean.
+// noise, and keep the per-event mean. Twin only changes where the true
+// counts come from; the protocol around them is the same.
 //
 // Noise is re-keyed per sample: measurement i draws from the stream
 // rng.New(Seed).Split(i), so its counts are a pure function of
 // (model, input, Seed, i) — independent of measurement order and of which
-// worker performs it. That is what lets MeasureSet fan out over engine
+// worker performs it. That is what lets MeasureSet fan out over measurer
 // replicas and still return bit-identical results for any worker count.
 type Measurer struct {
 	Engine *engine.Engine
+	// Twin, when set, supplies the true counts from the engine's
+	// machine-free forward pass instead of the simulated machine (the
+	// analytical twin, see twin.FromMeasurer). Prediction and confidence
+	// are the same either way.
+	Twin CountModel
 	// Noise is the measurement-disturbance model applied to true counts.
 	Noise hpc.NoiseModel
 	// Seed keys the per-sample noise streams.
@@ -55,10 +71,16 @@ type Measurer struct {
 	// sequential API is single-goroutine, like the engine it owns.
 	next uint64
 
+	// sp and counts are Truth's scratch under a Twin: the leaf sparsities
+	// and the predicted counts. counts is a field rather than a local so
+	// that passing its address through the CountModel interface does not
+	// move it to the heap.
+	sp     []float64
+	counts hpc.Counts
+
 	// scratch is the reusable noise rng+sampler, so steady-state measurement
 	// does not allocate per sample. Like the engine, a Measurer's measuring
-	// methods are single-goroutine; replicas own their scratch, and MeasureSet
-	// gives each worker a private one.
+	// methods are single-goroutine; replicas own their scratch.
 	scratch noiseScratch
 }
 
@@ -74,14 +96,15 @@ func NewMeasurer(e *engine.Engine, noiseSeed uint64) *Measurer {
 }
 
 // Clone returns an independent measurer replica for concurrent serving: the
-// engine is cloned (shared weights, private μarch state) and the noise model,
-// seed and repetition count are copied, so MeasureAt(i, x) on a replica
-// returns exactly what the original would return for the same (i, x). The
-// sequential-call counter starts fresh; replica users must key measurements
-// explicitly through MeasureAt.
+// engine is cloned (shared weights, private μarch state) and the count
+// model, noise model, seed and repetition count are copied, so MeasureAt(i,
+// x) on a replica returns exactly what the original would return for the
+// same (i, x). The sequential-call counter starts fresh; replica users must
+// key measurements explicitly through MeasureAt.
 func (m *Measurer) Clone() *Measurer {
 	return &Measurer{
 		Engine:  m.Engine.Clone(),
+		Twin:    m.Twin,
 		Noise:   m.Noise,
 		Seed:    m.Seed,
 		R:       m.R,
@@ -90,10 +113,8 @@ func (m *Measurer) Clone() *Measurer {
 	}
 }
 
-// noiseScratch is a reusable noise rng+sampler pair. It is deliberately a
-// standalone type: a Measurer embeds one for its single-goroutine measuring
-// methods, and MeasureSet allocates one per worker so concurrent workers
-// never share mutable sampler state.
+// noiseScratch is a reusable noise rng+sampler pair, embedded in each
+// Measurer for its single-goroutine measuring methods.
 type noiseScratch struct {
 	rand    rng.Rand
 	sampler *hpc.Sampler
@@ -114,28 +135,58 @@ func (ns *noiseScratch) at(model hpc.NoiseModel, seed, i uint64) *hpc.Sampler {
 	return ns.sampler
 }
 
-func (m *Measurer) noiseAt(i uint64) *hpc.Sampler {
-	return m.scratch.at(m.Noise, m.Seed, i)
+// Truth computes x's noise-free inference outcome: the engine's simulated
+// inference, or under a Twin the machine-free forward pass plus the count
+// model's prediction. Steady-state calls allocate nothing.
+func (m *Measurer) Truth(x *tensor.Tensor) Truth {
+	if m.Twin == nil {
+		pred, conf, counts := m.Engine.InferConf(x)
+		return Truth{Pred: pred, Conf: conf, Counts: counts}
+	}
+	if m.sp == nil {
+		m.sp = make([]float64, m.Engine.NumLeaves())
+	}
+	pred, conf := m.Engine.ForwardStats(x, m.sp)
+	m.Twin.Predict(m.sp, &m.counts)
+	return Truth{Pred: pred, Conf: conf, Counts: m.counts}
 }
 
 // MeasureAt measures one image under the noise stream of sample index i.
 // TrueLabel is -1: the measurer has no ground truth for an unknown input.
 func (m *Measurer) MeasureAt(i uint64, x *tensor.Tensor) Measurement {
+	meas, _ := m.MeasureAtCached(nil, i, x)
+	return meas
+}
+
+// MeasureAtCached is MeasureAt with truth-count memoisation: the noise-free
+// inference outcome is looked up in (or inserted into) cache by
+// cache.Key(x), and the R noisy readings are then drawn from sample index i's
+// stream. Because the noise is keyed by i — never by the truth's provenance —
+// the returned Measurement is bit-identical on hit and miss paths. The second
+// return reports whether the truth came from the cache. A nil cache never
+// hits and stores nothing. A cache holds one measurer's kind of truth: exact
+// and twin counts for the same input differ, so the two never share one.
+func (m *Measurer) MeasureAtCached(cache *TruthCache, i uint64, x *tensor.Tensor) (Measurement, bool) {
 	var start time.Time
 	if m.Observe != nil {
 		start = time.Now()
 	}
-	pred, conf, truth := m.Engine.InferConf(x)
+	key := cache.Key(x)
+	t, hit := cache.Get(key)
+	if !hit {
+		t = m.Truth(x)
+		cache.Put(key, t)
+	}
 	meas := Measurement{
-		Pred:      pred,
+		Pred:      t.Pred,
 		TrueLabel: -1,
-		Counts:    m.noiseAt(i).MeasureMean(truth, m.R),
-		Conf:      conf,
+		Counts:    m.scratch.at(m.Noise, m.Seed, i).MeasureMean(t.Counts, m.R),
+		Conf:      t.Conf,
 	}
 	if m.Observe != nil {
 		m.Observe(time.Since(start), meas)
 	}
-	return meas
+	return meas, hit
 }
 
 // Measure returns the measurement for one image, assigning sample indices

@@ -2,7 +2,6 @@ package core
 
 import (
 	"advhunter/internal/data"
-	"advhunter/internal/engine"
 	"advhunter/internal/parallel"
 	"advhunter/internal/uarch/hpc"
 )
@@ -24,23 +23,20 @@ type Measurement struct {
 }
 
 // MeasureSet measures every sample, fanning out over m.Workers goroutines.
-// Each worker beyond the first runs its own engine replica (Engine.Clone —
-// shared weights, private μarch state), and every sample draws noise from its
-// index-keyed stream, so the returned slice is bit-identical for any worker
-// count and any scheduling.
+// Each worker beyond the first measures on its own Clone of m, and every
+// sample draws noise from its index-keyed stream, so the returned slice is
+// bit-identical for any worker count and any scheduling. TrueLabel carries
+// the sample's label.
 func MeasureSet(m *Measurer, samples []data.Sample) []Measurement {
 	workers := parallel.Workers(m.Workers, len(samples))
-	engines := make([]*engine.Engine, workers)
-	engines[0] = m.Engine
+	reps := make([]*Measurer, workers)
+	reps[0] = m
 	for w := 1; w < workers; w++ {
-		engines[w] = m.Engine.Clone()
+		reps[w] = m.Clone()
 	}
-	// Per-worker noise scratch: the sampler state is mutable, so workers
-	// must not share the measurer's own.
-	scratches := make([]noiseScratch, workers)
 	return parallel.MapWorkers(workers, samples, func(worker, i int, s data.Sample) Measurement {
-		pred, conf, truth := engines[worker].InferConf(s.X)
-		counts := scratches[worker].at(m.Noise, m.Seed, uint64(i)).MeasureMean(truth, m.R)
-		return Measurement{Pred: pred, TrueLabel: s.Label, Counts: counts, Conf: conf}
+		meas := reps[worker].MeasureAt(uint64(i), s.X)
+		meas.TrueLabel = s.Label
+		return meas
 	})
 }

@@ -5,7 +5,6 @@ import (
 	"hash/maphash"
 	"math"
 	"sync"
-	"time"
 	"unsafe"
 
 	"advhunter/internal/tensor"
@@ -235,39 +234,4 @@ func (c *TruthCache) moveFront(i int) {
 	}
 	c.unlink(i)
 	c.pushFront(i)
-}
-
-// MeasureAtCached is MeasureAt with truth-count memoisation: the noise-free
-// inference outcome is looked up in (or inserted into) cache by
-// cache.Key(x), and the R noisy readings are then drawn from sample index i's
-// stream exactly as MeasureAt would draw them. Because the noise is keyed by
-// i — never by the truth's provenance — the returned Measurement is
-// bit-identical to an uncached MeasureAt(i, x) on both hit and miss paths.
-// The second return reports whether the truth came from the cache. A nil
-// cache degrades to plain MeasureAt.
-func (m *Measurer) MeasureAtCached(cache *TruthCache, i uint64, x *tensor.Tensor) (Measurement, bool) {
-	if cache == nil {
-		return m.MeasureAt(i, x), false
-	}
-	var start time.Time
-	if m.Observe != nil {
-		start = time.Now()
-	}
-	key := cache.Key(x)
-	t, hit := cache.Get(key)
-	if !hit {
-		pred, conf, truth := m.Engine.InferConf(x)
-		t = Truth{Pred: pred, Conf: conf, Counts: truth}
-		cache.Put(key, t)
-	}
-	meas := Measurement{
-		Pred:      t.Pred,
-		TrueLabel: -1,
-		Counts:    m.noiseAt(i).MeasureMean(t.Counts, m.R),
-		Conf:      t.Conf,
-	}
-	if m.Observe != nil {
-		m.Observe(time.Since(start), meas)
-	}
-	return meas, hit
 }

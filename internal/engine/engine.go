@@ -117,12 +117,6 @@ func (e *Engine) Infer(x *tensor.Tensor) (int, hpc.Counts) {
 	return out.t.Argmax(), e.M.Counts()
 }
 
-// Predict returns only the hard label (convenience for black-box callers).
-func (e *Engine) Predict(x *tensor.Tensor) int {
-	p, _ := e.Infer(x)
-	return p
-}
-
 // InferConf is Infer plus the softmax confidence of the predicted class.
 // The confidence is derived from the logits of the same traced forward pass,
 // so it costs nothing extra on the simulated machine. Black-box detectors

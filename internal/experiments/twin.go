@@ -41,7 +41,7 @@ func (e *Env) TwinProbes() []*tensor.Tensor {
 // table predictions carry a small systematic bias relative to the exact
 // simulator, so thresholds fitted on exact counts would misfire on twin
 // readings.
-func (e *Env) TwinBackend(tablePath string, knots int, kind string, cfg detect.Config) (*twin.Measurer, *detect.Fitted, bool, error) {
+func (e *Env) TwinBackend(tablePath string, knots int, kind string, cfg detect.Config) (*core.Measurer, *detect.Fitted, bool, error) {
 	tab, loaded, err := twin.LoadOrProfile(tablePath, e.Meas.Engine.Clone(), e.TwinProbes, knots, e.Opts.Workers)
 	if err != nil {
 		return nil, nil, false, err
@@ -56,7 +56,7 @@ func (e *Env) TwinBackend(tablePath string, knots int, kind string, cfg detect.C
 	if err != nil {
 		return nil, nil, false, err
 	}
-	tms := twin.MeasureSet(tm.Clone(), e.ValidationPool(), e.Opts.Workers)
+	tms := core.MeasureSet(tm, e.ValidationPool())
 	tpl := TemplateFromMeasurements(tms, e.DS.Classes, e.Scn.TemplateM, hpc.AllEvents())
 	tdet, err := detect.Fit(kind, tpl, cfg)
 	if err != nil {
@@ -176,7 +176,7 @@ func TwinAccuracy(opts Options) (*TwinAccuracyResult, error) {
 		truth     hpc.Counts // exact simulator's noise-free counts
 	}
 	workers := parallel.Workers(env.Opts.Workers, len(items))
-	twins := make([]*twin.Measurer, workers)
+	twins := make([]*core.Measurer, workers)
 	engines := make([]*engine.Engine, workers)
 	twins[0] = tm
 	engines[0] = env.Meas.Engine

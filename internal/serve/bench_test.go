@@ -25,7 +25,7 @@ import (
 type benchFixture struct {
 	meas    *core.Measurer
 	det     *detect.Fitted
-	twin    *twin.Measurer
+	twin    *core.Measurer
 	twinDet *detect.Fitted
 	bodies  [][]byte // pre-encoded requests: 8 distinct images, fixed indices
 }
@@ -55,7 +55,7 @@ func getBenchFixture(b *testing.B) *benchFixture {
 			return
 		}
 		twinTpl := core.NewTemplate(ds.Classes, hpc.CoreEvents())
-		for _, mm := range twin.MeasureSet(tm.Clone(), ds.Train, 0) {
+		for _, mm := range core.MeasureSet(tm.Clone(), ds.Train) {
 			twinTpl.Add(mm.Pred, mm.Counts, mm.Conf)
 		}
 		twinDet, err := detect.Fit("gmm", twinTpl, detect.DefaultConfig())

@@ -6,7 +6,6 @@ import (
 
 	"advhunter/internal/core"
 	"advhunter/internal/obs"
-	"advhunter/internal/twin"
 	"advhunter/internal/uarch/hpc"
 )
 
@@ -153,11 +152,11 @@ func (m *metrics) registerTruthCache(c *core.TruthCache) {
 }
 
 // registerTier publishes the tiered-serving series: per-tier decision
-// counters and latency histograms, escalation accounting, the twin table's
-// resident size, and (when the twin truth cache is enabled) its memoisation
-// series. Only called under the twin and auto tiers, so plain exact serving
+// counters and latency histograms, escalation accounting, the twin count
+// model's resident size (when it reports one, as *twin.Table does), and
+// (when the twin truth cache is enabled) its memoisation series. Only called under the twin and auto tiers, so plain exact serving
 // exports no tier series at all.
-func (m *metrics) registerTier(table *twin.Table, twinTruth *core.TruthCache) {
+func (m *metrics) registerTier(counts core.CountModel, twinTruth *core.TruthCache) {
 	tierVec := m.reg.Counter("advhunter_tier_requests_total",
 		"Detection decisions by the measurement tier that made them.", "tier")
 	m.tierTwin = tierVec.With("twin")
@@ -172,8 +171,10 @@ func (m *metrics) registerTier(table *twin.Table, twinTruth *core.TruthCache) {
 		"Measure-and-score time by measurement tier.", obs.DurationBuckets, "tier")
 	m.tierSecondsTwin = secVec.With("twin")
 	m.tierSecondsExact = secVec.With("exact")
-	m.reg.GaugeFunc("advhunter_twin_table_bytes",
-		"Resident size of the loaded twin count tables.", func() float64 { return float64(table.Bytes()) })
+	if table, ok := counts.(interface{ Bytes() int }); ok {
+		m.reg.GaugeFunc("advhunter_twin_table_bytes",
+			"Resident size of the loaded twin count tables.", func() float64 { return float64(table.Bytes()) })
+	}
 	if twinTruth != nil {
 		m.twinTruthHits = m.reg.Counter("advhunter_twin_truth_cache_hits_total",
 			"Twin-tier queries whose predicted counts were served from the twin truth cache.").With()

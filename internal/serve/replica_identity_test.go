@@ -83,7 +83,7 @@ func TestServeResponsesIndependentOfReplica(t *testing.T) {
 // TestDecideIndependentOfReplica drives the per-replica decision directly
 // and deterministically: every query decided on replica 1 and then again on
 // replica 0 of the same server must give the same verdict and tier under
-// every tiering — the second pass meets a warm truth cache, which must not
+// every tier — the second pass meets a warm truth cache, which must not
 // show either.
 func TestDecideIndependentOfReplica(t *testing.T) {
 	f := getFixture(t)

@@ -39,7 +39,7 @@ type fixture struct {
 	clean   []data.Sample // clean test images
 	adv     []data.Sample // successful targeted FGSM examples
 	twinTab *twin.Table
-	twin    *twin.Measurer
+	twin    *core.Measurer
 	twinDet *detect.Fitted // fitted on twin-measured validation counts
 }
 
@@ -91,7 +91,7 @@ func getFixture(t testing.TB) *fixture {
 		// validation counts: the table predictions carry a small systematic
 		// bias, so thresholds fitted on exact counts would misfire.
 		twinTpl := core.NewTemplate(ds.Classes, hpc.CoreEvents())
-		for _, mm := range twin.MeasureSet(tm.Clone(), ds.Train, 0) {
+		for _, mm := range core.MeasureSet(tm.Clone(), ds.Train) {
 			twinTpl.Add(mm.Pred, mm.Counts, mm.Conf)
 		}
 		twinDet, err := detect.Fit("gmm", twinTpl, detect.DefaultConfig())

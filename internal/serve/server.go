@@ -6,12 +6,13 @@
 // The handler admits the request before reading its body — at most
 // Workers+QueueSize requests are admitted at once, and the excess answers 429
 // with Retry-After — then decodes it, waits until its deadline for a free
-// engine replica, and decides it on that replica through a Tiering policy,
-// which decides every query on one or two MeasurePools (backend replica pool
-// + truth cache + detector). Shutdown stops admitting and returns once every
-// admitted request has been answered. Determinism survives the concurrency:
-// each query's measurement-noise stream is keyed by an explicit request index
-// through Measurer.MeasureAt, so its reading — and therefore its detection
+// engine replica, and decides it on that replica: the exact tier measures and
+// scores it on the exact measurer, the auto tier screens it on the twin
+// measurer first and escalates only twin-uncertain verdicts. Shutdown stops
+// admitting and returns once every admitted request has been answered.
+// Determinism survives the concurrency: each query's measurement-noise stream
+// is keyed by an explicit request index through core.Measurer's
+// MeasureAtCached, so its reading — and therefore its detection
 // decision — is a pure function of (model, input, seed, index), independent
 // of scheduling and replica assignment. internal/cluster runs N of these
 // servers behind a router.
@@ -34,7 +35,6 @@ import (
 	"advhunter/internal/obs"
 	"advhunter/internal/parallel"
 	"advhunter/internal/tensor"
-	"advhunter/internal/twin"
 	"advhunter/internal/uarch/hpc"
 )
 
@@ -66,12 +66,13 @@ type Config struct {
 	// (twin and exact truths differ, so the caches are never shared).
 	TruthCacheSize int
 	// Twin, when non-nil, selects the auto tier: every query is screened by
-	// this twin measurement backend (internal/twin) and the twin-uncertain
+	// this twin measurer (built by twin.FromMeasurer) and the twin-uncertain
 	// ones escalate to the exact simulator; a negative EscalationMargin lets
 	// the twin decide every query. nil serves the exact tier. The server
-	// takes ownership and clones it across the worker pool, exactly like the
-	// exact measurer.
-	Twin *twin.Measurer
+	// takes ownership and clones it across the replicas, exactly like the
+	// exact measurer, and clears its Observe hook: only exact readings feed
+	// the engine-layer series.
+	Twin *core.Measurer
 	// TwinDetector optionally scores twin-tier measurements. The twin's
 	// count predictions carry a small systematic bias relative to the exact
 	// simulator, so screening works best with a detector calibrated on
@@ -173,8 +174,8 @@ func (c Config) withDefaults() Config {
 }
 
 // Server is the online detection service: each admitted request waits for
-// one of Workers engine replicas and is decided on it through a Tiering
-// policy. Build with New, expose with Handler, stop with Shutdown.
+// one of Workers engine replicas and is decided on it. Build with New,
+// expose with Handler, stop with Shutdown.
 type Server struct {
 	cfg      Config
 	det      detect.Detector
@@ -182,7 +183,8 @@ type Server struct {
 	shape    [3]int
 	decIdx   int // index of DecisionEvent in det.Channels(), -1 if absent
 
-	tiering  Tiering       // decision stage: exact / auto over MeasurePools
+	exact    *pool         // the exact tier's measurement stage
+	twin     *pool         // the auto tier's twin screen; nil under the exact tier
 	replicas chan int      // free replica indices
 	waiting  atomic.Int64  // admitted requests waiting for a free replica
 	next     atomic.Uint64 // server-assigned indices for index-less requests
@@ -257,22 +259,14 @@ func New(m *core.Measurer, det detect.Detector, cfg Config) *Server {
 	// Exact measurement stage. The engine-layer hook is observe-only and
 	// shared by every replica, so install it before cloning (Clone copies it).
 	m.Observe = s.stats.observeMeasurement
-	exactWorkers := make([]Measurer, cfg.Workers)
-	exactWorkers[0] = m
-	for w := 1; w < cfg.Workers; w++ {
-		exactWorkers[w] = m.Clone()
-	}
-	exactPool := &MeasurePool{
-		Workers: exactWorkers, Truth: truth, Det: det,
-		SpanMeasure: "measure", SpanScore: "score",
-		Hits: s.stats.truthHits, Misses: s.stats.truthMisses,
+	s.exact = &pool{
+		meas: replicate(m, cfg.Workers), truth: truth, det: det,
+		spanMeasure: "measure", spanScore: "score",
+		hits: s.stats.truthHits, misses: s.stats.truthMisses,
 	}
 
-	// Tiering stage: the auto tier adds a twin measurement stage in front of
-	// the exact one.
-	if cfg.Twin == nil {
-		s.tiering = exactTiering{pool: exactPool}
-	} else {
+	// The auto tier adds a twin measurement stage in front of the exact one.
+	if cfg.Twin != nil {
 		twinDet := det
 		if cfg.TwinDetector != nil {
 			// The service decision rule (decIdx) and the response channel maps
@@ -289,26 +283,15 @@ func New(m *core.Measurer, det detect.Detector, cfg Config) *Server {
 			}
 			twinDet = cfg.TwinDetector
 		}
-		s.stats.registerTier(cfg.Twin.Table, twinTruth)
-		twinWorkers := make([]Measurer, cfg.Workers)
-		twinWorkers[0] = cfg.Twin
-		for w := 1; w < cfg.Workers; w++ {
-			twinWorkers[w] = cfg.Twin.Clone()
+		s.stats.registerTier(cfg.Twin.Twin, twinTruth)
+		cfg.Twin.Observe = nil
+		s.twin = &pool{
+			meas: replicate(cfg.Twin, cfg.Workers), truth: twinTruth, det: twinDet,
+			spanMeasure: "twin-measure", spanScore: "twin-score",
+			hits: s.stats.twinTruthHits, misses: s.stats.twinTruthMisses,
+			seconds: s.stats.tierSecondsTwin,
 		}
-		twinPool := &MeasurePool{
-			Workers: twinWorkers, Truth: twinTruth, Det: twinDet,
-			SpanMeasure: "twin-measure", SpanScore: "twin-score",
-			Hits: s.stats.twinTruthHits, Misses: s.stats.twinTruthMisses,
-			Seconds: s.stats.tierSecondsTwin,
-		}
-		exactPool.Seconds = s.stats.tierSecondsExact
-		s.tiering = autoTiering{
-			twin: twinPool, exact: exactPool,
-			twinDet: twinDet, decIdx: decIdx, margin: cfg.EscalationMargin,
-			screened: s.stats.tierScreened, escalations: s.stats.tierEscalations,
-			twinDecided: s.stats.tierTwin, exactDecided: s.stats.tierExact,
-			agreement: s.stats.tierAgreement,
-		}
+		s.exact.seconds = s.stats.tierSecondsExact
 	}
 
 	// Observability extensions, all strictly observe-only. The flight
@@ -466,18 +449,59 @@ func (s *Server) release(replica int) {
 	s.replicas <- replica
 }
 
-// decide runs one request's tiering decision on replica and records the pool
-// series; it returns the verdict and the tier that decided it ("" under plain
-// exact serving, keeping those response bodies byte-identical to pre-tier
-// versions). The noise stream is keyed by idx, so the result does not depend
-// on which replica decided it.
-func (s *Server) decide(ctx context.Context, replica int, idx uint64, x *tensor.Tensor) (detect.Verdict, string) {
+// decide decides one request on replica and records the pool series; it
+// returns the verdict and the tier that decided it. The exact tier scores
+// every query on the exact pool under the tier label "" (keeping those
+// response bodies byte-identical to pre-tier versions). The auto tier
+// screens every query on the twin pool and escalates the twin-uncertain ones
+// to the exact pool, counting agreement between the tiers on escalations.
+// The noise stream is keyed by idx, so the result does not depend on which
+// replica decided it.
+func (s *Server) decide(ctx context.Context, replica int, idx uint64, x *tensor.Tensor) (v detect.Verdict, tier string) {
 	start := time.Now()
-	v, tier := s.tiering.Decide(ctx, replica, idx, x)
+	if s.twin == nil {
+		v = s.exact.score(ctx, replica, idx, x)
+	} else {
+		v, tier = s.twin.score(ctx, replica, idx, x), TierTwin
+		s.stats.tierScreened.Inc()
+		if s.uncertain(v) {
+			s.stats.tierEscalations.Inc()
+			ev := s.exact.score(ctx, replica, idx, x)
+			if adversarialAt(v, s.decIdx) == adversarialAt(ev, s.decIdx) {
+				s.stats.tierAgreement.Inc()
+			}
+			v, tier = ev, TierExact
+			s.stats.tierExact.Inc()
+		} else {
+			s.stats.tierTwin.Inc()
+		}
+	}
 	s.stats.batchSizes.Observe(1)
 	s.stats.poolTasks.Inc()
 	s.stats.poolSeconds.Observe(time.Since(start).Seconds())
 	return v, tier
+}
+
+// uncertain decides whether a twin verdict must escalate to the exact tier:
+// the twin detector's own uncertainty band around the service decision
+// channel. Detectors that cannot introspect their thresholds escalate
+// everything — correct, just never faster than exact-only serving.
+func (s *Server) uncertain(v detect.Verdict) bool {
+	u, ok := s.twin.det.(detect.Uncertainty)
+	if !ok {
+		return true
+	}
+	return u.Uncertain(v, s.decIdx, s.cfg.EscalationMargin)
+}
+
+// adversarialAt applies the service decision rule to one verdict: the
+// configured decision event's channel when the detector has one, otherwise
+// the detector's own fused decision.
+func adversarialAt(v detect.Verdict, decIdx int) bool {
+	if decIdx >= 0 {
+		return v.Flags[decIdx]
+	}
+	return v.Fused
 }
 
 // ServeDecoded answers one POST /detect on the calling goroutine: admit,

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -44,7 +45,9 @@ func replay(t *testing.T, url string, stream []Request) map[uint64]string {
 // TestServeTierTwin: under auto with a negative margin every response is
 // decided — and labelled — by the twin, nothing escalates, predictions are
 // bit-identical to the exact path (the forward numerics are shared), and
-// /metrics exports the tier series.
+// /metrics exports the tier series: the table gauge reads the table's exact
+// size, and the engine-layer inference histogram stays empty because twin
+// readings never feed it.
 func TestServeTierTwin(t *testing.T) {
 	f := getFixture(t)
 	stream := tierStream(f)
@@ -80,10 +83,14 @@ func TestServeTierTwin(t *testing.T) {
 	for _, want := range []string{
 		`advhunter_tier_requests_total{tier="twin"} 24`,
 		"advhunter_tier_escalations_total 0",
-		"advhunter_twin_table_bytes",
-		"advhunter_twin_truth_cache_entries",
-		"advhunter_twin_truth_cache_bytes",
+		"advhunter_twin_table_bytes " + strconv.FormatFloat(float64(f.twinTab.Bytes()), 'g', -1, 64),
+		"advhunter_inference_duration_seconds_count 0",
 	} {
+		if !strings.Contains(text, "\n"+want+"\n") {
+			t.Errorf("/metrics missing the line %q", want)
+		}
+	}
+	for _, want := range []string{"advhunter_twin_truth_cache_entries", "advhunter_twin_truth_cache_bytes"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q", want)
 		}

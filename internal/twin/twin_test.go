@@ -151,31 +151,37 @@ func TestHashesDiscriminate(t *testing.T) {
 	}
 }
 
+// mustTwin builds the twin measurer shadowing a fresh exact measurer of
+// model (paper defaults, noise seed 42).
+func mustTwin(t testing.TB, model *models.Model, tab *Table) *core.Measurer {
+	t.Helper()
+	tm, err := FromMeasurer(core.NewMeasurer(engine.NewDefault(model), 42), tab)
+	if err != nil {
+		t.Fatalf("FromMeasurer: %v", err)
+	}
+	return tm
+}
+
 // TestMeasureAtMatchesProtocol: the twin reading must differ from the exact
 // reading only through the truth counts — prediction, confidence and the
-// per-index noise stream are shared. Verified by feeding the twin's own
-// truth through core's protocol manually.
+// per-index noise stream are shared. Verified by handing the twin's own
+// truth to the exact measurer through its truth cache: the exact measurer
+// then reads exactly what the twin reads.
 func TestMeasureAtMatchesProtocol(t *testing.T) {
 	samples, model := fixture(t)
-	eng := engine.NewDefault(model)
-	tab := mustProfile(t, eng, samples, 8, 0)
+	tab := mustProfile(t, engine.NewDefault(model), samples, 8, 0)
 	exact := core.NewMeasurer(engine.NewDefault(model), 42)
 	tm, err := FromMeasurer(exact, tab)
 	if err != nil {
 		t.Fatalf("FromMeasurer: %v", err)
 	}
-	var ns core.NoiseStream
 	for i, s := range samples[:6] {
 		got := tm.MeasureAt(uint64(i), s.X)
-		truth := tm.Clone().Truth(s.X)
-		want := core.Measurement{
-			Pred:      truth.Pred,
-			TrueLabel: -1,
-			Counts:    ns.SamplerAt(exact.Noise, exact.Seed, uint64(i)).MeasureMean(truth.Counts, exact.R),
-			Conf:      truth.Conf,
-		}
-		if got != want {
-			t.Fatalf("sample %d: twin measurement %+v, protocol says %+v", i, got, want)
+		cache := core.NewTruthCache(1)
+		cache.Put(cache.Key(s.X), tm.Clone().Truth(s.X))
+		want, hit := exact.MeasureAtCached(cache, uint64(i), s.X)
+		if !hit || got != want {
+			t.Fatalf("sample %d: twin measurement %+v, protocol says %+v (hit %v)", i, got, want, hit)
 		}
 		// Prediction and confidence must be bit-identical to the exact path.
 		pred, conf, _ := exact.Engine.InferConf(s.X)
@@ -186,16 +192,23 @@ func TestMeasureAtMatchesProtocol(t *testing.T) {
 	}
 }
 
+// TestFromMeasurerRejectsMismatchedTable: a table profiled for another
+// model shape must not become a measurer.
+func TestFromMeasurerRejectsMismatchedTable(t *testing.T) {
+	samples, model := fixture(t)
+	tab := mustProfile(t, engine.NewDefault(model), samples, 8, 0)
+	short := *tab
+	short.Layers = tab.Layers[:len(tab.Layers)-1]
+	if _, err := FromMeasurer(core.NewMeasurer(engine.NewDefault(model), 42), &short); err == nil {
+		t.Fatal("FromMeasurer accepted a table with fewer layers than the model has leaves")
+	}
+}
+
 // TestMeasureAtCachedMatchesUncached mirrors core's cache-soundness test for
-// the twin backend.
+// the twin measurer.
 func TestMeasureAtCachedMatchesUncached(t *testing.T) {
 	samples, model := fixture(t)
-	eng := engine.NewDefault(model)
-	tab := mustProfile(t, eng, samples, 8, 0)
-	tm, err := NewMeasurer(engine.NewDefault(model), tab, hpc.DefaultNoise(), 42, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tm := mustTwin(t, model, mustProfile(t, engine.NewDefault(model), samples, 8, 0))
 	cache := core.NewTruthCache(8)
 	for round := 0; round < 2; round++ {
 		for i, s := range samples[:6] {
@@ -215,19 +228,15 @@ func TestMeasureAtCachedMatchesUncached(t *testing.T) {
 // regression for the twin fan-out.
 func TestMeasureSetDeterministicAcrossWorkers(t *testing.T) {
 	samples, model := fixture(t)
-	eng := engine.NewDefault(model)
-	tab := mustProfile(t, eng, samples, 8, 0)
-	fresh := func() *Measurer {
-		tm, err := NewMeasurer(engine.NewDefault(model), tab, hpc.DefaultNoise(), 42, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tm
+	tab := mustProfile(t, engine.NewDefault(model), samples, 8, 0)
+	measureWith := func(workers int) []core.Measurement {
+		tm := mustTwin(t, model, tab)
+		tm.Workers = workers
+		return core.MeasureSet(tm, samples)
 	}
-	want := MeasureSet(fresh(), samples, 1)
+	want := measureWith(1)
 	for _, workers := range []int{2, 4, 8} {
-		got := MeasureSet(fresh(), samples, workers)
-		if !reflect.DeepEqual(got, want) {
+		if got := measureWith(workers); !reflect.DeepEqual(got, want) {
 			t.Fatalf("workers=%d: measurements differ from serial", workers)
 		}
 	}
@@ -237,12 +246,7 @@ func TestMeasureSetDeterministicAcrossWorkers(t *testing.T) {
 // — forward stats, table predict, noise draw — must not allocate once warm.
 func TestMeasureAtZeroAlloc(t *testing.T) {
 	samples, model := fixture(t)
-	eng := engine.NewDefault(model)
-	tab := mustProfile(t, eng, samples, 8, 0)
-	tm, err := NewMeasurer(engine.NewDefault(model), tab, hpc.DefaultNoise(), 42, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tm := mustTwin(t, model, mustProfile(t, engine.NewDefault(model), samples, 8, 0))
 	x := samples[0].X
 	for i := 0; i < 3; i++ {
 		tm.MeasureAt(uint64(i), x)
