@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"net/http"
 
 	"advhunter/internal/cluster"
 	"advhunter/internal/experiments"
@@ -48,12 +49,14 @@ func cmdCluster(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	c := cluster.New(sopts.clusterObs(cluster.Config{
-		Replicas: *replicas,
-		Logger:   logger,
-	}), replicaBuilder(env, det, cfg))
-
-	return listenAndDrain(*addr, c.Handler(), c.Shutdown, stdout, func(a net.Addr) string {
+	c := cluster.New(cluster.Config{Replicas: *replicas, Logger: logger}, replicaBuilder(env, det, cfg))
+	// One fleet recorder and alert engine over the router's registry and
+	// every replica's: replicas build no observability of their own.
+	mux := http.NewServeMux()
+	mux.Handle("/", c.Handler())
+	stop := sopts.observe(mux, logger, c.Registries()...)
+	defer stop() // once listenAndDrain has drained c
+	return listenAndDrain(*addr, mux, c.Shutdown, stdout, func(a net.Addr) string {
 		return fmt.Sprintf("serving %s (%s × %s, tier %s, %d replicas, policy %s) on %s — POST /detect, GET /healthz /readyz /metrics%s",
 			env.Scn.ID, env.Scn.Dataset, env.Scn.Arch, *sopts.tier, *replicas, cluster.PolicyAffinity, a, sopts.obsEndpoints(true))
 	})

@@ -571,20 +571,20 @@ func cmdServe(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	srv := serve.New(env.Meas, det, cfg)
-	handler := http.Handler(srv.Handler())
+	mux := http.NewServeMux()
+	mux.Handle("/", srv.Handler())
 	if *pprofOn {
 		// Profiling endpoints are opt-in: the detection service faces query
 		// traffic, and pprof exposes process internals.
-		outer := http.NewServeMux()
-		outer.Handle("/", srv.Handler())
-		outer.HandleFunc("/debug/pprof/", httppprof.Index)
-		outer.HandleFunc("/debug/pprof/cmdline", httppprof.Cmdline)
-		outer.HandleFunc("/debug/pprof/profile", httppprof.Profile)
-		outer.HandleFunc("/debug/pprof/symbol", httppprof.Symbol)
-		outer.HandleFunc("/debug/pprof/trace", httppprof.Trace)
-		handler = outer
+		mux.HandleFunc("/debug/pprof/", httppprof.Index)
+		mux.HandleFunc("/debug/pprof/cmdline", httppprof.Cmdline)
+		mux.HandleFunc("/debug/pprof/profile", httppprof.Profile)
+		mux.HandleFunc("/debug/pprof/symbol", httppprof.Symbol)
+		mux.HandleFunc("/debug/pprof/trace", httppprof.Trace)
 	}
-	return listenAndDrain(*addr, handler, srv.Shutdown, stdout, func(a net.Addr) string {
+	stop := sopts.observe(mux, logger, srv.Registry())
+	defer stop() // once listenAndDrain has drained srv
+	return listenAndDrain(*addr, mux, srv.Shutdown, stdout, func(a net.Addr) string {
 		return fmt.Sprintf("serving %s (%s × %s, tier %s) on %s — POST /detect, GET /healthz /readyz /metrics%s",
 			env.Scn.ID, env.Scn.Dataset, env.Scn.Arch, *sopts.tier, a, sopts.obsEndpoints(false))
 	})

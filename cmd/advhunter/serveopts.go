@@ -2,9 +2,10 @@ package main
 
 // The serving-stack construction shared by `serve` and `cluster`: one flag
 // surface (serveOpts), one detector+config assembly (buildServeStack), one
-// replica factory (replicaBuilder), and one listen-and-drain loop
-// (listenAndDrain). Keeping both subcommands on this file means a server
-// booted by either is configured and drained identically.
+// replica factory (replicaBuilder), one flight recorder and alert engine
+// (observe), and one listen-and-drain loop (listenAndDrain). Keeping both
+// subcommands on this file means a server booted by either is configured,
+// observed and drained identically.
 
 import (
 	"context"
@@ -21,7 +22,6 @@ import (
 	"syscall"
 	"time"
 
-	"advhunter/internal/cluster"
 	"advhunter/internal/data"
 	"advhunter/internal/detect"
 	"advhunter/internal/experiments"
@@ -110,12 +110,7 @@ func (o serveOpts) config(env *experiments.Env, dopts detectorOpts, det *detect.
 		ClassName:      func(c int) string { return data.ClassName(dataset, c) },
 		Logger:         logger,
 		TruthCacheSize: truthSize,
-		FlightInterval: *o.flight,
-		FlightSamples:  *o.flightSamples,
 		TraceRing:      *o.traceRing,
-		AlertRules:     o.alertRules(),
-		AlertInterval:  *o.alertInterval,
-		AlertFor:       *o.alertFor,
 	}
 	if *o.traceLog != "" {
 		f, err := os.OpenFile(*o.traceLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -148,14 +143,34 @@ func (o serveOpts) config(env *experiments.Env, dopts detectorOpts, det *detect.
 	return cfg, nil
 }
 
-// alertRules returns a fresh stock rule set when -alerts is on, nil
-// otherwise. Rules are stateful, so every engine (the server's, or the
-// cluster router's) must get its own set — hence a constructor, not a field.
-func (o serveOpts) alertRules() []obs.Rule {
-	if o.alerts == nil || !*o.alerts {
-		return nil
+// observe builds the flight recorder and the alert engine the flags turn on
+// over regs — a server's registry, or a cluster's router registry followed
+// by each replica's, so family queries and the alert rules see fleet totals
+// — and mounts /debug/flight and /alerts on mux. The alert gauges register
+// on regs[0]. Neither touches a request; both only read the registries, so
+// this is the one place either is built. stop halts their background loops:
+// call it once the server has drained.
+func (o serveOpts) observe(mux *http.ServeMux, logger *slog.Logger, regs ...*obs.Registry) (stop func()) {
+	if *o.flight == 0 && !*o.alerts {
+		return func() {}
 	}
-	return serve.DefaultAlertRules()
+	iv := *o.flight
+	if iv < 0 {
+		iv = 0 // manual mode: sample on demand
+	}
+	rec := obs.NewRecorder(obs.RecorderConfig{Interval: iv, Samples: *o.flightSamples}, regs...)
+	mux.Handle("/debug/flight", rec.Handler())
+	if !*o.alerts {
+		return rec.Stop
+	}
+	alerts := obs.NewAlertEngine(regs[0], rec, serve.DefaultAlertRules(), obs.AlertConfig{
+		Interval: *o.alertInterval, For: *o.alertFor, Logger: logger,
+	})
+	mux.Handle("/alerts", alerts.Handler())
+	return func() {
+		alerts.Stop()
+		rec.Stop()
+	}
 }
 
 // obsEndpoints renders the observability endpoints the current flags turn on,
@@ -173,22 +188,6 @@ func (o serveOpts) obsEndpoints(alwaysTrace bool) string {
 		s += " /alerts"
 	}
 	return s
-}
-
-// clusterObs copies the observability selections to the cluster router's
-// config, where the flight recorder spans the router and every replica
-// registry and the alert engine judges fleet-wide aggregates. Replicas build
-// neither (replicaBuilder strips them): the router's recorder already holds
-// every replica's series under its replica label, so fleet totals answer "is
-// the service healthy" and the per-replica series answer "which replica
-// isn't".
-func (o serveOpts) clusterObs(ccfg cluster.Config) cluster.Config {
-	ccfg.FlightInterval = *o.flight
-	ccfg.FlightSamples = *o.flightSamples
-	ccfg.AlertRules = o.alertRules()
-	ccfg.AlertInterval = *o.alertInterval
-	ccfg.AlertFor = *o.alertFor
-	return ccfg
 }
 
 // buildServeStack is the one construction path behind `serve` and `cluster`:
@@ -211,14 +210,10 @@ func buildServeStack(env *experiments.Env, dopts detectorOpts, sopts serveOpts, 
 // ownership of the measurer and the twin measurer it is handed, so each
 // replica must get its own clones — sharing either across replicas is a data
 // race. The fitted detector is read-only and safely shared, exactly as the
-// single-server path shares it across its worker pool. Replicas get no flight
-// recorder and no alert engine: the cluster router runs the fleet's (see
-// clusterObs), and alert rules carry per-engine state that replicas must not
-// share.
+// single-server path shares it across its worker pool.
 func replicaBuilder(env *experiments.Env, det *detect.Fitted, cfg serve.Config) func(replica int) *serve.Server {
 	return func(int) *serve.Server {
 		rcfg := cfg
-		rcfg.FlightInterval, rcfg.AlertRules = 0, nil
 		if rcfg.Twin != nil {
 			rcfg.Twin = cfg.Twin.Clone()
 		}

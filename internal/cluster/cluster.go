@@ -11,7 +11,6 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"advhunter/internal/core"
 	"advhunter/internal/obs"
@@ -31,28 +30,6 @@ type Config struct {
 	// Logger receives the cluster's structured records. nil selects
 	// slog.Default().
 	Logger *slog.Logger
-
-	// FlightInterval enables the fleet flight recorder, sampling the cluster
-	// registry and every replica's registry into one short-term history —
-	// /debug/flight serves the merged view (per-replica series side by side,
-	// family queries aggregating the fleet). > 0 samples at that cadence;
-	// < 0 builds the recorder in manual mode (sampled on demand by each
-	// /debug/flight or /alerts request); 0 leaves it off unless AlertRules
-	// demand one.
-	FlightInterval time.Duration
-	// FlightSamples caps each recorded series' ring (default 256).
-	FlightSamples int
-	// AlertRules enables fleet-level alerting over the merged recorder: the
-	// same rule shapes serve uses (serve.DefaultAlertRules), but judging
-	// fleet totals — a drift rule here watches the summed flag rate across
-	// every replica. Surfaced as /alerts and the advhunter_alert_active
-	// gauge on the cluster registry.
-	AlertRules []obs.Rule
-	// AlertInterval is the background evaluation cadence; <= 0 evaluates on
-	// each /alerts request instead.
-	AlertInterval time.Duration
-	// AlertFor is the firing hysteresis (0 fires on the first breach).
-	AlertFor time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -79,9 +56,7 @@ type Cluster struct {
 	logger *slog.Logger
 	mux    *http.ServeMux
 
-	rids   atomic.Uint64    // cluster-generated request ids ("c" prefix)
-	flight *obs.Recorder    // nil unless FlightInterval or AlertRules enable it
-	alerts *obs.AlertEngine // nil unless AlertRules enable it
+	rids atomic.Uint64 // cluster-generated request ids ("c" prefix)
 }
 
 // New assembles a cluster, calling build once per replica index to construct
@@ -100,12 +75,9 @@ func New(cfg Config, build func(replica int) *serve.Server) *Cluster {
 		c.logger = slog.Default()
 	}
 	c.replicas = make([]*serve.Server, cfg.Replicas)
-	regs := make([]*obs.Registry, 0, cfg.Replicas+2)
-	regs = append(regs, c.reg)
 	for i := range c.replicas {
 		c.replicas[i] = build(i)
 		c.replicas[i].Registry().SetConstLabels("replica", strconv.Itoa(i))
-		regs = append(regs, c.replicas[i].Registry())
 	}
 	// The router validates a body against one shape and hands the decoded
 	// request to whichever replica it picks, so every replica must serve it.
@@ -126,24 +98,6 @@ func New(cfg Config, build func(replica int) *serve.Server) *Cluster {
 		c.routed[i] = routedVec.With(PolicyAffinity, strconv.Itoa(i))
 	}
 
-	// Fleet observability: the recorder samples the cluster registry plus
-	// every replica's (replica-labelled) registry, so family-level queries —
-	// and the alert rules over them — see fleet totals.
-	if cfg.FlightInterval != 0 || len(cfg.AlertRules) > 0 {
-		iv := cfg.FlightInterval
-		if iv < 0 {
-			iv = 0 // manual mode: sample on demand
-		}
-		c.flight = obs.NewRecorder(obs.RecorderConfig{
-			Interval: iv, Samples: cfg.FlightSamples,
-		}, regs...)
-	}
-	if len(cfg.AlertRules) > 0 {
-		c.alerts = obs.NewAlertEngine(c.reg, c.flight, cfg.AlertRules, obs.AlertConfig{
-			Interval: cfg.AlertInterval, For: cfg.AlertFor, Logger: c.logger,
-		})
-	}
-
 	c.mux = http.NewServeMux()
 	c.mux.HandleFunc("/detect", c.handleDetect)
 	c.mux.HandleFunc("/healthz", c.handleHealthz)
@@ -151,11 +105,8 @@ func New(cfg Config, build func(replica int) *serve.Server) *Cluster {
 	// One scrape sees every layer: the cluster's own registry, each
 	// replica's serve registry under its replica label (merged into one
 	// family block per name), and the process-wide registry.
-	c.mux.Handle("/metrics", obs.Handler(append(regs, obs.Default)...))
+	c.mux.Handle("/metrics", obs.Handler(append(c.Registries(), obs.Default)...))
 	c.mux.Handle("/debug/build", obs.BuildInfoHandler())
-	if c.flight != nil {
-		c.mux.Handle("/debug/flight", c.flight.Handler())
-	}
 	// /debug/trace merges whatever replicas have tracing on; with tracing
 	// off everywhere it serves an empty page.
 	rings := make([]*obs.TraceRing, len(c.replicas))
@@ -163,9 +114,6 @@ func New(cfg Config, build func(replica int) *serve.Server) *Cluster {
 		rings[i] = s.Traces()
 	}
 	c.mux.Handle("/debug/trace", obs.TraceHandler(rings...))
-	if c.alerts != nil {
-		c.mux.Handle("/alerts", c.alerts.Handler())
-	}
 	return c
 }
 
@@ -175,11 +123,16 @@ func (c *Cluster) Handler() http.Handler { return c.mux }
 // Replicas returns the live replica set (do not mutate).
 func (c *Cluster) Replicas() []*serve.Server { return c.replicas }
 
-// Flight returns the cluster's fleet flight recorder, or nil when disabled.
-func (c *Cluster) Flight() *obs.Recorder { return c.flight }
-
-// Alerts returns the cluster's alert engine, or nil when disabled.
-func (c *Cluster) Alerts() *obs.AlertEngine { return c.alerts }
+// Registries returns the router's registry first, then each replica's
+// (replica-labelled) registry: the set a fleet flight recorder samples, so
+// family-level queries — and alert rules over them — see fleet totals.
+func (c *Cluster) Registries() []*obs.Registry {
+	regs := []*obs.Registry{c.reg}
+	for _, s := range c.replicas {
+		regs = append(regs, s.Registry())
+	}
+	return regs
+}
 
 // Shutdown drains the cluster: the router stops taking requests, then every
 // replica drains concurrently. The first replica error (or the context's)
@@ -196,14 +149,6 @@ func (c *Cluster) Shutdown(ctx context.Context) error {
 		}(i, s)
 	}
 	wg.Wait()
-	// Quiesce the fleet observability loops once every replica has drained;
-	// both Stops are idempotent, so re-entrant Shutdowns are fine.
-	if c.alerts != nil {
-		c.alerts.Stop()
-	}
-	if c.flight != nil {
-		c.flight.Stop()
-	}
 	for _, err := range errs {
 		if err != nil {
 			return err

@@ -168,11 +168,7 @@ func TestClusterDriftAlertEndToEnd(t *testing.T) {
 		Flagged:  "advhunter_flagged_total",
 		FitEvals: 2, Sigma: 3, StdFloor: 0.02, MinScans: 10,
 	}
-	c, ts := newClusterObs(t, f, Config{
-		Replicas:       2,
-		FlightInterval: -1, // manual: each /alerts GET samples + evaluates
-		AlertRules:     []obs.Rule{rule},
-	})
+	_, alerts, ts := newClusterObs(t, f, rule) // manual: each /alerts GET samples + evaluates
 
 	// Probe phase: classify (input, index) pairs by their served verdict.
 	// Determinism makes the classification durable — a replayed pair always
@@ -278,7 +274,7 @@ func TestClusterDriftAlertEndToEnd(t *testing.T) {
 	if a.State != obs.AlertFiring {
 		t.Fatalf("attack ramp: state %q (value %.3f threshold %.3f), want firing", a.State, a.Value, a.Threshold)
 	}
-	if !c.Alerts().Firing("detect-drift") {
+	if !alerts.Firing("detect-drift") {
 		t.Fatal("engine does not report detect-drift firing")
 	}
 	// The alert is scrape-visible on the merged /metrics page too.
@@ -307,21 +303,38 @@ func TestClusterDriftAlertEndToEnd(t *testing.T) {
 	}
 }
 
-// newClusterObs boots a cluster whose replicas carry trace rings, plus the
-// cluster-level observability config under test.
-func newClusterObs(t *testing.T, f *fixture, cfg Config) (*Cluster, *httptest.Server) {
+// newClusterObs boots a two-replica cluster whose replicas carry trace
+// rings, with a manual-mode fleet recorder over Registries() and, given
+// rules, an alert engine over it, both mounted beside the cluster's own
+// endpoints the way cmd/advhunter mounts them. The engine is nil without
+// rules.
+func newClusterObs(t *testing.T, f *fixture, rules ...obs.Rule) (*obs.Recorder, *obs.AlertEngine, *httptest.Server) {
 	t.Helper()
-	c := New(cfg, func(int) *serve.Server {
+	c := New(Config{Replicas: 2}, func(int) *serve.Server {
 		return serve.New(f.meas.Clone(), f.det, serve.Config{Workers: 1, TraceRing: 16})
 	})
-	ts := httptest.NewServer(c.Handler())
+	mux := http.NewServeMux()
+	mux.Handle("/", c.Handler())
+	regs := c.Registries()
+	flight := obs.NewRecorder(obs.RecorderConfig{}, regs...)
+	mux.Handle("/debug/flight", flight.Handler())
+	var alerts *obs.AlertEngine
+	if len(rules) > 0 {
+		alerts = obs.NewAlertEngine(regs[0], flight, rules, obs.AlertConfig{})
+		mux.Handle("/alerts", alerts.Handler())
+	}
+	ts := httptest.NewServer(mux)
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		c.Shutdown(ctx)
+		if alerts != nil {
+			alerts.Stop()
+		}
+		flight.Stop()
 		ts.Close()
 	})
-	return c, ts
+	return flight, alerts, ts
 }
 
 // TestClusterFlightMergesReplicas: the fleet recorder holds both replicas'
@@ -329,23 +342,22 @@ func newClusterObs(t *testing.T, f *fixture, cfg Config) (*Cluster, *httptest.Se
 // them; /debug/flight serves the merged view.
 func TestClusterFlightMergesReplicas(t *testing.T) {
 	f := getFixture(t)
-	c, ts := newClusterObs(t, f, Config{Replicas: 2, FlightInterval: -1})
+	flight, _, ts := newClusterObs(t, f)
 	for i := 0; i < 4; i++ {
 		resp, body := post(t, ts.URL, serve.NewRequest(f.inputs[i], uint64(i)))
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("query %d: status %d: %s", i, resp.StatusCode, body)
 		}
-	}
-	c.Flight().Sample()
-	total := c.Flight().LatestFamily("advhunter_requests_total")
-	if total != 4 {
-		t.Fatalf("fleet requests via recorder = %v, want 4", total)
+		flight.Sample()
+		if total := flight.LatestFamily("advhunter_requests_total"); total != float64(i+1) {
+			t.Fatalf("fleet requests via recorder after query %d = %v, want %d", i, total, i+1)
+		}
 	}
 	for _, key := range []string{
 		`advhunter_requests_total{code="200",replica="0"}`,
 		`advhunter_requests_total{code="200",replica="1"}`,
 	} {
-		if _, ok := c.Flight().Latest(key); !ok {
+		if _, ok := flight.Latest(key); !ok {
 			t.Errorf("recorder missing per-replica series %q", key)
 		}
 	}

@@ -44,12 +44,6 @@ type Truth struct {
 	Counts hpc.Counts
 }
 
-// TruthCacheStats reports cache effectiveness.
-type TruthCacheStats struct {
-	Hits   uint64
-	Misses uint64
-}
-
 // TruthCache memoises Truth values by input key (see Key) with LRU
 // eviction. It is safe for concurrent use — serve workers measuring on
 // separate engine replicas share one cache, so a repeated query pays the
@@ -62,7 +56,6 @@ type TruthCache struct {
 	slots []truthSlot
 	head  int // most recently used; -1 when empty
 	tail  int // least recently used; -1 when empty
-	stats TruthCacheStats
 }
 
 type truthSlot struct {
@@ -126,10 +119,8 @@ func (c *TruthCache) Get(key uint64) (Truth, bool) {
 	defer c.mu.Unlock()
 	i, ok := c.index[key]
 	if !ok {
-		c.stats.Misses++
 		return Truth{}, false
 	}
-	c.stats.Hits++
 	c.moveFront(i)
 	return c.slots[i].truth, true
 }
@@ -187,16 +178,6 @@ func (c *TruthCache) Bytes() int {
 	const slotBytes = 8 + 16 + 8*int(hpc.NumEvents) + 16
 	const indexBytes = 48
 	return len(c.slots)*slotBytes + len(c.index)*indexBytes
-}
-
-// Stats returns a snapshot of the hit/miss counters.
-func (c *TruthCache) Stats() TruthCacheStats {
-	if c == nil {
-		return TruthCacheStats{}
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
 }
 
 // unlink removes slot i from the recency list.

@@ -79,10 +79,6 @@ func TestTruthCacheLRU(t *testing.T) {
 	if c.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", c.Len())
 	}
-	st := c.Stats()
-	if st.Hits != 3 || st.Misses != 1 {
-		t.Fatalf("stats %+v, want 3 hits / 1 miss", st)
-	}
 }
 
 func TestTruthCacheNilIsDisabled(t *testing.T) {
@@ -94,7 +90,7 @@ func TestTruthCacheNilIsDisabled(t *testing.T) {
 	if _, ok := c.Get(1); ok {
 		t.Fatal("nil cache must always miss")
 	}
-	if c.Len() != 0 || c.Stats() != (TruthCacheStats{}) {
+	if c.Len() != 0 {
 		t.Fatal("nil cache must report empty state")
 	}
 }
@@ -124,8 +120,8 @@ func TestMeasureAtCachedMatchesUncached(t *testing.T) {
 	if hits != 3 {
 		t.Fatalf("hits = %d, want 3 (every revisit)", hits)
 	}
-	if st := cache.Stats(); st.Hits != 3 || st.Misses != 3 {
-		t.Fatalf("cache stats %+v", st)
+	if cache.Len() != 3 {
+		t.Fatalf("cache holds %d entries, want 3 (one per distinct input)", cache.Len())
 	}
 	// nil cache degrades to MeasureAt.
 	want := ref.MeasureAt(99, samples[0].X)

@@ -97,20 +97,6 @@ func ClassName(dataset string, class int) string {
 	return fmt.Sprintf("class-%d", class)
 }
 
-// ClassIndex returns the index of a named class, or -1 if unknown.
-func ClassIndex(dataset, name string) int {
-	sp, ok := specs[dataset]
-	if !ok {
-		return -1
-	}
-	for i, n := range sp.classNames {
-		if n == name {
-			return i
-		}
-	}
-	return -1
-}
-
 // ByClass buckets samples per label.
 func ByClass(samples []Sample, classes int) [][]Sample {
 	out := make([][]Sample, classes)

@@ -156,12 +156,6 @@ func TestClassNames(t *testing.T) {
 	if ClassName("gtsrb", 1) != "speed limit (30km/h)" {
 		t.Fatalf("gtsrb[1] = %q", ClassName("gtsrb", 1))
 	}
-	if ClassIndex("cifar10", "frog") != 6 {
-		t.Fatal("ClassIndex frog")
-	}
-	if ClassIndex("cifar10", "zebra") != -1 {
-		t.Fatal("ClassIndex unknown")
-	}
 	if ClassName("gtsrb", 99) != "class-99" {
 		t.Fatal("out-of-range class name")
 	}

@@ -235,15 +235,11 @@ func TemplateFromMeasurements(ms []core.Measurement, classes, m int, events []hp
 		if meas.Pred < 0 || meas.Pred >= classes || taken[meas.Pred] >= m {
 			continue
 		}
-		t.Add(meas.Pred, projectCounts(meas.Counts), meas.Conf)
+		t.Add(meas.Pred, meas.Counts, meas.Conf)
 		taken[meas.Pred]++
 	}
 	return t
 }
-
-// projectCounts is the identity today but gives a single point to narrow
-// events later.
-func projectCounts(c hpc.Counts) hpc.Counts { return c }
 
 // Detector fits the default AdvHunter detector (the paper's per-event GMM
 // backend) over all events with the scenario's template size.

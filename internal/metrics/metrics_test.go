@@ -122,22 +122,6 @@ func TestOverlapProperties(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	if Percentile(xs, 0) != 1 || Percentile(xs, 100) != 5 {
-		t.Fatal("extremes")
-	}
-	if Percentile(xs, 50) != 3 {
-		t.Fatal("median")
-	}
-	if got := Percentile(xs, 25); got != 2 {
-		t.Fatalf("p25 = %v", got)
-	}
-	if !math.IsNaN(Percentile(nil, 50)) {
-		t.Fatal("empty percentile")
-	}
-}
-
 func TestMeanStd(t *testing.T) {
 	mean, std := MeanStd([]float64{1, 1, 1})
 	if mean != 1 || std != 0 {

@@ -283,6 +283,32 @@ func TestAlertEngineImmediateFire(t *testing.T) {
 	}
 }
 
+// TestAlertEngineBackground: a positive interval runs the evaluator, so a
+// breaching rule fires — and its advhunter_alert_active gauge reads 1 — with
+// no /alerts request; Stop halts it and is idempotent.
+func TestAlertEngineBackground(t *testing.T) {
+	reg := NewRegistry()
+	rec := NewRecorder(RecorderConfig{}, NewRegistry())
+	defer rec.Stop()
+	rule := &fakeRule{name: "hot"}
+	rule.set(true, true, 1, 0.1) // before the evaluator starts reading it
+	eng := NewAlertEngine(reg, rec, []Rule{rule}, AlertConfig{Interval: time.Millisecond})
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		var b strings.Builder
+		WriteMerged(&b, reg)
+		if strings.Contains(b.String(), `advhunter_alert_active{rule="hot"} 1`) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("background evaluator never fired the breaching rule:\n%s", b.String())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	eng.Stop()
+	eng.Stop() // idempotent
+}
+
 // TestAlertsHandler: a manual engine evaluates on GET and serves the rule
 // states as JSON.
 func TestAlertsHandler(t *testing.T) {

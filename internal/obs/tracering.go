@@ -330,18 +330,18 @@ func (r *TraceRing) Last(n int) []TraceView {
 	if r == nil {
 		return nil
 	}
+	// Render under r.mu: once it is released, Finish may evict a record and
+	// Start recycle it for a new request, and a view taken then would show
+	// that request's half-built record. Lock order is r.mu, then t.mu;
+	// Finish releases t.mu before it takes r.mu.
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	if n > r.size {
 		n = r.size
 	}
-	recs := make([]*TraceRecord, 0, n)
+	views := make([]TraceView, 0, n)
 	for i := r.size - n; i < r.size; i++ {
-		recs = append(recs, r.buf[(r.next-r.size+i+len(r.buf))%len(r.buf)])
-	}
-	r.mu.Unlock()
-	views := make([]TraceView, len(recs))
-	for i, t := range recs {
-		views[i] = t.view()
+		views = append(views, r.buf[(r.next-r.size+i+len(r.buf))%len(r.buf)].view())
 	}
 	return views
 }

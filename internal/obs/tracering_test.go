@@ -142,6 +142,40 @@ func TestTraceRingEvictionOrder(t *testing.T) {
 	}
 }
 
+// TestTraceRingLastSeesOnlyFinished: Last renders finished records only,
+// even while a writer keeps recycling them. A view rendered after Last
+// released the ring could catch an evicted record that Start had already
+// reset for the next request: status 0, no stages.
+func TestTraceRingLastSeesOnlyFinished(t *testing.T) {
+	ring := NewTraceRing(2, nil)
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			rec := ring.Start("w" + strconv.Itoa(i))
+			rec.AddStage("measure", time.Now(), time.Microsecond)
+			rec.SetStatus(200)
+			ring.Finish(rec)
+		}
+	}()
+	defer func() {
+		close(stop)
+		<-done
+	}()
+	for deadline := time.Now().Add(500 * time.Millisecond); time.Now().Before(deadline); {
+		for _, v := range ring.Last(2) {
+			if v.Status != 200 || len(v.Stages) != 1 {
+				t.Fatalf("Last rendered an unfinished record: %+v", v)
+			}
+		}
+	}
+}
+
 // TestTraceSink: with a sink every finished trace leaves as one JSON line.
 func TestTraceSink(t *testing.T) {
 	var buf bytes.Buffer

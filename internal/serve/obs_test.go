@@ -6,9 +6,11 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"advhunter/internal/obs"
 )
@@ -122,8 +124,9 @@ func TestMetricsExposition(t *testing.T) {
 
 // TestObsIsObserveOnly is the determinism guard for the observability layer:
 // a server with every observability surface enabled — debug-level JSON
-// logging (which also emits every span record), the flight recorder, the
-// trace ring with a JSONL sink, and the alert engine — must return
+// logging (which also emits every span record), the trace ring with a JSONL
+// sink, and a flight recorder and alert engine over its registry, both
+// running in the background throughout the traffic — must return
 // byte-identical /detect responses to a server with all of it off.
 // Instrumentation observes the pipeline; it never steers it.
 func TestObsIsObserveOnly(t *testing.T) {
@@ -135,13 +138,17 @@ func TestObsIsObserveOnly(t *testing.T) {
 	}
 	_, quietTS := newServer(t, f, Config{Workers: 2})
 	loud, loudTS := newServer(t, f, Config{
-		Workers:        2,
-		Logger:         verbose,
-		FlightInterval: -1, // manual mode: deterministic, still fully wired
-		TraceRing:      32,
-		TraceLog:       &traceLog,
-		AlertRules:     DefaultAlertRules(),
+		Workers:   2,
+		Logger:    verbose,
+		TraceRing: 32,
+		TraceLog:  &traceLog,
 	})
+	flight := obs.NewRecorder(obs.RecorderConfig{Interval: time.Millisecond}, loud.Registry())
+	defer flight.Stop()
+	alerts := obs.NewAlertEngine(loud.Registry(), flight, DefaultAlertRules(), obs.AlertConfig{
+		Interval: time.Millisecond, Logger: verbose,
+	})
+	defer alerts.Stop()
 
 	queries := make([]Request, 0, 8)
 	for i := 0; i < 4; i++ {
@@ -200,22 +207,29 @@ func TestObsIsObserveOnly(t *testing.T) {
 		t.Fatalf("sink line not a TraceView: %v %q", err, sunk[0])
 	}
 
-	// The observability endpoints answer: /debug/flight has recorded series,
-	// /debug/trace serves the ring, /alerts evaluates the default rules.
-	loud.Flight().Sample()
-	for path, want := range map[string]string{
-		"/debug/flight": `"series_count"`,
-		"/debug/trace":  `"traces"`,
-		"/alerts":       `"detect-drift"`,
+	// The observability endpoints answer: /debug/trace serves the ring,
+	// /debug/flight holds the traffic's series, /alerts the default rules.
+	resp, err := http.Get(loudTS.URL + "/debug/trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"traces"`) {
+		t.Fatalf("GET /debug/trace = %d:\n%s", resp.StatusCode, body)
+	}
+	flight.Sample()
+	if v, ok := flight.Latest(`advhunter_requests_total{code="200"}`); !ok || v != float64(len(queries)) {
+		t.Fatalf("recorder holds %v 200s (ok %t), want %d", v, ok, len(queries))
+	}
+	for want, h := range map[string]http.Handler{
+		`"series_count"`: flight.Handler(),
+		`"detect-drift"`: alerts.Handler(),
 	} {
-		resp, err := http.Get(loudTS.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), want) {
-			t.Fatalf("GET %s = %d, missing %q:\n%s", path, resp.StatusCode, want, body)
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/", nil))
+		if rr.Code != http.StatusOK || !strings.Contains(rr.Body.String(), want) {
+			t.Fatalf("handler = %d, missing %s:\n%s", rr.Code, want, rr.Body.String())
 		}
 	}
 

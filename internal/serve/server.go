@@ -90,20 +90,11 @@ type Config struct {
 	// Logger receives the server's structured records (per-request debug
 	// lines, span timings). nil selects slog.Default(). Logging and tracing
 	// are observe-only: enabling them never changes a verdict or a response
-	// byte (TestObsIsObserveOnly holds that line).
+	// byte (TestObsIsObserveOnly holds that line). The flight recorder and
+	// the alert engine are not the server's: they only read registries, so
+	// the process that serves builds them over Registry().
 	Logger *slog.Logger
 
-	// FlightInterval enables the flight recorder: a background sampler
-	// snapshotting every registry series into short-term ring-buffer history,
-	// exposed as /debug/flight. > 0 samples at that cadence; < 0 builds the
-	// recorder in manual mode (no goroutine — each /debug/flight or /alerts
-	// request samples on demand, the deterministic mode tests use); 0 leaves
-	// the recorder off unless AlertRules demand one. Like every obs surface
-	// it is observe-only: sampling walks the registries exactly like a
-	// /metrics scrape.
-	FlightInterval time.Duration
-	// FlightSamples caps each recorded series' ring (default 256).
-	FlightSamples int
 	// TraceRing enables request-scoped wide events: every /detect request
 	// aggregates its spans, routing and verdict into one pooled trace record,
 	// and the last TraceRing of them are queryable at /debug/trace. 0
@@ -112,19 +103,6 @@ type Config struct {
 	// TraceLog, when non-nil, additionally receives every finished trace as
 	// one JSON line — the durable export path.
 	TraceLog io.Writer
-	// AlertRules enables the alert engine: declarative rules (latency
-	// burn-rate, error rate, detection drift — see DefaultAlertRules)
-	// evaluated against the flight recorder, surfaced as the
-	// advhunter_alert_active gauge, transition logs, and /alerts. Setting
-	// rules without FlightInterval builds a manual-mode recorder.
-	AlertRules []obs.Rule
-	// AlertInterval is the background evaluation cadence; <= 0 evaluates on
-	// each /alerts request instead (sampling the recorder first when it is
-	// manual too).
-	AlertInterval time.Duration
-	// AlertFor is the firing hysteresis: a rule must breach continuously
-	// this long before its alert fires (0 fires immediately).
-	AlertFor time.Duration
 
 	// gate, when non-nil, holds every acquired replica until it is closed or
 	// the request's deadline passes — a test-only hook for filling the
@@ -198,9 +176,7 @@ type Server struct {
 	stats  *metrics
 	logger *slog.Logger
 	tracer *obs.Tracer
-	flight *obs.Recorder    // nil unless FlightInterval or AlertRules enable it
-	traces *obs.TraceRing   // nil unless TraceRing enables it
-	alerts *obs.AlertEngine // nil unless AlertRules enable it
+	traces *obs.TraceRing // nil unless TraceRing enables it
 	mux    *http.ServeMux
 	gate   chan struct{} // from Config.gate; see there
 }
@@ -294,25 +270,8 @@ func New(m *core.Measurer, det detect.Detector, cfg Config) *Server {
 		s.exact.seconds = s.stats.tierSecondsExact
 	}
 
-	// Observability extensions, all strictly observe-only. The flight
-	// recorder also powers the alert engine, so rules without an explicit
-	// interval still get a (manual-mode) recorder behind them.
 	if cfg.TraceRing > 0 {
 		s.traces = obs.NewTraceRing(cfg.TraceRing, cfg.TraceLog)
-	}
-	if cfg.FlightInterval != 0 || len(cfg.AlertRules) > 0 {
-		iv := cfg.FlightInterval
-		if iv < 0 {
-			iv = 0 // manual mode: sample on demand
-		}
-		s.flight = obs.NewRecorder(obs.RecorderConfig{
-			Interval: iv, Samples: cfg.FlightSamples,
-		}, s.stats.reg)
-	}
-	if len(cfg.AlertRules) > 0 {
-		s.alerts = obs.NewAlertEngine(s.stats.reg, s.flight, cfg.AlertRules, obs.AlertConfig{
-			Interval: cfg.AlertInterval, For: cfg.AlertFor, Logger: s.logger,
-		})
 	}
 
 	s.mux = http.NewServeMux()
@@ -323,14 +282,8 @@ func New(m *core.Measurer, det detect.Detector, cfg Config) *Server {
 	// (cache-op counters, build info), so one scrape sees every layer.
 	s.mux.Handle("/metrics", obs.Handler(s.stats.reg, obs.Default))
 	s.mux.Handle("/debug/build", obs.BuildInfoHandler())
-	if s.flight != nil {
-		s.mux.Handle("/debug/flight", s.flight.Handler())
-	}
 	if s.traces != nil {
 		s.mux.Handle("/debug/trace", obs.TraceHandler(s.traces))
-	}
-	if s.alerts != nil {
-		s.mux.Handle("/alerts", s.alerts.Handler())
 	}
 	return s
 }
@@ -340,20 +293,13 @@ func (s *Server) Handler() http.Handler { return s.mux }
 
 // Registry returns the server's private metrics registry — the hook a
 // multi-replica assembly uses to stamp each replica's series with its
-// identity (obs.SetConstLabels) and merge them onto one exposition page.
+// identity (obs.SetConstLabels) and merge them onto one exposition page, and
+// the registry a flight recorder or alert engine reads.
 func (s *Server) Registry() *obs.Registry { return s.stats.reg }
-
-// Flight returns the server's flight recorder, or nil when disabled — the
-// hook a cluster uses to fold a replica's history into a fleet view, and
-// tests use to drive manual-mode sampling.
-func (s *Server) Flight() *obs.Recorder { return s.flight }
 
 // Traces returns the server's trace ring, or nil when disabled — the hook a
 // cluster's merged /debug/trace page reads.
 func (s *Server) Traces() *obs.TraceRing { return s.traces }
-
-// Alerts returns the server's alert engine, or nil when disabled.
-func (s *Server) Alerts() *obs.AlertEngine { return s.alerts }
 
 // Shape returns the served model's input shape (C, H, W) — what a router in
 // front of the server needs to decode and fingerprint request bodies.
@@ -374,14 +320,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Unlock()
 	select {
 	case <-s.idle:
-		// Quiesce the observability background loops after the last answer;
-		// both Stops are idempotent, so re-entrant Shutdowns are fine.
-		if s.alerts != nil {
-			s.alerts.Stop()
-		}
-		if s.flight != nil {
-			s.flight.Stop()
-		}
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()

@@ -169,15 +169,6 @@ func (t *Tensor) SubInPlace(o *Tensor) *Tensor {
 	return t
 }
 
-// MulInPlace multiplies t element-wise by o (Hadamard) and returns t.
-func (t *Tensor) MulInPlace(o *Tensor) *Tensor {
-	t.mustSameShape(o, "MulInPlace")
-	for i := range t.data {
-		t.data[i] *= o.data[i]
-	}
-	return t
-}
-
 // ScaleInPlace multiplies every element by s and returns t.
 func (t *Tensor) ScaleInPlace(s float64) *Tensor {
 	for i := range t.data {
@@ -191,9 +182,6 @@ func Add(t, o *Tensor) *Tensor { return t.Clone().AddInPlace(o) }
 
 // Sub returns t - o as a new tensor.
 func Sub(t, o *Tensor) *Tensor { return t.Clone().SubInPlace(o) }
-
-// Mul returns the Hadamard product t ⊙ o as a new tensor.
-func Mul(t, o *Tensor) *Tensor { return t.Clone().MulInPlace(o) }
 
 // Scale returns s·t as a new tensor.
 func Scale(t *Tensor, s float64) *Tensor { return t.Clone().ScaleInPlace(s) }

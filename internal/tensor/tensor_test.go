@@ -85,9 +85,6 @@ func TestElementwiseOps(t *testing.T) {
 	if got := Sub(b, a).Data(); got[0] != 9 {
 		t.Fatalf("Sub: %v", got)
 	}
-	if got := Mul(a, b).Data(); got[2] != 90 {
-		t.Fatalf("Mul: %v", got)
-	}
 	if got := Scale(a, 0.5).Data(); got[1] != 1 {
 		t.Fatalf("Scale: %v", got)
 	}

@@ -34,8 +34,8 @@ go vet ./examples/...
 echo "== test =="
 go test ./...
 
-echo "== race (parallel pipeline + detection + serving + cluster + twin + observability + workload + cache runs) =="
-go test -race ./internal/parallel ./internal/core ./internal/engine ./internal/detect ./internal/serve ./internal/cluster ./internal/twin ./internal/obs ./internal/workload ./internal/uarch/cache
+echo "== race (parallel pipeline + detection + serving + cluster + twin + observability + workload + cache runs + serve wiring) =="
+go test -race ./cmd/advhunter ./internal/parallel ./internal/core ./internal/engine ./internal/detect ./internal/serve ./internal/cluster ./internal/twin ./internal/obs ./internal/workload ./internal/uarch/cache
 
 echo "== race, repeated (gate-driven admission, timeout and drain tests) =="
 go test -race -count=10 -run 'TestServe(Backpressure|Timeout|Drain|ReplicasWorkConserving)' ./internal/serve
