@@ -50,7 +50,6 @@ type serveOpts struct {
 	traceRing     *int
 	traceLog      *string
 	alerts        *bool
-	alertInterval *time.Duration
 	alertFor      *time.Duration
 }
 
@@ -64,24 +63,29 @@ func serveFlags(fs *flag.FlagSet) serveOpts {
 		twinDir:    fs.String("twin-dir", "artifacts/twin", "precomputed twin-table directory (tables are profiled on a miss; used when -tier is auto)"),
 		margin:     fs.Float64("margin", 0.15, "auto-tier escalation band around the detector threshold (0 = default, negative = never escalate)"),
 
-		flight:        fs.Duration("flight", 0, "flight-recorder sampling interval (0 disables; negative = manual mode, sampled only when /debug/flight is queried)"),
+		flight:        fs.Duration("flight", 0, "flight-recorder sampling interval, also the -alerts evaluation cadence; enables /debug/flight (0 disables)"),
 		flightSamples: fs.Int("flight-samples", 0, "flight-recorder ring depth per series (0 = default 256)"),
 		traceRing:     fs.Int("trace-ring", 0, "request-trace ring capacity; enables /debug/trace (0 disables)"),
 		traceLog:      fs.String("trace-log", "", "append finished request traces as JSONL to this file (implies a trace ring)"),
-		alerts:        fs.Bool("alerts", false, "run the stock alert rules (latency-p99, error-rate, detect-drift) and expose /alerts"),
-		alertInterval: fs.Duration("alert-interval", 0, "background alert-evaluation cadence (0 = evaluate on each /alerts request instead)"),
+		alerts:        fs.Bool("alerts", false, "evaluate the stock alert rules (latency-p99, error-rate, detect-drift) on each -flight sample and expose /alerts (needs -flight)"),
 		alertFor:      fs.Duration("alert-for", 0, "how long a rule must breach before it fires (0 = immediately)"),
 	}
 }
 
-// validate rejects bad tier and decision-event selections — cheap checks run
-// before any model loads, so a typo fails in milliseconds, not after
-// training.
+// validate rejects bad tier, decision-event and observability selections —
+// cheap checks run before any model loads, so a typo fails in milliseconds,
+// not after training.
 func (o serveOpts) validate() error {
 	switch *o.tier {
 	case serve.TierExact, serve.TierAuto:
 	default:
 		return fmt.Errorf("unknown tier %q (have %s, %s)", *o.tier, serve.TierExact, serve.TierAuto)
+	}
+	if *o.flight < 0 {
+		return fmt.Errorf("-flight %v: want a positive sampling interval, or 0 to disable", *o.flight)
+	}
+	if *o.alerts && *o.flight == 0 {
+		return errors.New("-alerts needs -flight: the alert rules are evaluated on each flight-recorder sample")
 	}
 	_, err := hpc.ParseEvent(*o.event)
 	return err
@@ -146,31 +150,24 @@ func (o serveOpts) config(env *experiments.Env, dopts detectorOpts, det *detect.
 // observe builds the flight recorder and the alert engine the flags turn on
 // over regs — a server's registry, or a cluster's router registry followed
 // by each replica's, so family queries and the alert rules see fleet totals
-// — and mounts /debug/flight and /alerts on mux. The alert gauges register
-// on regs[0]. Neither touches a request; both only read the registries, so
-// this is the one place either is built. stop halts their background loops:
-// call it once the server has drained.
+// — mounts /debug/flight and /alerts on mux, and starts the one loop that
+// samples the recorder and then evaluates the rules every -flight. The alert
+// gauges register on regs[0]. Neither touches a request; both only read the
+// registries, so this is the one place either is built. stop halts the
+// loop: call it once the server has drained. Call validate first.
 func (o serveOpts) observe(mux *http.ServeMux, logger *slog.Logger, regs ...*obs.Registry) (stop func()) {
-	if *o.flight == 0 && !*o.alerts {
+	if *o.flight <= 0 {
 		return func() {}
 	}
-	iv := *o.flight
-	if iv < 0 {
-		iv = 0 // manual mode: sample on demand
-	}
-	rec := obs.NewRecorder(obs.RecorderConfig{Interval: iv, Samples: *o.flightSamples}, regs...)
+	rec := obs.NewRecorder(obs.RecorderConfig{Samples: *o.flightSamples}, regs...)
 	mux.Handle("/debug/flight", rec.Handler())
-	if !*o.alerts {
-		return rec.Stop
+	var alerts *obs.AlertEngine
+	if *o.alerts {
+		alerts = obs.NewAlertEngine(regs[0], rec, serve.DefaultAlertRules(),
+			obs.AlertConfig{For: *o.alertFor, Logger: logger})
+		mux.Handle("/alerts", alerts.Handler())
 	}
-	alerts := obs.NewAlertEngine(regs[0], rec, serve.DefaultAlertRules(), obs.AlertConfig{
-		Interval: *o.alertInterval, For: *o.alertFor, Logger: logger,
-	})
-	mux.Handle("/alerts", alerts.Handler())
-	return func() {
-		alerts.Stop()
-		rec.Stop()
-	}
+	return rec.Run(*o.flight, alerts)
 }
 
 // obsEndpoints renders the observability endpoints the current flags turn on,
@@ -178,7 +175,7 @@ func (o serveOpts) observe(mux *http.ServeMux, logger *slog.Logger, regs ...*obs
 // merged /debug/trace is registered unconditionally.
 func (o serveOpts) obsEndpoints(alwaysTrace bool) string {
 	var s string
-	if *o.flight != 0 || *o.alerts {
+	if *o.flight > 0 {
 		s += " /debug/flight"
 	}
 	if alwaysTrace || *o.traceRing > 0 || *o.traceLog != "" {

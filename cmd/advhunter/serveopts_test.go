@@ -1,13 +1,17 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"flag"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"advhunter/internal/cluster"
 	"advhunter/internal/core"
@@ -21,10 +25,49 @@ import (
 	"advhunter/internal/uarch/hpc"
 )
 
+// parseServeFlags parses args into a fresh serving flag surface.
+func parseServeFlags(t *testing.T, args ...string) serveOpts {
+	t.Helper()
+	fs := flag.NewFlagSet("observe", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	opts := serveFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	return opts
+}
+
+// TestServeOptsValidateObservability: the flight recorder has one cadence
+// and the alert rules are evaluated on it, so a negative -flight and
+// -alerts without a positive -flight are rejected before any model loads.
+func TestServeOptsValidateObservability(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		ok   bool
+	}{
+		{nil, true},
+		{[]string{"-flight=1s"}, true},
+		{[]string{"-flight=1s", "-alerts"}, true},
+		{[]string{"-flight=-1s"}, false},
+		{[]string{"-alerts"}, false},
+		{[]string{"-alerts", "-flight=0"}, false},
+	} {
+		if err := parseServeFlags(t, tc.args...).validate(); (err == nil) != tc.ok {
+			t.Errorf("validate(%v) = %v, want ok %t", tc.args, err, tc.ok)
+		}
+	}
+}
+
+// obsGoroutines counts the running goroutines that package obs started.
+func obsGoroutines() int {
+	buf := make([]byte, 1<<20)
+	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "created by advhunter/internal/obs.")
+}
+
 // TestObserve: observe builds the flight recorder and the alert engine only
-// when the flags ask, mounts their endpoints beside the served handler, and
-// registers the alert gauges on the first registry — on a cluster the
-// router's, so they carry no replica label.
+// when the flags ask, mounts their endpoints beside the served handler, runs
+// both on one loop, and registers the alert gauges on the first registry —
+// on a cluster the router's, so they carry no replica label.
 func TestObserve(t *testing.T) {
 	ds := data.MustSynth("fashionmnist", 99, 24, 1)
 	m := models.MustBuild("simplecnn", ds.C, ds.H, ds.W, ds.Classes, 9)
@@ -40,9 +83,8 @@ func TestObserve(t *testing.T) {
 	// cmdCluster do, and returns a GET helper (status, body) and stop.
 	boot := func(t *testing.T, args []string, handler http.Handler, regs ...*obs.Registry) (func(string) (int, string), func()) {
 		t.Helper()
-		fs := flag.NewFlagSet("observe", flag.ContinueOnError)
-		opts := serveFlags(fs)
-		if err := fs.Parse(args); err != nil {
+		opts := parseServeFlags(t, args...)
+		if err := opts.validate(); err != nil {
 			t.Fatal(err)
 		}
 		mux := http.NewServeMux()
@@ -66,7 +108,11 @@ func TestObserve(t *testing.T) {
 	t.Run("default flags mount nothing", func(t *testing.T) {
 		s := build(0)
 		defer s.Shutdown(context.Background())
+		before := obsGoroutines()
 		get, stop := boot(t, nil, s.Handler(), s.Registry())
+		if n := obsGoroutines() - before; n != 0 {
+			t.Errorf("observe started %d obs goroutines with default flags, want 0", n)
+		}
 		for _, path := range []string{"/debug/flight", "/alerts"} {
 			if code, _ := get(path); code != http.StatusNotFound {
 				t.Errorf("GET %s = %d, want 404", path, code)
@@ -79,11 +125,62 @@ func TestObserve(t *testing.T) {
 		stop()
 	})
 
+	t.Run("flight samples traffic sent after boot", func(t *testing.T) {
+		s := build(0)
+		defer s.Shutdown(context.Background())
+		mux := http.NewServeMux()
+		mux.Handle("/", s.Handler())
+		stop := parseServeFlags(t, "-flight=5ms").observe(mux, nil, s.Registry())
+		defer stop()
+		ts := httptest.NewServer(mux)
+		defer ts.Close()
+
+		raw, err := json.Marshal(serve.NewRequest(ds.Test[0].X, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/detect", "application/json", bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST /detect = %d", resp.StatusCode)
+		}
+		// Only /debug/flight is queried: the loop alone must pick the
+		// request up.
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+			resp, err := http.Get(ts.URL + "/debug/flight?window=30s")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var page struct {
+				Rates map[string]float64 `json:"rates"`
+			}
+			err = json.NewDecoder(resp.Body).Decode(&page)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if page.Rates["advhunter_requests_total"] > 0 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("/debug/flight never showed the request: rates %v", page.Rates)
+			}
+		}
+	})
+
 	t.Run("flight and alerts mount both", func(t *testing.T) {
 		s := build(0)
 		defer s.Shutdown(context.Background())
-		get, stop := boot(t, []string{"-flight=-1s", "-alerts"}, s.Handler(), s.Registry())
+		before := obsGoroutines()
+		get, stop := boot(t, []string{"-flight=1h", "-alerts"}, s.Handler(), s.Registry())
 		defer stop()
+		if n := obsGoroutines() - before; n != 1 {
+			t.Errorf("observe started %d obs goroutines, want 1", n)
+		}
 		for path, want := range map[string]string{
 			"/debug/flight": `"series_count"`,
 			"/alerts":       `"detect-drift"`,
@@ -97,9 +194,8 @@ func TestObserve(t *testing.T) {
 
 	t.Run("cluster gauges carry no replica label", func(t *testing.T) {
 		c := cluster.New(cluster.Config{Replicas: 2}, build)
-		// Background loops, so stop has goroutines to halt.
-		get, stop := boot(t, []string{"-flight=1ms", "-alerts", "-alert-interval=1ms"},
-			c.Handler(), c.Registries()...)
+		// A running loop, so stop has a goroutine to halt.
+		get, stop := boot(t, []string{"-flight=1ms", "-alerts"}, c.Handler(), c.Registries()...)
 		_, metrics := get("/metrics")
 		var alertLines int
 		for _, line := range strings.Split(metrics, "\n") {

@@ -165,7 +165,7 @@ func renderFrame(w io.Writer, base string, frame int, f watchFrame) {
 
 	fmt.Fprintln(w, "\nalerts")
 	if f.alerts == nil {
-		fmt.Fprintln(w, "  alerting off (-alerts to enable)")
+		fmt.Fprintln(w, "  alerting off (-flight with -alerts to enable)")
 	}
 	for _, a := range f.alerts {
 		state := a.State

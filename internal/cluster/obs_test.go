@@ -158,8 +158,9 @@ func TestClusterRequestIDPropagation(t *testing.T) {
 // fleet: the drift rule fits its clean baseline from rounds of known-benign
 // traffic, fires when a cohort of adversarially-scored queries ramps, and
 // resolves when traffic cleans up again — all through the public HTTP
-// surface (/detect, /alerts, /metrics), with the manual-mode recorder and
-// engine keeping the evaluation cadence deterministic.
+// surface (/detect, /alerts, /metrics). The test samples the recorder and
+// evaluates the engine itself before each /alerts read, exactly as the
+// serving loop does on each tick, which keeps the cadence deterministic.
 func TestClusterDriftAlertEndToEnd(t *testing.T) {
 	f := getFixture(t)
 	rule := &obs.DriftRule{
@@ -168,7 +169,7 @@ func TestClusterDriftAlertEndToEnd(t *testing.T) {
 		Flagged:  "advhunter_flagged_total",
 		FitEvals: 2, Sigma: 3, StdFloor: 0.02, MinScans: 10,
 	}
-	_, alerts, ts := newClusterObs(t, f, rule) // manual: each /alerts GET samples + evaluates
+	flight, alerts, ts := newClusterObs(t, f, rule)
 
 	// Probe phase: classify (input, index) pairs by their served verdict.
 	// Determinism makes the classification durable — a replayed pair always
@@ -231,8 +232,11 @@ func TestClusterDriftAlertEndToEnd(t *testing.T) {
 			}
 		}
 	}
+	// getAlert runs one tick of the serving loop, then reads /alerts.
 	getAlert := func() obs.AlertView {
 		t.Helper()
+		flight.Sample()
+		alerts.EvalOnce(time.Now())
 		resp, err := http.Get(ts.URL + "/alerts")
 		if err != nil {
 			t.Fatal(err)
@@ -274,7 +278,7 @@ func TestClusterDriftAlertEndToEnd(t *testing.T) {
 	if a.State != obs.AlertFiring {
 		t.Fatalf("attack ramp: state %q (value %.3f threshold %.3f), want firing", a.State, a.Value, a.Threshold)
 	}
-	if !alerts.Firing("detect-drift") {
+	if alerts.Snapshot()[0].State != obs.AlertFiring {
 		t.Fatal("engine does not report detect-drift firing")
 	}
 	// The alert is scrape-visible on the merged /metrics page too.
@@ -304,10 +308,10 @@ func TestClusterDriftAlertEndToEnd(t *testing.T) {
 }
 
 // newClusterObs boots a two-replica cluster whose replicas carry trace
-// rings, with a manual-mode fleet recorder over Registries() and, given
-// rules, an alert engine over it, both mounted beside the cluster's own
-// endpoints the way cmd/advhunter mounts them. The engine is nil without
-// rules.
+// rings, with a fleet recorder over Registries() and, given rules, an alert
+// engine over it, both mounted beside the cluster's own endpoints the way
+// cmd/advhunter mounts them. No loop runs: tests sample and evaluate
+// themselves. The engine is nil without rules.
 func newClusterObs(t *testing.T, f *fixture, rules ...obs.Rule) (*obs.Recorder, *obs.AlertEngine, *httptest.Server) {
 	t.Helper()
 	c := New(Config{Replicas: 2}, func(int) *serve.Server {
@@ -328,10 +332,6 @@ func newClusterObs(t *testing.T, f *fixture, rules ...obs.Rule) (*obs.Recorder, 
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		c.Shutdown(ctx)
-		if alerts != nil {
-			alerts.Stop()
-		}
-		flight.Stop()
 		ts.Close()
 	})
 	return flight, alerts, ts

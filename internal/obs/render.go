@@ -76,7 +76,9 @@ func WriteMerged(w io.Writer, regs ...*Registry) (int64, error) {
 		}
 		first.writeMeta(cw)
 		for _, p := range parts {
-			p.f.write(cw, p.cn, p.cv)
+			p.f.each(p.cn, p.cv, func(s SeriesSample) {
+				fmt.Fprintf(cw, "%s %s\n", s.Key, s.valueText())
+			})
 			if cw.err != nil {
 				return cw.n, cw.err
 			}
@@ -92,65 +94,6 @@ func WriteMerged(w io.Writer, regs ...*Registry) (int64, error) {
 func (f *family) writeMeta(w io.Writer) {
 	fmt.Fprintf(w, "# HELP %s %s\n", f.name, escapeHelp(f.help))
 	fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.kind)
-}
-
-// write renders one family's series, appending the owning registry's
-// const-label pairs (cn/cv) to every label block.
-func (f *family) write(w io.Writer, cn, cv []string) {
-	f.mu.RLock()
-	sampled := f.sampled
-	kids := make([]*child, 0, len(f.children))
-	for _, c := range f.children {
-		kids = append(kids, c)
-	}
-	f.mu.RUnlock()
-	sort.Slice(kids, func(i, j int) bool {
-		return strings.Join(kids[i].labelValues, "\xff") < strings.Join(kids[j].labelValues, "\xff")
-	})
-
-	names := f.labels
-	if len(cn) > 0 {
-		names = append(append(make([]string, 0, len(f.labels)+len(cn)), f.labels...), cn...)
-	}
-	values := func(c *child) []string {
-		if len(cv) == 0 {
-			return c.labelValues
-		}
-		return append(append(make([]string, 0, len(c.labelValues)+len(cv)), c.labelValues...), cv...)
-	}
-	if sampled != nil {
-		fmt.Fprintf(w, "%s%s %s\n", f.name, labelString(cn, cv, "", ""), formatFloat(sampled()))
-		return
-	}
-	for _, c := range kids {
-		lv := values(c)
-		switch f.kind {
-		case kindCounter:
-			fmt.Fprintf(w, "%s%s %d\n", f.name, labelString(names, lv, "", ""), c.count.v.Load())
-		case kindGauge:
-			fmt.Fprintf(w, "%s%s %s\n", f.name, labelString(names, lv, "", ""), formatFloat(c.gauge.load()))
-		case kindHistogram:
-			cum := uint64(0)
-			for i, ub := range f.buckets {
-				cum += c.bins[i].v.Load()
-				fmt.Fprintf(w, "%s_bucket%s %d\n", f.name,
-					labelString(names, lv, "le", formatFloat(ub)), cum)
-			}
-			// The +Inf bucket equals the total count by definition; using the
-			// count cell (not cum) keeps the line consistent with _count even
-			// if observations land between the two loads.
-			count := c.count.v.Load()
-			if count < cum {
-				count = cum
-			}
-			fmt.Fprintf(w, "%s_bucket%s %d\n", f.name,
-				labelString(names, lv, "le", "+Inf"), count)
-			fmt.Fprintf(w, "%s_sum%s %s\n", f.name,
-				labelString(names, lv, "", ""), formatFloat(c.sum.load()))
-			fmt.Fprintf(w, "%s_count%s %d\n", f.name,
-				labelString(names, lv, "", ""), count)
-		}
-	}
 }
 
 // labelString renders a {name="value",...} block, appending one extra pair

@@ -1,10 +1,16 @@
 package obs
 
-import "math"
+import (
+	"math"
+	"sort"
+	"strconv"
+	"strings"
+)
 
-// SeriesSample is one series value as EachSeries reports it — the
-// programmatic twin of a rendered exposition line, so consumers (the flight
-// recorder) key their stores exactly like a scraper parsing /metrics would.
+// SeriesSample is one series value as EachSeries reports it — one rendered
+// exposition line, since WriteMerged prints exactly these samples, so
+// consumers (the flight recorder) key their stores exactly like a scraper
+// parsing /metrics would.
 type SeriesSample struct {
 	// Family is the metric family name (advhunter_requests_total).
 	Family string
@@ -29,12 +35,22 @@ type SeriesSample struct {
 	Value float64
 }
 
+// valueText spells the value as the exposition does: counters, histogram
+// buckets and _count are integer cells and render as integers (exact below
+// 2^53); everything else renders in the shortest float form.
+func (s SeriesSample) valueText() string {
+	if s.Kind == kindCounter || s.Suffix == "bucket" || s.Suffix == "count" {
+		return strconv.FormatUint(uint64(s.Value), 10)
+	}
+	return formatFloat(s.Value)
+}
+
 // EachSeries walks every series of the registry in render order and calls fn
-// with one SeriesSample per would-be exposition line (histograms contribute
-// their buckets, _sum and _count individually). It takes the same snapshot
-// locks as WriteMerged, so walking is as safe against concurrent recording as
-// scraping is, and the values fn sees are what a scrape at the same instant
-// would have rendered.
+// with one SeriesSample per exposition line (histograms contribute their
+// buckets, _sum and _count individually). WriteMerged renders through the
+// same walk, so the values fn sees are what a scrape at the same instant
+// would have rendered, and walking is as safe against concurrent recording
+// as scraping is.
 func (r *Registry) EachSeries(fn func(SeriesSample)) {
 	fams, cn, cv := r.snapshotFamilies()
 	for _, f := range fams {
@@ -42,8 +58,8 @@ func (r *Registry) EachSeries(fn func(SeriesSample)) {
 	}
 }
 
-// each walks one family's series, appending the owning registry's const-label
-// pairs to every key — the EachSeries counterpart of family.write.
+// each walks one family's series with its children sorted by label values,
+// appending the owning registry's const-label pairs to every key.
 func (f *family) each(cn, cv []string, fn func(SeriesSample)) {
 	f.mu.RLock()
 	sampled := f.sampled
@@ -52,6 +68,9 @@ func (f *family) each(cn, cv []string, fn func(SeriesSample)) {
 		kids = append(kids, c)
 	}
 	f.mu.RUnlock()
+	sort.Slice(kids, func(i, j int) bool {
+		return strings.Join(kids[i].labelValues, "\xff") < strings.Join(kids[j].labelValues, "\xff")
+	})
 
 	names := f.labels
 	if len(cn) > 0 {
@@ -79,6 +98,13 @@ func (f *family) each(cn, cv []string, fn func(SeriesSample)) {
 			fn(SeriesSample{Family: f.name, Kind: f.kind, Key: key, Group: key, Value: c.gauge.load()})
 		case kindHistogram:
 			group := f.name + labelString(names, lv, "", "")
+			// Observe bumps a bin before the count, so loading the count
+			// first means every observation it includes is already in the
+			// bins read below: one landing mid-walk can raise a finite
+			// bucket but never shows up in +Inf alone. The +Inf bucket is
+			// the count, raised to cum when such an observation's count
+			// bump has not landed yet, so it always equals _count.
+			count := c.count.v.Load()
 			cum := uint64(0)
 			for i, ub := range f.buckets {
 				cum += c.bins[i].v.Load()
@@ -88,7 +114,6 @@ func (f *family) each(cn, cv []string, fn func(SeriesSample)) {
 					Group: group, Suffix: "bucket", Le: ub, Value: float64(cum),
 				})
 			}
-			count := c.count.v.Load()
 			if count < cum {
 				count = cum
 			}

@@ -53,7 +53,7 @@ func (r *LatencyBurnRule) Name() string { return r.RuleName }
 
 // Describe implements Rule.
 func (r *LatencyBurnRule) Describe() string {
-	return "p" + trimFloat(r.Q*100) + "(" + r.Family + ") > " + trimFloat(r.Threshold) + "s over " + r.window().String()
+	return "p" + formatFloat(r.Q*100) + "(" + r.Family + ") > " + formatFloat(r.Threshold) + "s over " + r.window().String()
 }
 
 func (r *LatencyBurnRule) window() time.Duration {
@@ -93,7 +93,7 @@ func (r *ErrorRateRule) Name() string { return r.RuleName }
 
 // Describe implements Rule.
 func (r *ErrorRateRule) Describe() string {
-	return "429/5xx fraction of " + r.Family + " > " + trimFloat(r.Threshold) + " over " + r.window().String()
+	return "429/5xx fraction of " + r.Family + " > " + formatFloat(r.Threshold) + " over " + r.window().String()
 }
 
 func (r *ErrorRateRule) window() time.Duration {
@@ -184,7 +184,7 @@ func (r *DriftRule) Name() string { return r.RuleName }
 
 // Describe implements Rule.
 func (r *DriftRule) Describe() string {
-	return "flag rate (" + r.Flagged + "/" + r.Scans + ") above clean baseline + " + trimFloat(r.sigma()) + "σ"
+	return "flag rate (" + r.Flagged + "/" + r.Scans + ") above clean baseline + " + formatFloat(r.sigma()) + "σ"
 }
 
 func (r *DriftRule) sigma() float64 {
@@ -289,9 +289,6 @@ func labelValue(key, label string) (string, bool) {
 	return rest[:j], true
 }
 
-// trimFloat renders a float compactly for rule descriptions.
-func trimFloat(v float64) string { return formatFloat(v) }
-
 // Alert states.
 const (
 	AlertOK      = "ok"
@@ -301,11 +298,6 @@ const (
 
 // AlertConfig tunes an AlertEngine.
 type AlertConfig struct {
-	// Interval is the background evaluation cadence. > 0 starts an
-	// evaluator goroutine; <= 0 disables it and every /alerts request
-	// evaluates once first — the deterministic mode tests (and pull-based
-	// setups) use.
-	Interval time.Duration
 	// For is the hysteresis: a rule must breach continuously this long
 	// before it fires (0 fires on the first breach).
 	For time.Duration
@@ -331,28 +323,19 @@ type alertState struct {
 // advhunter_alert_active{rule} gauge (1 while firing), transitions as the
 // advhunter_alert_fired_total{rule} counter and structured log records, and
 // the full state as the /alerts JSON endpoint — so alerts are visible to a
-// scraper, a log pipeline, and a human, from one evaluation path.
+// scraper, a log pipeline, and a human, from one evaluation path. It runs no
+// goroutine of its own: the recorder's Run evaluates it after each sample.
 type AlertEngine struct {
 	rec *Recorder
 	cfg AlertConfig
 
 	mu     sync.Mutex
 	states []*alertState
-
-	stopOnce sync.Once
-	stop     chan struct{}
-	done     chan struct{}
 }
 
-// NewAlertEngine builds an engine over rec, registering its gauges on reg,
-// and starts the background evaluator when cfg.Interval > 0.
+// NewAlertEngine builds an engine over rec, registering its gauges on reg.
 func NewAlertEngine(reg *Registry, rec *Recorder, rules []Rule, cfg AlertConfig) *AlertEngine {
-	e := &AlertEngine{
-		rec:  rec,
-		cfg:  cfg,
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
-	}
+	e := &AlertEngine{rec: rec, cfg: cfg}
 	activeVec := reg.Gauge("advhunter_alert_active",
 		"1 while the alert rule is firing, 0 otherwise.", "rule")
 	firedVec := reg.Counter("advhunter_alert_fired_total",
@@ -367,37 +350,11 @@ func NewAlertEngine(reg *Registry, rec *Recorder, rules []Rule, cfg AlertConfig)
 		st.active.Set(0)
 		e.states = append(e.states, st)
 	}
-	if cfg.Interval > 0 {
-		go e.loop()
-	} else {
-		close(e.done)
-	}
 	return e
 }
 
-func (e *AlertEngine) loop() {
-	defer close(e.done)
-	tick := time.NewTicker(e.cfg.Interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-tick.C:
-			e.EvalOnce(time.Now())
-		case <-e.stop:
-			return
-		}
-	}
-}
-
-// Stop halts the background evaluator (if any) and waits for it. Idempotent.
-func (e *AlertEngine) Stop() {
-	e.stopOnce.Do(func() { close(e.stop) })
-	<-e.done
-}
-
 // EvalOnce evaluates every rule against the recorder at now and applies
-// state transitions. The background loop calls it on its interval; manual
-// engines evaluate on each /alerts request (and tests call it directly).
+// state transitions. Run calls it after each sample; tests call it directly.
 func (e *AlertEngine) EvalOnce(now time.Time) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -478,27 +435,9 @@ func (e *AlertEngine) Snapshot() []AlertView {
 	return views
 }
 
-// Firing reports whether the named rule is currently firing.
-func (e *AlertEngine) Firing(rule string) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for _, st := range e.states {
-		if st.rule.Name() == rule {
-			return st.state == AlertFiring
-		}
-	}
-	return false
-}
-
-// Handler serves the engine as /alerts JSON. A manual engine (Interval <= 0)
-// takes a fresh recorder sample and evaluates once per request, so pulling
-// /alerts is itself the evaluation cadence.
+// Handler serves the engine's current rule states as /alerts JSON.
 func (e *AlertEngine) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		if e.cfg.Interval <= 0 {
-			e.rec.Sample()
-			e.EvalOnce(time.Now())
-		}
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", " ")

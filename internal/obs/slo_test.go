@@ -16,7 +16,6 @@ func TestLatencyBurnRule(t *testing.T) {
 	reg := NewRegistry()
 	h := reg.Histogram("advhunter_request_duration_seconds", "lat.", []float64{0.01, 0.1, 1}).With()
 	rec := NewRecorder(RecorderConfig{}, reg)
-	defer rec.Stop()
 
 	rule := &LatencyBurnRule{RuleName: "latency-p99", Family: "advhunter_request_duration_seconds",
 		Q: 0.99, Threshold: 0.05}
@@ -55,7 +54,6 @@ func TestErrorRateRule(t *testing.T) {
 		req.With(code)
 	}
 	rec := NewRecorder(RecorderConfig{}, reg)
-	defer rec.Stop()
 
 	rule := &ErrorRateRule{RuleName: "error-rate", Family: "advhunter_requests_total",
 		Threshold: 0.1, MinRate: 0.001}
@@ -100,7 +98,6 @@ func TestDriftRule(t *testing.T) {
 	scans := reg.Counter("advhunter_scans_total", "scans.", "backend").With("gmm")
 	flagged := reg.Counter("advhunter_flagged_total", "flagged.", "backend").With("gmm")
 	rec := NewRecorder(RecorderConfig{}, reg)
-	defer rec.Stop()
 
 	rule := &DriftRule{RuleName: "detect-drift",
 		Scans: "advhunter_scans_total", Flagged: "advhunter_flagged_total",
@@ -169,7 +166,6 @@ func TestDriftRuleExplicitBaseline(t *testing.T) {
 	scans := reg.Counter("s_total", "s.").With()
 	flagged := reg.Counter("f_total", "f.").With()
 	rec := NewRecorder(RecorderConfig{}, reg)
-	defer rec.Stop()
 
 	rule := &DriftRule{RuleName: "d", Scans: "s_total", Flagged: "f_total",
 		CleanRate: 0.05, CleanStd: 0.01, MinScans: 10}
@@ -207,17 +203,15 @@ func (r *fakeRule) set(breach, ready bool, v, thr float64) {
 func TestAlertEngineTransitions(t *testing.T) {
 	reg := NewRegistry()
 	rec := NewRecorder(RecorderConfig{}, NewRegistry())
-	defer rec.Stop()
 	var logBuf bytes.Buffer
 	logger := slog.New(slog.NewJSONHandler(&logBuf, nil))
 	rule := &fakeRule{name: "r1"}
 	eng := NewAlertEngine(reg, rec, []Rule{rule}, AlertConfig{For: 10 * time.Millisecond, Logger: logger})
-	defer eng.Stop()
 
 	now := time.Now()
 	rule.set(true, true, 0.5, 0.1)
 	eng.EvalOnce(now)
-	if eng.Firing("r1") {
+	if eng.Snapshot()[0].State == AlertFiring {
 		t.Fatal("fired before For elapsed")
 	}
 	views := eng.Snapshot()
@@ -234,7 +228,7 @@ func TestAlertEngineTransitions(t *testing.T) {
 
 	rule.set(true, true, 0.5, 0.1)
 	eng.EvalOnce(now.Add(15 * time.Millisecond))
-	if !eng.Firing("r1") {
+	if eng.Snapshot()[0].State != AlertFiring {
 		t.Fatal("did not fire after For elapsed")
 	}
 	if !strings.Contains(logBuf.String(), "alert firing") {
@@ -255,7 +249,7 @@ func TestAlertEngineTransitions(t *testing.T) {
 
 	rule.set(false, true, 0.01, 0.1)
 	eng.EvalOnce(now.Add(20 * time.Millisecond))
-	if eng.Firing("r1") {
+	if eng.Snapshot()[0].State == AlertFiring {
 		t.Fatal("did not resolve")
 	}
 	if !strings.Contains(logBuf.String(), "alert resolved") {
@@ -272,27 +266,26 @@ func TestAlertEngineTransitions(t *testing.T) {
 func TestAlertEngineImmediateFire(t *testing.T) {
 	reg := NewRegistry()
 	rec := NewRecorder(RecorderConfig{}, NewRegistry())
-	defer rec.Stop()
 	rule := &fakeRule{name: "fast"}
 	eng := NewAlertEngine(reg, rec, []Rule{rule}, AlertConfig{})
-	defer eng.Stop()
 	rule.set(true, true, 1, 0.1)
 	eng.EvalOnce(time.Now())
-	if !eng.Firing("fast") {
+	if eng.Snapshot()[0].State != AlertFiring {
 		t.Fatal("For=0 did not fire immediately")
 	}
 }
 
-// TestAlertEngineBackground: a positive interval runs the evaluator, so a
-// breaching rule fires — and its advhunter_alert_active gauge reads 1 — with
-// no /alerts request; Stop halts it and is idempotent.
+// TestAlertEngineBackground: the recorder's Run evaluates the engine after
+// each sample, so a breaching rule fires — and its advhunter_alert_active
+// gauge reads 1 — with no /alerts request; stop halts the loop and returns
+// twice.
 func TestAlertEngineBackground(t *testing.T) {
 	reg := NewRegistry()
 	rec := NewRecorder(RecorderConfig{}, NewRegistry())
-	defer rec.Stop()
 	rule := &fakeRule{name: "hot"}
-	rule.set(true, true, 1, 0.1) // before the evaluator starts reading it
-	eng := NewAlertEngine(reg, rec, []Rule{rule}, AlertConfig{Interval: time.Millisecond})
+	rule.set(true, true, 1, 0.1) // before the loop starts reading it
+	eng := NewAlertEngine(reg, rec, []Rule{rule}, AlertConfig{})
+	stop := rec.Run(time.Millisecond, eng)
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		var b strings.Builder
@@ -301,26 +294,24 @@ func TestAlertEngineBackground(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("background evaluator never fired the breaching rule:\n%s", b.String())
+			t.Fatalf("Run never fired the breaching rule:\n%s", b.String())
 		}
 		time.Sleep(time.Millisecond)
 	}
-	eng.Stop()
-	eng.Stop() // idempotent
+	stop()
+	stop() // idempotent
 }
 
-// TestAlertsHandler: a manual engine evaluates on GET and serves the rule
-// states as JSON.
+// TestAlertsHandler: /alerts serves the rule states the last evaluation
+// left, as JSON.
 func TestAlertsHandler(t *testing.T) {
 	reg := NewRegistry()
 	scans := reg.Counter("s_total", "s.").With()
 	flagged := reg.Counter("f_total", "f.").With()
 	rec := NewRecorder(RecorderConfig{}, reg)
-	defer rec.Stop()
 	rule := &DriftRule{RuleName: "drift", Scans: "s_total", Flagged: "f_total",
 		CleanRate: 0.05, CleanStd: 0.01, MinScans: 10}
 	eng := NewAlertEngine(reg, rec, []Rule{rule}, AlertConfig{})
-	defer eng.Stop()
 
 	get := func() []AlertView {
 		t.Helper()
@@ -335,12 +326,19 @@ func TestAlertsHandler(t *testing.T) {
 		return page.Alerts
 	}
 
+	// tick is what Run does on each tick; the handler only renders the
+	// states it leaves.
+	tick := func() {
+		rec.Sample()
+		eng.EvalOnce(time.Now())
+	}
+	tick()
 	if alerts := get(); len(alerts) != 1 || alerts[0].State != AlertOK {
 		t.Fatalf("initial page = %+v", alerts)
 	}
 	scans.Add(100)
 	flagged.Add(40)
-	// The manual handler samples and evaluates per GET — no test-side Sample.
+	tick()
 	alerts := get()
 	if alerts[0].State != AlertFiring || alerts[0].FiredTotal != 1 {
 		t.Fatalf("after ramp = %+v", alerts)

@@ -226,8 +226,7 @@ func (tc TraceContext) stage(name string, start time.Time, d time.Duration) {
 }
 
 // WithTrace returns a context carrying the record as the active trace, so
-// spans ending anywhere under it (worker goroutines included) land their
-// timings in the record.
+// spans ending anywhere under it land their timings in the record.
 func WithTrace(ctx context.Context, t *TraceRecord) context.Context {
 	if t == nil {
 		return ctx

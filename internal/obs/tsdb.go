@@ -13,31 +13,18 @@ import (
 
 // RecorderConfig tunes a flight recorder.
 type RecorderConfig struct {
-	// Interval is the background sampling cadence. > 0 starts a sampler
-	// goroutine (stop it with Stop); <= 0 disables it — samples are taken
-	// only on explicit Sample calls, the deterministic mode tests drive.
-	Interval time.Duration
-	// Samples caps each series ring (default 256). At the default 1 s
-	// interval that is ~4 minutes of history per series.
+	// Samples caps each series ring (default 256). Sampled every second,
+	// that is ~4 minutes of history per series.
 	Samples int
-	// Keep filters families by name; nil keeps everything the registries
-	// export.
-	Keep func(family string) bool
 }
 
-func (c RecorderConfig) withDefaults() RecorderConfig {
-	if c.Samples <= 0 {
-		c.Samples = 256
-	}
-	return c
-}
-
-// Recorder is the flight recorder: a background sampler that snapshots every
-// (kept) registry series into a fixed-size ring of timestamped values, giving
-// the running process a queryable short-term history — windowed counter
+// Recorder is the flight recorder: each Sample snapshots every registry
+// series into a fixed-size ring of timestamped values, giving the running
+// process a queryable short-term history — windowed counter
 // rates, histogram quantiles over the last N seconds — where a bare /metrics
 // scrape only has the current point. It is strictly observe-only: sampling
-// walks the registries exactly like a scrape does.
+// walks the registries exactly like a scrape does. It runs no goroutine of
+// its own; Run is the one clock that samples it.
 //
 // Series keys are the rendered exposition keys (const labels included), so a
 // recorder over a cluster's merged registry set holds per-replica series side
@@ -49,10 +36,6 @@ type Recorder struct {
 	mu     sync.RWMutex
 	series map[string]*ringSeries
 	order  []string // insertion order, for stable /debug/flight output
-
-	stopOnce sync.Once
-	stop     chan struct{}
-	done     chan struct{}
 }
 
 // ringSeries is one series' history: a circular buffer of (time, value).
@@ -96,16 +79,13 @@ func (s *ringSeries) window(since int64) (t0, t1 int64, v0, v1 float64, ok bool)
 }
 
 // NewRecorder builds a recorder over the given registries (nil and repeated
-// entries are skipped), takes one immediate sample so Latest works from the
-// first instant, and starts the background sampler when cfg.Interval > 0.
+// entries are skipped) and takes one immediate sample so Latest works from
+// the first instant.
 func NewRecorder(cfg RecorderConfig, regs ...*Registry) *Recorder {
-	cfg = cfg.withDefaults()
-	rc := &Recorder{
-		cfg:    cfg,
-		series: make(map[string]*ringSeries),
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
+	if cfg.Samples <= 0 {
+		cfg.Samples = 256
 	}
+	rc := &Recorder{cfg: cfg, series: make(map[string]*ringSeries)}
 	seen := make(map[*Registry]bool, len(regs))
 	for _, r := range regs {
 		if r == nil || seen[r] {
@@ -115,46 +95,48 @@ func NewRecorder(cfg RecorderConfig, regs ...*Registry) *Recorder {
 		rc.regs = append(rc.regs, r)
 	}
 	rc.Sample()
-	if cfg.Interval > 0 {
-		go rc.loop()
-	} else {
-		close(rc.done)
-	}
 	return rc
 }
 
-func (rc *Recorder) loop() {
-	defer close(rc.done)
-	tick := time.NewTicker(rc.cfg.Interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-tick.C:
-			rc.Sample()
-		case <-rc.stop:
-			return
+// Run starts the one observability loop: every tick it samples the
+// registries and then, when alerts is non-nil, evaluates its rules against
+// the fresh sample, so the recorder and the alert engine can never run on
+// different clocks. stop halts the loop and waits for its goroutine to exit;
+// the recorded history and the alert states stay queryable. stop is
+// idempotent.
+func (rc *Recorder) Run(every time.Duration, alerts *AlertEngine) (stop func()) {
+	quit, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		tick := time.NewTicker(every)
+		defer tick.Stop()
+		for {
+			select {
+			case <-tick.C:
+				rc.Sample()
+				if alerts != nil {
+					alerts.EvalOnce(time.Now())
+				}
+			case <-quit:
+				return
+			}
 		}
+	}()
+	var once sync.Once
+	return func() {
+		once.Do(func() { close(quit) })
+		<-done
 	}
 }
 
-// Stop halts the background sampler (if any) and waits for it to exit. The
-// recorded history stays queryable; only sampling stops. Idempotent.
-func (rc *Recorder) Stop() {
-	rc.stopOnce.Do(func() { close(rc.stop) })
-	<-rc.done
-}
-
-// Sample takes one sweep over every registry now. The background sampler
-// calls it on its interval; tests call it directly for deterministic rings.
+// Sample takes one sweep over every registry now. Run calls it on each tick;
+// tests call it directly for deterministic rings.
 func (rc *Recorder) Sample() {
 	now := time.Now().UnixNano()
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	for _, r := range rc.regs {
 		r.EachSeries(func(s SeriesSample) {
-			if rc.cfg.Keep != nil && !rc.cfg.Keep(s.Family) {
-				return
-			}
 			rs, ok := rc.series[s.Key]
 			if !ok {
 				rs = &ringSeries{
@@ -311,7 +293,6 @@ type flightSeries struct {
 // flightPage is the /debug/flight JSON document.
 type flightPage struct {
 	Now           time.Time                     `json:"now"`
-	IntervalSecs  float64                       `json:"interval_seconds"`
 	WindowSecs    float64                       `json:"window_seconds"`
 	SeriesCount   int                           `json:"series_count"`
 	Rates         map[string]float64            `json:"rates"`     // counter family → req/s over window
@@ -337,7 +318,6 @@ func (rc *Recorder) Handler() http.Handler {
 
 		page := flightPage{
 			Now:           time.Now(),
-			IntervalSecs:  rc.cfg.Interval.Seconds(),
 			WindowSecs:    window.Seconds(),
 			Rates:         make(map[string]float64),
 			Quantiles:     make(map[string]map[string]float64),

@@ -42,6 +42,41 @@ func TestEachSeriesMatchesRender(t *testing.T) {
 	if n != 9 {
 		t.Fatalf("EachSeries visited %d series, want 9", n)
 	}
+
+	// Order, not just identity: on two const-labelled registries whose
+	// families hold six children created out of label order, each
+	// registry's walk yields its keys in exactly the order its lines appear
+	// on the merged page.
+	replicas := []string{"0", "1"}
+	var regs []*Registry
+	for _, replica := range replicas {
+		r := NewRegistry()
+		codes := r.Counter("advhunter_requests_total", "reqs.", "code")
+		lat := r.Histogram("lat_seconds", "hist.", []float64{0.1}, "route")
+		for _, code := range []string{"503", "200", "429", "500", "400", "201"} {
+			codes.With(code).Inc()
+			lat.With(code).Observe(0.05)
+		}
+		r.SetConstLabels("replica", replica)
+		regs = append(regs, r)
+	}
+	b.Reset()
+	if _, err := WriteMerged(&b, regs...); err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range regs {
+		var walked, rendered []string
+		r.EachSeries(func(s SeriesSample) { walked = append(walked, s.Key) })
+		for _, line := range strings.Split(b.String(), "\n") {
+			if strings.Contains(line, `replica="`+replicas[i]+`"`) {
+				rendered = append(rendered, line[:strings.LastIndexByte(line, ' ')])
+			}
+		}
+		if strings.Join(walked, "\n") != strings.Join(rendered, "\n") {
+			t.Errorf("replica %d: EachSeries order differs from the rendered page.\nwalked:\n%s\nrendered:\n%s",
+				i, strings.Join(walked, "\n"), strings.Join(rendered, "\n"))
+		}
+	}
 }
 
 // TestEachSeriesHistogramShape: histogram component samples share a group,
@@ -76,15 +111,52 @@ func TestEachSeriesHistogramShape(t *testing.T) {
 	}
 }
 
-// TestRecorderManualMode: with Interval <= 0 no goroutine runs; explicit
-// Sample calls build the rings and Latest/LatestFamily read them back.
+// TestEachSeriesHistogramNeverTears: an observation landing mid-walk never
+// shows up in the +Inf bucket alone. Every observation here falls in the
+// first bucket, so each walk must report +Inf equal to the widest finite
+// bucket; a torn read would make a windowed p99 jump to the last bound.
+func TestEachSeriesHistogramNeverTears(t *testing.T) {
+	reg := NewRegistry()
+	h := reg.Histogram("h_seconds", "hist.", []float64{0.1, 1}).With()
+	quit, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-quit:
+				return
+			default:
+				h.Observe(0.05)
+			}
+		}
+	}()
+	defer func() {
+		close(quit)
+		<-done
+	}()
+	for end := time.Now().Add(200 * time.Millisecond); time.Now().Before(end); {
+		var widest, inf float64
+		reg.EachSeries(func(s SeriesSample) {
+			if s.Le == 1 {
+				widest = s.Value
+			} else if math.IsInf(s.Le, 1) {
+				inf = s.Value
+			}
+		})
+		if inf != widest {
+			t.Fatalf("+Inf bucket %v != le=1 bucket %v with every observation in le=0.1", inf, widest)
+		}
+	}
+}
+
+// TestRecorderManualMode: without Run no goroutine samples; explicit Sample
+// calls build the rings and Latest/LatestFamily read them back.
 func TestRecorderManualMode(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("advhunter_scans_total", "scans.", "backend").With("gmm")
 	c.Add(10)
 
 	rec := NewRecorder(RecorderConfig{}, reg, nil, reg) // nil and dup skipped
-	defer rec.Stop()
 
 	if v, ok := rec.Latest(`advhunter_scans_total{backend="gmm"}`); !ok || v != 10 {
 		t.Fatalf("Latest after construction = %v,%v; want 10,true", v, ok)
@@ -106,7 +178,6 @@ func TestRecorderRate(t *testing.T) {
 	ok200.Add(10)
 
 	rec := NewRecorder(RecorderConfig{}, reg)
-	defer rec.Stop()
 
 	time.Sleep(5 * time.Millisecond)
 	ok200.Add(30) // +30
@@ -143,7 +214,6 @@ func TestRecorderQuantile(t *testing.T) {
 	h1 := h.With("1")
 
 	rec := NewRecorder(RecorderConfig{}, reg)
-	defer rec.Stop()
 
 	if !math.IsNaN(rec.Quantile("lat_seconds", 0.5, time.Minute)) {
 		t.Fatal("quantile with no observations should be NaN")
@@ -173,12 +243,13 @@ func TestRecorderQuantile(t *testing.T) {
 	}
 }
 
-// TestRecorderBackground: a positive interval runs the sampler; Stop halts
-// it and is idempotent.
+// TestRecorderBackground: Run samples on its ticker with no alert engine;
+// its stop halts the loop, returns twice, and sampling stays stopped.
 func TestRecorderBackground(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("ticks_total", "ticks.").With()
-	rec := NewRecorder(RecorderConfig{Interval: time.Millisecond, Samples: 8}, reg)
+	rec := NewRecorder(RecorderConfig{Samples: 8}, reg)
+	stop := rec.Run(time.Millisecond, nil)
 	c.Add(1)
 	deadline := time.Now().Add(2 * time.Second)
 	for {
@@ -186,12 +257,17 @@ func TestRecorderBackground(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("background sampler never observed the increment")
+			t.Fatal("Run never sampled the increment")
 		}
 		time.Sleep(time.Millisecond)
 	}
-	rec.Stop()
-	rec.Stop() // idempotent
+	stop()
+	stop() // idempotent
+	c.Add(1)
+	time.Sleep(5 * time.Millisecond)
+	if v, _ := rec.Latest("ticks_total"); v != 1 {
+		t.Fatalf("sampled %v after stop, want the last value 1", v)
+	}
 }
 
 // TestRecorderRingWrap: rings hold the last Samples points and the oldest
@@ -200,7 +276,6 @@ func TestRecorderRingWrap(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("w_total", "w.").With()
 	rec := NewRecorder(RecorderConfig{Samples: 4}, reg)
-	defer rec.Stop()
 	for i := 0; i < 10; i++ {
 		c.Inc()
 		rec.Sample()
@@ -219,23 +294,6 @@ func TestRecorderRingWrap(t *testing.T) {
 	}
 }
 
-// TestRecorderKeep: the Keep filter drops families at sampling time.
-func TestRecorderKeep(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("keep_total", "k.").With().Inc()
-	reg.Counter("drop_total", "d.").With().Inc()
-	rec := NewRecorder(RecorderConfig{
-		Keep: func(family string) bool { return family == "keep_total" },
-	}, reg)
-	defer rec.Stop()
-	if _, ok := rec.Latest("keep_total"); !ok {
-		t.Fatal("kept family missing")
-	}
-	if _, ok := rec.Latest("drop_total"); ok {
-		t.Fatal("dropped family recorded")
-	}
-}
-
 // TestFlightHandler: /debug/flight renders rates, quantiles and series, and
 // honours the series filter and points parameters.
 func TestFlightHandler(t *testing.T) {
@@ -246,7 +304,6 @@ func TestFlightHandler(t *testing.T) {
 	h.Observe(0.05)
 
 	rec := NewRecorder(RecorderConfig{}, reg)
-	defer rec.Stop()
 	time.Sleep(2 * time.Millisecond)
 	c.Add(8)
 	h.Observe(0.05)

@@ -15,8 +15,8 @@ import (
 	"advhunter/internal/obs"
 )
 
-// lockedBuffer serialises log writes from handler and worker goroutines so
-// the test can read complete JSON lines.
+// lockedBuffer serialises log writes from handler goroutines and the
+// observability loop so the test can read complete JSON lines.
 type lockedBuffer struct {
 	mu sync.Mutex
 	b  bytes.Buffer
@@ -125,8 +125,8 @@ func TestMetricsExposition(t *testing.T) {
 // TestObsIsObserveOnly is the determinism guard for the observability layer:
 // a server with every observability surface enabled — debug-level JSON
 // logging (which also emits every span record), the trace ring with a JSONL
-// sink, and a flight recorder and alert engine over its registry, both
-// running in the background throughout the traffic — must return
+// sink, and a flight recorder and alert engine over its registry, sampled
+// and evaluated by the one loop at 1 ms throughout the traffic — must return
 // byte-identical /detect responses to a server with all of it off.
 // Instrumentation observes the pipeline; it never steers it.
 func TestObsIsObserveOnly(t *testing.T) {
@@ -143,12 +143,10 @@ func TestObsIsObserveOnly(t *testing.T) {
 		TraceRing: 32,
 		TraceLog:  &traceLog,
 	})
-	flight := obs.NewRecorder(obs.RecorderConfig{Interval: time.Millisecond}, loud.Registry())
-	defer flight.Stop()
-	alerts := obs.NewAlertEngine(loud.Registry(), flight, DefaultAlertRules(), obs.AlertConfig{
-		Interval: time.Millisecond, Logger: verbose,
-	})
-	defer alerts.Stop()
+	flight := obs.NewRecorder(obs.RecorderConfig{}, loud.Registry())
+	alerts := obs.NewAlertEngine(loud.Registry(), flight, DefaultAlertRules(), obs.AlertConfig{Logger: verbose})
+	stop := flight.Run(time.Millisecond, alerts)
+	defer stop()
 
 	queries := make([]Request, 0, 8)
 	for i := 0; i < 4; i++ {
@@ -234,8 +232,7 @@ func TestObsIsObserveOnly(t *testing.T) {
 	}
 
 	// The loud server's log is a stream of JSON records, every one carrying
-	// the propagated request_id, including span records emitted from worker
-	// goroutines.
+	// the propagated request_id, span records included.
 	var requests, spans int
 	stages := map[string]bool{}
 	for _, line := range strings.Split(strings.TrimSpace(logs.String()), "\n") {

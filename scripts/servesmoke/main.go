@@ -61,10 +61,9 @@ func run(bin, scenario string, bodies [][]byte) error {
 		"-workers", "2",
 		"-tier", "auto", // exercises the twin-table load (or profile) path too
 		"-pprof",
-		// The observability stack, in its deterministic form: a manual-mode
-		// flight recorder (sampled per query, no goroutine), a trace ring,
-		// and the stock alert rules evaluated on each /alerts request.
-		"-flight=-1s", "-trace-ring", "64", "-alerts",
+		// The observability stack: a flight recorder sampled every 100 ms,
+		// the stock alert rules evaluated on each sample, and a trace ring.
+		"-flight=100ms", "-trace-ring", "64", "-alerts",
 		"-log-format", "json", "-log-level", "info",
 		"-v")
 	stdout, err := cmd.StdoutPipe()
@@ -170,12 +169,12 @@ func run(bin, scenario string, bodies [][]byte) error {
 }
 
 // obsSmoke exercises the observability surfaces after the burst: the
-// flight recorder page (manual mode samples on each query), the request-trace
-// ring (the burst must have left traces carrying request ids), the alerts
-// page with the stock rules, and one frame of `advhunter watch` — the
-// operator dashboard driven purely over HTTP.
+// flight recorder page (whose sampling loop must have picked the burst up),
+// the request-trace ring (the burst must have left traces carrying request
+// ids), the alerts page with the stock rules, and one frame of `advhunter
+// watch` — the operator dashboard driven purely over HTTP.
 func obsSmoke(bin, base string) error {
-	flight, err := get(base + "/debug/flight")
+	flight, err := awaitFlightRate(base)
 	if err != nil {
 		return err
 	}
@@ -247,7 +246,7 @@ func runCluster(bin, scenario string, bodies [][]byte) error {
 		// Cluster-level observability: the router's flight recorder spans
 		// every replica registry, replicas keep trace rings the merged
 		// /debug/trace page reads, and the alert engine judges fleet totals.
-		"-flight=-1s", "-trace-ring", "16", "-alerts",
+		"-flight=100ms", "-trace-ring", "16", "-alerts",
 		"-log-format", "json", "-log-level", "info",
 		"-v")
 	stdout, err := cmd.StdoutPipe()
@@ -317,11 +316,11 @@ func runCluster(bin, scenario string, bodies [][]byte) error {
 		return fmt.Errorf("cluster /metrics shows no replica-labelled 200s after the burst:\n%s", metrics)
 	}
 
-	// The fleet observability surfaces: flight history carrying
-	// replica-labelled series, the merged trace page, and fleet alerts.
-	flight, err := get(base + "/debug/flight")
+	// The fleet observability surfaces: flight history carrying the burst
+	// and replica-labelled series, the merged trace page, and fleet alerts.
+	flight, err := awaitFlightRate(base)
 	if err != nil {
-		return err
+		return fmt.Errorf("cluster %w", err)
 	}
 	for _, want := range []string{`"series_count"`, `replica=\"0\"`, `replica=\"1\"`} {
 		if !strings.Contains(string(flight), want) {
@@ -394,6 +393,33 @@ func burst(base string, bodies [][]byte) error {
 	}
 	fmt.Printf("servesmoke: burst answered %d/%d requests\n", len(bodies), len(bodies))
 	return nil
+}
+
+// awaitFlightRate polls /debug/flight for up to 5 s until the flight
+// recorder's sampling loop shows a positive request rate — the proof that
+// the recorder samples on its own, with no other endpoint queried — and
+// returns that page.
+func awaitFlightRate(base string) ([]byte, error) {
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		body, err := get(base + "/debug/flight?window=30s")
+		if err != nil {
+			return nil, err
+		}
+		var page struct {
+			Rates map[string]float64 `json:"rates"`
+		}
+		if err := json.Unmarshal(body, &page); err != nil {
+			return nil, fmt.Errorf("/debug/flight is not JSON: %w", err)
+		}
+		if page.Rates["advhunter_requests_total"] > 0 {
+			return body, nil
+		}
+		if time.Now().After(deadline) {
+			return nil, fmt.Errorf("/debug/flight shows no request rate 5s after the burst: rates %v", page.Rates)
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
 }
 
 // parseAddr extracts the listen address from the serve announcement line,
