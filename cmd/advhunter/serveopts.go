@@ -72,10 +72,16 @@ func serveFlags(fs *flag.FlagSet) serveOpts {
 	}
 }
 
-// validate rejects bad tier, decision-event and observability selections —
-// cheap checks run before any model loads, so a typo fails in milliseconds,
-// not after training.
+// validate rejects bad admission, tier, decision-event and observability
+// selections — cheap checks run before any model loads, so a typo fails in
+// milliseconds, not after training.
 func (o serveOpts) validate() error {
+	if *o.queue < 1 {
+		return fmt.Errorf("-queue %d: want at least 1 request admitted beyond the replicas", *o.queue)
+	}
+	if *o.timeout <= 0 {
+		return fmt.Errorf("-timeout %v: want a positive budget", *o.timeout)
+	}
 	switch *o.tier {
 	case serve.TierExact, serve.TierAuto:
 	default:

@@ -58,6 +58,27 @@ func TestServeOptsValidateObservability(t *testing.T) {
 	}
 }
 
+// TestServeOptsValidateAdmission: a -queue below 1 and a non-positive
+// -timeout are rejected before any model loads, rather than silently served
+// with the defaults.
+func TestServeOptsValidateAdmission(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		ok   bool
+	}{
+		{[]string{"-queue=1"}, true},
+		{[]string{"-timeout=1ms"}, true},
+		{[]string{"-queue=0"}, false},
+		{[]string{"-queue=-3"}, false},
+		{[]string{"-timeout=0"}, false},
+		{[]string{"-timeout=-1s"}, false},
+	} {
+		if err := parseServeFlags(t, tc.args...).validate(); (err == nil) != tc.ok {
+			t.Errorf("validate(%v) = %v, want ok %t", tc.args, err, tc.ok)
+		}
+	}
+}
+
 // obsGoroutines counts the running goroutines that package obs started.
 func obsGoroutines() int {
 	buf := make([]byte, 1<<20)

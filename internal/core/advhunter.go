@@ -10,8 +10,6 @@
 package core
 
 import (
-	"time"
-
 	"advhunter/internal/data"
 	"advhunter/internal/engine"
 	"advhunter/internal/rng"
@@ -57,15 +55,6 @@ type Measurer struct {
 	// calls are unaffected.
 	Workers int
 
-	// Observe, when set, receives every completed measurement and its
-	// wall-clock duration (simulated inference plus the R noisy readings).
-	// It is observe-only instrumentation: it must not mutate the measurement
-	// or feed anything back into the pipeline, so results are identical with
-	// or without it. The serve layer points it at its metrics registry
-	// (inference-duration histogram, per-event HPC gauges). Replicas share
-	// the hook (Clone copies it), so it must be safe for concurrent calls.
-	Observe func(d time.Duration, m Measurement)
-
 	// next indexes sequential Measure calls so that a scan sequence is as
 	// deterministic as a batch measurement. Not synchronised: a Measurer's
 	// sequential API is single-goroutine, like the engine it owns.
@@ -109,7 +98,6 @@ func (m *Measurer) Clone() *Measurer {
 		Seed:    m.Seed,
 		R:       m.R,
 		Workers: m.Workers,
-		Observe: m.Observe,
 	}
 }
 
@@ -167,10 +155,6 @@ func (m *Measurer) MeasureAt(i uint64, x *tensor.Tensor) Measurement {
 // hits and stores nothing. A cache holds one measurer's kind of truth: exact
 // and twin counts for the same input differ, so the two never share one.
 func (m *Measurer) MeasureAtCached(cache *TruthCache, i uint64, x *tensor.Tensor) (Measurement, bool) {
-	var start time.Time
-	if m.Observe != nil {
-		start = time.Now()
-	}
 	key := cache.Key(x)
 	t, hit := cache.Get(key)
 	if !hit {
@@ -182,9 +166,6 @@ func (m *Measurer) MeasureAtCached(cache *TruthCache, i uint64, x *tensor.Tensor
 		TrueLabel: -1,
 		Counts:    m.scratch.at(m.Noise, m.Seed, i).MeasureMean(t.Counts, m.R),
 		Conf:      t.Conf,
-	}
-	if m.Observe != nil {
-		m.Observe(time.Since(start), meas)
 	}
 	return meas, hit
 }

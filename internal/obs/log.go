@@ -8,27 +8,20 @@ import (
 	"strings"
 )
 
-// ctxKey keys the values this package threads through contexts.
-type ctxKey int
-
-const (
-	requestIDKey ctxKey = iota
-	tracerKey
-	traceKey
-)
+// requestIDKey keys the request id WithRequestID threads through contexts.
+type requestIDKey struct{}
 
 // WithRequestID returns a context carrying a request id. Every log record
 // emitted through a logger built by NewLogger with that context attaches it
-// as the request_id attribute, and spans started under it tag their debug
-// records the same way — one grep (or jq filter) follows a request across
-// layers.
+// as the request_id attribute — one grep (or jq filter) follows a request
+// across layers.
 func WithRequestID(ctx context.Context, id string) context.Context {
-	return context.WithValue(ctx, requestIDKey, id)
+	return context.WithValue(ctx, requestIDKey{}, id)
 }
 
 // RequestIDFrom extracts the request id, if any.
 func RequestIDFrom(ctx context.Context) (string, bool) {
-	id, ok := ctx.Value(requestIDKey).(string)
+	id, ok := ctx.Value(requestIDKey{}).(string)
 	return id, ok
 }
 

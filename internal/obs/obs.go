@@ -1,8 +1,8 @@
 // Package obs is the repository's observability layer: a dependency-free
 // metrics registry rendered in Prometheus text exposition format, structured
-// logging on log/slog with per-request id propagation, and lightweight
-// tracing spans that turn pipeline-stage durations into histograms and debug
-// log records.
+// logging on log/slog with per-request id propagation, and a pooled ring of
+// per-request trace records (wide events) that callers fill with their own
+// stage timings.
 //
 // The registry is built for hot paths: metric handles are resolved once
 // (a single map access under an RWMutex read lock) and then recorded with

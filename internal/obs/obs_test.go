@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"log/slog"
 	"math"
@@ -10,7 +9,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func render(t *testing.T, r *Registry) string {
@@ -205,46 +203,6 @@ func TestHandlerChainsRegistries(t *testing.T) {
 	if err := Lint([]byte(body)); err != nil {
 		t.Fatalf("chained exposition fails lint: %v", err)
 	}
-}
-
-func TestTracerRecordsStages(t *testing.T) {
-	r := NewRegistry()
-	var logBuf bytes.Buffer
-	logger, err := NewLogger(&logBuf, slog.LevelDebug, "json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := NewTracer(r, logger)
-	ctx := WithRequestID(WithTracer(context.Background(), tr), "r42")
-
-	ctx2, sp := StartSpan(ctx, "measure")
-	time.Sleep(time.Millisecond)
-	sp.End()
-	_, sp2 := StartSpan(ctx2, "score")
-	sp2.End()
-
-	out := render(t, r)
-	if !strings.Contains(out, `advhunter_stage_duration_seconds_count{stage="measure"} 1`) {
-		t.Fatalf("span did not land in stage histogram:\n%s", out)
-	}
-	if !strings.Contains(out, `advhunter_stage_duration_seconds_count{stage="score"} 1`) {
-		t.Fatalf("second span missing:\n%s", out)
-	}
-
-	// Debug records are JSON, carry the stage and the propagated request id.
-	dec := json.NewDecoder(&logBuf)
-	var rec map[string]any
-	if err := dec.Decode(&rec); err != nil {
-		t.Fatalf("span log is not JSON: %v", err)
-	}
-	if rec["stage"] != "measure" || rec["request_id"] != "r42" {
-		t.Fatalf("span record missing stage/request_id: %v", rec)
-	}
-}
-
-func TestStartSpanWithoutTracerIsNoop(t *testing.T) {
-	_, sp := StartSpan(context.Background(), "measure")
-	sp.End() // must not panic
 }
 
 func TestParseLevelAndLoggerFormats(t *testing.T) {

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -19,12 +18,11 @@ import (
 // its ring evicts, so the steady-state request path allocates nothing
 // (TestTraceRingAllocs holds that line).
 //
-// A record is owned by its request handler between Start and Finish; the
-// ctx-mediated writers (spans, the measure pool) go through TraceContext,
-// whose generation check turns writes into recycled records into no-ops.
+// A record is owned by its request handler between Start and Finish: every
+// write happens on that goroutine, and the mutex orders them against the
+// readers (Last, the sink).
 type TraceRecord struct {
 	mu        sync.Mutex
-	gen       uint64 // bumped on reset; TraceContext writes check it
 	id        string
 	start     time.Time
 	status    int
@@ -38,7 +36,7 @@ type TraceRecord struct {
 	stages    []stageTiming // capacity reused across recycles
 }
 
-// stageTiming is one finished span inside a trace record.
+// stageTiming is one finished pipeline stage inside a trace record.
 type stageTiming struct {
 	stage  string
 	offset time.Duration // from record start
@@ -48,7 +46,6 @@ type stageTiming struct {
 // reset prepares a (possibly recycled) record for a new request.
 func (t *TraceRecord) reset(id string) {
 	t.mu.Lock()
-	t.gen++
 	t.id = id
 	t.start = time.Now()
 	t.status = 0
@@ -123,8 +120,8 @@ func (t *TraceRecord) SetCacheHit(hit bool) {
 	t.mu.Unlock()
 }
 
-// AddStage appends one finished stage timing. Spans call it through
-// TraceContext; it is exported for direct owners (and the alloc gate).
+// AddStage appends one finished stage timing; a "queue" stage also sets the
+// record's queue wait.
 func (t *TraceRecord) AddStage(stage string, start time.Time, d time.Duration) {
 	if t == nil {
 		return
@@ -185,63 +182,6 @@ type StageView struct {
 	Stage      string  `json:"stage"`
 	OffsetMs   float64 `json:"offset_ms"`
 	DurationMs float64 `json:"duration_ms"`
-}
-
-// TraceContext is the ctx-carried handle instrumentation writes through: a
-// record pointer plus the generation it was issued for. The zero value (no
-// active trace) is a no-op, and a stale generation — the record was finished
-// and recycled to another request — turns writes into no-ops too, so a late
-// span from any context that outlives its handler can never corrupt a
-// stranger's record.
-type TraceContext struct {
-	rec *TraceRecord
-	gen uint64
-}
-
-// SetCacheHit records a truth-cache outcome on the active trace, if any.
-func (tc TraceContext) SetCacheHit(hit bool) {
-	if tc.rec == nil {
-		return
-	}
-	tc.rec.mu.Lock()
-	if tc.rec.gen == tc.gen {
-		tc.rec.cacheHit = hit
-	}
-	tc.rec.mu.Unlock()
-}
-
-// stage appends a finished span to the active trace, if it is still live.
-func (tc TraceContext) stage(name string, start time.Time, d time.Duration) {
-	if tc.rec == nil {
-		return
-	}
-	tc.rec.mu.Lock()
-	if tc.rec.gen == tc.gen {
-		tc.rec.stages = append(tc.rec.stages, stageTiming{stage: name, offset: start.Sub(tc.rec.start), dur: d})
-		if name == "queue" {
-			tc.rec.queueWait = d
-		}
-	}
-	tc.rec.mu.Unlock()
-}
-
-// WithTrace returns a context carrying the record as the active trace, so
-// spans ending anywhere under it land their timings in the record.
-func WithTrace(ctx context.Context, t *TraceRecord) context.Context {
-	if t == nil {
-		return ctx
-	}
-	t.mu.Lock()
-	tc := TraceContext{rec: t, gen: t.gen}
-	t.mu.Unlock()
-	return context.WithValue(ctx, traceKey, tc)
-}
-
-// TraceFrom extracts the active trace handle; the zero TraceContext when the
-// context carries none.
-func TraceFrom(ctx context.Context) TraceContext {
-	tc, _ := ctx.Value(traceKey).(TraceContext)
-	return tc
 }
 
 // TraceRing is a bounded ring of the most recent finished trace records plus

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"net/http/httptest"
 	"strconv"
@@ -48,8 +47,8 @@ func TestTraceRecordLifecycle(t *testing.T) {
 	}
 }
 
-// TestTraceNilSafety: a nil ring hands out nil records and the zero
-// TraceContext swallows writes — tracing-off costs no branches at call sites.
+// TestTraceNilSafety: a nil ring hands out nil records whose setters swallow
+// writes — tracing-off costs no branches at call sites.
 func TestTraceNilSafety(t *testing.T) {
 	var ring *TraceRing
 	rec := ring.Start("x")
@@ -61,62 +60,6 @@ func TestTraceNilSafety(t *testing.T) {
 	ring.Finish(rec)
 	if got := ring.Last(5); len(got) != 0 {
 		t.Fatalf("nil ring Last = %v", got)
-	}
-
-	ctx := WithTrace(context.Background(), nil)
-	tc := TraceFrom(ctx)
-	tc.SetCacheHit(true)
-	tc.stage("s", time.Now(), time.Second)
-}
-
-// TestTraceGenerationGuard: a TraceContext issued for one request cannot
-// write into the record after it has been recycled to a later request — the
-// late-span hazard (a context that outlives its handler writing after the
-// record was finished).
-func TestTraceGenerationGuard(t *testing.T) {
-	ring := NewTraceRing(1, nil)
-	first := ring.Start("first")
-	stale := TraceFrom(WithTrace(context.Background(), first))
-	ring.Finish(first)
-	// Ring size 1: starting two more requests recycles "first"'s record.
-	second := ring.Start("second")
-	ring.Finish(second)
-	third := ring.Start("third")
-
-	stale.SetCacheHit(true)
-	stale.stage("ghost", time.Now(), time.Second)
-
-	ring.Finish(third)
-	views := ring.Last(1)
-	if len(views) != 1 || views[0].ID != "third" {
-		t.Fatalf("views = %+v", views)
-	}
-	if views[0].CacheHit || len(views[0].Stages) != 0 {
-		t.Fatalf("stale write leaked into recycled record: %+v", views[0])
-	}
-}
-
-// TestSpanFeedsTrace: a span ended under a traced context lands its timing in
-// the record, alongside the stage histogram it always fed.
-func TestSpanFeedsTrace(t *testing.T) {
-	reg := NewRegistry()
-	tracer := NewTracer(reg, nil)
-	ring := NewTraceRing(2, nil)
-
-	rec := ring.Start("r1")
-	ctx := WithTrace(WithTracer(context.Background(), tracer), rec)
-	_, span := StartSpan(ctx, "measure")
-	span.End()
-	ring.Finish(rec)
-
-	views := ring.Last(1)
-	if len(views) != 1 || len(views[0].Stages) != 1 || views[0].Stages[0].Stage != "measure" {
-		t.Fatalf("span did not reach the trace record: %+v", views)
-	}
-	var b strings.Builder
-	WriteMerged(&b, reg)
-	if !strings.Contains(b.String(), `advhunter_stage_duration_seconds_count{stage="measure"} 1`) {
-		t.Fatal("span missed the stage histogram")
 	}
 }
 

@@ -20,11 +20,9 @@ var latencyBuckets = []float64{0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.2
 var batchBuckets = []float64{1}
 
 // metrics is the server's instrumentation, one obs.Registry per server so
-// tests and co-resident instances never share series. Every handle the
-// request path touches is resolved once here; recording is atomic adds only
-// — the hot path takes no mutex at all (the previous bespoke struct locked
-// one mutex twice per request). Series names and labels are unchanged from
-// the pre-registry implementation, so dashboards and scrapers keep working.
+// tests and co-resident instances never share series. Handles are resolved
+// here, except a stage's or a non-200 code's child, which costs one
+// read-locked map lookup; recording is atomic adds only.
 type metrics struct {
 	reg *obs.Registry
 
@@ -39,29 +37,25 @@ type metrics struct {
 	flagged *obs.Counter
 	flags   []*obs.Counter // aligned with Server.channels
 
-	// Worker-pool layer: one task per request a replica decides.
-	poolBusy    *obs.Gauge
-	poolTasks   *obs.Counter
-	poolSeconds *obs.Histogram
+	// Pipeline stages: one child per stage name, created on its first
+	// observation, so a stage that never ran exports no series.
+	stages *obs.HistogramVec
 
-	// Engine layer: the simulated measurement itself.
-	inferSeconds *obs.Histogram
-	hpcEvents    []*obs.Gauge // last mean reading per event, indexed by hpc.Event
+	// Engine layer: the last exact reading.
+	hpcEvents []*obs.Gauge // last mean reading per event, indexed by hpc.Event
 
 	// Truth-count memoisation (registered only when the cache is enabled).
 	truthHits   *obs.Counter
 	truthMisses *obs.Counter
 
 	// Tiered serving (registered only under the twin and auto tiers).
-	tierTwin         *obs.Counter // requests decided by the twin tier
-	tierExact        *obs.Counter // requests decided by the exact tier (escalations)
-	tierScreened     *obs.Counter // auto tier: requests screened by the twin
-	tierEscalations  *obs.Counter // auto tier: screened requests escalated to exact
-	tierAgreement    *obs.Counter // auto tier: escalations where both tiers agreed
-	tierSecondsTwin  *obs.Histogram
-	tierSecondsExact *obs.Histogram
-	twinTruthHits    *obs.Counter
-	twinTruthMisses  *obs.Counter
+	tierTwin        *obs.Counter // requests decided by the twin tier
+	tierExact       *obs.Counter // requests decided by the exact tier (escalations)
+	tierScreened    *obs.Counter // auto tier: requests screened by the twin
+	tierEscalations *obs.Counter // auto tier: screened requests escalated to exact
+	tierAgreement   *obs.Counter // auto tier: escalations where both tiers agreed
+	twinTruthHits   *obs.Counter
+	twinTruthMisses *obs.Counter
 }
 
 func newMetrics(backend string, channels []string) *metrics {
@@ -83,16 +77,9 @@ func newMetrics(backend string, channels []string) *metrics {
 		m.flags[i] = flagVec.With(backend, ch)
 	}
 
-	m.poolBusy = reg.Gauge("advhunter_pool_busy_workers",
-		"Engine replicas currently running a measurement.").With()
-	m.poolTasks = reg.Counter("advhunter_pool_tasks_total",
-		"Requests decided by the replica pool, one task per request.").With()
-	m.poolSeconds = reg.Histogram("advhunter_pool_task_duration_seconds",
-		"Per-task time on a pool worker (measure + score).", obs.DurationBuckets).With()
+	m.stages = reg.Histogram("advhunter_stage_duration_seconds",
+		"Detection-pipeline stage durations.", obs.DurationBuckets, "stage")
 
-	m.inferSeconds = reg.Histogram("advhunter_inference_duration_seconds",
-		"Simulated-inference measurement duration (engine trace + R noisy readings).",
-		obs.DurationBuckets).With()
 	eventVec := reg.Gauge("advhunter_hpc_event_count",
 		"Most recent per-event mean HPC reading across the replica pool.", "event")
 	m.hpcEvents = make([]*obs.Gauge, hpc.NumEvents)
@@ -113,9 +100,7 @@ func (m *metrics) observeRequest(status int, d time.Duration) {
 	m.reqSeconds.Observe(d.Seconds())
 }
 
-// observeDecision records one detection decision and its per-channel flags —
-// together with the caller's observeRequest, a handful of atomic adds where
-// the bespoke struct serialised every request on a mutex twice.
+// observeDecision records one detection decision and its per-channel flags.
 func (m *metrics) observeDecision(flags []bool, adversarial bool) {
 	m.scans.Inc()
 	if adversarial {
@@ -125,15 +110,6 @@ func (m *metrics) observeDecision(flags []bool, adversarial bool) {
 		if f {
 			m.flags[i].Inc()
 		}
-	}
-}
-
-// observeMeasurement is the core.Measurer.Observe hook shared by every pool
-// replica: the engine-layer series on the serve registry.
-func (m *metrics) observeMeasurement(d time.Duration, meas core.Measurement) {
-	m.inferSeconds.Observe(d.Seconds())
-	for e := hpc.Event(0); e < hpc.NumEvents; e++ {
-		m.hpcEvents[e].Set(meas.Counts.Get(e))
 	}
 }
 
@@ -152,10 +128,10 @@ func (m *metrics) registerTruthCache(c *core.TruthCache) {
 }
 
 // registerTier publishes the tiered-serving series: per-tier decision
-// counters and latency histograms, escalation accounting, the twin count
-// model's resident size (when it reports one, as *twin.Table does), and
-// (when the twin truth cache is enabled) its memoisation series. Only called under the twin and auto tiers, so plain exact serving
-// exports no tier series at all.
+// counters, escalation accounting, the twin count model's resident size (when
+// it reports one, as *twin.Table does), and (when the twin truth cache is
+// enabled) its memoisation series. Only called under the twin and auto tiers,
+// so plain exact serving exports no tier series at all.
 func (m *metrics) registerTier(counts core.CountModel, twinTruth *core.TruthCache) {
 	tierVec := m.reg.Counter("advhunter_tier_requests_total",
 		"Detection decisions by the measurement tier that made them.", "tier")
@@ -167,10 +143,6 @@ func (m *metrics) registerTier(counts core.CountModel, twinTruth *core.TruthCach
 		"Auto-tier requests escalated from the twin to the exact simulator.").With()
 	m.tierAgreement = m.reg.Counter("advhunter_tier_agreement_total",
 		"Escalated requests where the twin and exact tiers agreed on the decision.").With()
-	secVec := m.reg.Histogram("advhunter_tier_duration_seconds",
-		"Measure-and-score time by measurement tier.", obs.DurationBuckets, "tier")
-	m.tierSecondsTwin = secVec.With("twin")
-	m.tierSecondsExact = secVec.With("exact")
 	if table, ok := counts.(interface{ Bytes() int }); ok {
 		m.reg.GaugeFunc("advhunter_twin_table_bytes",
 			"Resident size of the loaded twin count tables.", func() float64 { return float64(table.Bytes()) })

@@ -54,7 +54,9 @@ func scrape(t *testing.T, url string) []byte {
 // TestMetricsExposition drives real traffic through the server and then holds
 // the full /metrics output to the strict exposition-format linter, checking
 // that one scrape carries series from every instrumented layer: HTTP,
-// admission queue, worker pool, engine measurement, and pipeline stages.
+// admission queue, worker pool, engine measurement, and pipeline stages. The
+// measure and score stages are timed once per decision, and no second timer
+// of them is exported.
 func TestMetricsExposition(t *testing.T) {
 	f := getFixture(t)
 	_, ts := newServer(t, f, Config{Workers: 2})
@@ -91,12 +93,9 @@ func TestMetricsExposition(t *testing.T) {
 		},
 		"pool": {
 			"advhunter_pool_workers 2",
-			"advhunter_pool_tasks_total 5",
-			"advhunter_pool_task_duration_seconds_count 5",
 			"advhunter_pool_busy_workers 0",
 		},
 		"engine": {
-			"advhunter_inference_duration_seconds_count 5",
 			`advhunter_hpc_event_count{event="cache-misses"}`,
 		},
 		"stages": {
@@ -105,6 +104,8 @@ func TestMetricsExposition(t *testing.T) {
 			`advhunter_stage_duration_seconds_bucket{stage="measure"`,
 			`advhunter_stage_duration_seconds_bucket{stage="score"`,
 			`advhunter_stage_duration_seconds_bucket{stage="verdict"`,
+			`advhunter_stage_duration_seconds_count{stage="measure"} 5` + "\n",
+			`advhunter_stage_duration_seconds_count{stage="score"} 5` + "\n",
 		},
 		"detection": {
 			`advhunter_scans_total{backend="gmm"} 5`,
@@ -115,6 +116,20 @@ func TestMetricsExposition(t *testing.T) {
 			if !strings.Contains(text, want) {
 				t.Errorf("layer %s: /metrics missing %q", layer, want)
 			}
+		}
+	}
+	// The exact pool sets the event gauges from each reading it scores.
+	if v := series(text, `advhunter_hpc_event_count{event="cache-misses"}`); v == "0" || v == "absent" {
+		t.Errorf("advhunter_hpc_event_count{event=\"cache-misses\"} = %s after 5 readings", v)
+	}
+	for _, gone := range []string{
+		"advhunter_inference_duration_seconds",
+		"advhunter_tier_duration_seconds",
+		"advhunter_pool_task_duration_seconds",
+		"advhunter_pool_tasks_total",
+	} {
+		if strings.Contains(text, gone) {
+			t.Errorf("/metrics still exports %s", gone)
 		}
 	}
 	if t.Failed() {

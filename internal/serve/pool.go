@@ -1,13 +1,13 @@
 package serve
 
 import (
-	"context"
 	"time"
 
 	"advhunter/internal/core"
 	"advhunter/internal/detect"
 	"advhunter/internal/obs"
 	"advhunter/internal/tensor"
+	"advhunter/internal/uarch/hpc"
 )
 
 // pool is one tier's measurement stage: a measurer replica per server
@@ -20,13 +20,14 @@ type pool struct {
 	truth *core.TruthCache // nil disables memoisation
 	det   detect.Detector
 
-	// spanMeasure/spanScore name the tracing spans ("measure"/"score" for
-	// the exact tier, "twin-measure"/"twin-score" for the twin).
-	spanMeasure, spanScore string
+	// stageMeasure/stageScore name the pipeline stages ("measure"/"score"
+	// for the exact tier, "twin-measure"/"twin-score" for the twin).
+	stageMeasure, stageScore string
 	// hits/misses count truth-cache outcomes; only read when truth is set.
 	hits, misses *obs.Counter
-	// seconds, when non-nil, records the measure-and-score latency.
-	seconds *obs.Histogram
+	// events, when non-nil, receives each reading's per-event mean counts
+	// (indexed by hpc.Event); only the exact tier sets it.
+	events []*obs.Gauge
 }
 
 // replicate returns one measurer per server replica: m itself for replica 0
@@ -41,13 +42,12 @@ func replicate(m *core.Measurer, replicas int) []*core.Measurer {
 }
 
 // score measures (idx, x) on the given replica and scores the reading,
-// recording the pool's spans, cache counters, and latency histogram.
-func (p *pool) score(ctx context.Context, replica int, idx uint64, x *tensor.Tensor) detect.Verdict {
+// recording the pool's two stages, cache counters and event gauges.
+func (p *pool) score(st stages, replica int, idx uint64, x *tensor.Tensor) detect.Verdict {
 	start := time.Now()
-	ctx, sp := obs.StartSpan(ctx, p.spanMeasure)
 	meas, hit := p.meas[replica].MeasureAtCached(p.truth, idx, x)
-	sp.End()
-	obs.TraceFrom(ctx).SetCacheHit(hit)
+	st.stage(p.stageMeasure, start)
+	st.tr.SetCacheHit(hit)
 	if p.truth != nil {
 		if hit {
 			p.hits.Inc()
@@ -55,11 +55,11 @@ func (p *pool) score(ctx context.Context, replica int, idx uint64, x *tensor.Ten
 			p.misses.Inc()
 		}
 	}
-	_, sp = obs.StartSpan(ctx, p.spanScore)
-	v := p.det.Detect(meas)
-	sp.End()
-	if p.seconds != nil {
-		p.seconds.Observe(time.Since(start).Seconds())
+	for e, g := range p.events {
+		g.Set(meas.Counts.Get(hpc.Event(e)))
 	}
+	start = time.Now()
+	v := p.det.Detect(meas)
+	st.stage(p.stageScore, start)
 	return v
 }

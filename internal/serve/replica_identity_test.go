@@ -93,10 +93,10 @@ func TestDecideIndependentOfReplica(t *testing.T) {
 		t.Run(tier, func(t *testing.T) {
 			cfg := tierConfigs(f, Config{Workers: 2})[tier]
 			s, _ := newServer(t, f, cfg)
-			ctx := context.Background()
+			st := stages{s: s, ctx: context.Background()}
 			for i, req := range stream {
-				a, aTier := s.decide(ctx, 1, *req.Index, req.Tensor())
-				b, bTier := s.decide(ctx, 0, *req.Index, req.Tensor())
+				a, aTier := s.decide(st, 1, *req.Index, req.Tensor())
+				b, bTier := s.decide(st, 0, *req.Index, req.Tensor())
 				if aTier != bTier {
 					t.Fatalf("query %d: replica 1 tier %q, replica 0 %q", i, aTier, bTier)
 				}

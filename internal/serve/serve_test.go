@@ -449,7 +449,7 @@ func TestServeReplicasWorkConserving(t *testing.T) {
 	// at the gate, so the second must be held by the other.
 	for i := 0; i < 2; i++ {
 		send(i)
-		await(t, fmt.Sprintf("%d busy replicas", i+1), func() bool { return s.stats.poolBusy.Value() == float64(i+1) })
+		await(t, fmt.Sprintf("%d busy replicas", i+1), func() bool { return s.cfg.Workers-len(s.replicas) == i+1 })
 	}
 	for i := 2; i < 2+2*k; i++ {
 		send(i)
@@ -488,7 +488,7 @@ func TestServeTimeout(t *testing.T) {
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status %d (%s), want 504", resp.StatusCode, body)
 	}
-	if got := s.stats.poolTasks.Value(); got != 0 {
+	if got := s.stats.scans.Value(); got != 0 {
 		t.Fatalf("%v requests decided, want 0", got)
 	}
 	close(gate)
@@ -549,7 +549,7 @@ func TestServeDrain(t *testing.T) {
 			}(i)
 		}
 		await(t, "one held and one waiting request", func() bool {
-			return s.stats.poolBusy.Value() == 1 && s.waiting.Load() == 1
+			return s.cfg.Workers-len(s.replicas) == 1 && s.waiting.Load() == 1
 		})
 
 		short, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)

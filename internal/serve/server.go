@@ -70,8 +70,7 @@ type Config struct {
 	// ones escalate to the exact simulator; a negative EscalationMargin lets
 	// the twin decide every query. nil serves the exact tier. The server
 	// takes ownership and clones it across the replicas, exactly like the
-	// exact measurer, and clears its Observe hook: only exact readings feed
-	// the engine-layer series.
+	// exact measurer. Only exact readings feed advhunter_hpc_event_count.
 	Twin *core.Measurer
 	// TwinDetector optionally scores twin-tier measurements. The twin's
 	// count predictions carry a small systematic bias relative to the exact
@@ -88,16 +87,17 @@ type Config struct {
 	// detect.Uncertainty escalate every query instead.
 	EscalationMargin float64
 	// Logger receives the server's structured records (per-request debug
-	// lines, span timings). nil selects slog.Default(). Logging and tracing
-	// are observe-only: enabling them never changes a verdict or a response
-	// byte (TestObsIsObserveOnly holds that line). The flight recorder and
-	// the alert engine are not the server's: they only read registries, so
-	// the process that serves builds them over Registry().
+	// lines, one "span" line per pipeline stage). nil selects
+	// slog.Default(). Logging and tracing are observe-only: enabling them
+	// never changes a verdict or a response byte (TestObsIsObserveOnly holds
+	// that line). The flight recorder and the alert engine are not the
+	// server's: they only read registries, so the process that serves builds
+	// them over Registry().
 	Logger *slog.Logger
 
 	// TraceRing enables request-scoped wide events: every /detect request
-	// aggregates its spans, routing and verdict into one pooled trace record,
-	// and the last TraceRing of them are queryable at /debug/trace. 0
+	// aggregates its stage timings, routing and verdict into one pooled trace
+	// record, and the last TraceRing of them are queryable at /debug/trace. 0
 	// disables (unless TraceLog is set, which implies a default-sized ring).
 	TraceRing int
 	// TraceLog, when non-nil, additionally receives every finished trace as
@@ -175,7 +175,6 @@ type Server struct {
 
 	stats  *metrics
 	logger *slog.Logger
-	tracer *obs.Tracer
 	traces *obs.TraceRing // nil unless TraceRing enables it
 	mux    *http.ServeMux
 	gate   chan struct{} // from Config.gate; see there
@@ -210,7 +209,6 @@ func New(m *core.Measurer, det detect.Detector, cfg Config) *Server {
 	if s.logger == nil {
 		s.logger = slog.Default()
 	}
-	s.tracer = obs.NewTracer(s.stats.reg, s.logger)
 
 	// Truth caches, one per tier: twin and exact truths for the same input
 	// differ, so they are never shared.
@@ -227,18 +225,18 @@ func New(m *core.Measurer, det detect.Detector, cfg Config) *Server {
 		s.replicas <- w
 	}
 	s.stats.reg.Gauge("advhunter_pool_workers", "Engine replica pool size.").With().Set(float64(cfg.Workers))
+	s.stats.reg.GaugeFunc("advhunter_pool_busy_workers",
+		"Engine replicas currently running a measurement.", func() float64 { return float64(cfg.Workers - len(s.replicas)) })
 	s.stats.reg.GaugeFunc("advhunter_queue_depth",
 		"Admitted requests waiting for a free replica.", func() float64 { return float64(s.waiting.Load()) })
 	s.stats.reg.Gauge("advhunter_queue_capacity",
 		"Requests admitted beyond the replicas (Config.QueueSize).").With().Set(float64(cfg.QueueSize))
 
-	// Exact measurement stage. The engine-layer hook is observe-only and
-	// shared by every replica, so install it before cloning (Clone copies it).
-	m.Observe = s.stats.observeMeasurement
 	s.exact = &pool{
 		meas: replicate(m, cfg.Workers), truth: truth, det: det,
-		spanMeasure: "measure", spanScore: "score",
+		stageMeasure: "measure", stageScore: "score",
 		hits: s.stats.truthHits, misses: s.stats.truthMisses,
+		events: s.stats.hpcEvents,
 	}
 
 	// The auto tier adds a twin measurement stage in front of the exact one.
@@ -260,14 +258,11 @@ func New(m *core.Measurer, det detect.Detector, cfg Config) *Server {
 			twinDet = cfg.TwinDetector
 		}
 		s.stats.registerTier(cfg.Twin.Twin, twinTruth)
-		cfg.Twin.Observe = nil
 		s.twin = &pool{
 			meas: replicate(cfg.Twin, cfg.Workers), truth: twinTruth, det: twinDet,
-			spanMeasure: "twin-measure", spanScore: "twin-score",
+			stageMeasure: "twin-measure", stageScore: "twin-score",
 			hits: s.stats.twinTruthHits, misses: s.stats.twinTruthMisses,
-			seconds: s.stats.tierSecondsTwin,
 		}
-		s.exact.seconds = s.stats.tierSecondsExact
 	}
 
 	if cfg.TraceRing > 0 {
@@ -352,13 +347,31 @@ func (s *Server) done() {
 	s.mu.Unlock()
 }
 
+// stages records one request's pipeline stages. It lives on the handler
+// goroutine from the request's start to its answer, so every stage a request
+// ran lands in its own trace record.
+type stages struct {
+	s   *Server
+	ctx context.Context  // carries the request id for the span log records
+	tr  *obs.TraceRecord // nil when tracing is off
+}
+
+// stage records one finished stage that began at start: the stage histogram,
+// the trace record and a "span" debug log record. It is observe-only.
+func (st stages) stage(name string, start time.Time) {
+	d := time.Since(start)
+	st.s.stats.stages.With(name).Observe(d.Seconds())
+	st.tr.AddStage(name, start, d)
+	st.s.logger.LogAttrs(st.ctx, slog.LevelDebug, "span",
+		slog.String("stage", name), slog.Duration("duration", d))
+}
+
 // acquire waits for a free replica until ctx's deadline — the request's
-// queue span — and reports false if the deadline passed first. With the test
+// queue stage — and reports false if the deadline passed first. With the test
 // gate set, the acquired replica is held until the gate opens or the
 // deadline passes.
-func (s *Server) acquire(ctx context.Context) (int, bool) {
-	_, sp := obs.StartSpan(ctx, "queue")
-	defer sp.End()
+func (s *Server) acquire(ctx context.Context, st stages) (int, bool) {
+	defer st.stage("queue", time.Now())
 	s.waiting.Add(1)
 	replica := -1
 	select {
@@ -369,22 +382,15 @@ func (s *Server) acquire(ctx context.Context) (int, bool) {
 	if replica < 0 {
 		return 0, false
 	}
-	s.stats.poolBusy.Inc()
 	if s.gate != nil {
 		select {
 		case <-s.gate:
 		case <-ctx.Done():
-			s.release(replica)
+			s.replicas <- replica
 			return 0, false
 		}
 	}
 	return replica, true
-}
-
-// release hands a replica back to the pool.
-func (s *Server) release(replica int) {
-	s.stats.poolBusy.Dec()
-	s.replicas <- replica
 }
 
 // decide decides one request on replica and records the pool series; it
@@ -395,16 +401,15 @@ func (s *Server) release(replica int) {
 // to the exact pool, counting agreement between the tiers on escalations.
 // The noise stream is keyed by idx, so the result does not depend on which
 // replica decided it.
-func (s *Server) decide(ctx context.Context, replica int, idx uint64, x *tensor.Tensor) (v detect.Verdict, tier string) {
-	start := time.Now()
+func (s *Server) decide(st stages, replica int, idx uint64, x *tensor.Tensor) (v detect.Verdict, tier string) {
 	if s.twin == nil {
-		v = s.exact.score(ctx, replica, idx, x)
+		v = s.exact.score(st, replica, idx, x)
 	} else {
-		v, tier = s.twin.score(ctx, replica, idx, x), TierTwin
+		v, tier = s.twin.score(st, replica, idx, x), TierTwin
 		s.stats.tierScreened.Inc()
 		if s.uncertain(v) {
 			s.stats.tierEscalations.Inc()
-			ev := s.exact.score(ctx, replica, idx, x)
+			ev := s.exact.score(st, replica, idx, x)
 			if adversarialAt(v, s.decIdx) == adversarialAt(ev, s.decIdx) {
 				s.stats.tierAgreement.Inc()
 			}
@@ -415,8 +420,6 @@ func (s *Server) decide(ctx context.Context, replica int, idx uint64, x *tensor.
 		}
 	}
 	s.stats.batchSizes.Observe(1)
-	s.stats.poolTasks.Inc()
-	s.stats.poolSeconds.Observe(time.Since(start).Seconds())
 	return v, tier
 }
 
@@ -460,9 +463,9 @@ func (s *Server) ServeDecoded(w http.ResponseWriter, r *http.Request, req *Reque
 		id = "r" + strconv.FormatUint(s.rids.Add(1), 10)
 	}
 	w.Header().Set("X-Request-ID", id)
-	rctx := obs.WithRequestID(obs.WithTracer(r.Context(), s.tracer), id)
+	rctx := obs.WithRequestID(r.Context(), id)
 	tr := s.traces.Start(id) // nil-safe: no ring, no record
-	rctx = obs.WithTrace(rctx, tr)
+	st := stages{s: s, ctx: rctx, tr: tr}
 	status := func(code int) {
 		d := time.Since(start)
 		tr.SetStatus(code)
@@ -500,9 +503,9 @@ func (s *Server) ServeDecoded(w http.ResponseWriter, r *http.Request, req *Reque
 			status(http.StatusBadRequest)
 			return
 		}
-		_, sp := obs.StartSpan(rctx, "decode")
+		decodeStart := time.Now()
 		req, err = DecodeRequest(body.Bytes(), s.shape)
-		sp.End()
+		st.stage("decode", decodeStart)
 		body.Release()
 		if err != nil {
 			s.writeError(w, http.StatusBadRequest, err.Error())
@@ -518,19 +521,19 @@ func (s *Server) ServeDecoded(w http.ResponseWriter, r *http.Request, req *Reque
 	tr.SetIndex(idx)
 	ctx, cancel := context.WithTimeout(rctx, s.cfg.Timeout)
 	defer cancel()
-	replica, ok := s.acquire(ctx)
+	replica, ok := s.acquire(ctx, st)
 	if !ok {
 		s.writeError(w, http.StatusGatewayTimeout, "detection timed out")
 		status(http.StatusGatewayTimeout)
 		return
 	}
-	v, tier := s.decide(ctx, replica, idx, req.Tensor())
-	s.release(replica)
+	v, tier := s.decide(st, replica, idx, req.Tensor())
+	s.replicas <- replica
 
-	_, sp := obs.StartSpan(rctx, "verdict")
+	verdictStart := time.Now()
 	resp := s.response(idx, v, tier)
 	s.stats.observeDecision(v.Flags, resp.Adversarial)
-	sp.End()
+	st.stage("verdict", verdictStart)
 	tr.SetTier(tier)
 	tr.SetBackend(resp.Backend)
 	if resp.Adversarial {

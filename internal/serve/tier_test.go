@@ -46,8 +46,7 @@ func replay(t *testing.T, url string, stream []Request) map[uint64]string {
 // decided — and labelled — by the twin, nothing escalates, predictions are
 // bit-identical to the exact path (the forward numerics are shared), and
 // /metrics exports the tier series: the table gauge reads the table's exact
-// size, and the engine-layer inference histogram stays empty because twin
-// readings never feed it.
+// size, and no exact measure stage ever ran.
 func TestServeTierTwin(t *testing.T) {
 	f := getFixture(t)
 	stream := tierStream(f)
@@ -84,11 +83,13 @@ func TestServeTierTwin(t *testing.T) {
 		`advhunter_tier_requests_total{tier="twin"} 24`,
 		"advhunter_tier_escalations_total 0",
 		"advhunter_twin_table_bytes " + strconv.FormatFloat(float64(f.twinTab.Bytes()), 'g', -1, 64),
-		"advhunter_inference_duration_seconds_count 0",
 	} {
 		if !strings.Contains(text, "\n"+want+"\n") {
 			t.Errorf("/metrics missing the line %q", want)
 		}
+	}
+	if strings.Contains(text, `stage="measure"`) {
+		t.Error(`/metrics has a stage="measure" series, but the twin decided every query`)
 	}
 	for _, want := range []string{"advhunter_twin_truth_cache_entries", "advhunter_twin_truth_cache_bytes"} {
 		if !strings.Contains(text, want) {
@@ -162,6 +163,17 @@ func TestServeTierAutoEscalatesAll(t *testing.T) {
 	} {
 		if !strings.Contains(string(mbody), want) {
 			t.Errorf("/metrics missing %q", want)
+		}
+	}
+	// Each screened query ran one twin-measure stage, each escalated one ran
+	// one exact measure stage.
+	for stage, counter := range map[string]string{
+		"twin-measure": "advhunter_tier_screened_total",
+		"measure":      "advhunter_tier_escalations_total",
+	} {
+		got := series(string(mbody), `advhunter_stage_duration_seconds_count{stage="`+stage+`"}`)
+		if want := series(string(mbody), counter); got != want {
+			t.Errorf("%s stages = %s, %s = %s", stage, got, counter, want)
 		}
 	}
 	_ = s

@@ -11,8 +11,7 @@ import (
 // repetition count) — whose true counts come from t's table lookup over a
 // machine-free forward pass instead of cache simulation. Prediction and
 // confidence are bit-identical to the exact path (the forward numerics are
-// shared); only the counts are approximate. Observe is left unset, so twin
-// readings never feed the exact measurer's instrumentation.
+// shared); only the counts are approximate.
 func FromMeasurer(m *core.Measurer, t *Table) (*core.Measurer, error) {
 	if err := t.validate(); err != nil {
 		return nil, err
@@ -22,6 +21,5 @@ func FromMeasurer(m *core.Measurer, t *Table) (*core.Measurer, error) {
 	}
 	tm := m.Clone()
 	tm.Twin = t
-	tm.Observe = nil
 	return tm, nil
 }

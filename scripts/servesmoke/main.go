@@ -3,7 +3,8 @@
 // listener announcement, scrapes /metrics (holding the output to the strict
 // exposition linter and to a multi-layer series checklist), pulls a pprof
 // heap profile, POSTs a burst of the scenario's test images (each must answer
-// 200), and then checks the SIGTERM drain path exits cleanly. It then repeats
+// 200), holds the stage histogram to the tier counters, and then checks the
+// SIGTERM drain path exits cleanly. It then repeats
 // the exercise against `advhunter cluster` with two replicas, asserting the
 // merged /metrics page lints and carries replica-labelled serve series plus
 // the cluster's own routing counters.
@@ -29,6 +30,7 @@ import (
 	"advhunter/internal/experiments"
 	"advhunter/internal/obs"
 	"advhunter/internal/serve"
+	"advhunter/internal/workload"
 )
 
 func main() {
@@ -147,6 +149,9 @@ func run(bin, scenario string, bodies [][]byte) error {
 	if err := burst(base, bodies); err != nil {
 		return err
 	}
+	if err := checkStageCounts(base); err != nil {
+		return err
+	}
 	if err := obsSmoke(bin, base); err != nil {
 		return err
 	}
@@ -164,6 +169,29 @@ func run(bin, scenario string, bodies [][]byte) error {
 		}
 	case <-time.After(time.Minute):
 		return fmt.Errorf("serve did not exit within 1m of SIGTERM")
+	}
+	return nil
+}
+
+// checkStageCounts holds the auto-tier server's stage histogram to its tier
+// counters after the burst: one twin-measure stage per screened request and
+// one exact measure stage per escalation (an absent series reads as 0).
+func checkStageCounts(base string) error {
+	snap, err := workload.Scrape(nil, base)
+	if err != nil {
+		return err
+	}
+	if snap.Get("advhunter_tier_screened_total") == 0 {
+		return fmt.Errorf("the burst screened no request on the twin")
+	}
+	for _, c := range []struct{ stage, counter string }{
+		{"twin-measure", "advhunter_tier_screened_total"},
+		{"measure", "advhunter_tier_escalations_total"},
+	} {
+		got := snap.Get(`advhunter_stage_duration_seconds_count{stage="` + c.stage + `"}`)
+		if want := snap.Get(c.counter); got != want {
+			return fmt.Errorf("%g %s stages, but %s = %g", got, c.stage, c.counter, want)
+		}
 	}
 	return nil
 }
