@@ -2,11 +2,13 @@ package engine
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"advhunter/internal/models"
 	"advhunter/internal/rng"
 	"advhunter/internal/tensor"
+	"advhunter/internal/uarch/hpc"
 )
 
 // A serving replica answers a batch of queued jobs one sample after another
@@ -125,6 +127,65 @@ func TestBatchIdentityForwardStats(t *testing.T) {
 					}
 				}
 			}
+		})
+	}
+}
+
+// TestClonesShareModelConcurrently pins the rule Clone rests on: replicas
+// trace one shared network from several goroutines at once, so no arena
+// kernel may write a layer field. Under -race such a write fails the test;
+// either way every replica's InferConf and ForwardStats must equal a serial
+// run's bit for bit.
+func TestClonesShareModelConcurrently(t *testing.T) {
+	type reading struct {
+		pred, statPred int
+		conf, statConf float64
+		counts         hpc.Counts
+		sp             []float64
+	}
+	read := func(e *Engine, x *tensor.Tensor) reading {
+		var r reading
+		r.pred, r.conf, r.counts = e.InferConf(x)
+		r.sp = make([]float64, e.NumLeaves())
+		r.statPred, r.statConf = e.ForwardStats(x, r.sp)
+		return r
+	}
+	same := func(a, b reading) bool {
+		if a.pred != b.pred || a.statPred != b.statPred || a.counts != b.counts ||
+			math.Float64bits(a.conf) != math.Float64bits(b.conf) ||
+			math.Float64bits(a.statConf) != math.Float64bits(b.statConf) {
+			return false
+		}
+		for i := range a.sp {
+			if math.Float64bits(a.sp[i]) != math.Float64bits(b.sp[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	for _, tc := range batchIdentityArchs {
+		t.Run(tc.arch, func(t *testing.T) {
+			m := models.MustBuild(tc.arch, tc.c, tc.h, tc.w, 10, 7)
+			e := NewDefault(m)
+			xs := batchInputs(tc.arch, tc.c, tc.h, tc.w, 3)
+			want := make([]reading, len(xs))
+			for i, x := range xs {
+				want[i] = read(e, x)
+			}
+			var wg sync.WaitGroup
+			for g := 0; g < 3; g++ {
+				wg.Add(1)
+				go func(g int, r *Engine) {
+					defer wg.Done()
+					for k := range xs {
+						i := (g + k) % len(xs)
+						if !same(read(r, xs[i]), want[i]) {
+							t.Errorf("replica %d input %d: reading differs from the serial run", g, i)
+						}
+					}
+				}(g, e.Clone())
+			}
+			wg.Wait()
 		})
 	}
 }
