@@ -61,11 +61,11 @@ func NewDefault(m *models.Model) *Engine { return New(m, DefaultMachineConfig())
 // the machine — cache hierarchy, branch predictor, co-runner — is rebuilt
 // from the engine's MachineConfig in its power-on state, and the replica gets
 // its own scratch arena and replay pools. The model and the address layout
-// are shared: the scratch forward (nn.ScratchForwarder) never writes layer
-// state, so replicas can trace the shared network concurrently, and sharing
-// the layout keeps the replica's synthetic address map byte-identical to the
-// original's — Infer on a replica returns exactly the counts the original
-// would return for the same input. (A ReLU Record hook, if installed, fires
+// are shared: every leaf runs its nn.ScratchForwarder kernel, which writes
+// no layer field, so replicas can trace the shared network concurrently, and
+// sharing the layout keeps the replica's synthetic address map byte-identical
+// to the original's — Infer on a replica returns exactly the counts the
+// original would return for the same input. (A ReLU Record hook, if installed, fires
 // from every replica; hooks that aggregate must synchronize themselves.)
 func (e *Engine) Clone() *Engine {
 	return &Engine{
@@ -164,13 +164,16 @@ func (e *Engine) makeRef(t *tensor.Tensor, addr uint64, tol float64) tref {
 	return fillRef(t, addr, tol, lz, rz)
 }
 
-// forward runs the layer's inference-mode forward pass, through the scratch
-// arena when the layer supports it.
+// forward runs the leaf layer's inference kernel out of the scratch arena.
+// A leaf without one panics, as traceLayer does for an untraced type: the
+// allocating Forward would write backward caches into a network that
+// concurrent replicas share.
 func (e *Engine) forward(l nn.Layer, x *tensor.Tensor) *tensor.Tensor {
-	if sf, ok := l.(nn.ScratchForwarder); ok {
-		return sf.ForwardScratch(x, e.sc)
+	sf, ok := l.(nn.ScratchForwarder)
+	if !ok {
+		panic(fmt.Sprintf("engine: no arena kernel for layer type %T (%s)", l, l.Name()))
 	}
-	return l.Forward(x, false)
+	return sf.ForwardScratch(x, e.sc)
 }
 
 // concat concatenates branch outputs along channels, into a scratch tensor.

@@ -28,19 +28,40 @@ func (l *ReLU) Name() string { return l.label }
 // Params returns nil; ReLU has no parameters.
 func (l *ReLU) Params() []*Param { return nil }
 
-// Forward zeroes negative entries and caches the pass-through mask.
+// Forward runs the ForwardScratch kernel on fresh buffers and caches the
+// pass-through mask; Record fires in inference mode only.
 func (l *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	out := tensor.New(x.Shape()...)
+	l.mask = make([]bool, x.Len())
+	for i, v := range x.Data() {
+		l.mask[i] = v > 0
+	}
+	if train {
+		return relu(x, nil)
+	}
+	return l.ForwardScratch(x, nil)
+}
+
+// ForwardScratch implements ScratchForwarder. The Record hook fires, since
+// an arena forward is inference-mode by definition.
+func (l *ReLU) ForwardScratch(x *tensor.Tensor, s *Scratch) *tensor.Tensor {
+	out := relu(x, s)
+	if l.Record != nil {
+		l.Record(out)
+	}
+	return out
+}
+
+// relu is ReLU's kernel. The negative branch writes an explicit zero, since
+// arena memory is not pre-cleared.
+func relu(x *tensor.Tensor, s *Scratch) *tensor.Tensor {
+	out := s.Tensor(x.Shape()...)
 	xd, od := x.Data(), out.Data()
-	l.mask = make([]bool, len(xd))
 	for i, v := range xd {
 		if v > 0 {
 			od[i] = v
-			l.mask[i] = true
+		} else {
+			od[i] = 0
 		}
-	}
-	if !train && l.Record != nil {
-		l.Record(out)
 	}
 	return out
 }
@@ -72,10 +93,21 @@ func (l *Sigmoid) Name() string { return l.label }
 // Params returns nil; Sigmoid has no parameters.
 func (l *Sigmoid) Params() []*Param { return nil }
 
-// Forward computes 1/(1+e^{-x}).
+// Forward runs ForwardScratch on fresh buffers and caches the output for
+// Backward.
 func (l *Sigmoid) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	out := x.Clone().Apply(func(v float64) float64 { return 1 / (1 + math.Exp(-v)) })
-	l.out = out
+	l.out = l.ForwardScratch(x, nil)
+	return l.out
+}
+
+// ForwardScratch implements ScratchForwarder with 1/(1+e^{-x}) (not the
+// branching stable form SqueezeExcite uses).
+func (l *Sigmoid) ForwardScratch(x *tensor.Tensor, s *Scratch) *tensor.Tensor {
+	out := s.Tensor(x.Shape()...)
+	od := out.Data()
+	for i, v := range x.Data() {
+		od[i] = 1 / (1 + math.Exp(-v))
+	}
 	return out
 }
 
@@ -104,14 +136,20 @@ func (l *Flatten) Name() string { return l.label }
 // Params returns nil; Flatten has no parameters.
 func (l *Flatten) Params() []*Param { return nil }
 
-// Forward collapses all non-batch dimensions.
+// Forward runs ForwardScratch and caches the input shape for Backward.
 func (l *Flatten) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	l.inShape = append([]int(nil), x.Shape()...)
+	return l.ForwardScratch(x, nil)
+}
+
+// ForwardScratch implements ScratchForwarder by collapsing all non-batch
+// dimensions: a view over x's storage, not a copy.
+func (l *Flatten) ForwardScratch(x *tensor.Tensor, s *Scratch) *tensor.Tensor {
 	features := 1
 	for _, d := range x.Shape()[1:] {
 		features *= d
 	}
-	return x.Reshape(x.Dim(0), features)
+	return s.View(x, 0, x.Dim(0), features)
 }
 
 // Backward restores the cached input shape.

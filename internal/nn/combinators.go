@@ -7,19 +7,32 @@ import (
 	"advhunter/internal/tensor"
 )
 
-// ConcatChannels concatenates rank-4 tensors along the channel dimension.
-// All inputs must share batch and spatial dimensions.
+// ConcatChannels concatenates rank-4 tensors along the channel dimension
+// into a new tensor. All inputs must share batch and spatial dimensions.
 func ConcatChannels(xs ...*tensor.Tensor) *tensor.Tensor {
+	totalC := 0
+	for _, x := range xs {
+		totalC += x.Dim(1)
+	}
+	return ConcatChannelsInto(tensor.New(xs[0].Dim(0), totalC, xs[0].Dim(2), xs[0].Dim(3)), xs...)
+}
+
+// ConcatChannelsInto concatenates rank-4 tensors along the channel dimension
+// into dst, which must already have the concatenated shape. dst is fully
+// overwritten.
+func ConcatChannelsInto(dst *tensor.Tensor, xs ...*tensor.Tensor) *tensor.Tensor {
 	n, h, w := xs[0].Dim(0), xs[0].Dim(2), xs[0].Dim(3)
 	totalC := 0
 	for _, x := range xs {
 		if x.Rank() != 4 || x.Dim(0) != n || x.Dim(2) != h || x.Dim(3) != w {
-			panic(fmt.Sprintf("nn: concat mismatch %v vs [N=%d,?,%d,%d]", x.Shape(), n, h, w))
+			panic("nn: ConcatChannels input shape mismatch")
 		}
 		totalC += x.Dim(1)
 	}
-	out := tensor.New(n, totalC, h, w)
-	od := out.Data()
+	if dst.Rank() != 4 || dst.Dim(0) != n || dst.Dim(1) != totalC || dst.Dim(2) != h || dst.Dim(3) != w {
+		panic("nn: ConcatChannelsInto dst shape mismatch")
+	}
+	od := dst.Data()
 	plane := h * w
 	for i := 0; i < n; i++ {
 		cOff := 0
@@ -30,7 +43,7 @@ func ConcatChannels(xs ...*tensor.Tensor) *tensor.Tensor {
 			cOff += c
 		}
 	}
-	return out
+	return dst
 }
 
 // SplitChannels is the inverse of ConcatChannels for the given channel sizes.
@@ -219,10 +232,9 @@ type SqueezeExcite struct {
 	Reduced  int
 	FC1, FC2 *Linear
 
-	in      *tensor.Tensor
-	squeeze *tensor.Tensor // [N, C]
-	hidden  *tensor.Tensor // [N, Reduced] post-ReLU
-	gate    *tensor.Tensor // [N, C] post-sigmoid
+	in     *tensor.Tensor
+	hidden *tensor.Tensor // [N, Reduced] post-ReLU
+	gate   *tensor.Tensor // [N, C] post-sigmoid
 }
 
 // NewSqueezeExcite constructs an SE block with bottleneck width reduced.
@@ -244,42 +256,44 @@ func (l *SqueezeExcite) Params() []*Param {
 	return append(l.FC1.Params(), l.FC2.Params()...)
 }
 
-// Forward computes the gated output.
+// Forward runs the ForwardScratch kernel on fresh buffers and caches what
+// Backward needs, the gating MLP's inputs included.
 func (l *SqueezeExcite) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	out, sq, hidden, gate := l.excite(x, nil)
+	l.in, l.hidden, l.gate = x, hidden, gate
+	l.FC1.in, l.FC2.in = sq, hidden
+	return out
+}
+
+// ForwardScratch implements ScratchForwarder: squeeze, gating MLP and
+// channel scaling all land in s.
+func (l *SqueezeExcite) ForwardScratch(x *tensor.Tensor, s *Scratch) *tensor.Tensor {
+	out, _, _, _ := l.excite(x, s)
+	return out
+}
+
+// excite is SqueezeExcite's kernel. Besides the gated output it returns the
+// squeeze [N, C], the post-ReLU hidden layer [N, Reduced] and the
+// post-sigmoid gate [N, C].
+func (l *SqueezeExcite) excite(x *tensor.Tensor, s *Scratch) (out, sq, hidden, gate *tensor.Tensor) {
 	checkRank(l.label, x, 4)
 	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	plane := h * w
-	l.in = x
-	// Squeeze: per-channel spatial mean.
-	sq := tensor.New(n, c)
-	xd, sqd := x.Data(), sq.Data()
-	inv := 1 / float64(plane)
-	for i := 0; i < n; i++ {
-		for ch := 0; ch < c; ch++ {
-			base := (i*c + ch) * plane
-			sum := 0.0
-			for p := 0; p < plane; p++ {
-				sum += xd[base+p]
-			}
-			sqd[i*c+ch] = sum * inv
-		}
-	}
-	l.squeeze = sq
-	// Excite: two FC layers.
-	hPre := l.FC1.Forward(sq, train)
-	hidden := hPre.Clone()
-	for i, v := range hidden.Data() {
+	sq = planeMeans(x, s)
+	hidden = l.FC1.ForwardScratch(sq, s)
+	hd := hidden.Data()
+	for i, v := range hd {
 		if v < 0 {
-			hidden.Data()[i] = 0
+			hd[i] = 0
 		}
 	}
-	l.hidden = hidden
-	gPre := l.FC2.Forward(hidden, train)
-	gate := gPre.Clone().Apply(sigmoid)
-	l.gate = gate
-	// Scale channels.
-	out := tensor.New(x.Shape()...)
-	od, gd := out.Data(), gate.Data()
+	gate = l.FC2.ForwardScratch(hidden, s)
+	gd := gate.Data()
+	for i, v := range gd {
+		gd[i] = sigmoid(v)
+	}
+	out = s.Tensor(x.Shape()...)
+	xd, od := x.Data(), out.Data()
 	for i := 0; i < n; i++ {
 		for ch := 0; ch < c; ch++ {
 			g := gd[i*c+ch]
@@ -289,7 +303,7 @@ func (l *SqueezeExcite) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			}
 		}
 	}
-	return out
+	return out, sq, hidden, gate
 }
 
 // Backward differentiates both the direct scaling path and the gate path.

@@ -17,10 +17,7 @@ type Conv2D struct {
 	Pad            int
 	W, B           *Param
 
-	// caches for backward
-	in   *tensor.Tensor
-	cols []*tensor.Tensor
-	geom tensor.ConvGeom
+	in *tensor.Tensor // cached for backward
 }
 
 // NewConv2D constructs a convolution layer with zero-valued parameters; use
@@ -44,31 +41,40 @@ func (l *Conv2D) Geom(h, w int) tensor.ConvGeom {
 	return tensor.ConvGeom{InC: l.InC, InH: h, InW: w, Kernel: l.Kernel, Stride: l.Stride, Pad: l.Pad}
 }
 
-// Forward computes the batched convolution via im2col + matmul.
+// Forward runs ForwardScratch on fresh buffers and caches the input for
+// Backward.
 func (l *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	l.in = x
+	return l.ForwardScratch(x, nil)
+}
+
+// ForwardScratch implements ScratchForwarder: im2col + matmul, then bias,
+// one sample at a time through one column buffer and one product buffer.
+func (l *Conv2D) ForwardScratch(x *tensor.Tensor, s *Scratch) *tensor.Tensor {
 	checkRank(l.label, x, 4)
 	if x.Dim(1) != l.InC {
 		panic(fmt.Sprintf("nn: %s expects %d input channels, got %d", l.label, l.InC, x.Dim(1)))
 	}
-	n := x.Dim(0)
-	g := l.Geom(x.Dim(2), x.Dim(3))
+	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
+	g := l.Geom(h, w)
 	oh, ow := g.OutH(), g.OutW()
-	out := tensor.New(n, l.OutC, oh, ow)
-	wm := l.W.Value.Reshape(l.OutC, l.InC*l.Kernel*l.Kernel)
-	l.in, l.geom = x, g
-	l.cols = make([]*tensor.Tensor, n)
+	plane := oh * ow
+	out := s.Tensor(n, l.OutC, oh, ow)
+	wm := s.View(l.W.Value, 0, l.OutC, l.InC*l.Kernel*l.Kernel)
 	bias := l.B.Value.Data()
+	od := out.Data()
+	cols := s.Tensor(l.InC*l.Kernel*l.Kernel, plane)
+	y := s.Tensor(l.OutC, plane)
+	yd := y.Data()
+	sample := l.InC * h * w
 	for i := 0; i < n; i++ {
-		cols := tensor.Im2Col(sampleView(x, i), g)
-		l.cols[i] = cols
-		y := tensor.MatMul(wm, cols) // [outC, oh*ow]
-		yd := y.Data()
-		od := sampleView(out, i).Data()
-		plane := oh * ow
+		tensor.Im2ColInto(cols, s.View(x, i*sample, l.InC, h, w), g)
+		tensor.MatMulInto(y, wm, cols)
+		oOff := i * l.OutC * plane
 		for oc := 0; oc < l.OutC; oc++ {
 			b := bias[oc]
 			for p := 0; p < plane; p++ {
-				od[oc*plane+p] = yd[oc*plane+p] + b
+				od[oOff+oc*plane+p] = yd[oc*plane+p] + b
 			}
 		}
 	}
@@ -78,13 +84,15 @@ func (l *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // Backward accumulates dW, dB and returns dX.
 func (l *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	n := grad.Dim(0)
-	oh, ow := l.geom.OutH(), l.geom.OutW()
-	plane := oh * ow
+	g := l.Geom(l.in.Dim(2), l.in.Dim(3))
+	plane := g.OutH() * g.OutW()
 	dx := tensor.New(l.in.Shape()...)
 	wmT := tensor.Transpose2D(l.W.Value.Reshape(l.OutC, l.InC*l.Kernel*l.Kernel))
 	dwm := l.W.Grad.Reshape(l.OutC, l.InC*l.Kernel*l.Kernel)
 	db := l.B.Grad.Data()
+	cols := tensor.New(l.InC*l.Kernel*l.Kernel, plane)
 	for i := 0; i < n; i++ {
+		tensor.Im2ColInto(cols, sampleView(l.in, i), g)
 		gy := sampleView(grad, i).Reshape(l.OutC, plane)
 		// dB: row sums of gy.
 		gyd := gy.Data()
@@ -96,10 +104,10 @@ func (l *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 			db[oc] += s
 		}
 		// dW += gy · colsᵀ
-		dwm.AddInPlace(tensor.MatMul(gy, tensor.Transpose2D(l.cols[i])))
+		dwm.AddInPlace(tensor.MatMul(gy, tensor.Transpose2D(cols)))
 		// dX sample = col2im(Wᵀ · gy)
 		dcols := tensor.MatMul(wmT, gy)
-		sampleView(dx, i).AddInPlace(tensor.Col2Im(dcols, l.geom))
+		sampleView(dx, i).AddInPlace(tensor.Col2Im(dcols, g))
 	}
 	return dx
 }
@@ -114,8 +122,7 @@ type DepthwiseConv2D struct {
 	Pad            int
 	W, B           *Param
 
-	in   *tensor.Tensor
-	geom tensor.ConvGeom
+	in *tensor.Tensor
 }
 
 // NewDepthwiseConv2D constructs a depthwise convolution with zero parameters.
@@ -137,17 +144,25 @@ func (l *DepthwiseConv2D) Geom(h, w int) tensor.ConvGeom {
 	return tensor.ConvGeom{InC: 1, InH: h, InW: w, Kernel: l.Kernel, Stride: l.Stride, Pad: l.Pad}
 }
 
-// Forward computes the depthwise convolution directly from the definition.
+// Forward runs ForwardScratch on fresh buffers and caches the input for
+// Backward.
 func (l *DepthwiseConv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	l.in = x
+	return l.ForwardScratch(x, nil)
+}
+
+// ForwardScratch implements ScratchForwarder, computing the depthwise
+// convolution directly from the definition; every output element is written
+// (its sum starts from the bias).
+func (l *DepthwiseConv2D) ForwardScratch(x *tensor.Tensor, s *Scratch) *tensor.Tensor {
 	checkRank(l.label, x, 4)
 	if x.Dim(1) != l.C {
 		panic(fmt.Sprintf("nn: %s expects %d channels, got %d", l.label, l.C, x.Dim(1)))
 	}
 	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
-	g := tensor.ConvGeom{InC: 1, InH: h, InW: w, Kernel: l.Kernel, Stride: l.Stride, Pad: l.Pad}
+	g := l.Geom(h, w)
 	oh, ow := g.OutH(), g.OutW()
-	out := tensor.New(n, l.C, oh, ow)
-	l.in, l.geom = x, g
+	out := s.Tensor(n, l.C, oh, ow)
 	wd, bd := l.W.Value.Data(), l.B.Value.Data()
 	xd, od := x.Data(), out.Data()
 	k := l.Kernel
@@ -183,7 +198,8 @@ func (l *DepthwiseConv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // Backward accumulates dW, dB and returns dX for the depthwise convolution.
 func (l *DepthwiseConv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	n, h, w := l.in.Dim(0), l.in.Dim(2), l.in.Dim(3)
-	oh, ow := l.geom.OutH(), l.geom.OutW()
+	g := l.Geom(h, w)
+	oh, ow := g.OutH(), g.OutW()
 	dx := tensor.New(l.in.Shape()...)
 	xd, gd, dxd := l.in.Data(), grad.Data(), dx.Data()
 	wd, dwd, dbd := l.W.Value.Data(), l.W.Grad.Data(), l.B.Grad.Data()
@@ -244,14 +260,22 @@ func (l *Linear) Name() string { return l.label }
 // Params returns weight and bias.
 func (l *Linear) Params() []*Param { return []*Param{l.W, l.B} }
 
-// Forward computes the batched affine map for input [N, In].
+// Forward runs ForwardScratch on fresh buffers and caches the input for
+// Backward.
 func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	l.in = x
+	return l.ForwardScratch(x, nil)
+}
+
+// ForwardScratch implements ScratchForwarder for input [N, In]: the weight
+// transpose and the product land in s, then the bias is added.
+func (l *Linear) ForwardScratch(x *tensor.Tensor, s *Scratch) *tensor.Tensor {
 	checkRank(l.label, x, 2)
 	if x.Dim(1) != l.In {
 		panic(fmt.Sprintf("nn: %s expects %d features, got %d", l.label, l.In, x.Dim(1)))
 	}
-	l.in = x
-	out := tensor.MatMul(x, tensor.Transpose2D(l.W.Value)) // [N, Out]
+	wT := tensor.Transpose2DInto(s.Tensor(l.In, l.Out), l.W.Value)
+	out := tensor.MatMulInto(s.Tensor(x.Dim(0), l.Out), x, wT)
 	od, bd := out.Data(), l.B.Value.Data()
 	n := x.Dim(0)
 	for i := 0; i < n; i++ {

@@ -7,9 +7,12 @@
 //
 // Tensors flow through layers with an explicit leading batch dimension:
 // convolutional layers take [N, C, H, W], fully connected layers take
-// [N, features]. Layers cache whatever the backward pass needs during
-// Forward; a Forward/Backward pair must therefore not be interleaved with
-// another Forward on the same layer.
+// [N, features]. Each leaf layer's inference arithmetic is one kernel,
+// ForwardScratch, which draws its outputs from a Scratch arena and writes no
+// layer field. Forward runs that kernel on fresh buffers and caches whatever
+// the backward pass needs; a Forward/Backward pair must therefore not be
+// interleaved with another Forward on the same layer, while ForwardScratch
+// may run anywhere in between, and concurrently.
 package nn
 
 import (

@@ -39,17 +39,37 @@ func (l *MaxPool2D) OutSize(h, w int) (int, int) {
 	return (h+2*l.Pad-l.Kernel)/l.Stride + 1, (w+2*l.Pad-l.Kernel)/l.Stride + 1
 }
 
-// Forward computes per-window maxima and records winner indices.
+// Forward runs the ForwardScratch kernel on fresh buffers and caches the
+// input shape and each window's winning input index for Backward.
 func (l *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	l.inShape = append([]int(nil), x.Shape()...)
+	out, argmax := l.pool(x, nil, true)
+	l.argmax = argmax
+	return out
+}
+
+// ForwardScratch implements ScratchForwarder; winner indices are not
+// recorded.
+func (l *MaxPool2D) ForwardScratch(x *tensor.Tensor, s *Scratch) *tensor.Tensor {
+	out, _ := l.pool(x, s, false)
+	return out
+}
+
+// pool is MaxPool2D's kernel: per-window maxima, plus the flat input index
+// of each window's winner when record is set. Every output is written
+// (windows fully inside padding yield -Inf and winner -1).
+func (l *MaxPool2D) pool(x *tensor.Tensor, s *Scratch, record bool) (*tensor.Tensor, []int) {
 	checkRank(l.label, x, 4)
 	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	oh, ow := l.OutSize(h, w)
 	if oh <= 0 || ow <= 0 {
 		panic(fmt.Sprintf("nn: %s window %d/%d too large for %dx%d", l.label, l.Kernel, l.Stride, h, w))
 	}
-	out := tensor.New(n, c, oh, ow)
-	l.inShape = append([]int(nil), x.Shape()...)
-	l.argmax = make([]int, out.Len())
+	out := s.Tensor(n, c, oh, ow)
+	var argmax []int
+	if record {
+		argmax = make([]int, out.Len())
+	}
 	xd, od := x.Data(), out.Data()
 	for i := 0; i < n; i++ {
 		for ch := 0; ch < c; ch++ {
@@ -76,12 +96,14 @@ func (l *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 					}
 					oidx := obase + oy*ow + ox
 					od[oidx] = best
-					l.argmax[oidx] = bestIdx
+					if record {
+						argmax[oidx] = bestIdx
+					}
 				}
 			}
 		}
 	}
-	return out
+	return out, argmax
 }
 
 // Backward routes each output gradient to its winning input element.
@@ -120,13 +142,19 @@ func (l *AvgPool2D) OutSize(h, w int) (int, int) {
 	return (h-l.Kernel)/l.Stride + 1, (w-l.Kernel)/l.Stride + 1
 }
 
-// Forward computes per-window means.
+// Forward runs ForwardScratch on fresh buffers and caches the input shape
+// for Backward.
 func (l *AvgPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	l.inShape = append([]int(nil), x.Shape()...)
+	return l.ForwardScratch(x, nil)
+}
+
+// ForwardScratch implements ScratchForwarder: per-window means.
+func (l *AvgPool2D) ForwardScratch(x *tensor.Tensor, s *Scratch) *tensor.Tensor {
 	checkRank(l.label, x, 4)
 	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	oh, ow := l.OutSize(h, w)
-	out := tensor.New(n, c, oh, ow)
-	l.inShape = append([]int(nil), x.Shape()...)
+	out := s.Tensor(n, c, oh, ow)
 	xd, od := x.Data(), out.Data()
 	inv := 1 / float64(l.Kernel*l.Kernel)
 	for i := 0; i < n; i++ {
@@ -190,12 +218,25 @@ func (l *GlobalAvgPool) Name() string { return l.label }
 // Params returns nil; pooling has no parameters.
 func (l *GlobalAvgPool) Params() []*Param { return nil }
 
-// Forward averages each channel plane.
+// Forward runs ForwardScratch on fresh buffers and caches the input shape
+// for Backward.
 func (l *GlobalAvgPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	checkRank(l.label, x, 4)
-	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	l.inShape = append([]int(nil), x.Shape()...)
-	out := tensor.New(n, c)
+	return l.ForwardScratch(x, nil)
+}
+
+// ForwardScratch implements ScratchForwarder: the mean of each channel
+// plane.
+func (l *GlobalAvgPool) ForwardScratch(x *tensor.Tensor, s *Scratch) *tensor.Tensor {
+	checkRank(l.label, x, 4)
+	return planeMeans(x, s)
+}
+
+// planeMeans averages each channel plane of x [N, C, H, W] into an [N, C]
+// tensor drawn from s.
+func planeMeans(x *tensor.Tensor, s *Scratch) *tensor.Tensor {
+	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
+	out := s.Tensor(n, c)
 	xd, od := x.Data(), out.Data()
 	plane := h * w
 	inv := 1 / float64(plane)

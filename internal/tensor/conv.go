@@ -33,21 +33,34 @@ func (g ConvGeom) Validate() {
 // positions contribute zeros.
 func Im2Col(x *Tensor, g ConvGeom) *Tensor {
 	g.Validate()
+	return Im2ColInto(New(g.InC*g.Kernel*g.Kernel, g.OutH()*g.OutW()), x, g)
+}
+
+// Im2ColInto unrolls x (shape [C,H,W]) into dst, which must have the shape
+// Im2Col returns ([C*Kernel*Kernel, OutH*OutW]). dst is fully
+// overwritten; padding positions are written as zeros.
+func Im2ColInto(dst, x *Tensor, g ConvGeom) *Tensor {
+	g.Validate()
 	if x.Rank() != 3 || x.Dim(0) != g.InC || x.Dim(1) != g.InH || x.Dim(2) != g.InW {
-		panic(fmt.Sprintf("tensor: Im2Col input %v does not match geometry %+v", x.Shape(), g))
+		panic(fmt.Sprintf("tensor: Im2ColInto input %v does not match geometry %+v", x.Shape(), g))
 	}
 	oh, ow := g.OutH(), g.OutW()
 	k := g.Kernel
-	cols := New(g.InC*k*k, oh*ow)
+	if dst.Rank() != 2 || dst.Dim(0) != g.InC*k*k || dst.Dim(1) != oh*ow {
+		panic(fmt.Sprintf("tensor: Im2ColInto dst %v, want [%d %d]", dst.Shape(), g.InC*k*k, oh*ow))
+	}
+	cd := dst.data
+	for i := range cd {
+		cd[i] = 0
+	}
 	xd := x.data
-	cd := cols.data
 	colW := oh * ow
 	for c := 0; c < g.InC; c++ {
 		chanOff := c * g.InH * g.InW
 		for ky := 0; ky < k; ky++ {
 			for kx := 0; kx < k; kx++ {
 				row := ((c*k + ky) * k) + kx
-				dst := cd[row*colW : (row+1)*colW]
+				d := cd[row*colW : (row+1)*colW]
 				for oy := 0; oy < oh; oy++ {
 					iy := oy*g.Stride + ky - g.Pad
 					if iy < 0 || iy >= g.InH {
@@ -59,13 +72,13 @@ func Im2Col(x *Tensor, g ConvGeom) *Tensor {
 						if ix < 0 || ix >= g.InW {
 							continue
 						}
-						dst[oy*ow+ox] = xd[srcRow+ix]
+						d[oy*ow+ox] = xd[srcRow+ix]
 					}
 				}
 			}
 		}
 	}
-	return cols
+	return dst
 }
 
 // Col2Im scatters a column matrix (as produced by Im2Col, shape

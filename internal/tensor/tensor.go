@@ -45,7 +45,14 @@ func New(shape ...int) *Tensor {
 
 // FromSlice wraps data (without copying) in a tensor of the given shape.
 // len(data) must equal the shape's element count.
-func FromSlice(data []float64, shape ...int) *Tensor {
+func FromSlice(data []float64, shape ...int) *Tensor { return new(Tensor).Alias(data, shape...) }
+
+// Alias repoints t at caller-owned storage with the given shape, without
+// allocating a fresh Tensor. len(data) must equal the shape's element count.
+// It exists for scratch-arena reuse (nn.Scratch): a view slot can be re-aimed
+// at a new window of a backing buffer every inference without producing
+// garbage. The previous shape slice is reused when capacity allows.
+func (t *Tensor) Alias(data []float64, shape ...int) *Tensor {
 	n := 1
 	for _, d := range shape {
 		if d <= 0 {
@@ -56,9 +63,9 @@ func FromSlice(data []float64, shape ...int) *Tensor {
 	if len(data) != n {
 		panic(fmt.Sprintf("tensor: data length %d does not match shape %s (%d elements)", len(data), shapeStr(shape), n))
 	}
-	s := make([]int, len(shape))
-	copy(s, shape)
-	return &Tensor{shape: s, data: data}
+	t.shape = append(t.shape[:0], shape...)
+	t.data = data
+	return t
 }
 
 // Shape returns the tensor's dimensions. The returned slice must not be
@@ -306,14 +313,21 @@ func MatMul(a, b *Tensor) *Tensor {
 	if a.Rank() != 2 || b.Rank() != 2 {
 		panic(fmt.Sprintf("tensor: MatMul needs rank-2 operands, got %v × %v", a.shape, b.shape))
 	}
-	m, k := a.shape[0], a.shape[1]
-	k2, n := b.shape[0], b.shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMul inner dims %d vs %d", k, k2))
+	return MatMulInto(New(a.shape[0], b.shape[1]), a, b)
+}
+
+// MatMulInto multiplies a (m×k) by b (k×n) into dst (m×n), which must have
+// the exact output shape. dst is fully overwritten. The cache-blocked kernel
+// preserves the naive per-element accumulation order (and the zero-term
+// skip), so results are bit-identical to the historical ikj loop; see
+// blocked.go for the blocking scheme and the identity argument.
+func MatMulInto(dst, a, b *Tensor) *Tensor {
+	m, k, n := checkMatMulShapes(dst, a, b)
+	for i := range dst.data {
+		dst.data[i] = 0
 	}
-	out := New(m, n)
-	matmulBlocked(out.data, a.data, b.data, m, k, n)
-	return out
+	matmulBlocked(dst.data, a.data, b.data, m, k, n)
+	return dst
 }
 
 // Transpose2D returns the transpose of a rank-2 tensor as a new tensor.
@@ -321,14 +335,25 @@ func Transpose2D(a *Tensor) *Tensor {
 	if a.Rank() != 2 {
 		panic(fmt.Sprintf("tensor: Transpose2D needs rank 2, got %v", a.shape))
 	}
+	return Transpose2DInto(New(a.shape[1], a.shape[0]), a)
+}
+
+// Transpose2DInto writes the transpose of a (m×n) into dst (n×m), fully
+// overwriting it.
+func Transpose2DInto(dst, a *Tensor) *Tensor {
+	if a.Rank() != 2 {
+		panic(fmt.Sprintf("tensor: Transpose2DInto needs rank 2, got %v", a.shape))
+	}
 	m, n := a.shape[0], a.shape[1]
-	out := New(n, m)
+	if dst.Rank() != 2 || dst.shape[0] != n || dst.shape[1] != m {
+		panic(fmt.Sprintf("tensor: Transpose2DInto dst %v, want [%d %d]", dst.shape, n, m))
+	}
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
-			out.data[j*m+i] = a.data[i*n+j]
+			dst.data[j*m+i] = a.data[i*n+j]
 		}
 	}
-	return out
+	return dst
 }
 
 // Equal reports whether t and o have the same shape and all elements within
