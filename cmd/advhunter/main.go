@@ -352,7 +352,7 @@ func cmdTrain(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(stdout, "scenario %s: %s × %s\n", env.Scn.ID, env.Scn.Dataset, env.Scn.Arch)
-	fmt.Fprintf(stdout, "clean test accuracy: %.2f%%\n", 100*env.CleanAcc)
+	fmt.Fprintf(stdout, "clean test accuracy: %.2f%%\n", 100*env.CleanAcc())
 	fmt.Fprintf(stdout, "parameters: %d\n", env.Model.ParamCount())
 	return nil
 }
@@ -449,8 +449,9 @@ func cmdScan(args []string, stdout, stderr io.Writer) error {
 	pipe := &detect.Pipeline{M: env.Meas, D: det}
 
 	fmt.Fprintf(stdout, "scanning %d clean test images (%s backend):\n", *n, det.Kind())
-	for i := 0; i < *n && i < len(env.DS.Test); i++ {
-		s := env.DS.Test[i]
+	test := env.Data().Test
+	for i := 0; i < *n && i < len(test); i++ {
+		s := test[i]
 		res := pipe.Scan(s.X)
 		fmt.Fprintf(stdout, "  image %2d (true %q): predicted %q, adversarial=%v\n",
 			i, data.ClassName(env.Scn.Dataset, s.Label),

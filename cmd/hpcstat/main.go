@@ -37,10 +37,11 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	if *image < 0 || *image >= len(env.DS.Test) {
-		fail(fmt.Errorf("image index %d out of range [0,%d)", *image, len(env.DS.Test)))
+	test := env.Data().Test
+	if *image < 0 || *image >= len(test) {
+		fail(fmt.Errorf("image index %d out of range [0,%d)", *image, len(test)))
 	}
-	sample := env.DS.Test[*image]
+	sample := test[*image]
 	env.Meas.R = *repeats
 
 	m := env.Meas.Measure(sample.X)

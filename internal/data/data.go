@@ -50,15 +50,25 @@ var specs = map[string]spec{
 // Names returns the available dataset names.
 func Names() []string { return []string{"fashionmnist", "cifar10", "gtsrb"} }
 
-// Synth generates a dataset with the given per-class sample counts. The seed
-// fully determines every pixel.
-func Synth(name string, seed uint64, trainPerClass, testPerClass int) (*Dataset, error) {
+// Describe returns the named dataset's class count and image shape with
+// empty splits: what building a model needs, without generating an image.
+func Describe(name string) (*Dataset, error) {
 	sp, ok := specs[name]
 	if !ok {
 		return nil, fmt.Errorf("data: unknown dataset %q (have %v)", name, Names())
 	}
+	return &Dataset{Name: name, Classes: sp.classes, C: sp.c, H: sp.h, W: sp.w}, nil
+}
+
+// Synth generates a dataset with the given per-class sample counts. The seed
+// fully determines every pixel.
+func Synth(name string, seed uint64, trainPerClass, testPerClass int) (*Dataset, error) {
+	d, err := Describe(name)
+	if err != nil {
+		return nil, err
+	}
+	sp := specs[name]
 	root := rng.New(seed)
-	d := &Dataset{Name: name, Classes: sp.classes, C: sp.c, H: sp.h, W: sp.w}
 	trainRand := root.Split(1)
 	testRand := root.Split(2)
 	for class := 0; class < sp.classes; class++ {

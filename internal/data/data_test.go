@@ -54,6 +54,25 @@ func TestSynthUnknownName(t *testing.T) {
 	}
 }
 
+func TestDescribeMatchesSynth(t *testing.T) {
+	for _, name := range Names() {
+		d, err := Describe(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := MustSynth(name, 1, 1, 1)
+		if d.Name != s.Name || d.Classes != s.Classes || d.C != s.C || d.H != s.H || d.W != s.W {
+			t.Fatalf("%s: Describe %+v, Synth geometry %s %d×[%d %d %d]", name, d, s.Name, s.Classes, s.C, s.H, s.W)
+		}
+		if len(d.Train) != 0 || len(d.Test) != 0 {
+			t.Fatalf("%s: Describe generated samples", name)
+		}
+	}
+	if _, err := Describe("mnist"); err == nil {
+		t.Fatal("expected error for unknown dataset")
+	}
+}
+
 func TestTrainSetIsShuffled(t *testing.T) {
 	d := MustSynth("fashionmnist", 3, 10, 1)
 	// If unshuffled, the first 10 train labels would all be class 0.

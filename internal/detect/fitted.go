@@ -5,6 +5,7 @@ import (
 
 	"advhunter/internal/core"
 	"advhunter/internal/metrics"
+	"advhunter/internal/parallel"
 	"advhunter/internal/uarch/hpc"
 )
 
@@ -29,9 +30,9 @@ type Fitted struct {
 }
 
 // Fit runs the offline phase of the named backend on a measured template:
-// the backend fits its scorers, then every (channel, category) threshold is
-// derived the same way — mean + SigmaFactor·std of the channel's scores
-// over the category's own template rows.
+// the backend fits its scorers concurrently, then every (channel, category)
+// threshold is derived the same way — mean + SigmaFactor·std of the
+// channel's scores over the category's own template rows.
 func Fit(kind string, t *core.Template, cfg Config) (*Fitted, error) {
 	if cfg.SigmaFactor <= 0 || cfg.MaxK <= 0 {
 		return nil, fmt.Errorf("detect: invalid config %+v", cfg)
@@ -47,8 +48,12 @@ func Fit(kind string, t *core.Template, cfg Config) (*Fitted, error) {
 	if len(scorers) == 0 {
 		return nil, fmt.Errorf("detect: backend %q produced no scorers", kind)
 	}
-	for _, s := range scorers {
-		if err := s.Fit(t, cfg); err != nil {
+	// Each scorer fits from its own (category, channel) seeds into its own
+	// fields, so the fan-out is bit-identical to a serial loop; the
+	// lowest-index scorer's error wins, as it would serially.
+	errs := parallel.Map(0, scorers, func(_ int, s Scorer) error { return s.Fit(t, cfg) })
+	for _, err := range errs {
+		if err != nil {
 			return nil, err
 		}
 	}

@@ -116,12 +116,15 @@ func requireSame(t *testing.T, label string, e, perLine *Engine, fwd *models.Mod
 	}
 }
 
-// TestReplayMatchesReference pins the coalesced zero-allocation replay to
-// two independent references: for every architecture and machine
-// configuration, the prediction and confidence must equal the allocating
-// forward pass's, and all HPC events must equal those of an engine that
-// replays every span line by line — on the original engines, on Clone
-// replicas, and on repeated queries of one input.
+// TestReplayMatchesReference pins the coalesced zero-allocation replay, for
+// every architecture and machine configuration, on the original engines, on
+// Clone replicas, and on repeated queries of one input:
+//   - The prediction and confidence must equal the allocating forward
+//     pass's. That pass runs the same layer kernels on fresh buffers, so
+//     this checks arena reuse and the engine's walk of the container
+//     layers, not the kernels' arithmetic.
+//   - Every HPC event must equal that of an engine that replays every span
+//     line by line, an independent reference for the coalesced runs.
 func TestReplayMatchesReference(t *testing.T) {
 	for _, arch := range models.Architectures() {
 		for ci, cfg := range differentialConfigs() {

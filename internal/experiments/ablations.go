@@ -250,7 +250,7 @@ func AblationNoise(opts Options) (*NoiseAblationResult, error) {
 		}
 		seed := uint64(c.sc*1000) ^ uint64(c.rep)<<8
 		val := resampleNoise(valTruth, noise, c.rep, seed^1, 1)
-		tpl := TemplateFromMeasurements(val, env.DS.Classes, env.Scn.TemplateM, hpc.AllEvents())
+		tpl := TemplateFromMeasurements(val, env.Classes(), env.Scn.TemplateM, hpc.AllEvents())
 		det, err := detect.Fit("gmm", tpl, detect.DefaultConfig())
 		if err != nil {
 			return outcome{err: err}
@@ -307,7 +307,7 @@ func AblationDetectors(opts Options) (*DetectorComparisonResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	tpl := TemplateFromMeasurements(valMeas, env.DS.Classes, env.Scn.TemplateM, hpc.AllEvents())
+	tpl := TemplateFromMeasurements(valMeas, env.Classes(), env.Scn.TemplateM, hpc.AllEvents())
 	clean, err := env.CorrectCleanMeasurements()
 	if err != nil {
 		return nil, err
@@ -455,7 +455,8 @@ func ControlNoise(opts Options) (*ControlNoiseResult, error) {
 	}
 	// For the control we measure ALL noisy images (not just "successful"
 	// ones — noise has no goal); re-craft the full set from sources.
-	noisyAll, err := env.measureCached(env.Meas, fmt.Sprintf("noisy-all-%g-n%d", eps, n), noisyImages(env, eps, n))
+	noisy := noisyImages(env, eps, n)
+	noisyAll, err := env.measureCached(env.Meas, fmt.Sprintf("noisy-all-%g-n%d", eps, n), len(noisy), given(noisy))
 	if err != nil {
 		return nil, err
 	}

@@ -50,7 +50,7 @@ func AblationAdaptive(opts Options) (*AdaptiveResult, error) {
 	// Target-class exemplars (the attacker is white-box: it can source
 	// clean target images).
 	var exemplars []*tensor.Tensor
-	for _, s := range env.DS.Train {
+	for _, s := range env.Data().Train {
 		if s.Label == env.Scn.TargetClass {
 			exemplars = append(exemplars, s.X)
 		}
@@ -80,7 +80,7 @@ func AblationAdaptive(opts Options) (*AdaptiveResult, error) {
 		if path != "" && loadGob(path, &cached) == nil {
 			successRate = cached.SuccessRate
 			succ := fromDTOs(cached.Successful)
-			meas, err = env.measureCached(env.Meas, "ae-"+key, succ)
+			meas, err = env.measureCached(env.Meas, "ae-"+key, len(succ), given(succ))
 			if err != nil {
 				return nil, err
 			}
@@ -99,7 +99,7 @@ func AblationAdaptive(opts Options) (*AdaptiveResult, error) {
 					return nil, err
 				}
 			}
-			meas, err = env.measureCached(env.Meas, "ae-"+key, succ)
+			meas, err = env.measureCached(env.Meas, "ae-"+key, len(succ), given(succ))
 			if err != nil {
 				return nil, err
 			}

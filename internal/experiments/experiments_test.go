@@ -55,15 +55,15 @@ func TestLoadEnvUnknown(t *testing.T) {
 
 func TestLoadEnvTrainsAndCaches(t *testing.T) {
 	env := testEnv(t)
-	if env.CleanAcc < 0.7 {
-		t.Fatalf("TEST model accuracy %.2f too low", env.CleanAcc)
+	if env.CleanAcc() < 0.7 {
+		t.Fatalf("TEST model accuracy %.2f too low", env.CleanAcc())
 	}
 	// Second load must reuse the checkpoint and produce an equal model.
 	env2, err := LoadEnv("TEST", Options{CacheDir: envDir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := env.DS.Test[0].X
+	x := env.Data().Test[0].X
 	if env.Model.Predict(x) != env2.Model.Predict(x) {
 		t.Fatal("cached model predicts differently")
 	}
@@ -155,7 +155,7 @@ func TestCraftAndAttackCached(t *testing.T) {
 
 func TestSampleDTORoundTrip(t *testing.T) {
 	env := testEnv(t)
-	orig := env.DS.Test[:3]
+	orig := env.Data().Test[:3]
 	back := fromDTOs(toDTOs(orig))
 	for i := range orig {
 		if back[i].Label != orig[i].Label {

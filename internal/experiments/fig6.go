@@ -63,9 +63,9 @@ func Figure6(opts Options) (*Fig6Result, error) {
 			return nil, err
 		}
 		// Bucket validation measurements by predicted class once.
-		byClass := make([][]core.Measurement, env.DS.Classes)
+		byClass := make([][]core.Measurement, env.Classes())
 		for _, m := range valMeas {
-			if m.Pred >= 0 && m.Pred < env.DS.Classes {
+			if m.Pred >= 0 && m.Pred < env.Classes() {
 				byClass[m.Pred] = append(byClass[m.Pred], m)
 			}
 		}
@@ -80,8 +80,8 @@ func Figure6(opts Options) (*Fig6Result, error) {
 				r := base.Fork(uint64(si)<<32 | uint64(draw))
 				// Only the cache-misses GMMs are evaluated, so the template
 				// carries just that event — a 10x fit-time saving per draw.
-				tpl := core.NewTemplate(env.DS.Classes, []hpc.Event{hpc.CacheMisses})
-				for c := 0; c < env.DS.Classes; c++ {
+				tpl := core.NewTemplate(env.Classes(), []hpc.Event{hpc.CacheMisses})
+				for c := 0; c < env.Classes(); c++ {
 					pool := byClass[c]
 					if len(pool) == 0 {
 						continue

@@ -107,16 +107,20 @@ func (o Options) logf(format string, args ...any) {
 	}
 }
 
-// Env is a materialised scenario: data, a converged model, and the
-// instrumented measurer.
+// Env is a materialised scenario: a converged model and the instrumented
+// measurer. The train/test split, the validation images and the clean test
+// accuracy are built on first use (Data, ValidationPool, CleanAcc), so a
+// boot that serves from cached measurements generates no image at all.
 type Env struct {
-	Scn      Scenario
-	Opts     Options
-	DS       *data.Dataset
-	Model    *models.Model
-	Meas     *core.Measurer
-	CleanAcc float64
+	Scn   Scenario
+	Opts  Options
+	Model *models.Model
+	Meas  *core.Measurer
 
+	dsOnce  sync.Once
+	ds      *data.Dataset
+	accOnce sync.Once
+	acc     float64
 	valOnce sync.Once
 	valPool []data.Sample
 }
@@ -147,15 +151,15 @@ func LoadEnv(id string, opts Options) (*Env, error) {
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown scenario %q", id)
 	}
-	ds, err := data.Synth(scn.Dataset, scn.Seed, scn.TrainPerClass, scn.TestPerClass)
+	shape, err := data.Describe(scn.Dataset)
 	if err != nil {
 		return nil, err
 	}
-	m, err := models.Build(scn.Arch, ds.C, ds.H, ds.W, ds.Classes, scn.Seed)
+	m, err := models.Build(scn.Arch, shape.C, shape.H, shape.W, shape.Classes, scn.Seed)
 	if err != nil {
 		return nil, err
 	}
-	env := &Env{Scn: scn, Opts: opts, DS: ds, Model: m}
+	env := &Env{Scn: scn, Opts: opts, Model: m}
 
 	cfg := train.DefaultConfig()
 	cfg.Epochs = scn.Epochs
@@ -163,27 +167,44 @@ func LoadEnv(id string, opts Options) (*Env, error) {
 	cfg.TargetAccuracy = scn.TargetAccuracy
 	cfg.Seed = scn.Seed
 
-	ckpt := env.cachePath("model.gob")
-	if ckpt != "" {
-		res, trained, err := train.Cached(m, ds, cfg, ckpt)
-		if err != nil {
+	res, trained := train.Result{}, true
+	if ckpt := env.cachePath("model.gob"); ckpt != "" {
+		if res, trained, err = train.Cached(m, env.Data, cfg, ckpt); err != nil {
 			return nil, fmt.Errorf("experiments: training %s: %w", id, err)
 		}
-		if trained {
-			opts.logf("[%s] trained %s/%s to %.2f%% test accuracy (%d epochs)",
-				id, scn.Dataset, scn.Arch, 100*res.TestAccuracy, res.Epochs)
-		} else {
-			opts.logf("[%s] loaded cached model (%.2f%% test accuracy)", id, 100*res.TestAccuracy)
-		}
-		env.CleanAcc = res.TestAccuracy
 	} else {
-		res := train.SGD(m, ds, cfg)
-		env.CleanAcc = res.TestAccuracy
+		res = train.SGD(m, env.Data(), cfg)
+	}
+	if trained {
+		opts.logf("[%s] trained %s/%s to %.2f%% test accuracy (%d epochs)",
+			id, scn.Dataset, scn.Arch, 100*res.TestAccuracy, res.Epochs)
+		env.accOnce.Do(func() { env.acc = res.TestAccuracy })
+	} else {
+		opts.logf("[%s] loaded cached model", id)
 	}
 
 	env.Meas = core.NewMeasurer(engine.NewDefault(m), scn.Seed^0xbeef)
 	env.Meas.Workers = opts.Workers
 	return env, nil
+}
+
+// Classes is the scenario's category count.
+func (e *Env) Classes() int { return e.Model.Meta.Classes }
+
+// Data returns the scenario's train/test split, generated on first use.
+func (e *Env) Data() *data.Dataset {
+	e.dsOnce.Do(func() {
+		e.ds = data.MustSynth(e.Scn.Dataset, e.Scn.Seed, e.Scn.TrainPerClass, e.Scn.TestPerClass)
+	})
+	return e.ds
+}
+
+// CleanAcc returns the model's accuracy on the clean test split: the figure
+// training reported, or, for a model loaded from its checkpoint, an
+// evaluation run on first use.
+func (e *Env) CleanAcc() float64 {
+	e.accOnce.Do(func() { e.acc = train.Evaluate(e.Model, e.Data().Test) })
+	return e.acc
 }
 
 // ValidationPool returns the defender's clean validation images —
@@ -197,17 +218,19 @@ func (e *Env) ValidationPool() []data.Sample {
 	return e.valPool
 }
 
-// measureCached measures samples with the given measurer, caching under key.
-func (e *Env) measureCached(meas *core.Measurer, key string, samples []data.Sample) ([]core.Measurement, error) {
+// measureCached measures the n samples that samples() returns with the
+// given measurer, caching under key. A cache hit of n rows never calls
+// samples, so the images are only built to be measured.
+func (e *Env) measureCached(meas *core.Measurer, key string, n int, samples func() []data.Sample) ([]core.Measurement, error) {
 	path := e.cachePath("meas-" + key + ".gob")
 	if path != "" {
 		var cached []core.Measurement
-		if err := loadGob(path, &cached); err == nil && len(cached) == len(samples) {
+		if err := loadGob(path, &cached); err == nil && len(cached) == n {
 			return cached, nil
 		}
 	}
-	e.Opts.logf("[%s] measuring %d images (%s)…", e.Scn.ID, len(samples), key)
-	ms := core.MeasureSet(meas, samples)
+	e.Opts.logf("[%s] measuring %d images (%s)…", e.Scn.ID, n, key)
+	ms := core.MeasureSet(meas, samples())
 	if path != "" {
 		if err := saveGob(path, ms); err != nil {
 			return nil, err
@@ -216,14 +239,30 @@ func (e *Env) measureCached(meas *core.Measurer, key string, samples []data.Samp
 	return ms, nil
 }
 
+// given wraps samples already in hand for measureCached.
+func given(ss []data.Sample) func() []data.Sample {
+	return func() []data.Sample { return ss }
+}
+
+// validationSize is the validation pool's length: ValPerClass images of
+// every category.
+func (e *Env) validationSize() int { return e.Scn.ValPerClass * e.Classes() }
+
+// testSize is the test split's length: TestPerClass images of every
+// category.
+func (e *Env) testSize() int { return e.Scn.TestPerClass * e.Classes() }
+
+// testSplit returns the clean test images.
+func (e *Env) testSplit() []data.Sample { return e.Data().Test }
+
 // ValidationMeasurements measures the full validation pool (cached).
 func (e *Env) ValidationMeasurements() ([]core.Measurement, error) {
-	return e.measureCached(e.Meas, "validation", e.ValidationPool())
+	return e.measureCached(e.Meas, "validation", e.validationSize(), e.ValidationPool)
 }
 
 // TestMeasurements measures the full clean test split (cached).
 func (e *Env) TestMeasurements() ([]core.Measurement, error) {
-	return e.measureCached(e.Meas, "test-clean", e.DS.Test)
+	return e.measureCached(e.Meas, "test-clean", e.testSize(), e.testSplit)
 }
 
 // TemplateFromMeasurements assembles the offline template from the first m
@@ -255,7 +294,7 @@ func (e *Env) DetectorKind(kind string, cfg detect.Config) (*detect.Fitted, erro
 	if err != nil {
 		return nil, err
 	}
-	tpl := TemplateFromMeasurements(ms, e.DS.Classes, e.Scn.TemplateM, hpc.AllEvents())
+	tpl := TemplateFromMeasurements(ms, e.Classes(), e.Scn.TemplateM, hpc.AllEvents())
 	return detect.Fit(kind, tpl, cfg)
 }
 
@@ -356,11 +395,11 @@ type AttackResult struct {
 // attacks, capped at n and balanced across source categories (round-robin)
 // so per-category evaluations like Table 2 see every class.
 func (e *Env) attackSources(targeted bool, n int) []data.Sample {
-	buckets := data.ByClass(e.DS.Test, e.DS.Classes)
+	buckets := data.ByClass(e.Data().Test, e.Classes())
 	var out []data.Sample
 	for depth := 0; len(out) < n; depth++ {
 		found := false
-		for c := 0; c < e.DS.Classes && len(out) < n; c++ {
+		for c := 0; c < e.Classes() && len(out) < n; c++ {
 			if targeted && c == e.Scn.TargetClass {
 				continue
 			}
@@ -412,6 +451,9 @@ type craftedSet struct {
 	Successful    []sampleDTO
 }
 
+// samples returns the crafted images as samples.
+func (c *craftedSet) samples() []data.Sample { return fromDTOs(c.Successful) }
+
 // Craft crafts (or loads) the successful adversarial examples for one attack
 // spec. The images themselves are cached so machine-variant ablations can
 // re-measure them without re-running the attacker.
@@ -454,7 +496,7 @@ func (e *Env) Attack(spec AttackSpec, nSources int) (*AttackResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	meas, err := e.measureCached(e.Meas, fmt.Sprintf("ae-%s-n%d", spec.Key(), nSources), fromDTOs(set.Successful))
+	meas, err := e.measureCached(e.Meas, fmt.Sprintf("ae-%s-n%d", spec.Key(), nSources), len(set.Successful), set.samples)
 	if err != nil {
 		return nil, err
 	}

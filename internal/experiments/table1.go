@@ -36,7 +36,7 @@ func Table1(opts Options) (*Table1Result, error) {
 			Scenario: id,
 			Dataset:  env.Scn.Dataset,
 			Arch:     env.Scn.Arch,
-			CleanAcc: env.CleanAcc,
+			CleanAcc: env.CleanAcc(),
 		})
 	}
 	return res, nil

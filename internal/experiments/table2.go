@@ -80,7 +80,7 @@ func Table2(opts Options) (*Table2Result, error) {
 	for _, e := range events {
 		overall[e] = &metrics.Confusion{}
 	}
-	for c := 0; c < env.DS.Classes; c++ {
+	for c := 0; c < env.Classes(); c++ {
 		if c == env.Scn.TargetClass || len(bySource[c]) == 0 {
 			continue
 		}

@@ -57,7 +57,7 @@ func (e *Env) TwinBackend(tablePath string, knots int, kind string, cfg detect.C
 		return nil, nil, false, err
 	}
 	tms := core.MeasureSet(tm, e.ValidationPool())
-	tpl := TemplateFromMeasurements(tms, e.DS.Classes, e.Scn.TemplateM, hpc.AllEvents())
+	tpl := TemplateFromMeasurements(tms, e.Classes(), e.Scn.TemplateM, hpc.AllEvents())
 	tdet, err := detect.Fit(kind, tpl, cfg)
 	if err != nil {
 		return nil, nil, false, err
@@ -134,7 +134,7 @@ func TwinAccuracy(opts Options) (*TwinAccuracyResult, error) {
 		return nil, err
 	}
 	var items []twinItem
-	for i, s := range env.DS.Test {
+	for i, s := range env.Data().Test {
 		m := testMs[i]
 		if m.Pred == env.Scn.TargetClass && m.TrueLabel == env.Scn.TargetClass {
 			items = append(items, twinItem{x: s.X, idx: uint64(i), exact: m})
@@ -156,8 +156,8 @@ func TwinAccuracy(opts Options) (*TwinAccuracyResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		samples := fromDTOs(set.Successful)
-		meas, err := env.measureCached(env.Meas, fmt.Sprintf("ae-%s-n%d", spec.Key(), n), samples)
+		samples := set.samples()
+		meas, err := env.measureCached(env.Meas, fmt.Sprintf("ae-%s-n%d", spec.Key(), n), len(samples), given(samples))
 		if err != nil {
 			return nil, err
 		}

@@ -50,16 +50,16 @@ func (e *Env) variantMeasurer(v Variant) *core.Measurer {
 // the variant tag.
 func (e *Env) VariantEvaluation(v Variant, spec AttackSpec, nSources int, event hpc.Event) (metrics.Confusion, error) {
 	meas := e.variantMeasurer(v)
-	valMeas, err := e.measureCached(meas, "validation-"+v.Tag, e.ValidationPool())
+	valMeas, err := e.measureCached(meas, "validation-"+v.Tag, e.validationSize(), e.ValidationPool)
 	if err != nil {
 		return metrics.Confusion{}, err
 	}
-	tpl := TemplateFromMeasurements(valMeas, e.DS.Classes, e.Scn.TemplateM, hpc.AllEvents())
+	tpl := TemplateFromMeasurements(valMeas, e.Classes(), e.Scn.TemplateM, hpc.AllEvents())
 	det, err := detect.Fit("gmm", tpl, detect.DefaultConfig())
 	if err != nil {
 		return metrics.Confusion{}, err
 	}
-	testMeas, err := e.measureCached(meas, "test-clean-"+v.Tag, e.DS.Test)
+	testMeas, err := e.measureCached(meas, "test-clean-"+v.Tag, e.testSize(), e.testSplit)
 	if err != nil {
 		return metrics.Confusion{}, err
 	}
@@ -77,7 +77,7 @@ func (e *Env) VariantEvaluation(v Variant, spec AttackSpec, nSources int, event 
 	if err != nil {
 		return metrics.Confusion{}, err
 	}
-	aeMeas, err := e.measureCached(meas, fmt.Sprintf("ae-%s-n%d-%s", spec.Key(), nSources, v.Tag), fromDTOs(set.Successful))
+	aeMeas, err := e.measureCached(meas, fmt.Sprintf("ae-%s-n%d-%s", spec.Key(), nSources, v.Tag), len(set.Successful), set.samples)
 	if err != nil {
 		return metrics.Confusion{}, err
 	}
@@ -98,15 +98,15 @@ func (e *Env) TruthMeasurements(which string, spec AttackSpec, nSources int) ([]
 	}
 	switch which {
 	case "validation":
-		return e.measureCached(truthMeas, "validation-truth", e.ValidationPool())
+		return e.measureCached(truthMeas, "validation-truth", e.validationSize(), e.ValidationPool)
 	case "test":
-		return e.measureCached(truthMeas, "test-clean-truth", e.DS.Test)
+		return e.measureCached(truthMeas, "test-clean-truth", e.testSize(), e.testSplit)
 	case "attack":
 		set, err := e.Craft(spec, nSources)
 		if err != nil {
 			return nil, err
 		}
-		return e.measureCached(truthMeas, fmt.Sprintf("ae-%s-n%d-truth", spec.Key(), nSources), fromDTOs(set.Successful))
+		return e.measureCached(truthMeas, fmt.Sprintf("ae-%s-n%d-truth", spec.Key(), nSources), len(set.Successful), set.samples)
 	default:
 		panic("experiments: unknown truth set " + which)
 	}

@@ -27,18 +27,10 @@ func (g ConvGeom) Validate() {
 	}
 }
 
-// Im2Col unrolls the x tensor (shape [C,H,W]) into a matrix of shape
-// [C*Kernel*Kernel, OutH*OutW] so that convolution becomes a single matmul
-// with the weight matrix [outC, C*Kernel*Kernel]. Out-of-bounds (padding)
-// positions contribute zeros.
-func Im2Col(x *Tensor, g ConvGeom) *Tensor {
-	g.Validate()
-	return Im2ColInto(New(g.InC*g.Kernel*g.Kernel, g.OutH()*g.OutW()), x, g)
-}
-
-// Im2ColInto unrolls x (shape [C,H,W]) into dst, which must have the shape
-// Im2Col returns ([C*Kernel*Kernel, OutH*OutW]). dst is fully
-// overwritten; padding positions are written as zeros.
+// Im2ColInto unrolls x (shape [C,H,W]) into dst, a matrix of shape
+// [C*Kernel*Kernel, OutH*OutW], so that convolution becomes a single matmul
+// with the weight matrix [outC, C*Kernel*Kernel]. dst is fully overwritten;
+// padding positions are written as zeros.
 func Im2ColInto(dst, x *Tensor, g ConvGeom) *Tensor {
 	g.Validate()
 	if x.Rank() != 3 || x.Dim(0) != g.InC || x.Dim(1) != g.InH || x.Dim(2) != g.InW {
@@ -81,10 +73,10 @@ func Im2ColInto(dst, x *Tensor, g ConvGeom) *Tensor {
 	return dst
 }
 
-// Col2Im scatters a column matrix (as produced by Im2Col, shape
+// Col2Im scatters a column matrix (as produced by Im2ColInto, shape
 // [C*Kernel*Kernel, OutH*OutW]) back to an image of shape [C,H,W],
-// accumulating overlapping contributions. It is the adjoint of Im2Col and is
-// used for convolution input gradients.
+// accumulating overlapping contributions. It is the adjoint of Im2ColInto
+// and is used for convolution input gradients.
 func Col2Im(cols *Tensor, g ConvGeom) *Tensor {
 	g.Validate()
 	oh, ow := g.OutH(), g.OutW()

@@ -258,7 +258,7 @@ func TestIm2ColConvMatchesNaive(t *testing.T) {
 		r.FillNormal(x.Data(), 0, 1)
 		r.FillNormal(w.Data(), 0, 1)
 
-		cols := Im2Col(x, g)
+		cols := Im2ColInto(New(g.InC*g.Kernel*g.Kernel, g.OutH()*g.OutW()), x, g)
 		wm := w.Reshape(outC, g.InC*g.Kernel*g.Kernel)
 		got := MatMul(wm, cols).Reshape(outC, g.OutH(), g.OutW())
 		want := naiveConv(x, w, g, outC)
@@ -269,7 +269,7 @@ func TestIm2ColConvMatchesNaive(t *testing.T) {
 	}
 }
 
-// Property: Col2Im is the adjoint of Im2Col: <Im2Col(x), y> = <x, Col2Im(y)>.
+// Property: Col2Im is the adjoint of Im2ColInto: <Im2ColInto(x), y> = <x, Col2Im(y)>.
 func TestCol2ImAdjoint(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
@@ -283,7 +283,7 @@ func TestCol2ImAdjoint(t *testing.T) {
 		}
 		x := New(g.InC, g.InH, g.InW)
 		r.FillNormal(x.Data(), 0, 1)
-		cols := Im2Col(x, g)
+		cols := Im2ColInto(New(g.InC*g.Kernel*g.Kernel, g.OutH()*g.OutW()), x, g)
 		y := New(cols.Dim(0), cols.Dim(1))
 		r.FillNormal(y.Data(), 0, 1)
 		lhs := Dot(cols, y)
@@ -317,8 +317,9 @@ func BenchmarkIm2Col(b *testing.B) {
 	g := ConvGeom{InC: 8, InH: 16, InW: 16, Kernel: 3, Stride: 1, Pad: 1}
 	x := New(8, 16, 16)
 	rng.New(1).FillNormal(x.Data(), 0, 1)
+	dst := New(g.InC*g.Kernel*g.Kernel, g.OutH()*g.OutW())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = Im2Col(x, g)
+		Im2ColInto(dst, x, g)
 	}
 }

@@ -141,16 +141,18 @@ func Evaluate(m *models.Model, samples []data.Sample) float64 {
 	return float64(correct) / float64(len(samples))
 }
 
-// Cached trains the model unless a checkpoint exists at path, in which case
-// the checkpoint is loaded instead. It returns whether training ran.
-func Cached(m *models.Model, ds *data.Dataset, cfg Config, path string) (Result, bool, error) {
+// Cached loads the checkpoint at path into m when one exists; otherwise it
+// trains m on ds() and saves the checkpoint. It returns whether training
+// ran. A load builds no dataset and evaluates nothing, so its Result is the
+// zero value: a caller that wants the accuracy runs Evaluate itself.
+func Cached(m *models.Model, ds func() *data.Dataset, cfg Config, path string) (Result, bool, error) {
 	if _, err := os.Stat(path); err == nil {
 		if err := m.Load(path); err != nil {
 			return Result{}, false, fmt.Errorf("train: stale checkpoint %s: %w", path, err)
 		}
-		return Result{TestAccuracy: Evaluate(m, ds.Test), TrainAccuracy: -1}, false, nil
+		return Result{}, false, nil
 	}
-	res := SGD(m, ds, cfg)
+	res := SGD(m, ds(), cfg)
 	if err := m.Save(path); err != nil {
 		return res, true, err
 	}

@@ -86,15 +86,21 @@ func TestCachedTrainsOnceThenLoads(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Epochs = 2
 
+	built := 0
+	dataset := func() *data.Dataset { built++; return ds }
+
 	m1 := models.MustBuild("efficientnet", ds.C, ds.H, ds.W, ds.Classes, 5)
-	_, trained, err := Cached(m1, ds, cfg, path)
+	_, trained, err := Cached(m1, dataset, cfg, path)
 	if err != nil || !trained {
 		t.Fatalf("first call: trained=%v err=%v", trained, err)
 	}
 	m2 := models.MustBuild("efficientnet", ds.C, ds.H, ds.W, ds.Classes, 99)
-	_, trained, err = Cached(m2, ds, cfg, path)
+	_, trained, err = Cached(m2, dataset, cfg, path)
 	if err != nil || trained {
 		t.Fatalf("second call: trained=%v err=%v", trained, err)
+	}
+	if built != 1 {
+		t.Fatalf("dataset built %d times, want once (loading a checkpoint needs none)", built)
 	}
 	x, _ := data.Stack(ds.Test[:2])
 	if !tensor.Equal(m1.Logits(x.Clone()), m2.Logits(x.Clone()), 1e-12) {
@@ -108,12 +114,13 @@ func TestCachedRejectsIncompatibleCheckpoint(t *testing.T) {
 	ds := data.MustSynth("fashionmnist", 10, 6, 2)
 	cfg := DefaultConfig()
 	cfg.Epochs = 1
+	dataset := func() *data.Dataset { return ds }
 	m := models.MustBuild("simplecnn", ds.C, ds.H, ds.W, ds.Classes, 5)
-	if _, _, err := Cached(m, ds, cfg, path); err != nil {
+	if _, _, err := Cached(m, dataset, cfg, path); err != nil {
 		t.Fatal(err)
 	}
 	other := models.MustBuild("efficientnet", ds.C, ds.H, ds.W, ds.Classes, 5)
-	if _, _, err := Cached(other, ds, cfg, path); err == nil {
+	if _, _, err := Cached(other, dataset, cfg, path); err == nil {
 		t.Fatal("expected error loading a checkpoint of another architecture")
 	}
 }

@@ -209,16 +209,16 @@ func (h *Hierarchy) Fetch(addr uint64) {
 // data accesses — which keeps every walk ordered against demand traffic
 // exactly as the scalar interleaving would.
 func (h *Hierarchy) LoadRun(base uint64, n int, zero []bool) {
-	lineB := uint64(h.L1D.cfg.LineB)
+	lineB, lineShift := uint64(h.L1D.cfg.LineB), h.L1D.shift
 	dtlb, l1d, pf := h.DTLB, h.L1D, h.prefetcher
 	addr, i := base, 0
 	for i < n {
 		k := n - i
 		if dtlb != nil {
-			if linesLeft := int((dtlb.pageEnd(addr) - addr) / lineB); linesLeft < k {
+			if linesLeft := int((dtlb.pageEnd(addr) - addr) >> lineShift); linesLeft < k {
 				k = linesLeft
 			}
-			dtlb.TranslateRun(addr, lineB, k)
+			dtlb.TranslateRun(addr, lineShift, k)
 		}
 		if zero == nil && pf == nil {
 			// Weight streams: no ZCA mask, no prefetcher — hand the whole
@@ -247,16 +247,16 @@ func (h *Hierarchy) LoadRun(base uint64, n int, zero []bool) {
 // base, behaviour-identical to n Store calls (see LoadRun for the page-
 // segment ordering argument).
 func (h *Hierarchy) StoreRun(base uint64, n int, zero []bool) {
-	lineB := uint64(h.L1D.cfg.LineB)
+	lineB, lineShift := uint64(h.L1D.cfg.LineB), h.L1D.shift
 	dtlb, l1d := h.DTLB, h.L1D
 	addr, i := base, 0
 	for i < n {
 		k := n - i
 		if dtlb != nil {
-			if linesLeft := int((dtlb.pageEnd(addr) - addr) / lineB); linesLeft < k {
+			if linesLeft := int((dtlb.pageEnd(addr) - addr) >> lineShift); linesLeft < k {
 				k = linesLeft
 			}
-			dtlb.TranslateRun(addr, lineB, k)
+			dtlb.TranslateRun(addr, lineShift, k)
 		}
 		if zero == nil {
 			l1d.AccessRun(addr, k, Store)

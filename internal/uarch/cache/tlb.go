@@ -155,20 +155,19 @@ func (t *TLB) pageEnd(addr uint64) uint64 {
 	return (addr>>t.shift + 1) << t.shift
 }
 
-// TranslateRun translates n consecutive lines of size lineB starting at addr,
-// leaving exactly the statistics, replacement state, and page-walk traffic of
-// n individual Translate calls. After the first line of a page is translated
-// its entry is resident and nothing else touches the TLB before the run's
-// remaining same-page lines, so those are guaranteed hits whose only effects
-// are counter increments and a recency restamp — they are accounted in bulk
-// instead of re-probed one by one.
-func (t *TLB) TranslateRun(addr, lineB uint64, n int) {
+// TranslateRun translates n consecutive lines of size 1<<lineShift starting
+// at addr, leaving exactly the statistics, replacement state, and page-walk
+// traffic of n individual Translate calls. After the first line of a page is
+// translated its entry is resident and nothing else touches the TLB before
+// the run's remaining same-page lines, so those are guaranteed hits whose
+// only effects are counter increments and a recency restamp — they are
+// accounted in bulk instead of re-probed one by one.
+func (t *TLB) TranslateRun(addr uint64, lineShift uint, n int) {
 	for n > 0 {
 		t.Translate(addr)
 		// Lines left in this page after addr's; each is a guaranteed hit on
 		// the slot Translate just installed (lastSlot).
-		pageEnd := (addr>>t.shift + 1) << t.shift
-		k := int((pageEnd - addr) / lineB)
+		k := int((t.pageEnd(addr) - addr) >> lineShift)
 		if k > n {
 			k = n
 		}
@@ -179,7 +178,7 @@ func (t *TLB) TranslateRun(addr, lineB uint64, n int) {
 			t.tick += uint64(k - 1)
 			t.entries[t.lastSlot].lru = t.tick
 		}
-		addr += uint64(k) * lineB
+		addr += uint64(k) << lineShift
 		n -= k
 	}
 }

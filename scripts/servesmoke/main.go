@@ -396,7 +396,8 @@ func burstBodies(scenario string) ([][]byte, error) {
 		return nil, err
 	}
 	var bodies [][]byte
-	for i, s := range env.DS.Test[:min(40, len(env.DS.Test))] {
+	test := env.Data().Test
+	for i, s := range test[:min(40, len(test))] {
 		body, err := json.Marshal(serve.NewRequest(s.X, uint64(i)))
 		if err != nil {
 			return nil, err
