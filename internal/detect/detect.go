@@ -86,6 +86,13 @@ type Detector interface {
 	Channels() []string
 	// Detect runs the online phase on one measured reading.
 	Detect(q core.Measurement) Verdict
+	// Uncertain reports whether v's score on the given channel lies within
+	// margin·(1+|threshold|) of the decision threshold for v's predicted
+	// category: the auto tier escalates such a twin verdict to the exact
+	// tier. channel < 0 selects the detector's own decision rule: the
+	// configured decision channel, or — when the decision is an OR over all
+	// channels — uncertainty on any channel.
+	Uncertain(v Verdict, channel int, margin float64) bool
 }
 
 // Verdict is one online-phase decision: the per-channel scores and flags,

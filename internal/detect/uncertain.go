@@ -2,24 +2,10 @@ package detect
 
 import "math"
 
-// Uncertainty is the optional escalation interface of tiered serving: a
-// detector that implements it can report whether a verdict's deciding score
-// fell close enough to its threshold that a cheaper measurement tier should
-// not be trusted with the final decision. Detectors without it are treated
-// as always uncertain — every query escalates.
-type Uncertainty interface {
-	// Uncertain reports whether v's score on the given channel lies within
-	// margin·(1+|threshold|) of the decision threshold for v's predicted
-	// category. channel < 0 selects the detector's own decision rule: the
-	// configured decision channel, or — when the decision is an OR over all
-	// channels — uncertainty on any channel.
-	Uncertain(v Verdict, channel int, margin float64) bool
-}
-
-// Uncertain implements Uncertainty for every fitted backend. An unmodelled
-// verdict is never uncertain: no tier has a template for its category, so
-// every tier returns the identical (empty) verdict and escalating buys
-// nothing. The margin is relative with a unit floor — margin·(1+|Δ|) — so it
+// Uncertain implements Detector.Uncertain for every fitted backend. An
+// unmodelled verdict is never uncertain: no tier has a template for its
+// category, so every tier returns the identical (empty) verdict and
+// escalating buys nothing. The margin is relative with a unit floor — margin·(1+|Δ|) — so it
 // reads as "within margin×" for the large thresholds of count channels and
 // stays meaningful for thresholds near zero (log-likelihood channels).
 func (d *Fitted) Uncertain(v Verdict, channel int, margin float64) bool {

@@ -7,6 +7,7 @@ import (
 	"advhunter/internal/core"
 	"advhunter/internal/data"
 	"advhunter/internal/detect"
+	"advhunter/internal/engine"
 	"advhunter/internal/metrics"
 	"advhunter/internal/parallel"
 	"advhunter/internal/uarch/cache"
@@ -53,80 +54,84 @@ func (r *AblationResult) Render(w io.Writer) {
 	}
 }
 
-// AblationReplacement sweeps the LLC replacement policy (beyond the paper:
-// does the side channel survive non-LRU caches?).
-func AblationReplacement(opts Options) (*AblationResult, error) {
+// machineRow is one configuration of a machine sweep: its table label, the
+// tag that keys its measurement caches, and its edit of the default machine.
+// A row without an edit is the scenario's own measurement stack.
+type machineRow struct {
+	label string
+	tag   string
+	edit  func(*engine.MachineConfig)
+}
+
+// machineSweep re-measures the ablation workload on each row's machine, refits
+// the default detector there — as a defender calibrating on the deployed
+// machine would — and scores it on each event.
+func machineSweep(opts Options, title, note string, events []hpc.Event, rows []machineRow) (*AblationResult, error) {
 	env, err := LoadEnv("S2", opts)
 	if err != nil {
 		return nil, err
 	}
-	res := &AblationResult{
-		Title: "Ablation: LLC replacement policy vs detection (S2, " + ablationSpec.String() + ")",
-		Note:  "The signal is traffic-volume driven, so it should survive any reasonable policy.",
-	}
-	for _, pol := range []cache.Policy{cache.LRU, cache.PLRU, cache.SRRIP, cache.Random} {
-		v := DefaultVariant()
-		v.Tag = "llc-" + pol.String()
-		v.Machine.Hierarchy.LLC.Policy = pol
-		v.Machine.Hierarchy.LLC.Seed = 42
-		conf, err := env.VariantEvaluation(v, ablationSpec, ablationSources(opts), hpc.CacheMisses)
+	res := &AblationResult{Title: title + " (S2, " + ablationSpec.String() + ")", Note: note}
+	for _, row := range rows {
+		v := env
+		if row.edit != nil {
+			v = env.machine(row.tag, row.edit)
+		}
+		det, err := v.Detector()
 		if err != nil {
 			return nil, err
 		}
-		res.Rows = append(res.Rows, AblationRow{
-			Config: "LLC policy " + pol.String(), Event: hpc.CacheMisses,
-			F1: conf.F1(), Acc: conf.Accuracy(),
-		})
+		clean, err := v.CleanMeasurements(ablationSpec.Targeted)
+		if err != nil {
+			return nil, err
+		}
+		ar, err := v.Attack(ablationSpec, ablationSources(opts))
+		if err != nil {
+			return nil, err
+		}
+		for _, ev := range events {
+			conf := detect.EvaluateEvent(det, ev, clean, ar.Meas, opts.Workers)
+			res.Rows = append(res.Rows, AblationRow{Config: row.label, Event: ev, F1: conf.F1(), Acc: conf.Accuracy()})
+		}
 	}
 	return res, nil
+}
+
+// AblationReplacement sweeps the LLC replacement policy (beyond the paper:
+// does the side channel survive non-LRU caches?).
+func AblationReplacement(opts Options) (*AblationResult, error) {
+	rows := []machineRow{{label: "LLC policy " + cache.LRU.String()}}
+	for _, pol := range []cache.Policy{cache.PLRU, cache.SRRIP, cache.Random} {
+		rows = append(rows, machineRow{"LLC policy " + pol.String(), "llc-" + pol.String(), func(m *engine.MachineConfig) {
+			m.Hierarchy.LLC.Policy = pol
+			m.Hierarchy.LLC.Seed = 42
+		}})
+	}
+	return machineSweep(opts, "Ablation: LLC replacement policy vs detection",
+		"The signal is traffic-volume driven, so it should survive any reasonable policy.",
+		[]hpc.Event{hpc.CacheMisses}, rows)
 }
 
 // AblationPrefetch sweeps L1D prefetchers (beyond the paper: prefetching
 // perturbs demand-miss counts — does it mask the channel?).
 func AblationPrefetch(opts Options) (*AblationResult, error) {
-	env, err := LoadEnv("S2", opts)
-	if err != nil {
-		return nil, err
-	}
-	res := &AblationResult{
-		Title: "Ablation: L1D prefetcher vs detection (S2, " + ablationSpec.String() + ")",
-		Note:  "Prefetchers move fills earlier but do not hide value-dependent traffic volume.",
-	}
-	type pf struct {
-		name  string
-		build func() cache.Prefetcher
-	}
-	for _, p := range []pf{
-		{"none", func() cache.Prefetcher { return nil }},
-		{"next-line", func() cache.Prefetcher { return &cache.NextLinePrefetcher{LineB: 64} }},
-		{"stride(2)", func() cache.Prefetcher { return &cache.StridePrefetcher{LineB: 64, Degree: 2} }},
-	} {
-		v := DefaultVariant()
-		v.Tag = "pf-" + p.name
-		v.Machine.Hierarchy.L1DPrefetcher = p.build()
-		conf, err := env.VariantEvaluation(v, ablationSpec, ablationSources(opts), hpc.CacheMisses)
-		if err != nil {
-			return nil, err
-		}
-		res.Rows = append(res.Rows, AblationRow{
-			Config: "prefetcher " + p.name, Event: hpc.CacheMisses,
-			F1: conf.F1(), Acc: conf.Accuracy(),
+	return machineSweep(opts, "Ablation: L1D prefetcher vs detection",
+		"Prefetchers move fills earlier but do not hide value-dependent traffic volume.",
+		[]hpc.Event{hpc.CacheMisses}, []machineRow{
+			{label: "prefetcher none"},
+			{"prefetcher next-line", "pf-next-line", func(m *engine.MachineConfig) {
+				m.Hierarchy.L1DPrefetcher = &cache.NextLinePrefetcher{LineB: 64}
+			}},
+			{"prefetcher stride(2)", "pf-stride(2)", func(m *engine.MachineConfig) {
+				m.Hierarchy.L1DPrefetcher = &cache.StridePrefetcher{LineB: 64, Degree: 2}
+			}},
 		})
-	}
-	return res, nil
 }
 
 // AblationQuant sweeps the deployed storage precision (beyond the paper:
 // how much sparsity must the runtime expose for the channel to work?).
 func AblationQuant(opts Options) (*AblationResult, error) {
-	env, err := LoadEnv("S2", opts)
-	if err != nil {
-		return nil, err
-	}
-	res := &AblationResult{
-		Title: "Ablation: tensor storage precision vs detection (S2, " + ablationSpec.String() + ")",
-		Note:  "Lower-precision storage zeroes more activations, widening the data-flow side channel.",
-	}
+	var rows []machineRow
 	for _, q := range []struct {
 		levels int
 		name   string
@@ -134,57 +139,28 @@ func AblationQuant(opts Options) (*AblationResult, error) {
 		{0, "float (exact zeros only)"},
 		{127, "int8"},
 		{15, "int4"},
-		{7, "int3 (default)"},
 	} {
-		v := DefaultVariant()
-		v.Tag = fmt.Sprintf("quant-%d", q.levels)
-		v.Machine.QuantLevels = q.levels
-		conf, err := env.VariantEvaluation(v, ablationSpec, ablationSources(opts), hpc.CacheMisses)
-		if err != nil {
-			return nil, err
-		}
-		res.Rows = append(res.Rows, AblationRow{
-			Config: q.name, Event: hpc.CacheMisses,
-			F1: conf.F1(), Acc: conf.Accuracy(),
-		})
+		rows = append(rows, machineRow{q.name, fmt.Sprintf("quant-%d", q.levels), func(m *engine.MachineConfig) {
+			m.QuantLevels = q.levels
+		}})
 	}
-	return res, nil
+	rows = append(rows, machineRow{label: "int3 (default)"})
+	return machineSweep(opts, "Ablation: tensor storage precision vs detection",
+		"Lower-precision storage zeroes more activations, widening the data-flow side channel.",
+		[]hpc.Event{hpc.CacheMisses}, rows)
 }
 
 // AblationBranchy compares SIMD (branchless) kernels against naive scalar
 // kernels: with per-element branches, branch-misses become a side channel of
 // their own (beyond the paper).
 func AblationBranchy(opts Options) (*AblationResult, error) {
-	env, err := LoadEnv("S2", opts)
-	if err != nil {
-		return nil, err
-	}
-	res := &AblationResult{
-		Title: "Ablation: kernel style vs branch-miss leakage (S2, " + ablationSpec.String() + ")",
-		Note: "Production SIMD kernels leave branch-misses uninformative (the paper's finding);\n" +
+	return machineSweep(opts, "Ablation: kernel style vs branch-miss leakage",
+		"Production SIMD kernels leave branch-misses uninformative (the paper's finding);\n"+
 			"naively compiled scalar kernels leak the activation pattern through the predictor too.",
-	}
-	for _, b := range []struct {
-		branchy bool
-		name    string
-	}{
-		{false, "SIMD kernels (default)"},
-		{true, "scalar branchy kernels"},
-	} {
-		v := DefaultVariant()
-		v.Tag = fmt.Sprintf("branchy-%v", b.branchy)
-		v.Machine.BranchyKernels = b.branchy
-		for _, ev := range []hpc.Event{hpc.BranchMisses, hpc.CacheMisses} {
-			conf, err := env.VariantEvaluation(v, ablationSpec, ablationSources(opts), ev)
-			if err != nil {
-				return nil, err
-			}
-			res.Rows = append(res.Rows, AblationRow{
-				Config: b.name, Event: ev, F1: conf.F1(), Acc: conf.Accuracy(),
-			})
-		}
-	}
-	return res, nil
+		[]hpc.Event{hpc.BranchMisses, hpc.CacheMisses}, []machineRow{
+			{label: "SIMD kernels (default)"},
+			{"scalar branchy kernels", "branchy-true", func(m *engine.MachineConfig) { m.BranchyKernels = true }},
+		})
 }
 
 // NoisePoint is one cell of the measurement-protocol sweep.
@@ -206,16 +182,16 @@ func AblationNoise(opts Options) (*NoiseAblationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := ablationSources(opts)
-	valTruth, err := env.TruthMeasurements("validation", ablationSpec, n)
+	truth := env.truth()
+	valTruth, err := truth.ValidationMeasurements()
 	if err != nil {
 		return nil, err
 	}
-	testTruth, err := env.TruthMeasurements("test", ablationSpec, n)
+	testTruth, err := truth.TestMeasurements()
 	if err != nil {
 		return nil, err
 	}
-	aeTruth, err := env.TruthMeasurements("attack", ablationSpec, n)
+	aeTruth, err := truth.Attack(ablationSpec, ablationSources(opts))
 	if err != nil {
 		return nil, err
 	}
@@ -255,14 +231,8 @@ func AblationNoise(opts Options) (*NoiseAblationResult, error) {
 		if err != nil {
 			return outcome{err: err}
 		}
-		test := resampleNoise(testTruth, noise, c.rep, seed^2, 1)
-		var clean []core.Measurement
-		for _, m := range test {
-			if m.Pred == m.TrueLabel {
-				clean = append(clean, m)
-			}
-		}
-		adv := resampleNoise(aeTruth, noise, c.rep, seed^3, 1)
+		clean := env.negatives(resampleNoise(testTruth, noise, c.rep, seed^2, 1), ablationSpec.Targeted)
+		adv := resampleNoise(aeTruth.Meas, noise, c.rep, seed^3, 1)
 		conf := detect.EvaluateEvent(det, hpc.CacheMisses, clean, adv, 1)
 		return outcome{p: NoisePoint{NoiseScale: c.sc, R: c.rep, F1: conf.F1()}}
 	})
@@ -308,7 +278,7 @@ func AblationDetectors(opts Options) (*DetectorComparisonResult, error) {
 		return nil, err
 	}
 	tpl := TemplateFromMeasurements(valMeas, env.Classes(), env.Scn.TemplateM, hpc.AllEvents())
-	clean, err := env.CorrectCleanMeasurements()
+	clean, err := env.CleanMeasurements(ablationSpec.Targeted)
 	if err != nil {
 		return nil, err
 	}
@@ -378,39 +348,26 @@ func (r *DetectorComparisonResult) Render(w io.Writer) {
 // AblationCoRunner sweeps mechanically injected shared-LLC contention from a
 // co-located process (beyond the paper: can a noisy neighbour mask the
 // channel?). The detector's template is refitted under each contention
-// level, as a real defender calibrating on the deployed machine would.
+// level.
 func AblationCoRunner(opts Options) (*AblationResult, error) {
-	env, err := LoadEnv("S2", opts)
-	if err != nil {
-		return nil, err
-	}
-	res := &AblationResult{
-		Title: "Ablation: co-runner LLC contention vs detection (S2, " + ablationSpec.String() + ")",
-		Note: "Contention inflates and jitters the LLC counters; the template absorbs the mean\n" +
-			"shift, so detection degrades only once the jitter rivals the class signal.",
-	}
+	rows := []machineRow{{label: "idle machine"}}
 	for _, c := range []struct {
 		name   string
 		everyN int
 		burst  int
 	}{
-		{"idle machine", 0, 0},
 		{"light co-runner (1/64 accesses)", 64, 2},
 		{"busy co-runner (1/16 accesses)", 16, 4},
 		{"thrashing co-runner (1/4 accesses)", 4, 8},
 	} {
-		v := DefaultVariant()
-		v.Tag = fmt.Sprintf("corun-%d-%d", c.everyN, c.burst)
-		v.Machine.CoRunner = engineCoRunner(c.everyN, c.burst)
-		conf, err := env.VariantEvaluation(v, ablationSpec, ablationSources(opts), hpc.CacheMisses)
-		if err != nil {
-			return nil, err
-		}
-		res.Rows = append(res.Rows, AblationRow{
-			Config: c.name, Event: hpc.CacheMisses, F1: conf.F1(), Acc: conf.Accuracy(),
-		})
+		rows = append(rows, machineRow{c.name, fmt.Sprintf("corun-%d-%d", c.everyN, c.burst), func(m *engine.MachineConfig) {
+			m.CoRunner = engine.CoRunnerConfig{EveryN: c.everyN, Burst: c.burst, FootprintB: 1 << 20, Seed: 7}
+		}})
 	}
-	return res, nil
+	return machineSweep(opts, "Ablation: co-runner LLC contention vs detection",
+		"Contention inflates and jitters the LLC counters; the template absorbs the mean\n"+
+			"shift, so detection degrades only once the jitter rivals the class signal.",
+		[]hpc.Event{hpc.CacheMisses}, rows)
 }
 
 // ControlNoiseResult is the random-perturbation control: noisy-but-benign
@@ -434,33 +391,30 @@ func ControlNoise(opts Options) (*ControlNoiseResult, error) {
 		return nil, err
 	}
 	n := ablationSources(opts)
-	flagRate := func(ms []core.Measurement) float64 {
+	// share is the fraction of ms for which hit holds.
+	share := func(ms []core.Measurement, hit func(core.Measurement) bool) float64 {
 		if len(ms) == 0 {
 			return 0
 		}
-		flags := 0
+		k := 0
 		for _, m := range ms {
-			if det.Detect(m).FlaggedBy(hpc.CacheMisses) {
-				flags++
+			if hit(m) {
+				k++
 			}
 		}
-		return float64(flags) / float64(len(ms))
+		return float64(k) / float64(len(ms))
 	}
+	flagged := func(m core.Measurement) bool { return det.Detect(m).FlaggedBy(hpc.CacheMisses) }
 
 	eps := ablationSpec.Eps
-	noiseSpec := AttackSpec{Kind: "noise", Eps: eps}
-	noisySet, err := env.Craft(noiseSpec, n)
-	if err != nil {
-		return nil, err
-	}
-	// For the control we measure ALL noisy images (not just "successful"
-	// ones — noise has no goal); re-craft the full set from sources.
+	// The control measures ALL noisy images (not just "successful" ones —
+	// noise has no goal).
 	noisy := noisyImages(env, eps, n)
-	noisyAll, err := env.measureCached(env.Meas, fmt.Sprintf("noisy-all-%g-n%d", eps, n), len(noisy), given(noisy))
+	noisyAll, err := env.measureCached(fmt.Sprintf("noisy-all-%g-n%d", eps, n), len(noisy), given(noisy))
 	if err != nil {
 		return nil, err
 	}
-	clean, err := env.CorrectCleanMeasurements()
+	clean, err := env.CleanMeasurements(ablationSpec.Targeted)
 	if err != nil {
 		return nil, err
 	}
@@ -470,10 +424,10 @@ func ControlNoise(opts Options) (*ControlNoiseResult, error) {
 	}
 	return &ControlNoiseResult{
 		Eps:            eps,
-		FlipRate:       noisySet.SuccessRate,
-		NoiseFlagRate:  flagRate(noisyAll),
-		CleanFlagRate:  flagRate(clean),
-		AttackFlagRate: flagRate(ar.Meas),
+		FlipRate:       share(noisyAll, func(m core.Measurement) bool { return m.Pred != m.TrueLabel }),
+		NoiseFlagRate:  share(noisyAll, flagged),
+		CleanFlagRate:  share(clean, flagged),
+		AttackFlagRate: share(ar.Meas, flagged),
 	}, nil
 }
 

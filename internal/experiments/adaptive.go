@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"advhunter/internal/attack"
-	"advhunter/internal/core"
 	"advhunter/internal/data"
 	"advhunter/internal/detect"
 	"advhunter/internal/tensor"
@@ -43,7 +42,7 @@ func AblationAdaptive(opts Options) (*AdaptiveResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	clean, err := env.CleanTargetMeasurements()
+	clean, err := env.CleanMeasurements(true)
 	if err != nil {
 		return nil, err
 	}
@@ -72,25 +71,18 @@ func AblationAdaptive(opts Options) (*AdaptiveResult, error) {
 			return nil, err
 		}
 		key := fmt.Sprintf("adaptive-%g-n%d", lambda, n)
-		var meas []core.Measurement
-		var successRate, featDist float64
 		// The crafted set is cached like any other attack workload.
+		var succ []data.Sample
+		var successRate float64
 		path := env.cachePath("aes-" + key + ".gob")
 		var cached craftedSet
 		if path != "" && loadGob(path, &cached) == nil {
-			successRate = cached.SuccessRate
-			succ := fromDTOs(cached.Successful)
-			meas, err = env.measureCached(env.Meas, "ae-"+key, len(succ), given(succ))
-			if err != nil {
-				return nil, err
-			}
-			featDist = meanFeatureDist(atk, succ)
+			succ, successRate = cached.samples(), cached.SuccessRate
 		} else {
 			sources := env.attackSources(true, n)
 			env.Opts.logf("[%s] crafting adaptive PGD λ=%g on %d sources…", env.Scn.ID, lambda, len(sources))
 			crafted := attack.Craft(env.Model, atk, sources)
-			succ := attack.Successful(atk, crafted)
-			successRate = crafted.SuccessRate
+			succ, successRate = attack.Successful(atk, crafted), crafted.SuccessRate
 			if path != "" {
 				set := craftedSet{Spec: AttackSpec{Kind: "adaptive", Eps: eps, Targeted: true},
 					SuccessRate: crafted.SuccessRate, ModelAccuracy: crafted.ModelAccuracy,
@@ -99,17 +91,16 @@ func AblationAdaptive(opts Options) (*AdaptiveResult, error) {
 					return nil, err
 				}
 			}
-			meas, err = env.measureCached(env.Meas, "ae-"+key, len(succ), given(succ))
-			if err != nil {
-				return nil, err
-			}
-			featDist = meanFeatureDist(atk, succ)
+		}
+		meas, err := env.measureCached("ae-"+key, len(succ), given(succ))
+		if err != nil {
+			return nil, err
 		}
 		conf := detect.EvaluateEvent(det, hpc.CacheMisses, clean, meas, env.Opts.Workers)
 		res.Rows = append(res.Rows, AdaptiveRow{
 			Lambda:      lambda,
 			SuccessRate: successRate,
-			FeatureDist: featDist,
+			FeatureDist: meanFeatureDist(atk, succ),
 			F1:          conf.F1(),
 			Recall:      conf.Recall(),
 		})

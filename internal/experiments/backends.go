@@ -36,7 +36,7 @@ func BackendComparison(opts Options) (*BackendComparisonResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	clean, err := env.CorrectCleanMeasurements()
+	clean, err := env.CleanMeasurements(ablationSpec.Targeted)
 	if err != nil {
 		return nil, err
 	}

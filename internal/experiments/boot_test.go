@@ -25,9 +25,9 @@ func TestBootBuildsOnlyWhatServingReads(t *testing.T) {
 		what string
 		once *sync.Once
 	}{
-		{"train/test split", &env.dsOnce},
-		{"validation pool", &env.valOnce},
-		{"test accuracy", &env.accOnce},
+		{"train/test split", &env.lazy.dsOnce},
+		{"validation pool", &env.lazy.valOnce},
+		{"test accuracy", &env.lazy.accOnce},
 	} {
 		built := true
 		lazy.once.Do(func() { built = false })

@@ -83,7 +83,7 @@ func Figure3(opts Options) (*Fig3Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	clean, err := env.CleanTargetMeasurements()
+	clean, err := env.CleanMeasurements(spec.Targeted)
 	if err != nil {
 		return nil, err
 	}
@@ -126,7 +126,7 @@ func Figure5(opts Options) (*Fig5Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	clean, err := env.CorrectCleanMeasurements()
+	clean, err := env.CleanMeasurements(spec.Targeted)
 	if err != nil {
 		return nil, err
 	}

@@ -3,7 +3,9 @@ package experiments
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -186,7 +188,7 @@ func TestDetectorEndToEndOnTestEnv(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean, err := env.CorrectCleanMeasurements()
+	clean, err := env.CleanMeasurements(false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,18 +269,73 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
-func TestVariantEvaluationRuns(t *testing.T) {
-	env := testEnv(t)
-	v := DefaultVariant()
-	v.Tag = "test-variant"
-	v.Machine.QuantLevels = 15
+// TestMachineVariantCachesUnderItsTag pins the variant contract: a machine
+// variant measures under its own tagged cache keys, re-measures the parent's
+// crafted adversarial examples without crafting them again, and leaves every
+// cache of the parent untouched.
+func TestMachineVariantCachesUnderItsTag(t *testing.T) {
+	parent := *testEnv(t)
+	parent.Opts.CacheDir = t.TempDir()
+	dir := filepath.Dir(parent.cachePath("x"))
 	spec := AttackSpec{Kind: "fgsm", Eps: 0.4, Targeted: true}
-	conf, err := env.VariantEvaluation(v, spec, 12, hpc.CacheMisses)
-	if err != nil {
-		t.Fatal(err)
+	evaluate := func(e *Env) {
+		t.Helper()
+		if _, err := e.Detector(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.CleanMeasurements(spec.Targeted); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Attack(spec, 12); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if conf.Total() == 0 {
-		t.Fatal("variant evaluation scored nothing")
+	files := func() map[string][]byte {
+		t.Helper()
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string][]byte{}
+		for _, de := range entries {
+			b, err := os.ReadFile(filepath.Join(dir, de.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[de.Name()] = b
+		}
+		return out
+	}
+
+	evaluate(&parent)
+	before := files()
+	_, _, writes := CacheStats()
+	evaluate(parent.machine("quant15", func(m *engine.MachineConfig) { m.QuantLevels = 15 }))
+	_, _, after := CacheStats()
+	now := files()
+
+	for name, b := range before {
+		if !bytes.Equal(now[name], b) {
+			t.Errorf("the variant changed the parent's %s", name)
+		}
+	}
+	var added []string
+	for name := range now {
+		if _, ok := before[name]; !ok {
+			added = append(added, name)
+		}
+	}
+	sort.Strings(added)
+	want := []string{
+		"meas-ae-fgsm-t-0.4-n12-quant15.gob",
+		"meas-test-clean-quant15.gob",
+		"meas-validation-quant15.gob",
+	}
+	if fmt.Sprint(added) != fmt.Sprint(want) {
+		t.Errorf("the variant wrote %v, want %v", added, want)
+	}
+	if after-writes != uint64(len(want)) {
+		t.Errorf("the variant made %d cache writes, want %d: one per tagged measurement set, no craft", after-writes, len(want))
 	}
 }
 

@@ -70,11 +70,7 @@ func Figure4(opts Options) (*Fig4Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		cleanTarget, err := env.CleanTargetMeasurements()
-		if err != nil {
-			return nil, err
-		}
-		cleanAll, err := env.CorrectCleanMeasurements()
+		test, err := env.TestMeasurements()
 		if err != nil {
 			return nil, err
 		}
@@ -83,12 +79,9 @@ func Figure4(opts Options) (*Fig4Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			clean := cleanAll
-			if spec.Targeted {
-				clean = cleanTarget
-			}
 			f1 := 0.0
 			if len(ar.Meas) > 0 {
+				clean := env.negatives(test, spec.Targeted)
 				f1 = detect.EvaluateEvent(det, hpc.CacheMisses, clean, ar.Meas, env.Opts.Workers).F1()
 			}
 			res.Points = append(res.Points, Fig4Point{

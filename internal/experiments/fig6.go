@@ -54,7 +54,7 @@ func Figure6(opts Options) (*Fig6Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		clean, err := env.CorrectCleanMeasurements()
+		clean, err := env.CleanMeasurements(false)
 		if err != nil {
 			return nil, err
 		}

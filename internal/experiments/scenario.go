@@ -111,12 +111,25 @@ func (o Options) logf(format string, args ...any) {
 // measurer. The train/test split, the validation images and the clean test
 // accuracy are built on first use (Data, ValidationPool, CleanAcc), so a
 // boot that serves from cached measurements generates no image at all.
+//
+// An Env may also be a variant of its scenario (see variant): the same
+// model, images and crafted adversarial examples, measured by another
+// Measurer under measurement cache keys suffixed with "-"+tag.
 type Env struct {
 	Scn   Scenario
 	Opts  Options
 	Model *models.Model
 	Meas  *core.Measurer
 
+	// tag suffixes the measurement cache keys; "" on the scenario's own
+	// measurement stack.
+	tag  string
+	lazy *lazyData
+}
+
+// lazyData is what an Env builds on first use. A scenario and its variants
+// share one, so each is built at most once.
+type lazyData struct {
 	dsOnce  sync.Once
 	ds      *data.Dataset
 	accOnce sync.Once
@@ -159,7 +172,7 @@ func LoadEnv(id string, opts Options) (*Env, error) {
 	if err != nil {
 		return nil, err
 	}
-	env := &Env{Scn: scn, Opts: opts, Model: m}
+	env := &Env{Scn: scn, Opts: opts, Model: m, lazy: &lazyData{}}
 
 	cfg := train.DefaultConfig()
 	cfg.Epochs = scn.Epochs
@@ -178,7 +191,7 @@ func LoadEnv(id string, opts Options) (*Env, error) {
 	if trained {
 		opts.logf("[%s] trained %s/%s to %.2f%% test accuracy (%d epochs)",
 			id, scn.Dataset, scn.Arch, 100*res.TestAccuracy, res.Epochs)
-		env.accOnce.Do(func() { env.acc = res.TestAccuracy })
+		env.lazy.accOnce.Do(func() { env.lazy.acc = res.TestAccuracy })
 	} else {
 		opts.logf("[%s] loaded cached model", id)
 	}
@@ -193,35 +206,41 @@ func (e *Env) Classes() int { return e.Model.Meta.Classes }
 
 // Data returns the scenario's train/test split, generated on first use.
 func (e *Env) Data() *data.Dataset {
-	e.dsOnce.Do(func() {
-		e.ds = data.MustSynth(e.Scn.Dataset, e.Scn.Seed, e.Scn.TrainPerClass, e.Scn.TestPerClass)
+	l := e.lazy
+	l.dsOnce.Do(func() {
+		l.ds = data.MustSynth(e.Scn.Dataset, e.Scn.Seed, e.Scn.TrainPerClass, e.Scn.TestPerClass)
 	})
-	return e.ds
+	return l.ds
 }
 
 // CleanAcc returns the model's accuracy on the clean test split: the figure
 // training reported, or, for a model loaded from its checkpoint, an
 // evaluation run on first use.
 func (e *Env) CleanAcc() float64 {
-	e.accOnce.Do(func() { e.acc = train.Evaluate(e.Model, e.Data().Test) })
-	return e.acc
+	l := e.lazy
+	l.accOnce.Do(func() { l.acc = train.Evaluate(e.Model, e.Data().Test) })
+	return l.acc
 }
 
 // ValidationPool returns the defender's clean validation images —
 // ValPerClass per category, generated independently of train and test.
 // Safe to call from concurrent variant sweeps (initialised once).
 func (e *Env) ValidationPool() []data.Sample {
-	e.valOnce.Do(func() {
+	l := e.lazy
+	l.valOnce.Do(func() {
 		pool := data.MustSynth(e.Scn.Dataset, e.Scn.Seed^0x5a5a, e.Scn.ValPerClass, 0)
-		e.valPool = pool.Train
+		l.valPool = pool.Train
 	})
-	return e.valPool
+	return l.valPool
 }
 
-// measureCached measures the n samples that samples() returns with the
-// given measurer, caching under key. A cache hit of n rows never calls
-// samples, so the images are only built to be measured.
-func (e *Env) measureCached(meas *core.Measurer, key string, n int, samples func() []data.Sample) ([]core.Measurement, error) {
+// measureCached measures the n samples that samples() returns with e.Meas,
+// caching under key (suffixed with a variant's tag). A cache hit of n rows
+// never calls samples, so the images are only built to be measured.
+func (e *Env) measureCached(key string, n int, samples func() []data.Sample) ([]core.Measurement, error) {
+	if e.tag != "" {
+		key += "-" + e.tag
+	}
 	path := e.cachePath("meas-" + key + ".gob")
 	if path != "" {
 		var cached []core.Measurement
@@ -230,7 +249,7 @@ func (e *Env) measureCached(meas *core.Measurer, key string, n int, samples func
 		}
 	}
 	e.Opts.logf("[%s] measuring %d images (%s)…", e.Scn.ID, n, key)
-	ms := core.MeasureSet(meas, samples())
+	ms := core.MeasureSet(e.Meas, samples())
 	if path != "" {
 		if err := saveGob(path, ms); err != nil {
 			return nil, err
@@ -257,12 +276,12 @@ func (e *Env) testSplit() []data.Sample { return e.Data().Test }
 
 // ValidationMeasurements measures the full validation pool (cached).
 func (e *Env) ValidationMeasurements() ([]core.Measurement, error) {
-	return e.measureCached(e.Meas, "validation", e.validationSize(), e.ValidationPool)
+	return e.measureCached("validation", e.validationSize(), e.ValidationPool)
 }
 
 // TestMeasurements measures the full clean test split (cached).
 func (e *Env) TestMeasurements() ([]core.Measurement, error) {
-	return e.measureCached(e.Meas, "test-clean", e.testSize(), e.testSplit)
+	return e.measureCached("test-clean", e.testSize(), e.testSplit)
 }
 
 // TemplateFromMeasurements assembles the offline template from the first m
@@ -456,7 +475,8 @@ func (c *craftedSet) samples() []data.Sample { return fromDTOs(c.Successful) }
 
 // Craft crafts (or loads) the successful adversarial examples for one attack
 // spec. The images themselves are cached so machine-variant ablations can
-// re-measure them without re-running the attacker.
+// re-measure them without re-running the attacker: the file is not tagged, so
+// a scenario and its variants share it.
 func (e *Env) Craft(spec AttackSpec, nSources int) (*craftedSet, error) {
 	path := e.cachePath(fmt.Sprintf("aes-%s-n%d.gob", spec.Key(), nSources))
 	if path != "" {
@@ -490,13 +510,13 @@ func (e *Env) Craft(spec AttackSpec, nSources int) (*craftedSet, error) {
 }
 
 // Attack crafts (or loads) the workload for one attack spec and measures the
-// successful adversarial examples on the default machine.
+// successful adversarial examples with e.Meas.
 func (e *Env) Attack(spec AttackSpec, nSources int) (*AttackResult, error) {
 	set, err := e.Craft(spec, nSources)
 	if err != nil {
 		return nil, err
 	}
-	meas, err := e.measureCached(e.Meas, fmt.Sprintf("ae-%s-n%d", spec.Key(), nSources), len(set.Successful), set.samples)
+	meas, err := e.measureCached(fmt.Sprintf("ae-%s-n%d", spec.Key(), nSources), len(set.Successful), set.samples)
 	if err != nil {
 		return nil, err
 	}
@@ -508,35 +528,25 @@ func (e *Env) Attack(spec AttackSpec, nSources int) (*AttackResult, error) {
 	}, nil
 }
 
-// CleanTargetMeasurements returns measurements of clean test images whose
-// prediction is the scenario's target class — the negatives of the targeted
-// evaluation protocol.
-func (e *Env) CleanTargetMeasurements() ([]core.Measurement, error) {
+// CleanMeasurements returns the negatives of an attack's evaluation protocol
+// among the clean test measurements (see negatives).
+func (e *Env) CleanMeasurements(targeted bool) ([]core.Measurement, error) {
 	all, err := e.TestMeasurements()
 	if err != nil {
 		return nil, err
 	}
-	var out []core.Measurement
-	for _, m := range all {
-		if m.Pred == e.Scn.TargetClass && m.TrueLabel == e.Scn.TargetClass {
-			out = append(out, m)
-		}
-	}
-	return out, nil
+	return e.negatives(all, targeted), nil
 }
 
-// CorrectCleanMeasurements returns measurements of correctly-classified
-// clean test images — the negatives of the untargeted protocol.
-func (e *Env) CorrectCleanMeasurements() ([]core.Measurement, error) {
-	all, err := e.TestMeasurements()
-	if err != nil {
-		return nil, err
-	}
+// negatives filters clean test measurements down to an attack's negatives:
+// for a targeted attack, images of the target class predicted as it; for an
+// untargeted one, every correctly classified image.
+func (e *Env) negatives(all []core.Measurement, targeted bool) []core.Measurement {
 	var out []core.Measurement
 	for _, m := range all {
-		if m.Pred == m.TrueLabel {
+		if m.Pred == m.TrueLabel && (!targeted || m.Pred == e.Scn.TargetClass) {
 			out = append(out, m)
 		}
 	}
-	return out, nil
+	return out
 }

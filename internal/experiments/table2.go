@@ -59,7 +59,7 @@ func Table2(opts Options) (*Table2Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	clean, err := env.CleanTargetMeasurements()
+	clean, err := env.CleanMeasurements(spec.Targeted)
 	if err != nil {
 		return nil, err
 	}

@@ -26,7 +26,7 @@ func Table3(opts Options) (*Table3Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	clean, err := env.CorrectCleanMeasurements()
+	clean, err := env.CleanMeasurements(false)
 	if err != nil {
 		return nil, err
 	}

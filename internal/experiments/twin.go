@@ -157,7 +157,7 @@ func TwinAccuracy(opts Options) (*TwinAccuracyResult, error) {
 			return nil, err
 		}
 		samples := set.samples()
-		meas, err := env.measureCached(env.Meas, fmt.Sprintf("ae-%s-n%d", spec.Key(), n), len(samples), given(samples))
+		meas, err := env.measureCached(fmt.Sprintf("ae-%s-n%d", spec.Key(), n), len(samples), given(samples))
 		if err != nil {
 			return nil, err
 		}

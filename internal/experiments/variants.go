@@ -1,115 +1,41 @@
 package experiments
 
 import (
-	"fmt"
-
 	"advhunter/internal/core"
-	"advhunter/internal/detect"
 	"advhunter/internal/engine"
-	"advhunter/internal/metrics"
 	"advhunter/internal/parallel"
 	"advhunter/internal/rng"
 	"advhunter/internal/uarch/hpc"
 )
 
-// Variant is an alternative measurement stack (machine model and/or noise
-// protocol) used by the ablation experiments. Tag must uniquely identify the
-// configuration — it keys the on-disk measurement caches.
-type Variant struct {
-	Tag     string
-	Machine engine.MachineConfig
-	Noise   hpc.NoiseModel
-	R       int
+// variant returns e measured by meas instead: the same model, lazily built
+// images and crafted adversarial examples, with every measurement cache key
+// suffixed by "-"+tag. The tag must identify meas's configuration uniquely.
+func (e *Env) variant(tag string, meas *core.Measurer) *Env {
+	v := *e
+	v.Meas, v.tag = meas, tag
+	return &v
 }
 
-// DefaultVariant mirrors the main experiments' stack.
-func DefaultVariant() Variant {
-	return Variant{
-		Tag:     "default",
-		Machine: engine.DefaultMachineConfig(),
-		Noise:   hpc.DefaultNoise(),
-		R:       10,
-	}
+// machine returns the variant that measures on the default machine after
+// edit, with the scenario's noise model, noise seed and repetition count.
+func (e *Env) machine(tag string, edit func(*engine.MachineConfig)) *Env {
+	cfg := engine.DefaultMachineConfig()
+	edit(&cfg)
+	m := core.NewMeasurer(engine.New(e.Model.Clone(), cfg), e.Scn.Seed^0xbeef)
+	m.Workers = e.Opts.Workers
+	return e.variant(tag, m)
 }
 
-// measurer builds the variant's measurement stack for the environment's
-// model.
-func (e *Env) variantMeasurer(v Variant) *core.Measurer {
-	return &core.Measurer{
-		Engine:  engine.New(e.Model.Clone(), v.Machine),
-		Noise:   v.Noise,
-		Seed:    e.Scn.Seed ^ 0xbeef,
-		R:       v.R,
-		Workers: e.Opts.Workers,
-	}
-}
-
-// VariantEvaluation measures validation pool, clean test set and the given
-// attack's AEs on the variant stack, fits a detector, and returns the
-// confusion for the requested event. All measurement passes are cached under
-// the variant tag.
-func (e *Env) VariantEvaluation(v Variant, spec AttackSpec, nSources int, event hpc.Event) (metrics.Confusion, error) {
-	meas := e.variantMeasurer(v)
-	valMeas, err := e.measureCached(meas, "validation-"+v.Tag, e.validationSize(), e.ValidationPool)
-	if err != nil {
-		return metrics.Confusion{}, err
-	}
-	tpl := TemplateFromMeasurements(valMeas, e.Classes(), e.Scn.TemplateM, hpc.AllEvents())
-	det, err := detect.Fit("gmm", tpl, detect.DefaultConfig())
-	if err != nil {
-		return metrics.Confusion{}, err
-	}
-	testMeas, err := e.measureCached(meas, "test-clean-"+v.Tag, e.testSize(), e.testSplit)
-	if err != nil {
-		return metrics.Confusion{}, err
-	}
-	var clean []core.Measurement
-	for _, m := range testMeas {
-		if spec.Targeted {
-			if m.Pred == e.Scn.TargetClass && m.TrueLabel == e.Scn.TargetClass {
-				clean = append(clean, m)
-			}
-		} else if m.Pred == m.TrueLabel {
-			clean = append(clean, m)
-		}
-	}
-	set, err := e.Craft(spec, nSources)
-	if err != nil {
-		return metrics.Confusion{}, err
-	}
-	aeMeas, err := e.measureCached(meas, fmt.Sprintf("ae-%s-n%d-%s", spec.Key(), nSources, v.Tag), len(set.Successful), set.samples)
-	if err != nil {
-		return metrics.Confusion{}, err
-	}
-	return detect.EvaluateEvent(det, event, clean, aeMeas, e.Opts.Workers), nil
-}
-
-// TruthMeasurements returns noise-free per-image counter snapshots for the
-// named sample set ("validation", "test", or an attack key), used by the
-// noise-protocol ablation to re-sample measurement noise without re-running
-// the simulator.
-func (e *Env) TruthMeasurements(which string, spec AttackSpec, nSources int) ([]core.Measurement, error) {
-	truthMeas := &core.Measurer{
+// truth returns the variant that records noise-free counter snapshots on the
+// default machine (one repetition, no noise), from which the noise-protocol
+// ablation resamples measurement noise without re-running the simulator.
+func (e *Env) truth() *Env {
+	return e.variant("truth", &core.Measurer{
 		Engine:  engine.NewDefault(e.Model.Clone()),
-		Noise:   hpc.NoiseModel{},
-		Seed:    0,
 		R:       1,
 		Workers: e.Opts.Workers,
-	}
-	switch which {
-	case "validation":
-		return e.measureCached(truthMeas, "validation-truth", e.validationSize(), e.ValidationPool)
-	case "test":
-		return e.measureCached(truthMeas, "test-clean-truth", e.testSize(), e.testSplit)
-	case "attack":
-		set, err := e.Craft(spec, nSources)
-		if err != nil {
-			return nil, err
-		}
-		return e.measureCached(truthMeas, fmt.Sprintf("ae-%s-n%d-truth", spec.Key(), nSources), len(set.Successful), set.samples)
-	default:
-		panic("experiments: unknown truth set " + which)
-	}
+	})
 }
 
 // resampleNoise applies a measurement protocol (noise model + repeat count)
@@ -122,9 +48,4 @@ func resampleNoise(truth []core.Measurement, noise hpc.NoiseModel, repeats int, 
 		s := hpc.NewSamplerFrom(noise, rng.New(seed).Split(uint64(i)))
 		return core.Measurement{Pred: m.Pred, TrueLabel: m.TrueLabel, Counts: s.MeasureMean(m.Counts, repeats), Conf: m.Conf}
 	})
-}
-
-// engineCoRunner builds a co-runner config (helper for the ablation grids).
-func engineCoRunner(everyN, burst int) engine.CoRunnerConfig {
-	return engine.CoRunnerConfig{EveryN: everyN, Burst: burst, FootprintB: 1 << 20, Seed: 7}
 }

@@ -81,10 +81,9 @@ type Config struct {
 	TwinDetector detect.Detector
 	// EscalationMargin is the auto tier's uncertainty band: a twin verdict
 	// escalates to the exact tier when its deciding score lies within
-	// margin·(1+|threshold|) of the decision threshold (detect.Uncertainty).
-	// 0 selects the default 0.15; negative means never uncertain (the twin
-	// decides everything). Detectors that do not implement
-	// detect.Uncertainty escalate every query instead.
+	// margin·(1+|threshold|) of the decision threshold
+	// (detect.Detector.Uncertain). 0 selects the default 0.15; negative
+	// means never uncertain (the twin decides everything).
 	EscalationMargin float64
 	// Logger receives the server's structured records (per-request debug
 	// lines, one "span" line per pipeline stage). nil selects
@@ -407,7 +406,7 @@ func (s *Server) decide(st stages, replica int, idx uint64, x *tensor.Tensor) (v
 	} else {
 		v, tier = s.twin.score(st, replica, idx, x), TierTwin
 		s.stats.tierScreened.Inc()
-		if s.uncertain(v) {
+		if s.twin.det.Uncertain(v, s.decIdx, s.cfg.EscalationMargin) {
 			s.stats.tierEscalations.Inc()
 			ev := s.exact.score(st, replica, idx, x)
 			if adversarialAt(v, s.decIdx) == adversarialAt(ev, s.decIdx) {
@@ -421,18 +420,6 @@ func (s *Server) decide(st stages, replica int, idx uint64, x *tensor.Tensor) (v
 	}
 	s.stats.batchSizes.Observe(1)
 	return v, tier
-}
-
-// uncertain decides whether a twin verdict must escalate to the exact tier:
-// the twin detector's own uncertainty band around the service decision
-// channel. Detectors that cannot introspect their thresholds escalate
-// everything — correct, just never faster than exact-only serving.
-func (s *Server) uncertain(v detect.Verdict) bool {
-	u, ok := s.twin.det.(detect.Uncertainty)
-	if !ok {
-		return true
-	}
-	return u.Uncertain(v, s.decIdx, s.cfg.EscalationMargin)
 }
 
 // adversarialAt applies the service decision rule to one verdict: the

@@ -31,8 +31,15 @@ echo "== examples (build smoke) =="
 go build ./examples/...
 go vet ./examples/...
 
-echo "== test =="
+echo "== test (must leave the checkout as it found it) =="
+before="$(git status --porcelain)"
 go test ./...
+after="$(git status --porcelain)"
+if [ "$before" != "$after" ]; then
+    echo "go test ./... changed the checkout:" >&2
+    printf '%s\n' "$after" >&2
+    exit 1
+fi
 
 echo "== race (parallel pipeline + detection + serving + cluster + twin + observability + workload + cache runs + serve wiring) =="
 go test -race ./cmd/advhunter ./internal/parallel ./internal/core ./internal/engine ./internal/detect ./internal/serve ./internal/cluster ./internal/twin ./internal/obs ./internal/workload ./internal/uarch/cache
