@@ -178,22 +178,24 @@ func detectorFlags(fs *flag.FlagSet) detectorOpts {
 	}
 }
 
-// config validates the selected backend and builds the fit configuration.
-func (o detectorOpts) config() (detect.Config, error) {
+// config validates the selected backend and builds the fit configuration
+// deciding by event.
+func (o detectorOpts) config(event hpc.Event) (detect.Config, error) {
 	if _, ok := detect.Lookup(*o.backend); !ok {
 		return detect.Config{}, fmt.Errorf("unknown backend %q (have %v)", *o.backend, detect.Kinds())
 	}
 	cfg := detect.DefaultConfig()
 	cfg.GMM.Seed = *o.seed
+	cfg.DecisionEvent = event
 	return cfg, nil
 }
 
 // loadOrFitDetector implements the "fit once, serve many" workflow: a valid
 // artifact at path is loaded (whatever backend wrote it); a missing, corrupt
-// or stale-schema file is a miss — the selected backend is refitted from the
-// scenario's validation template and the artifact is (re)written for the
-// next process.
-func loadOrFitDetector(env *experiments.Env, o detectorOpts) (*detect.Fitted, error) {
+// or stale-schema file is a miss — the selected backend is refitted, deciding
+// by event, from the scenario's validation template and the artifact is
+// (re)written for the next process.
+func loadOrFitDetector(env *experiments.Env, o detectorOpts, event hpc.Event) (*detect.Fitted, error) {
 	logf := func(format string, args ...any) {
 		if env.Opts.Log != nil {
 			fmt.Fprintf(env.Opts.Log, format+"\n", args...)
@@ -209,7 +211,7 @@ func loadOrFitDetector(env *experiments.Env, o detectorOpts) (*detect.Fitted, er
 			return det, nil
 		}
 	}
-	cfg, err := o.config()
+	cfg, err := o.config(event)
 	if err != nil {
 		return nil, err
 	}
@@ -247,17 +249,14 @@ func cmdList(stdout io.Writer) error {
 	fmt.Fprintln(stdout, "\nscenarios:")
 	for _, id := range []string{"S1", "S2", "S3", "CS"} {
 		s := experiments.Scenarios[id]
+		shape, err := data.Describe(s.Dataset)
+		if err != nil {
+			return err
+		}
 		fmt.Fprintf(stdout, "  %-3s %s × %s (%d classes, target %q)\n",
-			id, s.Dataset, s.Arch, classesOf(s.Dataset), data.ClassName(s.Dataset, s.TargetClass))
+			id, s.Dataset, s.Arch, shape.Classes, data.ClassName(s.Dataset, s.TargetClass))
 	}
 	return nil
-}
-
-func classesOf(dataset string) int {
-	if dataset == "gtsrb" {
-		return 43
-	}
-	return 10
 }
 
 func cmdExperiment(args []string, stdout, stderr io.Writer) error {
@@ -403,7 +402,7 @@ func cmdFit(args []string, stdout, stderr io.Writer) error {
 	if *dopts.path == "" {
 		return fmt.Errorf("missing -detector (the artifact file to write)")
 	}
-	cfg, err := dopts.config()
+	cfg, err := dopts.config(detect.DefaultDecisionEvent)
 	if err != nil {
 		return err
 	}
@@ -442,17 +441,16 @@ func cmdScan(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	det, err := loadOrFitDetector(env, dopts)
+	det, err := loadOrFitDetector(env, dopts, detect.DefaultDecisionEvent)
 	if err != nil {
 		return err
 	}
-	pipe := &detect.Pipeline{M: env.Meas, D: det}
 
 	fmt.Fprintf(stdout, "scanning %d clean test images (%s backend):\n", *n, det.Kind())
 	test := env.Data().Test
 	for i := 0; i < *n && i < len(test); i++ {
 		s := test[i]
-		res := pipe.Scan(s.X)
+		res := det.Detect(env.Meas.Measure(s.X))
 		fmt.Fprintf(stdout, "  image %2d (true %q): predicted %q, adversarial=%v\n",
 			i, data.ClassName(env.Scn.Dataset, s.Label),
 			data.ClassName(env.Scn.Dataset, res.PredictedClass), res.Fused)

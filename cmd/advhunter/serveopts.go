@@ -57,11 +57,11 @@ func serveFlags(fs *flag.FlagSet) serveOpts {
 	return serveOpts{
 		queue:      fs.Int("queue", 64, "requests admitted beyond the replicas; the excess answers 429 before the body is read"),
 		timeout:    fs.Duration("timeout", 10*time.Second, "per-request budget for waiting for a free replica (an expired request answers 504)"),
-		event:      fs.String("event", hpc.CacheMisses.String(), "perf event driving the adversarial verdict"),
+		event:      fs.String("event", detect.DefaultDecisionEvent.String(), "perf event whose channel decides the adversarial verdict: the decision event of the detectors fitted on a -detector miss; an artifact that decides by another channel is refused"),
 		truthCache: fs.Int("truth-cache", 512, "truth-count memoisation cache entries (0 disables)"),
 		tier:       fs.String("tier", serve.TierExact, "serving tier: exact, or auto (twin screens, uncertain verdicts escalate to exact; -margin -1 lets the twin decide every query)"),
 		twinDir:    fs.String("twin-dir", "artifacts/twin", "precomputed twin-table directory (tables are profiled on a miss; used when -tier is auto)"),
-		margin:     fs.Float64("margin", 0.15, "auto-tier escalation band around the detector threshold (0 = default, negative = never escalate)"),
+		margin:     fs.Float64("margin", detect.DefaultMargin, "auto-tier escalation band around the decision channel's threshold (0 = default, negative = never escalate)"),
 
 		flight:        fs.Duration("flight", 0, "flight-recorder sampling interval, also the -alerts evaluation cadence; enables /debug/flight (0 disables)"),
 		flightSamples: fs.Int("flight-samples", 0, "flight-recorder ring depth per series (0 = default 256)"),
@@ -98,13 +98,9 @@ func (o serveOpts) validate() error {
 }
 
 // config builds the serve.Config, loading the twin stack when the tier needs
-// it. Call validate first.
-func (o serveOpts) config(env *experiments.Env, dopts detectorOpts, det *detect.Fitted,
+// it; the twin detector decides by event, as det does. Call validate first.
+func (o serveOpts) config(env *experiments.Env, dopts detectorOpts, event hpc.Event, det *detect.Fitted,
 	workers int, logger *slog.Logger) (serve.Config, error) {
-	decision, err := hpc.ParseEvent(*o.event)
-	if err != nil {
-		return serve.Config{}, err
-	}
 	// The flag's 0 means "off"; the Config's 0 means "default" and negative
 	// means "off" (so the zero Config still serves with memoisation on).
 	truthSize := *o.truthCache
@@ -116,7 +112,6 @@ func (o serveOpts) config(env *experiments.Env, dopts detectorOpts, det *detect.
 		QueueSize:      *o.queue,
 		Workers:        workers,
 		Timeout:        *o.timeout,
-		DecisionEvent:  decision,
 		ClassName:      func(c int) string { return data.ClassName(dataset, c) },
 		Logger:         logger,
 		TruthCacheSize: truthSize,
@@ -132,7 +127,7 @@ func (o serveOpts) config(env *experiments.Env, dopts detectorOpts, det *detect.
 		cfg.TraceLog = f
 	}
 	if *o.tier == serve.TierAuto {
-		dcfg, err := dopts.config()
+		dcfg, err := dopts.config(event)
 		if err != nil {
 			return serve.Config{}, err
 		}
@@ -195,14 +190,23 @@ func (o serveOpts) obsEndpoints(alwaysTrace bool) string {
 
 // buildServeStack is the one construction path behind `serve` and `cluster`:
 // load (or fit) the detector, then assemble the serve.Config from the shared
-// flag surface.
+// flag surface. -event is the decision event of every detector fitted here;
+// a -detector artifact that decides by another channel is refused, so the
+// served decision is the one the artifact was fitted and evaluated with.
 func buildServeStack(env *experiments.Env, dopts detectorOpts, sopts serveOpts, copts commonOpts,
 	logger *slog.Logger) (*detect.Fitted, serve.Config, error) {
-	det, err := loadOrFitDetector(env, dopts)
+	event, err := hpc.ParseEvent(*sopts.event)
 	if err != nil {
 		return nil, serve.Config{}, err
 	}
-	cfg, err := sopts.config(env, dopts, det, *copts.workers, logger)
+	det, err := loadOrFitDetector(env, dopts, event)
+	if err != nil {
+		return nil, serve.Config{}, err
+	}
+	if err := det.DecidesBy(event); err != nil {
+		return nil, serve.Config{}, fmt.Errorf("-detector %s with -event %v: %w", *dopts.path, event, err)
+	}
+	cfg, err := sopts.config(env, dopts, event, det, *copts.workers, logger)
 	if err != nil {
 		return nil, serve.Config{}, err
 	}

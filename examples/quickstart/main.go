@@ -73,18 +73,16 @@ func main() {
 	// 5. Online phase: scan unknown inputs. The defender sees only the
 	// hard label and the counter reading.
 	fmt.Println("== 4. online phase: scanning unknown inputs ==")
-	pipe := &detect.Pipeline{M: meas, D: det}
-
 	cleanFlagged, cleanTotal := 0, 0
 	for _, s := range ds.Test[:40] {
-		if pipe.Scan(s.X).FlaggedBy(hpc.CacheMisses) {
+		if det.Detect(meas.Measure(s.X)).FlaggedBy(hpc.CacheMisses) {
 			cleanFlagged++
 		}
 		cleanTotal++
 	}
 	advFlagged := 0
 	for _, s := range advs {
-		if pipe.Scan(s.X).FlaggedBy(hpc.CacheMisses) {
+		if det.Detect(meas.Measure(s.X)).FlaggedBy(hpc.CacheMisses) {
 			advFlagged++
 		}
 	}

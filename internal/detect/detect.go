@@ -32,14 +32,23 @@ type Config struct {
 	ForceK int
 	// K is the neighbour count of the k-NN backend.
 	K int
-	// DecisionEvent names the channel that decides Verdict.Fused for
-	// per-event backends (paper: cache-misses). If the fitted detector has
-	// no such channel, the fused decision is the OR over all channels.
+	// DecisionEvent names the channel that decides Verdict.Fused (paper:
+	// cache-misses). A single-channel combinator backend (fusion,
+	// confidence) decides by its only channel; any other detector must have
+	// this event's channel, or Fit fails.
 	DecisionEvent hpc.Event
 	// FusionEvents is the event subset the fusion backend models jointly;
 	// empty means every template event.
 	FusionEvents []hpc.Event
 }
+
+// DefaultDecisionEvent is the paper's deciding counter: an input is flagged
+// when its cache-misses score is beyond its category's threshold.
+const DefaultDecisionEvent = hpc.CacheMisses
+
+// DefaultMargin is the default escalation band of Uncertain: the auto
+// serving tier's, and the two-tier evaluation's.
+const DefaultMargin = 0.15
 
 // DefaultConfig mirrors the paper's settings.
 func DefaultConfig() Config {
@@ -49,7 +58,7 @@ func DefaultConfig() Config {
 		MinSamples:    4,
 		GMM:           gmm.DefaultConfig(),
 		K:             5,
-		DecisionEvent: hpc.CacheMisses,
+		DecisionEvent: DefaultDecisionEvent,
 	}
 }
 
@@ -86,13 +95,11 @@ type Detector interface {
 	Channels() []string
 	// Detect runs the online phase on one measured reading.
 	Detect(q core.Measurement) Verdict
-	// Uncertain reports whether v's score on the given channel lies within
-	// margin·(1+|threshold|) of the decision threshold for v's predicted
-	// category: the auto tier escalates such a twin verdict to the exact
-	// tier. channel < 0 selects the detector's own decision rule: the
-	// configured decision channel, or — when the decision is an OR over all
-	// channels — uncertainty on any channel.
-	Uncertain(v Verdict, channel int, margin float64) bool
+	// Uncertain reports whether v's score on the decision channel lies
+	// within margin·(1+|threshold|) of that channel's threshold for v's
+	// predicted category: the auto tier escalates such a twin verdict to
+	// the exact tier.
+	Uncertain(v Verdict, margin float64) bool
 }
 
 // Verdict is one online-phase decision: the per-channel scores and flags,
@@ -107,8 +114,7 @@ type Verdict struct {
 	Flags []bool
 	// Modelled reports whether the predicted category had a template.
 	Modelled bool
-	// Fused is the detector's single decision: the configured decision
-	// channel's flag, or the OR over all channels when none is configured.
+	// Fused is the detector's decision: the flag of its decision channel.
 	Fused bool
 
 	// eventIdx maps events to channel indices (shared with the detector,
@@ -123,14 +129,6 @@ func (v Verdict) FlaggedBy(e hpc.Event) bool {
 		return v.Flags[i]
 	}
 	return false
-}
-
-// ChannelIndex locates an event's channel (-1 if the detector has none).
-func (v Verdict) ChannelIndex(e hpc.Event) int {
-	if i, ok := v.eventIdx[e]; ok {
-		return i
-	}
-	return -1
 }
 
 // AnyFlag reports whether any channel flagged the input (OR fusion).

@@ -322,11 +322,8 @@ func TestVerdictHelpers(t *testing.T) {
 	tpl := synthTemplate(2, 40, 71)
 	d := mustFit(t, "gmm", tpl, DefaultConfig())
 	v := d.Detect(synthMeasurement(rng.New(73), 0, 1000))
-	if idx := v.ChannelIndex(hpc.CacheMisses); idx != 0 {
-		t.Fatalf("ChannelIndex(cache-misses) = %d", idx)
-	}
-	if idx := v.ChannelIndex(hpc.BranchMisses); idx != -1 {
-		t.Fatalf("ChannelIndex(absent) = %d", idx)
+	if v.Channels[0] != hpc.CacheMisses.String() {
+		t.Fatalf("channel 0 is %q, want cache-misses", v.Channels[0])
 	}
 	if v.FlaggedBy(hpc.BranchMisses) {
 		t.Fatal("FlaggedBy on an absent channel")

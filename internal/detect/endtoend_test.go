@@ -129,11 +129,10 @@ func TestEndToEndOrdering(t *testing.T) {
 	}
 }
 
-// TestEndToEndPipelineScan exercises the deployed-shape API.
+// TestEndToEndPipelineScan exercises the deployed shape: measure, then detect.
 func TestEndToEndPipelineScan(t *testing.T) {
 	f := getE2E(t)
-	p := &Pipeline{M: f.meas, D: f.det}
-	res := p.Scan(f.ds.Test[0].X)
+	res := f.det.Detect(f.meas.Measure(f.ds.Test[0].X))
 	if len(res.Scores) != len(hpc.CoreEvents()) {
 		t.Fatalf("scan returned %d scores", len(res.Scores))
 	}

@@ -4,7 +4,6 @@ import (
 	"advhunter/internal/core"
 	"advhunter/internal/metrics"
 	"advhunter/internal/parallel"
-	"advhunter/internal/tensor"
 	"advhunter/internal/uarch/hpc"
 )
 
@@ -37,15 +36,4 @@ func Evaluate(d Detector, clean, adv []core.Measurement, workers int) metrics.Co
 // has no such channel.
 func EvaluateEvent(d Detector, event hpc.Event, clean, adv []core.Measurement, workers int) metrics.Confusion {
 	return EvaluateBy(d, func(v Verdict) bool { return v.FlaggedBy(event) }, clean, adv, workers)
-}
-
-// Pipeline couples measurement and detection: the full deployed AdvHunter.
-type Pipeline struct {
-	M *core.Measurer
-	D Detector
-}
-
-// Scan classifies an unknown image and reports the detection verdict.
-func (p *Pipeline) Scan(x *tensor.Tensor) Verdict {
-	return p.D.Detect(p.M.Measure(x))
 }

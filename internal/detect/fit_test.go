@@ -72,7 +72,8 @@ func TestFitConcurrentMatchesSerial(t *testing.T) {
 
 // failScorer is a scorer whose Fit fails when fail is set. A failing scorer
 // with wait set holds its error back until release closes, so a later
-// scorer's error is ready first.
+// scorer's error is ready first. Its channel is event Index's, so a detector
+// of failScorers has event channels to decide by.
 type failScorer struct {
 	Index   int
 	fail    bool
@@ -80,7 +81,7 @@ type failScorer struct {
 	release chan struct{}
 }
 
-func (s *failScorer) Channel() string { return fmt.Sprintf("fail-%d", s.Index) }
+func (s *failScorer) Channel() string { return hpc.Event(s.Index).String() }
 
 func (s *failScorer) Fit(*core.Template, Config) error {
 	if !s.fail {
@@ -116,7 +117,9 @@ func TestFitReturnsLowestIndexError(t *testing.T) {
 		}, nil
 	}}
 	defer delete(backends, kind)
-	_, err := Fit(kind, synthTemplate(2, 20, 1), DefaultConfig())
+	cfg := DefaultConfig()
+	cfg.DecisionEvent = hpc.Event(0) // scorer 0's channel
+	_, err := Fit(kind, synthTemplate(2, 20, 1), cfg)
 	if err == nil || !strings.Contains(err.Error(), "scorer 1 failed") {
 		t.Fatalf("Fit error %v, want scorer 1's", err)
 	}

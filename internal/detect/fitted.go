@@ -23,7 +23,7 @@ type Fitted struct {
 	// modelled[c] reports whether category c met cfg.MinSamples.
 	modelled []bool
 	classes  int
-	// decision is the channel deciding Verdict.Fused (-1 = OR over all).
+	// decision is the channel deciding Verdict.Fused (see decisionChannel).
 	decision int
 	// eventIdx maps events to channel indices, shared with every Verdict.
 	eventIdx map[hpc.Event]int
@@ -32,7 +32,9 @@ type Fitted struct {
 // Fit runs the offline phase of the named backend on a measured template:
 // the backend fits its scorers concurrently, then every (channel, category)
 // threshold is derived the same way — mean + SigmaFactor·std of the
-// channel's scores over the category's own template rows.
+// channel's scores over the category's own template rows. A template that
+// leaves a multi-channel backend without cfg.DecisionEvent's channel is an
+// error, caught before any scorer is fitted.
 func Fit(kind string, t *core.Template, cfg Config) (*Fitted, error) {
 	if cfg.SigmaFactor <= 0 || cfg.MaxK <= 0 {
 		return nil, fmt.Errorf("detect: invalid config %+v", cfg)
@@ -47,6 +49,10 @@ func Fit(kind string, t *core.Template, cfg Config) (*Fitted, error) {
 	}
 	if len(scorers) == 0 {
 		return nil, fmt.Errorf("detect: backend %q produced no scorers", kind)
+	}
+	d := &Fitted{kind: kind, events: t.Events, scorers: scorers, classes: t.Classes}
+	if err := d.finish(cfg.DecisionEvent); err != nil {
+		return nil, err
 	}
 	// Each scorer fits from its own (category, channel) seeds into its own
 	// fields, so the fan-out is bit-identical to a serial loop; the
@@ -94,21 +100,13 @@ func Fit(kind string, t *core.Template, cfg Config) (*Fitted, error) {
 		}
 	}
 
-	d := &Fitted{
-		kind:       kind,
-		events:     t.Events,
-		scorers:    scorers,
-		thresholds: thresholds,
-		modelled:   modelled,
-		classes:    t.Classes,
-	}
-	d.finish(cfg.DecisionEvent)
+	d.thresholds, d.modelled = thresholds, modelled
 	return d, nil
 }
 
 // finish derives the channel names, event index and decision channel from
-// the scorers — shared by Fit and the persistence loaders.
-func (d *Fitted) finish(decisionEvent hpc.Event) {
+// the scorers — shared by Fit and Load.
+func (d *Fitted) finish(decisionEvent hpc.Event) error {
 	d.channels = make([]string, len(d.scorers))
 	d.eventIdx = make(map[hpc.Event]int, len(d.scorers))
 	for si, s := range d.scorers {
@@ -117,13 +115,34 @@ func (d *Fitted) finish(decisionEvent hpc.Event) {
 			d.eventIdx[e] = si
 		}
 	}
-	d.decision = -1
-	if len(d.channels) == 1 {
-		d.decision = 0
+	var err error
+	d.decision, err = d.decisionChannel(decisionEvent)
+	return err
+}
+
+// decisionChannel is the one rule for which channel decides Verdict.Fused
+// under decision event e: e's channel or, for a single-channel combinator
+// (fusion, confidence), its only channel. A detector with event channels
+// but none for e has no decision channel.
+func (d *Fitted) decisionChannel(e hpc.Event) (int, error) {
+	if si, ok := d.eventIdx[e]; ok {
+		return si, nil
 	}
-	if si, ok := d.eventIdx[decisionEvent]; ok {
-		d.decision = si
+	if len(d.channels) == 1 && len(d.eventIdx) == 0 {
+		return 0, nil
 	}
+	return 0, fmt.Errorf("detect: %s detector has no %v channel to decide by (channels %v)", d.kind, e, d.channels)
+}
+
+// DecidesBy reports an error, naming the channel d decides by, unless that
+// is the channel a fit under decision event e would decide by — so a loaded
+// artifact is served only under the decision rule it was fitted and
+// evaluated with.
+func (d *Fitted) DecidesBy(e hpc.Event) error {
+	if si, err := d.decisionChannel(e); err != nil || si != d.decision {
+		return fmt.Errorf("detect: %s detector decides by %s, not by %v", d.kind, d.channels[d.decision], e)
+	}
+	return nil
 }
 
 // Kind is the backend name the detector was fitted under.
@@ -170,10 +189,6 @@ func (d *Fitted) Detect(q core.Measurement) Verdict {
 		v.Scores[si] = score
 		v.Flags[si] = score > d.thresholds[si][q.Pred]
 	}
-	if d.decision >= 0 {
-		v.Fused = v.Flags[d.decision]
-	} else {
-		v.Fused = v.AnyFlag()
-	}
+	v.Fused = v.Flags[d.decision]
 	return v
 }

@@ -32,11 +32,11 @@ type fittedDTO struct {
 
 // Save atomically writes a fitted detector of any backend.
 func Save(path string, d *Fitted) error {
-	decision := hpc.CacheMisses
-	if d.decision >= 0 {
-		if e, err := hpc.ParseEvent(d.channels[d.decision]); err == nil {
-			decision = e
-		}
+	// A combinator's decision channel names no event; it decides by its
+	// only channel whatever the stored event.
+	decision, err := hpc.ParseEvent(d.channels[d.decision])
+	if err != nil {
+		decision = DefaultDecisionEvent
 	}
 	dto := fittedDTO{
 		Kind:       d.kind,
@@ -100,7 +100,9 @@ func Load(path string) (*Fitted, error) {
 		modelled:   dto.Modelled,
 		classes:    dto.Classes,
 	}
-	d.finish(dto.Decision)
+	if err := d.finish(dto.Decision); err != nil {
+		return nil, err
+	}
 	return d, nil
 }
 

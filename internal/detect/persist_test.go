@@ -3,6 +3,7 @@ package detect
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"advhunter/internal/core"
@@ -184,4 +185,108 @@ func FuzzTryLoad(f *testing.F) {
 			d.Detect(synthMeasurement(rng.New(1), 0, 1000))
 		}
 	})
+}
+
+// TestDecisionSurvivesSaveLoad: every backend, fitted to decide by a
+// non-default event, keeps Detect(q).Fused across Save/Load, and a
+// per-event backend decides by that event's channel. A multi-channel
+// template without the decision event's channel is a Fit error, and an
+// artifact whose stored decision event has no channel is a Load miss.
+func TestDecisionSurvivesSaveLoad(t *testing.T) {
+	tpl := synthTemplate(3, 40, 113)
+	cfg := DefaultConfig()
+	cfg.DecisionEvent = hpc.Instructions
+	r := rng.New(127)
+	var queries []core.Measurement
+	for i := 0; i < 60; i++ {
+		// Anomalous cache-misses on odd queries, anomalous instructions on
+		// every third: the two channels disagree on a share of them.
+		q := synthMeasurement(r, i%3, 1000+200*float64(i%3)+600*float64(i%2))
+		if i%3 == 0 {
+			q.Counts[hpc.Instructions] *= 1.5
+		}
+		queries = append(queries, q)
+	}
+	dir := t.TempDir()
+	for _, kind := range Kinds() {
+		d := mustFit(t, kind, tpl, cfg)
+		path := filepath.Join(dir, kind+".gob")
+		if err := Save(path, d); err != nil {
+			t.Fatalf("Save(%s): %v", kind, err)
+		}
+		back, err := Load(path)
+		if err != nil {
+			t.Fatalf("Load(%s): %v", kind, err)
+		}
+		disagree := 0
+		for qi, q := range queries {
+			a, b := d.Detect(q), back.Detect(q)
+			if a.Fused != b.Fused {
+				t.Fatalf("%s: query %d: Fused %v before Save, %v after Load", kind, qi, a.Fused, b.Fused)
+			}
+			if len(a.Channels) == 1 {
+				continue
+			}
+			if a.Fused != a.FlaggedBy(hpc.Instructions) {
+				t.Fatalf("%s: query %d not decided by the instructions channel: %+v", kind, qi, a)
+			}
+			if a.FlaggedBy(hpc.Instructions) != a.FlaggedBy(hpc.CacheMisses) {
+				disagree++
+			}
+		}
+		if len(d.Channels()) > 1 && disagree == 0 {
+			t.Fatalf("%s: no query tells the instructions rule from the cache-misses rule", kind)
+		}
+	}
+
+	// Neither synthetic channel is branch-misses.
+	cfg.DecisionEvent = hpc.BranchMisses
+	for _, kind := range Kinds() {
+		_, err := Fit(kind, tpl, cfg)
+		single := kind == "fusion" || kind == "confidence"
+		if single && err != nil {
+			t.Errorf("%s: a single-channel backend must decide by its channel: %v", kind, err)
+		}
+		if !single && err == nil {
+			t.Errorf("%s: fitted a detector with no branch-misses channel to decide by", kind)
+		}
+	}
+	d := mustFit(t, "gmm", tpl, DefaultConfig())
+	dto := fittedDTO{
+		Kind:       d.kind,
+		Events:     d.events,
+		Classes:    d.classes,
+		Decision:   hpc.BranchMisses,
+		Modelled:   d.modelled,
+		Thresholds: d.thresholds,
+		Scorers:    d.scorers,
+	}
+	p := filepath.Join(dir, "no-decision-channel.gob")
+	if err := persist.Save(p, DetectorSchema, &dto); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := TryLoad(p); ok {
+		t.Fatal("TryLoad accepted an artifact whose decision event has no channel")
+	}
+}
+
+// TestDecidesBy: a loaded detector is accepted only under the decision
+// event it was fitted with, and the refusal names its own channel; a
+// single-channel combinator decides by its channel under any event.
+func TestDecidesBy(t *testing.T) {
+	tpl := synthTemplate(2, 30, 137)
+	d := mustFit(t, "gmm", tpl, DefaultConfig())
+	if err := d.DecidesBy(hpc.CacheMisses); err != nil {
+		t.Fatalf("DecidesBy(cache-misses) on a cache-misses detector: %v", err)
+	}
+	for _, e := range []hpc.Event{hpc.Instructions, hpc.BranchMisses} {
+		err := d.DecidesBy(e)
+		if err == nil || !strings.Contains(err.Error(), "decides by cache-misses") {
+			t.Errorf("DecidesBy(%v) = %v, want a refusal naming cache-misses", e, err)
+		}
+	}
+	f := mustFit(t, "fusion", tpl, DefaultConfig())
+	if err := f.DecidesBy(hpc.Instructions); err != nil {
+		t.Errorf("fusion DecidesBy(instructions): %v", err)
+	}
 }

@@ -8,25 +8,10 @@ import "math"
 // escalating buys nothing. The margin is relative with a unit floor — margin·(1+|Δ|) — so it
 // reads as "within margin×" for the large thresholds of count channels and
 // stays meaningful for thresholds near zero (log-likelihood channels).
-func (d *Fitted) Uncertain(v Verdict, channel int, margin float64) bool {
+func (d *Fitted) Uncertain(v Verdict, margin float64) bool {
 	if !v.Modelled {
 		return false
 	}
-	if channel < 0 {
-		channel = d.decision
-	}
-	if channel >= 0 && channel < len(d.scorers) {
-		return d.nearThreshold(v, channel, margin)
-	}
-	for si := range d.scorers {
-		if d.nearThreshold(v, si, margin) {
-			return true
-		}
-	}
-	return false
-}
-
-func (d *Fitted) nearThreshold(v Verdict, si int, margin float64) bool {
-	thr := d.thresholds[si][v.PredictedClass]
-	return math.Abs(v.Scores[si]-thr) <= margin*(1+math.Abs(thr))
+	thr := d.thresholds[d.decision][v.PredictedClass]
+	return math.Abs(v.Scores[d.decision]-thr) <= margin*(1+math.Abs(thr))
 }

@@ -516,7 +516,7 @@ func (e *Env) Attack(spec AttackSpec, nSources int) (*AttackResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	meas, err := e.measureCached(fmt.Sprintf("ae-%s-n%d", spec.Key(), nSources), len(set.Successful), set.samples)
+	meas, err := e.measureCrafted(set, nSources)
 	if err != nil {
 		return nil, err
 	}
@@ -526,6 +526,12 @@ func (e *Env) Attack(spec AttackSpec, nSources int) (*AttackResult, error) {
 		ModelAccuracy: set.ModelAccuracy,
 		Meas:          meas,
 	}, nil
+}
+
+// measureCrafted measures a crafted set's successful examples with e.Meas,
+// cached under the key of the attack that crafted them from nSources images.
+func (e *Env) measureCrafted(set *craftedSet, nSources int) ([]core.Measurement, error) {
+	return e.measureCached(fmt.Sprintf("ae-%s-n%d", set.Spec.Key(), nSources), len(set.Successful), set.samples)
 }
 
 // CleanMeasurements returns the negatives of an attack's evaluation protocol

@@ -15,11 +15,6 @@ import (
 	"advhunter/internal/uarch/hpc"
 )
 
-// twinMargin is the escalation band the two-tier evaluation uses — the same
-// default as serve.Config.EscalationMargin, so the experiment validates the
-// deployment configuration.
-const twinMargin = 0.15
-
 // TwinProbes is the canonical probe workload for profiling this scenario's
 // twin table: the validation pool plus two perturbation rounds — the clean
 // manifold's immediate neighbourhood (ε=0.1) and the adversarial-strength
@@ -156,11 +151,11 @@ func TwinAccuracy(opts Options) (*TwinAccuracyResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		samples := set.samples()
-		meas, err := env.measureCached(fmt.Sprintf("ae-%s-n%d", spec.Key(), n), len(samples), given(samples))
+		meas, err := env.measureCrafted(set, n)
 		if err != nil {
 			return nil, err
 		}
+		samples := set.samples()
 		for j := range samples {
 			items = append(items, twinItem{x: samples[j].X, idx: uint64(j), exact: meas[j], adv: true})
 		}
@@ -196,7 +191,7 @@ func TwinAccuracy(opts Options) (*TwinAccuracyResult, error) {
 		Scenario:    env.Scn.ID,
 		Knots:       knots,
 		TableLoaded: loaded,
-		Margin:      twinMargin,
+		Margin:      detect.DefaultMargin,
 		Positives:   len(items) - negatives,
 		Negatives:   negatives,
 	}
@@ -213,16 +208,17 @@ func TwinAccuracy(opts Options) (*TwinAccuracyResult, error) {
 		res.Events = append(res.Events, e)
 	}
 
-	// Verdicts per mode. The two-tier rule is the serve auto tier's: the
-	// twin decides unless its verdict sits inside the uncertainty band, in
-	// which case the exact verdict stands.
+	// Verdicts per mode. The two-tier rule is the serve auto tier's at its
+	// default margin, so the experiment validates the deployment
+	// configuration: the twin decides unless its verdict sits inside the
+	// uncertainty band, in which case the exact verdict stands.
 	var exactC, twinC, tierC metrics.Confusion
 	escalated := 0
 	for i, it := range items {
 		exactV := det.Detect(it.exact)
 		twinV := tdet.Detect(outs[i].twinM)
 		tierV := twinV
-		if tdet.Uncertain(twinV, -1, twinMargin) {
+		if tdet.Uncertain(twinV, detect.DefaultMargin) {
 			tierV = exactV
 			escalated++
 		}

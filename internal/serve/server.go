@@ -35,7 +35,6 @@ import (
 	"advhunter/internal/obs"
 	"advhunter/internal/parallel"
 	"advhunter/internal/tensor"
-	"advhunter/internal/uarch/hpc"
 )
 
 // Config tunes the service. The zero value serves with sensible defaults.
@@ -51,10 +50,6 @@ type Config struct {
 	// Timeout bounds a request's wait for a free replica (default 10s): a
 	// request whose deadline passes first answers 504 and is never decided.
 	Timeout time.Duration
-	// DecisionEvent drives the top-level "adversarial" verdict (default
-	// cache-misses, the paper's strongest event). If the detector does not
-	// model it, any-event OR fusion is used instead.
-	DecisionEvent hpc.Event
 	// ClassName optionally renders class names in responses.
 	ClassName func(int) string
 	// TruthCacheSize caps the fingerprint-keyed truth-count memoisation
@@ -76,13 +71,14 @@ type Config struct {
 	// count predictions carry a small systematic bias relative to the exact
 	// simulator, so screening works best with a detector calibrated on
 	// twin-measured templates (same backend, same template protocol). Its
-	// channel list must equal the main detector's. nil reuses the main
-	// detector.
+	// channel list must equal the main detector's, and it should be fitted
+	// under the same decision event: a twin verdict is its own Fused, and
+	// escalation is its own Uncertain. nil reuses the main detector.
 	TwinDetector detect.Detector
 	// EscalationMargin is the auto tier's uncertainty band: a twin verdict
 	// escalates to the exact tier when its deciding score lies within
 	// margin·(1+|threshold|) of the decision threshold
-	// (detect.Detector.Uncertain). 0 selects the default 0.15; negative
+	// (detect.Detector.Uncertain). 0 selects detect.DefaultMargin; negative
 	// means never uncertain (the twin decides everything).
 	EscalationMargin float64
 	// Logger receives the server's structured records (per-request debug
@@ -135,14 +131,11 @@ func (c Config) withDefaults() Config {
 	if c.Timeout <= 0 {
 		c.Timeout = 10 * time.Second
 	}
-	if c.DecisionEvent == 0 {
-		c.DecisionEvent = hpc.CacheMisses
-	}
 	if c.TruthCacheSize == 0 {
 		c.TruthCacheSize = 512
 	}
 	if c.EscalationMargin == 0 {
-		c.EscalationMargin = 0.15
+		c.EscalationMargin = detect.DefaultMargin
 	}
 	if c.TraceLog != nil && c.TraceRing <= 0 {
 		c.TraceRing = 256
@@ -158,7 +151,6 @@ type Server struct {
 	det      detect.Detector
 	channels []string
 	shape    [3]int
-	decIdx   int // index of DecisionEvent in det.Channels(), -1 if absent
 
 	exact    *pool         // the exact tier's measurement stage
 	twin     *pool         // the auto tier's twin screen; nil under the exact tier
@@ -187,18 +179,11 @@ func New(m *core.Measurer, det detect.Detector, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	meta := m.Engine.Model.Meta
 	channels := det.Channels()
-	decIdx := -1
-	for i, ch := range channels {
-		if ch == cfg.DecisionEvent.String() {
-			decIdx = i
-		}
-	}
 	s := &Server{
 		cfg:      cfg,
 		det:      det,
 		channels: channels,
 		shape:    [3]int{meta.InC, meta.InH, meta.InW},
-		decIdx:   decIdx,
 		replicas: make(chan int, cfg.Workers),
 		idle:     make(chan struct{}),
 		stats:    newMetrics(det.Kind(), channels),
@@ -242,9 +227,8 @@ func New(m *core.Measurer, det detect.Detector, cfg Config) *Server {
 	if cfg.Twin != nil {
 		twinDet := det
 		if cfg.TwinDetector != nil {
-			// The service decision rule (decIdx) and the response channel maps
-			// are shared across tiers, so the twin detector must score the
-			// same channels in the same order.
+			// The response channel maps are shared across tiers, so the twin
+			// detector must score the same channels in the same order.
 			got := cfg.TwinDetector.Channels()
 			if len(got) != len(channels) {
 				panic(fmt.Sprintf("serve: twin detector has %d channels, main detector %d", len(got), len(channels)))
@@ -406,10 +390,10 @@ func (s *Server) decide(st stages, replica int, idx uint64, x *tensor.Tensor) (v
 	} else {
 		v, tier = s.twin.score(st, replica, idx, x), TierTwin
 		s.stats.tierScreened.Inc()
-		if s.twin.det.Uncertain(v, s.decIdx, s.cfg.EscalationMargin) {
+		if s.twin.det.Uncertain(v, s.cfg.EscalationMargin) {
 			s.stats.tierEscalations.Inc()
 			ev := s.exact.score(st, replica, idx, x)
-			if adversarialAt(v, s.decIdx) == adversarialAt(ev, s.decIdx) {
+			if v.Fused == ev.Fused {
 				s.stats.tierAgreement.Inc()
 			}
 			v, tier = ev, TierExact
@@ -420,16 +404,6 @@ func (s *Server) decide(st stages, replica int, idx uint64, x *tensor.Tensor) (v
 	}
 	s.stats.batchSizes.Observe(1)
 	return v, tier
-}
-
-// adversarialAt applies the service decision rule to one verdict: the
-// configured decision event's channel when the detector has one, otherwise
-// the detector's own fused decision.
-func adversarialAt(v detect.Verdict, decIdx int) bool {
-	if decIdx >= 0 {
-		return v.Flags[decIdx]
-	}
-	return v.Fused
 }
 
 // ServeDecoded answers one POST /detect on the calling goroutine: admit,
@@ -545,7 +519,7 @@ func (s *Server) response(idx uint64, v detect.Verdict, tier string) Response {
 		PredictedClass: v.PredictedClass,
 		Backend:        s.det.Kind(),
 		Modelled:       v.Modelled,
-		Adversarial:    adversarialAt(v, s.decIdx),
+		Adversarial:    v.Fused,
 		Tier:           tier,
 		Scores:         make(map[string]float64, len(s.channels)),
 		Flags:          make(map[string]bool, len(s.channels)),

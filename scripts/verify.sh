@@ -27,10 +27,6 @@ go vet ./...
 echo "== vet benchmark module (servebench/ is a nested module ./... skips) =="
 (cd servebench && go vet ./...)
 
-echo "== examples (build smoke) =="
-go build ./examples/...
-go vet ./examples/...
-
 echo "== test (must leave the checkout as it found it) =="
 before="$(git status --porcelain)"
 go test ./...
