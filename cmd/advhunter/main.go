@@ -116,10 +116,9 @@ run 'advhunter <command> -h' for flags.`)
 }
 
 // commonOpts holds the flags every subcommand shares: cache location,
-// workload sizing, worker-pool width, and the structured-logging knobs.
+// worker-pool width, and the structured-logging knobs.
 type commonOpts struct {
 	cache     *string
-	quick     *bool
 	verbose   *bool
 	workers   *int
 	logLevel  *string
@@ -130,7 +129,6 @@ type commonOpts struct {
 func commonFlags(fs *flag.FlagSet) commonOpts {
 	return commonOpts{
 		cache:     fs.String("cache", "artifacts/cache", "cache directory for models and measurements (empty disables)"),
-		quick:     fs.Bool("quick", false, "reduced workload sizes (for smoke tests)"),
 		verbose:   fs.Bool("v", false, "log progress to stderr"),
 		workers:   fs.Int("workers", 0, "worker goroutines for measurement/attack fan-out (0 = GOMAXPROCS, 1 = serial; results are identical for any value)"),
 		logLevel:  fs.String("log-level", "info", "structured-log level: debug, info, warn, error"),
@@ -143,7 +141,7 @@ func (c commonOpts) options() experiments.Options {
 	if *c.verbose {
 		log = os.Stderr
 	}
-	return experiments.Options{CacheDir: *c.cache, Quick: *c.quick, Log: log, Workers: *c.workers}
+	return experiments.Options{CacheDir: *c.cache, Log: log, Workers: *c.workers}
 }
 
 // logger builds the process logger from the logging flags and installs it as
@@ -266,6 +264,7 @@ func cmdExperiment(args []string, stdout, stderr io.Writer) error {
 	asJSON := fs.Bool("json", false, "emit the result as JSON instead of a table")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file on exit")
+	quick := fs.Bool("quick", false, "reduced workload sizes (for smoke tests)")
 	copts := commonFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -300,6 +299,7 @@ func cmdExperiment(args []string, stdout, stderr io.Writer) error {
 		}()
 	}
 	opts := copts.options()
+	opts.Quick = *quick
 	runFn := experiments.Run
 	if *asJSON {
 		runFn = experiments.RunJSON

@@ -87,6 +87,11 @@ func TestDispatch(t *testing.T) {
 			wantCode: 1, wantStderr: "",
 		},
 		{
+			name:     "serve refuses -quick before loading a model",
+			args:     []string{"serve", "-quick"},
+			wantCode: 1, wantStderr: "flag provided but not defined: -quick",
+		},
+		{
 			name:     "serve rejects unknown event",
 			args:     []string{"serve", "-event", "not-an-event"},
 			wantCode: 1, wantStderr: "unknown event",

@@ -2,9 +2,10 @@
 // cloud inference service — now through the real serving stack. The guard
 // is fitted once and persisted (detect.Save), reloaded the way a
 // fresh serving process would load it, and exposed as the HTTP JSON service
-// (internal/serve) with one queue consumer per engine replica. A stream of
-// queries — mostly legitimate, with adversarial probing mixed in — is fired
-// by eight concurrent clients, and every decision comes back over the wire.
+// (internal/serve), which decides each request on its handler goroutine
+// over a pool of engine replicas. A stream of queries — mostly legitimate,
+// with adversarial probing mixed in — is fired by eight concurrent clients,
+// and every decision comes back over the wire.
 // Because each query carries an explicit noise index, the verdicts are
 // identical no matter how the clients interleave.
 //
@@ -84,7 +85,8 @@ func main() {
 	fmt.Printf("guard: detector persisted to and reloaded from %s\n", filepath.Base(artifact))
 
 	// Online phase: the detection service, exactly as `advhunter serve`
-	// runs it — bounded queue, one consumer per engine replica.
+	// runs it — bounded admission, each request decided on its handler
+	// goroutine while it holds one of the engine replicas.
 	srv := serve.New(meas, det, serve.Config{
 		Workers:   4,
 		ClassName: func(c int) string { return data.ClassName("cifar10", c) },

@@ -1,8 +1,8 @@
 // Package core implements AdvHunter's measurement protocol: run one
 // inference on the instrumented engine, read the HPC bank R times under
 // measurement noise, and keep the per-event mean (Section 5.2). The offline
-// template 𝒟 — per predicted category, one row of per-event means for each
-// measured validation image — also lives here.
+// template 𝒟 — per predicted category, the measurements of the validation
+// images predicted as it — also lives here.
 //
 // Scoring and thresholding (the detector proper) live in internal/detect,
 // which consumes the Measurement and Template types defined here through a
@@ -178,18 +178,15 @@ func (m *Measurer) Measure(x *tensor.Tensor) Measurement {
 	return m.MeasureAt(i, x)
 }
 
-// Template is the offline dataset 𝒟: per predicted category, one row of
-// per-event means for each measured validation image.
+// Template is the offline dataset 𝒟: per predicted category, the
+// measurements of the validation images predicted as it. Events lists the
+// events a per-event detector fits one channel each for.
 type Template struct {
 	Events  []hpc.Event
 	Classes int
-	// Rows[c][i][n] is the mean of event Events[n] for the i-th validation
-	// image whose (hard-label) prediction was c.
-	Rows [][][]float64
-	// Confs[c][i] is the softmax confidence of the i-th image's prediction.
-	// Black-box scorers ignore it; the soft-label confidence baseline
-	// thresholds on it.
-	Confs [][]float64
+	// Rows[c] holds, in input order, the measured validation images whose
+	// (hard-label) prediction was c.
+	Rows [][]Measurement
 }
 
 // NewTemplate allocates an empty template.
@@ -197,47 +194,22 @@ func NewTemplate(classes int, events []hpc.Event) *Template {
 	return &Template{
 		Events:  events,
 		Classes: classes,
-		Rows:    make([][][]float64, classes),
-		Confs:   make([][]float64, classes),
+		Rows:    make([][]Measurement, classes),
 	}
 }
 
-// Add appends one measured image to category c.
-func (t *Template) Add(c int, counts hpc.Counts, conf float64) {
-	row := make([]float64, len(t.Events))
-	for n, e := range t.Events {
-		row[n] = counts.Get(e)
-	}
-	t.Rows[c] = append(t.Rows[c], row)
-	t.Confs[c] = append(t.Confs[c], conf)
+// Add appends one measured image to the category it was predicted as.
+func (t *Template) Add(m Measurement) {
+	t.Rows[m.Pred] = append(t.Rows[m.Pred], m)
 }
 
-// Column extracts 𝒟_c^n, the per-image means of one event in one category.
-func (t *Template) Column(c, n int) []float64 {
+// Column extracts 𝒟_c^e, the per-image means of event e in category c.
+func (t *Template) Column(c int, e hpc.Event) []float64 {
 	col := make([]float64, len(t.Rows[c]))
-	for i, row := range t.Rows[c] {
-		col[i] = row[n]
+	for i, m := range t.Rows[c] {
+		col[i] = m.Counts.Get(e)
 	}
 	return col
-}
-
-// Measurements reconstructs category c's template rows as Measurement
-// values, letting detector fitting score template data through the same
-// code path as online queries.
-func (t *Template) Measurements(c int) []Measurement {
-	ms := make([]Measurement, len(t.Rows[c]))
-	for i, row := range t.Rows[c] {
-		var counts hpc.Counts
-		for n, e := range t.Events {
-			counts[e] = row[n]
-		}
-		conf := 0.0
-		if i < len(t.Confs[c]) {
-			conf = t.Confs[c][i]
-		}
-		ms[i] = Measurement{Pred: c, TrueLabel: c, Counts: counts, Conf: conf}
-	}
-	return ms
 }
 
 // BuildTemplate measures every validation image and buckets it under its
@@ -246,7 +218,7 @@ func (t *Template) Measurements(c int) []Measurement {
 func BuildTemplate(m *Measurer, validation []data.Sample, classes int, events []hpc.Event) *Template {
 	t := NewTemplate(classes, events)
 	for _, mm := range MeasureSet(m, validation) {
-		t.Add(mm.Pred, mm.Counts, mm.Conf)
+		t.Add(mm)
 	}
 	return t
 }

@@ -37,20 +37,20 @@ func TestMeasurementCarriesConfidence(t *testing.T) {
 	}
 }
 
-// TestTemplateColumn checks the 𝒟_c^n extraction used by every per-event
+// TestTemplateColumn checks the 𝒟_c^e extraction used by every per-event
 // scorer.
 func TestTemplateColumn(t *testing.T) {
 	tpl := NewTemplate(2, []hpc.Event{hpc.CacheMisses, hpc.Instructions})
 	var a, b hpc.Counts
 	a[hpc.CacheMisses], a[hpc.Instructions] = 10, 100
 	b[hpc.CacheMisses], b[hpc.Instructions] = 20, 200
-	tpl.Add(1, a, 0.9)
-	tpl.Add(1, b, 0.8)
-	col := tpl.Column(1, 0)
+	tpl.Add(Measurement{Pred: 1, Counts: a, Conf: 0.9})
+	tpl.Add(Measurement{Pred: 1, Counts: b, Conf: 0.8})
+	col := tpl.Column(1, hpc.CacheMisses)
 	if len(col) != 2 || col[0] != 10 || col[1] != 20 {
 		t.Fatalf("cache-miss column = %v", col)
 	}
-	col = tpl.Column(1, 1)
+	col = tpl.Column(1, hpc.Instructions)
 	if col[0] != 100 || col[1] != 200 {
 		t.Fatalf("instructions column = %v", col)
 	}
@@ -59,37 +59,32 @@ func TestTemplateColumn(t *testing.T) {
 	}
 }
 
-// TestTemplateMeasurements checks the row→Measurement reconstruction that
-// detector fitting scores thresholds through.
+// TestTemplateMeasurements checks that Add keeps each measurement whole —
+// every event, not only the template's, and its confidence — under its
+// predicted category, in input order: detector fitting scores these rows
+// through the same code path as online queries.
 func TestTemplateMeasurements(t *testing.T) {
-	events := []hpc.Event{hpc.CacheMisses, hpc.Branches}
-	tpl := NewTemplate(3, events)
+	tpl := NewTemplate(3, []hpc.Event{hpc.CacheMisses})
 	r := rng.New(7)
 	var want []Measurement
 	for i := 0; i < 5; i++ {
 		var c hpc.Counts
 		c[hpc.CacheMisses] = r.Normal(1000, 10)
 		c[hpc.Branches] = r.Normal(5000, 50)
-		conf := 0.5 + 0.1*float64(i%3)
-		tpl.Add(2, c, conf)
-		want = append(want, Measurement{Pred: 2, TrueLabel: 2, Counts: c, Conf: conf})
+		m := Measurement{Pred: 2, TrueLabel: i % 3, Counts: c, Conf: 0.5 + 0.1*float64(i%3)}
+		tpl.Add(m)
+		want = append(want, m)
 	}
-	got := tpl.Measurements(2)
+	got := tpl.Rows[2]
 	if len(got) != len(want) {
 		t.Fatalf("got %d measurements, want %d", len(got), len(want))
 	}
 	for i := range got {
-		if got[i].Pred != 2 || got[i].Conf != want[i].Conf {
-			t.Fatalf("measurement %d: %+v", i, got[i])
-		}
-		for _, e := range events {
-			if got[i].Counts.Get(e) != want[i].Counts.Get(e) {
-				t.Fatalf("measurement %d event %v: got %v want %v",
-					i, e, got[i].Counts.Get(e), want[i].Counts.Get(e))
-			}
+		if got[i] != want[i] {
+			t.Fatalf("measurement %d: got %+v, want %+v", i, got[i], want[i])
 		}
 	}
-	if len(tpl.Measurements(0)) != 0 {
-		t.Fatal("empty class should reconstruct no measurements")
+	if len(tpl.Rows[0]) != 0 || len(tpl.Rows[1]) != 0 {
+		t.Fatal("only category 2 should hold measurements")
 	}
 }

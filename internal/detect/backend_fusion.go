@@ -3,6 +3,7 @@ package detect
 import (
 	"encoding/gob"
 	"fmt"
+	"slices"
 
 	"advhunter/internal/core"
 	"advhunter/internal/gmm"
@@ -20,15 +21,12 @@ func init() {
 			if len(events) == 0 {
 				events = t.Events
 			}
-			cols := make([]int, len(events))
-			for i, e := range events {
-				n, err := eventColumn(t.Events, e)
-				if err != nil {
-					return nil, err
+			for _, e := range events {
+				if !slices.Contains(t.Events, e) {
+					return nil, fmt.Errorf("detect: event %v not in template", e)
 				}
-				cols[i] = n
 			}
-			return []Scorer{&fusionScorer{Events: events, cols: cols}}, nil
+			return []Scorer{&fusionScorer{Events: events}}, nil
 		},
 	})
 }
@@ -46,9 +44,6 @@ type fusionScorer struct {
 	Models []gmm.MultiModel
 	Mean   [][]float64
 	Std    [][]float64
-
-	// cols maps model dimensions to template columns (fit-time only).
-	cols []int
 }
 
 func (s *fusionScorer) Channel() string { return "fusion" }
@@ -59,13 +54,13 @@ func (s *fusionScorer) Fit(t *core.Template, cfg Config) error {
 	s.Std = make([][]float64, t.Classes)
 	for c := 0; c < t.Classes; c++ {
 		rows := t.Rows[c]
-		if len(rows) < cfg.MinSamples {
+		if !canModel(rows, cfg) {
 			continue
 		}
 		mean := make([]float64, len(s.Events))
 		std := make([]float64, len(s.Events))
-		for i, n := range s.cols {
-			mu, sd := metrics.MeanStd(t.Column(c, n))
+		for i, e := range s.Events {
+			mu, sd := metrics.MeanStd(t.Column(c, e))
 			if sd == 0 {
 				sd = 1
 			}
@@ -74,8 +69,8 @@ func (s *fusionScorer) Fit(t *core.Template, cfg Config) error {
 		pts := make([][]float64, len(rows))
 		for r, row := range rows {
 			p := make([]float64, len(s.Events))
-			for i, n := range s.cols {
-				p[i] = (row[n] - mean[i]) / std[i]
+			for i, e := range s.Events {
+				p[i] = (row.Counts.Get(e) - mean[i]) / std[i]
 			}
 			pts[r] = p
 		}

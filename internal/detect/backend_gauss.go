@@ -1,7 +1,6 @@
 package detect
 
 import (
-	"encoding/gob"
 	"fmt"
 	"math"
 
@@ -11,18 +10,8 @@ import (
 )
 
 func init() {
-	gob.RegisterName("detect.gaussScorer", &gaussScorer{})
-	Register(Backend{
-		Kind:        "gauss",
-		Description: "per-(category, event) single Gaussian scored by Mahalanobis distance |x−μ|/σ",
-		New: func(t *core.Template, cfg Config) ([]Scorer, error) {
-			scorers := make([]Scorer, len(t.Events))
-			for n, e := range t.Events {
-				scorers[n] = &gaussScorer{Event: e, Index: n}
-			}
-			return scorers, nil
-		},
-	})
+	registerPerEvent("gauss", "per-(category, event) single Gaussian scored by Mahalanobis distance |x−μ|/σ",
+		func(e hpc.Event, n int) Scorer { return &gaussScorer{Event: e, Index: n} })
 }
 
 // gaussScorer models one event per category as a single Gaussian and scores
@@ -44,17 +33,14 @@ func (s *gaussScorer) Fit(t *core.Template, cfg Config) error {
 	s.Mean = make([]float64, t.Classes)
 	s.Std = make([]float64, t.Classes)
 	s.Ok = make([]bool, t.Classes)
-	for c := 0; c < t.Classes; c++ {
-		if len(t.Rows[c]) < cfg.MinSamples {
-			continue
-		}
-		mu, sd := metrics.MeanStd(t.Column(c, s.Index))
+	return fitColumns(t, s.Event, cfg, func(c int, col []float64) error {
+		mu, sd := metrics.MeanStd(col)
 		if sd == 0 {
 			sd = 1
 		}
 		s.Mean[c], s.Std[c], s.Ok[c] = mu, sd, true
-	}
-	return nil
+		return nil
+	})
 }
 
 func (s *gaussScorer) Score(q core.Measurement) (float64, bool) {

@@ -1,7 +1,6 @@
 package detect
 
 import (
-	"encoding/gob"
 	"fmt"
 
 	"advhunter/internal/core"
@@ -10,18 +9,8 @@ import (
 )
 
 func init() {
-	gob.RegisterName("detect.gmmScorer", &gmmScorer{})
-	Register(Backend{
-		Kind:        "gmm",
-		Description: "per-(category, event) univariate GMM with BIC-selected components (the paper's detector)",
-		New: func(t *core.Template, cfg Config) ([]Scorer, error) {
-			scorers := make([]Scorer, len(t.Events))
-			for n, e := range t.Events {
-				scorers[n] = &gmmScorer{Event: e, Index: n}
-			}
-			return scorers, nil
-		},
-	})
+	registerPerEvent("gmm", "per-(category, event) univariate GMM with BIC-selected components (the paper's detector)",
+		func(e hpc.Event, n int) Scorer { return &gmmScorer{Event: e, Index: n} })
 }
 
 // gmmScorer is the paper's detector for one event: a univariate GMM per
@@ -40,11 +29,7 @@ func (s *gmmScorer) Channel() string { return s.Event.String() }
 
 func (s *gmmScorer) Fit(t *core.Template, cfg Config) error {
 	s.Models = make([]gmm.Model, t.Classes)
-	for c := 0; c < t.Classes; c++ {
-		if len(t.Rows[c]) < cfg.MinSamples {
-			continue
-		}
-		col := t.Column(c, s.Index)
+	return fitColumns(t, s.Event, cfg, func(c int, col []float64) error {
 		sub := cfg.GMM
 		sub.Seed = cfg.GMM.Seed ^ (uint64(c)<<32 | uint64(s.Index))
 		var model *gmm.Model
@@ -58,8 +43,8 @@ func (s *gmmScorer) Fit(t *core.Template, cfg Config) error {
 			return fmt.Errorf("detect: fitting class %d event %v: %w", c, s.Event, err)
 		}
 		s.Models[c] = *model
-	}
-	return nil
+		return nil
+	})
 }
 
 func (s *gmmScorer) Score(q core.Measurement) (float64, bool) {

@@ -1,7 +1,6 @@
 package detect
 
 import (
-	"encoding/gob"
 	"fmt"
 	"math"
 
@@ -11,18 +10,8 @@ import (
 )
 
 func init() {
-	gob.RegisterName("detect.kdeScorer", &kdeScorer{})
-	Register(Backend{
-		Kind:        "kde",
-		Description: "per-(category, event) Gaussian kernel density estimate scored by negative log-density",
-		New: func(t *core.Template, cfg Config) ([]Scorer, error) {
-			scorers := make([]Scorer, len(t.Events))
-			for n, e := range t.Events {
-				scorers[n] = &kdeScorer{Event: e, Index: n}
-			}
-			return scorers, nil
-		},
-	})
+	registerPerEvent("kde", "per-(category, event) Gaussian kernel density estimate scored by negative log-density",
+		func(e hpc.Event, n int) Scorer { return &kdeScorer{Event: e, Index: n} })
 }
 
 // kdeScorer is the non-parametric density backend: the template column
@@ -44,19 +33,15 @@ func (s *kdeScorer) Channel() string { return s.Event.String() }
 func (s *kdeScorer) Fit(t *core.Template, cfg Config) error {
 	s.Samples = make([][]float64, t.Classes)
 	s.Bandwidth = make([]float64, t.Classes)
-	for c := 0; c < t.Classes; c++ {
-		if len(t.Rows[c]) < cfg.MinSamples {
-			continue
-		}
-		col := t.Column(c, s.Index)
+	return fitColumns(t, s.Event, cfg, func(c int, col []float64) error {
 		_, sd := metrics.MeanStd(col)
 		h := 1.06 * sd * math.Pow(float64(len(col)), -0.2)
 		if h <= 0 {
 			h = 1 // degenerate column: fall back to a unit kernel
 		}
 		s.Samples[c], s.Bandwidth[c] = col, h
-	}
-	return nil
+		return nil
+	})
 }
 
 func (s *kdeScorer) Score(q core.Measurement) (float64, bool) {

@@ -1,7 +1,6 @@
 package detect
 
 import (
-	"encoding/gob"
 	"fmt"
 	"math"
 	"sort"
@@ -11,18 +10,8 @@ import (
 )
 
 func init() {
-	gob.RegisterName("detect.knnScorer", &knnScorer{})
-	Register(Backend{
-		Kind:        "knn",
-		Description: "per-(category, event) k-nearest-neighbour distance to the clean template",
-		New: func(t *core.Template, cfg Config) ([]Scorer, error) {
-			scorers := make([]Scorer, len(t.Events))
-			for n, e := range t.Events {
-				scorers[n] = &knnScorer{Event: e, Index: n}
-			}
-			return scorers, nil
-		},
-	})
+	registerPerEvent("knn", "per-(category, event) k-nearest-neighbour distance to the clean template",
+		func(e hpc.Event, n int) Scorer { return &knnScorer{Event: e, Index: n} })
 }
 
 // knnScorer scores a reading by its mean distance to the k nearest template
@@ -46,15 +35,11 @@ func (s *knnScorer) Fit(t *core.Template, cfg Config) error {
 		s.K = 5
 	}
 	s.Samples = make([][]float64, t.Classes)
-	for c := 0; c < t.Classes; c++ {
-		if len(t.Rows[c]) < cfg.MinSamples {
-			continue
-		}
-		col := t.Column(c, s.Index)
+	return fitColumns(t, s.Event, cfg, func(c int, col []float64) error {
 		sort.Float64s(col)
 		s.Samples[c] = col
-	}
-	return nil
+		return nil
+	})
 }
 
 func (s *knnScorer) Score(q core.Measurement) (float64, bool) {

@@ -9,8 +9,6 @@
 package detect
 
 import (
-	"fmt"
-
 	"advhunter/internal/core"
 	"advhunter/internal/gmm"
 	"advhunter/internal/uarch/hpc"
@@ -139,14 +137,4 @@ func (v Verdict) AnyFlag() bool {
 		}
 	}
 	return false
-}
-
-// eventColumn maps an event to its index in the template's event list.
-func eventColumn(events []hpc.Event, e hpc.Event) (int, error) {
-	for n, ev := range events {
-		if ev == e {
-			return n, nil
-		}
-	}
-	return 0, fmt.Errorf("detect: event %v not in template", e)
 }

@@ -24,7 +24,7 @@ func synthTemplate(classes, perClass int, seed uint64) *core.Template {
 			var counts hpc.Counts
 			counts[hpc.CacheMisses] = r.Normal(1000+200*float64(c), 10)
 			counts[hpc.Instructions] = r.Normal(5e6, 5e4)
-			t.Add(c, counts, 0.9)
+			t.Add(core.Measurement{Pred: c, TrueLabel: c, Counts: counts, Conf: 0.9})
 		}
 	}
 	return t
@@ -169,7 +169,6 @@ func TestDetectUnmodelledClassNeverFlags(t *testing.T) {
 	tpl := synthTemplate(3, 30, 11)
 	// Class 2 gets too few rows to model.
 	tpl.Rows[2] = tpl.Rows[2][:2]
-	tpl.Confs[2] = tpl.Confs[2][:2]
 	for _, kind := range Kinds() {
 		d := mustFit(t, kind, tpl, DefaultConfig())
 		r := rng.New(1)

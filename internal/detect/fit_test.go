@@ -3,9 +3,11 @@ package detect
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -28,7 +30,7 @@ func allEventsTemplate(classes, perClass int, seed uint64) *core.Template {
 			for n, e := range events {
 				counts[e] = r.Normal(1000*float64(n+1)+100*float64(c), 10+float64(n))
 			}
-			t.Add(c, counts, 0.5+0.1*float64(c))
+			t.Add(core.Measurement{Pred: c, TrueLabel: c, Counts: counts, Conf: 0.5 + 0.1*float64(c)})
 		}
 	}
 	return t
@@ -66,6 +68,31 @@ func TestFitConcurrentMatchesSerial(t *testing.T) {
 	for _, kind := range Kinds() {
 		if !bytes.Equal(fitAt(1, kind), fitAt(4, kind)) {
 			t.Errorf("%s: concurrent fit saves different bytes from a serial one", kind)
+		}
+	}
+}
+
+// TestFitReadsOnlyTemplateEvents: template rows keep every event of each
+// reading, so a scorer that read an event outside t.Events would fit
+// differently when those events change. Setting them all to NaN must leave
+// every backend's saved bytes as they are on the clean readings.
+func TestFitReadsOnlyTemplateEvents(t *testing.T) {
+	clean := synthTemplate(3, 30, 17)
+	poisoned := core.NewTemplate(clean.Classes, clean.Events)
+	for _, rows := range clean.Rows {
+		for _, m := range rows {
+			for e := hpc.Event(0); e < hpc.NumEvents; e++ {
+				if !slices.Contains(clean.Events, e) {
+					m.Counts[e] = math.NaN()
+				}
+			}
+			poisoned.Add(m)
+		}
+	}
+	for _, kind := range Kinds() {
+		want := savedBytes(t, mustFit(t, kind, clean, DefaultConfig()))
+		if got := savedBytes(t, mustFit(t, kind, poisoned, DefaultConfig())); !bytes.Equal(got, want) {
+			t.Errorf("%s: events outside the template changed the fitted detector", kind)
 		}
 	}
 }

@@ -67,7 +67,7 @@ func Fit(kind string, t *core.Template, cfg Config) (*Fitted, error) {
 	modelled := make([]bool, t.Classes)
 	fitted := 0
 	for c := 0; c < t.Classes; c++ {
-		if len(t.Rows[c]) >= cfg.MinSamples {
+		if canModel(t.Rows[c], cfg) {
 			modelled[c] = true
 			fitted++
 		}
@@ -84,10 +84,10 @@ func Fit(kind string, t *core.Template, cfg Config) (*Fitted, error) {
 		if !modelled[c] {
 			continue
 		}
-		ms := t.Measurements(c)
+		rows := t.Rows[c]
 		for si, s := range scorers {
-			scores := make([]float64, 0, len(ms))
-			for _, q := range ms {
+			scores := make([]float64, 0, len(rows))
+			for _, q := range rows {
 				if score, ok := s.Score(q); ok {
 					scores = append(scores, score)
 				}
@@ -102,6 +102,12 @@ func Fit(kind string, t *core.Template, cfg Config) (*Fitted, error) {
 
 	d.thresholds, d.modelled = thresholds, modelled
 	return d, nil
+}
+
+// canModel is the one rule for whether a category's template rows are
+// enough to model it: Fit and every fitted scorer ask it.
+func canModel(rows []core.Measurement, cfg Config) bool {
+	return len(rows) >= cfg.MinSamples
 }
 
 // finish derives the channel names, event index and decision channel from

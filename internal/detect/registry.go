@@ -1,10 +1,12 @@
 package detect
 
 import (
+	"encoding/gob"
 	"fmt"
 	"sort"
 
 	"advhunter/internal/core"
+	"advhunter/internal/uarch/hpc"
 )
 
 // Backend is one registered detector family: a name, a one-line description
@@ -33,6 +35,40 @@ func Register(b Backend) {
 		panic(fmt.Sprintf("detect: backend %q registered twice", b.Kind))
 	}
 	backends[b.Kind] = b
+}
+
+// registerPerEvent registers a per-event backend: one scorer per template
+// event, built by newScorer from the event and its template position n, with
+// the scorer type gob-registered as "detect.<kind>Scorer". Every per-event
+// scorer persists n as Index; the gmm fit seed reads it.
+func registerPerEvent(kind, description string, newScorer func(e hpc.Event, n int) Scorer) {
+	gob.RegisterName("detect."+kind+"Scorer", newScorer(0, 0))
+	Register(Backend{
+		Kind:        kind,
+		Description: description,
+		New: func(t *core.Template, cfg Config) ([]Scorer, error) {
+			scorers := make([]Scorer, len(t.Events))
+			for n, e := range t.Events {
+				scorers[n] = newScorer(e, n)
+			}
+			return scorers, nil
+		},
+	})
+}
+
+// fitColumns is the fitting frame of the per-event scorers: it calls fit
+// with event e's template column of every category the template can model,
+// in category order, and stops at the first error.
+func fitColumns(t *core.Template, e hpc.Event, cfg Config, fit func(c int, col []float64) error) error {
+	for c := 0; c < t.Classes; c++ {
+		if !canModel(t.Rows[c], cfg) {
+			continue
+		}
+		if err := fit(c, t.Column(c, e)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Lookup resolves a backend by name.

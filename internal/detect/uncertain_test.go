@@ -57,7 +57,6 @@ func TestUncertainUnmodelledAndChannelSelection(t *testing.T) {
 	tpl := synthTemplate(3, 60, 7)
 	// Class 2 gets too few rows to be modelled.
 	tpl.Rows[2] = tpl.Rows[2][:2]
-	tpl.Confs[2] = tpl.Confs[2][:2]
 	d := mustFit(t, "gmm", tpl, DefaultConfig())
 
 	un := d.Detect(core.Measurement{Pred: 2, TrueLabel: 2, Conf: 0.9})

@@ -92,7 +92,7 @@ func Figure6(opts Options) (*Fig6Result, error) {
 						take = len(pool)
 					}
 					for _, idx := range perm[:take] {
-						tpl.Add(c, pool[idx].Counts, pool[idx].Conf)
+						tpl.Add(pool[idx])
 					}
 				}
 				cfg := detect.DefaultConfig()

@@ -293,7 +293,7 @@ func TemplateFromMeasurements(ms []core.Measurement, classes, m int, events []hp
 		if meas.Pred < 0 || meas.Pred >= classes || taken[meas.Pred] >= m {
 			continue
 		}
-		t.Add(meas.Pred, meas.Counts, meas.Conf)
+		t.Add(meas)
 		taken[meas.Pred]++
 	}
 	return t

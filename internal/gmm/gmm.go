@@ -26,13 +26,6 @@ func (m *Model) K() int { return len(m.Weights) }
 
 const log2Pi = 1.8378770664093453 // ln(2π)
 
-// Log2Pi exposes ln(2π) for callers that evaluate mixture terms with hoisted
-// per-component constants (vectorized detector scoring): a term computed as
-// lnπ_k + (−0.5·((Log2Pi + lnσ²_k) + d²/σ²_k)) reproduces LogLikelihood's
-// per-term expression bit for bit, because Go's left-associative addition
-// makes (log2Pi + ln σ²) + d²/σ² the grouping both forms evaluate.
-const Log2Pi = log2Pi
-
 // logGauss returns ln N(x | mean, variance).
 func logGauss(x, mean, variance float64) float64 {
 	d := x - mean

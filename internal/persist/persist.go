@@ -21,12 +21,10 @@ type envelope struct {
 	Payload []byte
 }
 
-// Encode renders v as a schema-tagged gob envelope — exactly the bytes Save
-// writes to disk. It is exposed for artifact classes whose transport is not
-// a file (recorded load-generator traces travel as bytes before they are
-// saved), so every envelope in the repository has one wire format. Encoding
-// is deterministic: equal values yield byte-identical envelopes.
-func Encode(schema int, v any) ([]byte, error) {
+// encode renders v as a schema-tagged gob envelope — exactly the bytes Save
+// writes to disk. Encoding is deterministic: equal values yield
+// byte-identical envelopes.
+func encode(schema int, v any) ([]byte, error) {
 	var payload bytes.Buffer
 	if err := gob.NewEncoder(&payload).Encode(v); err != nil {
 		return nil, fmt.Errorf("persist: encoding: %w", err)
@@ -38,11 +36,10 @@ func Encode(schema int, v any) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// Decode parses a schema-tagged envelope produced by Encode (or read back
-// from a file Save wrote) into v. Corrupt bytes, pre-envelope data and
-// foreign schemas all return an error — callers uniformly treat any error
-// as a miss.
-func Decode(raw []byte, schema int, v any) error {
+// decode parses a schema-tagged envelope, the bytes of a file Save wrote,
+// into v. Corrupt bytes, pre-envelope data and foreign schemas all return an
+// error — callers uniformly treat any error as a miss.
+func decode(raw []byte, schema int, v any) error {
 	var env envelope
 	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&env); err != nil {
 		return fmt.Errorf("persist: decoding envelope: %w", err)
@@ -60,7 +57,7 @@ func Decode(raw []byte, schema int, v any) error {
 // creating directories. The temporary file gets a unique name so concurrent
 // writers targeting different paths in one directory never collide.
 func Save(path string, schema int, v any) error {
-	buf, err := Encode(schema, v)
+	buf, err := encode(schema, v)
 	if err != nil {
 		return fmt.Errorf("%w (writing %s)", err, path)
 	}
@@ -96,7 +93,7 @@ func Load(path string, schema int, v any) error {
 	if err != nil {
 		return err
 	}
-	if err := Decode(raw, schema, v); err != nil {
+	if err := decode(raw, schema, v); err != nil {
 		return fmt.Errorf("%w (reading %s)", err, path)
 	}
 	return nil

@@ -73,37 +73,37 @@ func TestTruncatedFileFails(t *testing.T) {
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	want := payload{Name: "bytes", Vals: []float64{4, 5, 6}}
-	raw, err := Encode(3, want)
+	raw, err := encode(3, want)
 	if err != nil {
-		t.Fatalf("Encode: %v", err)
+		t.Fatalf("encode: %v", err)
 	}
 	var got payload
-	if err := Decode(raw, 3, &got); err != nil {
-		t.Fatalf("Decode: %v", err)
+	if err := decode(raw, 3, &got); err != nil {
+		t.Fatalf("decode: %v", err)
 	}
 	if got.Name != want.Name || len(got.Vals) != 3 {
 		t.Fatalf("round trip mismatch: %+v vs %+v", got, want)
 	}
-	if err := Decode(raw, 4, &got); err == nil {
-		t.Fatal("Decode under a different schema should fail")
+	if err := decode(raw, 4, &got); err == nil {
+		t.Fatal("decode under a different schema should fail")
 	}
-	if err := Decode(raw[:len(raw)/2], 3, &got); err == nil {
-		t.Fatal("Decode of truncated bytes should fail")
+	if err := decode(raw[:len(raw)/2], 3, &got); err == nil {
+		t.Fatal("decode of truncated bytes should fail")
 	}
 }
 
 func TestEncodeIsDeterministic(t *testing.T) {
 	v := payload{Name: "same", Vals: []float64{1, 2, 3}}
-	a, err := Encode(9, v)
+	a, err := encode(9, v)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Encode(9, v)
+	b, err := encode(9, v)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(a) != string(b) {
-		t.Fatal("Encode of equal values produced different bytes")
+		t.Fatal("encode of equal values produced different bytes")
 	}
 }
 
@@ -118,8 +118,8 @@ func TestFileAndByteFormsAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got payload
-	if err := Decode(raw, 5, &got); err != nil {
-		t.Fatalf("Decode of a Save'd file: %v", err)
+	if err := decode(raw, 5, &got); err != nil {
+		t.Fatalf("decode of a Save'd file: %v", err)
 	}
 	if got.Name != want.Name {
 		t.Fatalf("file/byte mismatch: %+v vs %+v", got, want)

@@ -56,7 +56,7 @@ func getBenchFixture(b *testing.B) *benchFixture {
 		}
 		twinTpl := core.NewTemplate(ds.Classes, hpc.CoreEvents())
 		for _, mm := range core.MeasureSet(tm.Clone(), ds.Train) {
-			twinTpl.Add(mm.Pred, mm.Counts, mm.Conf)
+			twinTpl.Add(mm)
 		}
 		twinDet, err := detect.Fit("gmm", twinTpl, detect.DefaultConfig())
 		if err != nil {

@@ -92,7 +92,7 @@ func getFixture(t testing.TB) *fixture {
 		// bias, so thresholds fitted on exact counts would misfire.
 		twinTpl := core.NewTemplate(ds.Classes, hpc.CoreEvents())
 		for _, mm := range core.MeasureSet(tm.Clone(), ds.Train) {
-			twinTpl.Add(mm.Pred, mm.Counts, mm.Conf)
+			twinTpl.Add(mm)
 		}
 		twinDet, err := detect.Fit("gmm", twinTpl, detect.DefaultConfig())
 		if err != nil {

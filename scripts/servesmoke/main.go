@@ -57,7 +57,7 @@ func run(bin, scenario string, bodies [][]byte) error {
 	if bin == "" {
 		return fmt.Errorf("missing -bin (path to the advhunter binary)")
 	}
-	cmd := exec.Command(bin, "serve",
+	cmd, base, err := start(bin, "serve",
 		"-scenario", scenario,
 		"-addr", "127.0.0.1:0", // kernel-assigned port, parsed from the announcement
 		"-workers", "2",
@@ -68,38 +68,10 @@ func run(bin, scenario string, bodies [][]byte) error {
 		"-flight=100ms", "-trace-ring", "64", "-alerts",
 		"-log-format", "json", "-log-level", "info",
 		"-v")
-	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		return err
 	}
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		return fmt.Errorf("starting %s: %w", bin, err)
-	}
 	defer cmd.Process.Kill() // no-op if the process already exited
-
-	addrCh := make(chan string, 1)
-	go func() {
-		sc := bufio.NewScanner(stdout)
-		for sc.Scan() {
-			line := sc.Text()
-			fmt.Println(line)
-			if addr, ok := parseAddr(line); ok {
-				select {
-				case addrCh <- addr:
-				default:
-				}
-			}
-		}
-	}()
-
-	var addr string
-	select {
-	case addr = <-addrCh:
-	case <-time.After(2 * time.Minute):
-		return fmt.Errorf("server did not announce its address within 2m")
-	}
-	base := "http://" + addr
 
 	metrics, err := get(base + "/metrics")
 	if err != nil {
@@ -155,8 +127,51 @@ func run(bin, scenario string, bodies [][]byte) error {
 	if err := obsSmoke(bin, base); err != nil {
 		return err
 	}
+	return drain(cmd)
+}
 
-	// Graceful drain: SIGTERM must produce a clean exit.
+// start launches `bin args...` (args[0] is the subcommand), echoes its
+// stdout, and waits up to 2m for its listen announcement. It returns the
+// running child and the base URL it announced; the caller must kill it.
+func start(bin string, args ...string) (*exec.Cmd, string, error) {
+	cmd := exec.Command(bin, args...)
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		return nil, "", err
+	}
+	cmd.Stderr = os.Stderr
+	if err := cmd.Start(); err != nil {
+		return nil, "", fmt.Errorf("starting %s %s: %w", bin, args[0], err)
+	}
+
+	addrCh := make(chan string, 1)
+	go func() {
+		sc := bufio.NewScanner(stdout)
+		for sc.Scan() {
+			line := sc.Text()
+			fmt.Println(line)
+			if addr, ok := parseAddr(line); ok {
+				select {
+				case addrCh <- addr:
+				default:
+				}
+			}
+		}
+	}()
+
+	select {
+	case addr := <-addrCh:
+		return cmd, "http://" + addr, nil
+	case <-time.After(2 * time.Minute):
+		cmd.Process.Kill()
+		return nil, "", fmt.Errorf("%s did not announce its address within 2m", args[0])
+	}
+}
+
+// drain is the graceful-drain check on a child start launched, named in
+// errors by its subcommand: SIGTERM must produce a clean exit within 1m.
+func drain(cmd *exec.Cmd) error {
+	name := cmd.Args[1]
 	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		return err
 	}
@@ -165,10 +180,10 @@ func run(bin, scenario string, bodies [][]byte) error {
 	select {
 	case err := <-done:
 		if err != nil {
-			return fmt.Errorf("serve exited uncleanly after SIGTERM: %w", err)
+			return fmt.Errorf("%s exited uncleanly after SIGTERM: %w", name, err)
 		}
 	case <-time.After(time.Minute):
-		return fmt.Errorf("serve did not exit within 1m of SIGTERM")
+		return fmt.Errorf("%s did not exit within 1m of SIGTERM", name)
 	}
 	return nil
 }
@@ -264,7 +279,7 @@ func obsSmoke(bin, base string) error {
 // produce). The exact tier keeps the second boot fast; the tiered series are
 // already covered by the single-server pass.
 func runCluster(bin, scenario string, bodies [][]byte) error {
-	cmd := exec.Command(bin, "cluster",
+	cmd, base, err := start(bin, "cluster",
 		"-scenario", scenario,
 		"-addr", "127.0.0.1:0",
 		"-replicas", "2",
@@ -277,38 +292,10 @@ func runCluster(bin, scenario string, bodies [][]byte) error {
 		"-flight=100ms", "-trace-ring", "16", "-alerts",
 		"-log-format", "json", "-log-level", "info",
 		"-v")
-	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		return err
 	}
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		return fmt.Errorf("starting %s cluster: %w", bin, err)
-	}
 	defer cmd.Process.Kill() // no-op if the process already exited
-
-	addrCh := make(chan string, 1)
-	go func() {
-		sc := bufio.NewScanner(stdout)
-		for sc.Scan() {
-			line := sc.Text()
-			fmt.Println(line)
-			if addr, ok := parseAddr(line); ok {
-				select {
-				case addrCh <- addr:
-				default:
-				}
-			}
-		}
-	}()
-
-	var addr string
-	select {
-	case addr = <-addrCh:
-	case <-time.After(2 * time.Minute):
-		return fmt.Errorf("cluster did not announce its address within 2m")
-	}
-	base := "http://" + addr
 
 	if err := burst(base, bodies); err != nil {
 		return err
@@ -369,22 +356,7 @@ func runCluster(bin, scenario string, bodies [][]byte) error {
 	if !strings.Contains(string(alerts), "detect-drift") {
 		return fmt.Errorf("cluster /alerts missing the drift rule:\n%s", alerts)
 	}
-
-	// Graceful drain: SIGTERM must produce a clean exit.
-	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		return err
-	}
-	done := make(chan error, 1)
-	go func() { done <- cmd.Wait() }()
-	select {
-	case err := <-done:
-		if err != nil {
-			return fmt.Errorf("cluster exited uncleanly after SIGTERM: %w", err)
-		}
-	case <-time.After(time.Minute):
-		return fmt.Errorf("cluster did not exit within 1m of SIGTERM")
-	}
-	return nil
+	return drain(cmd)
 }
 
 // burstBodies encodes the /detect bodies of the scenario's first 40 test
