@@ -167,7 +167,6 @@ func TestClusterDriftAlertEndToEnd(t *testing.T) {
 		RuleName: "detect-drift",
 		Scans:    "advhunter_scans_total",
 		Flagged:  "advhunter_flagged_total",
-		FitEvals: 2, Sigma: 3, StdFloor: 0.02, MinScans: 10,
 	}
 	flight, alerts, ts := newClusterObs(t, f, rule)
 
@@ -219,7 +218,7 @@ func TestClusterDriftAlertEndToEnd(t *testing.T) {
 			probe(x)
 		}
 	}
-	if len(benign) < 10 || len(flagged) < 10 {
+	if len(benign) < 12 || len(flagged) < 10 {
 		t.Fatalf("probe found %d benign / %d flagged pairs; fixture cannot demo drift", len(benign), len(flagged))
 	}
 
@@ -255,23 +254,32 @@ func TestClusterDriftAlertEndToEnd(t *testing.T) {
 		return page.Alerts[0]
 	}
 
-	// Anchor the rule's cursors past the probe traffic, then fit the clean
-	// baseline over two rounds of the benign cohort: every replay re-scores
-	// to the probed verdict, so the fitted flag rate is exactly zero.
-	getAlert()
-	for round := 0; round < 2; round++ {
+	// The drift rule judges an evaluation only once it has seen 20 new
+	// decisions, so each round replays the 12-pair benign cohort twice.
+	cleanRound := func() {
+		t.Helper()
 		replay(benign[:12])
+		replay(benign[:12])
+	}
+	// Anchor the rule's cursors past the probe traffic, then fit the clean
+	// baseline over three rounds of the benign cohort: every replay
+	// re-scores to the probed verdict, so the fitted flag rate is exactly
+	// zero.
+	getAlert()
+	for round := 0; round < 3; round++ {
+		cleanRound()
 		if a := getAlert(); a.State != obs.AlertOK {
 			t.Fatalf("fit round %d: state %q, want ok", round, a.State)
 		}
 	}
 	// Steady state: clean traffic stays clean.
-	replay(benign[:12])
+	cleanRound()
 	if a := getAlert(); a.State != obs.AlertOK || !a.Ready {
-		t.Fatalf("steady state = %+v, want ready ok", getAlert())
+		t.Fatalf("steady state = %+v, want ready ok", a)
 	}
 
-	// Attack ramp: ten guaranteed-flagged queries dominate the window.
+	// Attack ramp: twenty guaranteed-flagged queries dominate the window.
+	replay(flagged[:10])
 	replay(flagged[:10])
 	replay(benign[:2])
 	a := getAlert()
@@ -294,7 +302,7 @@ func TestClusterDriftAlertEndToEnd(t *testing.T) {
 	}
 
 	// Traffic cleans up: the alert resolves and the gauge clears.
-	replay(benign[:12])
+	cleanRound()
 	if a := getAlert(); a.State != obs.AlertOK {
 		t.Fatalf("post-attack: state %q, want ok", a.State)
 	}

@@ -54,7 +54,7 @@ func (s *fusionScorer) Fit(t *core.Template, cfg Config) error {
 	s.Std = make([][]float64, t.Classes)
 	for c := 0; c < t.Classes; c++ {
 		rows := t.Rows[c]
-		if !canModel(rows, cfg) {
+		if !canModel(rows) {
 			continue
 		}
 		mean := make([]float64, len(s.Events))
@@ -76,7 +76,7 @@ func (s *fusionScorer) Fit(t *core.Template, cfg Config) error {
 		}
 		sub := cfg.GMM
 		sub.Seed = cfg.GMM.Seed ^ (uint64(c) << 16) ^ 0xf0f0
-		model, err := gmm.FitBestMulti(pts, cfg.MaxK, sub)
+		model, err := gmm.FitBestMulti(pts, maxComponents, sub)
 		if err != nil {
 			return fmt.Errorf("detect: fitting fusion class %d: %w", c, err)
 		}

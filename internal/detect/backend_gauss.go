@@ -33,7 +33,7 @@ func (s *gaussScorer) Fit(t *core.Template, cfg Config) error {
 	s.Mean = make([]float64, t.Classes)
 	s.Std = make([]float64, t.Classes)
 	s.Ok = make([]bool, t.Classes)
-	return fitColumns(t, s.Event, cfg, func(c int, col []float64) error {
+	return fitColumns(t, s.Event, func(c int, col []float64) error {
 		mu, sd := metrics.MeanStd(col)
 		if sd == 0 {
 			sd = 1

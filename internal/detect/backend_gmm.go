@@ -29,7 +29,7 @@ func (s *gmmScorer) Channel() string { return s.Event.String() }
 
 func (s *gmmScorer) Fit(t *core.Template, cfg Config) error {
 	s.Models = make([]gmm.Model, t.Classes)
-	return fitColumns(t, s.Event, cfg, func(c int, col []float64) error {
+	return fitColumns(t, s.Event, func(c int, col []float64) error {
 		sub := cfg.GMM
 		sub.Seed = cfg.GMM.Seed ^ (uint64(c)<<32 | uint64(s.Index))
 		var model *gmm.Model
@@ -37,7 +37,7 @@ func (s *gmmScorer) Fit(t *core.Template, cfg Config) error {
 		if cfg.ForceK > 0 {
 			model, err = gmm.Fit(col, cfg.ForceK, sub)
 		} else {
-			model, err = gmm.FitBest(col, cfg.MaxK, sub)
+			model, err = gmm.FitBest(col, maxComponents, sub)
 		}
 		if err != nil {
 			return fmt.Errorf("detect: fitting class %d event %v: %w", c, s.Event, err)

@@ -33,7 +33,7 @@ func (s *kdeScorer) Channel() string { return s.Event.String() }
 func (s *kdeScorer) Fit(t *core.Template, cfg Config) error {
 	s.Samples = make([][]float64, t.Classes)
 	s.Bandwidth = make([]float64, t.Classes)
-	return fitColumns(t, s.Event, cfg, func(c int, col []float64) error {
+	return fitColumns(t, s.Event, func(c int, col []float64) error {
 		_, sd := metrics.MeanStd(col)
 		h := 1.06 * sd * math.Pow(float64(len(col)), -0.2)
 		if h <= 0 {

@@ -30,12 +30,9 @@ type knnScorer struct {
 func (s *knnScorer) Channel() string { return s.Event.String() }
 
 func (s *knnScorer) Fit(t *core.Template, cfg Config) error {
-	s.K = cfg.K
-	if s.K <= 0 {
-		s.K = 5
-	}
+	s.K = knnNeighbours
 	s.Samples = make([][]float64, t.Classes)
-	return fitColumns(t, s.Event, cfg, func(c int, col []float64) error {
+	return fitColumns(t, s.Event, func(c int, col []float64) error {
 		sort.Float64s(col)
 		s.Samples[c] = col
 		return nil

@@ -14,22 +14,28 @@ import (
 	"advhunter/internal/uarch/hpc"
 )
 
+// The paper's fixed detector settings (Section 5.3).
+const (
+	// maxComponents caps the BIC search over GMM component counts (paper:
+	// small).
+	maxComponents = 5
+	// thresholdSigmas is the threshold multiplier of the paper's 3σ rule:
+	// Δ_c = mean + 3·std of the category's template scores.
+	thresholdSigmas = 3
+	// minTemplateRows is the smallest per-category template size modelled.
+	minTemplateRows = 4
+	// knnNeighbours is the neighbour count of the k-NN backend.
+	knnNeighbours = 5
+)
+
 // Config controls detector fitting, across all backends. Backends ignore
 // the knobs that do not apply to them.
 type Config struct {
-	// MaxK caps the BIC search over GMM component counts (paper: small).
-	MaxK int
-	// SigmaFactor is the threshold multiplier (paper: 3, the 3σ rule).
-	SigmaFactor float64
-	// MinSamples is the smallest per-category template size accepted.
-	MinSamples int
-	// GMM configures the EM fits (gmm and fusion backends).
+	// GMM seeds the EM fits (gmm and fusion backends).
 	GMM gmm.Config
 	// ForceK, when positive, disables BIC selection and fits exactly K
 	// components (the single-Gaussian ablation uses ForceK = 1).
 	ForceK int
-	// K is the neighbour count of the k-NN backend.
-	K int
 	// DecisionEvent names the channel that decides Verdict.Fused (paper:
 	// cache-misses). A single-channel combinator backend (fusion,
 	// confidence) decides by its only channel; any other detector must have
@@ -51,11 +57,7 @@ const DefaultMargin = 0.15
 // DefaultConfig mirrors the paper's settings.
 func DefaultConfig() Config {
 	return Config{
-		MaxK:          5,
-		SigmaFactor:   3,
-		MinSamples:    4,
 		GMM:           gmm.DefaultConfig(),
-		K:             5,
 		DecisionEvent: DefaultDecisionEvent,
 	}
 }
@@ -70,7 +72,7 @@ type Scorer interface {
 	// "fusion" or "confidence" for the combinators).
 	Channel() string
 	// Fit estimates the scorer's per-category parameters from the template,
-	// skipping categories with fewer than cfg.MinSamples rows.
+	// skipping the categories canModel rejects.
 	Fit(t *core.Template, cfg Config) error
 	// Score returns the anomaly score of a measurement under the model of
 	// its predicted category; ok is false when that category is unmodelled

@@ -1,7 +1,6 @@
 package detect
 
 import (
-	"math"
 	"strings"
 	"testing"
 
@@ -76,20 +75,6 @@ func TestFitUnknownBackend(t *testing.T) {
 	tpl := synthTemplate(2, 20, 1)
 	if _, err := Fit("nope", tpl, DefaultConfig()); err == nil || !strings.Contains(err.Error(), "unknown backend") {
 		t.Fatalf("err = %v, want unknown-backend error", err)
-	}
-}
-
-func TestFitRejectsBadConfig(t *testing.T) {
-	tpl := synthTemplate(2, 20, 1)
-	bad := DefaultConfig()
-	bad.SigmaFactor = 0
-	if _, err := Fit("gmm", tpl, bad); err == nil {
-		t.Fatal("expected error for zero sigma factor")
-	}
-	bad = DefaultConfig()
-	bad.MaxK = 0
-	if _, err := Fit("gmm", tpl, bad); err == nil {
-		t.Fatal("expected error for zero MaxK")
 	}
 }
 
@@ -187,29 +172,27 @@ func TestDetectUnmodelledClassNeverFlags(t *testing.T) {
 	}
 }
 
-func TestSigmaFactorMonotone(t *testing.T) {
-	tpl := synthTemplate(2, 60, 17)
-	r := rng.New(23)
-	var clean, adv []core.Measurement
-	for i := 0; i < 60; i++ {
-		clean = append(clean, synthMeasurement(r, 0, 1030)) // slightly off-center
-		adv = append(adv, synthMeasurement(r, 0, 1500))
-	}
-	var prevFlags = math.MaxInt
-	for _, k := range []float64{1, 3, 6} {
-		cfg := DefaultConfig()
-		cfg.SigmaFactor = k
-		d := mustFit(t, "gmm", tpl, cfg)
-		flags := 0
-		for _, m := range append(append([]core.Measurement{}, clean...), adv...) {
-			if d.Detect(m).FlaggedBy(hpc.CacheMisses) {
-				flags++
-			}
+// TestMinTemplateRowsBoundary pins canModel's cut-off: under every backend
+// a category with 3 template rows is unmodelled and never flags, and one
+// with 4 rows is modelled and flags a far-off reading (the confidence
+// backend never sees the counters, so it only has to model it).
+func TestMinTemplateRowsBoundary(t *testing.T) {
+	tpl := synthTemplate(3, 30, 13)
+	tpl.Rows[1] = tpl.Rows[1][:4]
+	tpl.Rows[2] = tpl.Rows[2][:3]
+	for _, kind := range Kinds() {
+		d := mustFit(t, kind, tpl, DefaultConfig())
+		if got := d.ModelledClasses(); got != 2 {
+			t.Fatalf("%s: %d modelled categories, want 2", kind, got)
 		}
-		if flags > prevFlags {
-			t.Fatalf("flag count grew from %d to %d as σ-factor rose to %g", prevFlags, flags, k)
+		r := rng.New(3)
+		if v := d.Detect(synthMeasurement(r, 2, 1e9)); v.Modelled || v.Fused || v.AnyFlag() {
+			t.Fatalf("%s: 3-row category modelled or flagged: %+v", kind, v)
 		}
-		prevFlags = flags
+		v := d.Detect(synthMeasurement(r, 1, 1e9))
+		if !v.Modelled || (kind != "confidence" && !v.Fused) {
+			t.Fatalf("%s: 4-row category unmodelled or silent: %+v", kind, v)
+		}
 	}
 }
 

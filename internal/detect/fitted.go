@@ -20,7 +20,7 @@ type Fitted struct {
 	scorers  []Scorer
 	// thresholds[ch][c] is Δ_c for channel ch (0 for unmodelled categories).
 	thresholds [][]float64
-	// modelled[c] reports whether category c met cfg.MinSamples.
+	// modelled[c] reports whether canModel accepted category c's rows.
 	modelled []bool
 	classes  int
 	// decision is the channel deciding Verdict.Fused (see decisionChannel).
@@ -31,14 +31,11 @@ type Fitted struct {
 
 // Fit runs the offline phase of the named backend on a measured template:
 // the backend fits its scorers concurrently, then every (channel, category)
-// threshold is derived the same way — mean + SigmaFactor·std of the
-// channel's scores over the category's own template rows. A template that
+// threshold is derived the same way — mean + 3·std of the channel's
+// scores over the category's own template rows. A template that
 // leaves a multi-channel backend without cfg.DecisionEvent's channel is an
 // error, caught before any scorer is fitted.
 func Fit(kind string, t *core.Template, cfg Config) (*Fitted, error) {
-	if cfg.SigmaFactor <= 0 || cfg.MaxK <= 0 {
-		return nil, fmt.Errorf("detect: invalid config %+v", cfg)
-	}
 	b, ok := Lookup(kind)
 	if !ok {
 		return nil, fmt.Errorf("detect: unknown backend %q (have %v)", kind, Kinds())
@@ -67,13 +64,13 @@ func Fit(kind string, t *core.Template, cfg Config) (*Fitted, error) {
 	modelled := make([]bool, t.Classes)
 	fitted := 0
 	for c := 0; c < t.Classes; c++ {
-		if canModel(t.Rows[c], cfg) {
+		if canModel(t.Rows[c]) {
 			modelled[c] = true
 			fitted++
 		}
 	}
 	if fitted == 0 {
-		return nil, fmt.Errorf("detect: no category had %d or more template rows", cfg.MinSamples)
+		return nil, fmt.Errorf("detect: no category had %d or more template rows", minTemplateRows)
 	}
 
 	thresholds := make([][]float64, len(scorers))
@@ -96,7 +93,7 @@ func Fit(kind string, t *core.Template, cfg Config) (*Fitted, error) {
 				continue
 			}
 			mu, sigma := metrics.MeanStd(scores)
-			thresholds[si][c] = mu + cfg.SigmaFactor*sigma
+			thresholds[si][c] = mu + thresholdSigmas*sigma
 		}
 	}
 
@@ -106,8 +103,8 @@ func Fit(kind string, t *core.Template, cfg Config) (*Fitted, error) {
 
 // canModel is the one rule for whether a category's template rows are
 // enough to model it: Fit and every fitted scorer ask it.
-func canModel(rows []core.Measurement, cfg Config) bool {
-	return len(rows) >= cfg.MinSamples
+func canModel(rows []core.Measurement) bool {
+	return len(rows) >= minTemplateRows
 }
 
 // finish derives the channel names, event index and decision channel from

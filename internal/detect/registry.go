@@ -59,9 +59,9 @@ func registerPerEvent(kind, description string, newScorer func(e hpc.Event, n in
 // fitColumns is the fitting frame of the per-event scorers: it calls fit
 // with event e's template column of every category the template can model,
 // in category order, and stops at the first error.
-func fitColumns(t *core.Template, e hpc.Event, cfg Config, fit func(c int, col []float64) error) error {
+func fitColumns(t *core.Template, e hpc.Event, fit func(c int, col []float64) error) error {
 	for c := 0; c < t.Classes; c++ {
-		if !canModel(t.Rows[c], cfg) {
+		if !canModel(t.Rows[c]) {
 			continue
 		}
 		if err := fit(c, t.Column(c, e)); err != nil {

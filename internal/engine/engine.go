@@ -206,8 +206,6 @@ func (e *Engine) traceLayer(l nn.Layer, in tref) tref {
 		return e.traceLinear(l, in)
 	case *nn.ReLU:
 		return e.traceReLU(l, in)
-	case *nn.Sigmoid:
-		return e.traceEltwise(l, in, 8, false)
 	case *nn.BatchNorm2D:
 		return e.traceBatchNorm(l, in)
 	case *nn.MaxPool2D:
@@ -220,9 +218,6 @@ func (e *Engine) traceLayer(l nn.Layer, in tref) tref {
 		// A view change: no data movement, shared address.
 		out := e.forward(l, in.t)
 		return tref{t: out, addr: in.addr, lineZero: in.lineZero}
-	case *nn.Dropout:
-		// Identity at inference time.
-		return in
 	case *nn.Residual:
 		return e.traceResidual(l, in)
 	case *nn.Parallel:
@@ -420,22 +415,6 @@ func (e *Engine) traceReLU(l *nn.ReLU, in tref) tref {
 		e.storeSpan(out, li*floatsPerLine, 1)
 	}
 	m.Instructions += uint64(2 * in.t.Len())
-	m.loopBranches(cb, uint64(in.lines()))
-	return out
-}
-
-// traceEltwise replays a branch-free element-wise map (sigmoid, scaling):
-// load, compute, store per line.
-func (e *Engine) traceEltwise(l nn.Layer, in tref, instrPerElem int, _ bool) tref {
-	out := e.newOutput(e.forward(l, in.t))
-	cb := e.lo.code[l]
-	m := e.M
-	m.fetchCode(cb, 1)
-	for li := 0; li < in.lines(); li++ {
-		e.loadSpan(in, li*floatsPerLine, 1)
-		e.storeSpan(out, li*floatsPerLine, 1)
-	}
-	m.Instructions += uint64(instrPerElem * in.t.Len())
 	m.loopBranches(cb, uint64(in.lines()))
 	return out
 }

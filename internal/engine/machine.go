@@ -56,9 +56,6 @@ type Machine struct {
 // MachineConfig selects the hardware model.
 type MachineConfig struct {
 	Hierarchy cache.HierarchyConfig
-	// Predictor is the conditional-branch predictor; nil selects a
-	// 4096-entry gshare with 8 history bits.
-	Predictor branch.Predictor
 	// BranchyKernels switches the modelled inference kernels from
 	// branchless SIMD (ReLU/pool via max instructions, the way production
 	// BLAS/DNN kernels compile — and why the paper sees no branch-miss
@@ -88,19 +85,13 @@ func DefaultMachineConfig() MachineConfig {
 	return MachineConfig{Hierarchy: cache.DefaultHierarchyConfig(), QuantLevels: 7}
 }
 
-// NewMachine builds the simulated core. A configured predictor is forked so
-// machines built from one shared MachineConfig never share predictor tables.
+// NewMachine builds the simulated core. Its conditional-branch predictor is
+// a 4096-entry gshare with 8 history bits.
 func NewMachine(cfg MachineConfig) *Machine {
-	var p branch.Predictor
-	if cfg.Predictor != nil {
-		p = cfg.Predictor.Fork()
-	} else {
-		p = branch.NewGShare(12, 8)
-	}
 	hier := cache.NewHierarchy(cfg.Hierarchy)
 	return &Machine{
 		Hier: hier,
-		BP:   branch.NewCounted(p),
+		BP:   branch.NewCounted(branch.NewGShare(12, 8)),
 		co:   newCoRunner(cfg.CoRunner, hier.LLC),
 	}
 }

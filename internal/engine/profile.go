@@ -11,12 +11,23 @@ import (
 // tracer replays, in what order, with what input sparsity, and how much of
 // the final counter reading each one contributed.
 //
-// A "leaf" is any layer the tracer models machine work for. Containers
-// (Sequential, Residual, Parallel, DenseBlock) only route data — their own
-// join traffic (residual add, concat copy) is attributed to the leaf that
-// runs next, which keeps the decomposition exactly telescoping without a
-// separate per-container table. Flatten (a view change) and Dropout
-// (inference identity) move no data and are skipped the same way.
+// A "leaf" is any layer the tracer models machine work for (isLeaf).
+// Containers (Sequential, Residual, Parallel, DenseBlock) only route data —
+// their own join traffic (residual add, concat copy) is attributed to the
+// leaf that runs next, which keeps the decomposition exactly telescoping
+// without a separate per-container table. Flatten (a view change) moves no
+// data and is skipped the same way.
+
+// isLeaf is the one rule for which layers are leaves: every layer but the
+// containers and Flatten. The tracer's profile samples, the leaf walk and
+// the sparsity pass all ask it, so their leaf orders agree.
+func isLeaf(l nn.Layer) bool {
+	switch l.(type) {
+	case *nn.Sequential, *nn.Residual, *nn.Parallel, *nn.DenseBlock, *nn.Flatten:
+		return false
+	}
+	return true
+}
 
 // LeafProfile describes one leaf layer's share of an inference.
 type LeafProfile struct {
@@ -40,12 +51,9 @@ type leafSample struct {
 	snap     hpc.Counts // machine counters at leaf entry
 }
 
-// profObserve records a leaf-entry sample. Containers and data-free
-// pass-through layers are not leaves.
+// profObserve records a leaf-entry sample; other layers record none.
 func (e *Engine) profObserve(l nn.Layer, in tref) {
-	switch l.(type) {
-	case *nn.Sequential, *nn.Residual, *nn.Parallel, *nn.DenseBlock,
-		*nn.Flatten, *nn.Dropout:
+	if !isLeaf(l) {
 		return
 	}
 	e.prof = append(e.prof, leafSample{
@@ -105,6 +113,10 @@ func (e *Engine) InferProfile(x *tensor.Tensor) (int, hpc.Counts, []LeafProfile)
 // forEachLeaf visits every leaf layer in exactly the order the tracer
 // replays them (and the order statsLayer walks them).
 func forEachLeaf(l nn.Layer, f func(nn.Layer)) {
+	if isLeaf(l) {
+		f(l)
+		return
+	}
 	switch c := l.(type) {
 	case *nn.Sequential:
 		for _, sub := range c.Layers {
@@ -123,10 +135,6 @@ func forEachLeaf(l nn.Layer, f func(nn.Layer)) {
 		for _, u := range c.Units {
 			forEachLeaf(u, f)
 		}
-	case *nn.Flatten, *nn.Dropout:
-		// Pass-through: no machine work, no sample.
-	default:
-		f(l)
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 )
 
 // The architectures below cover every container the walker dispatches on:
-// plain Sequential (simplecnn), Residual (resnet18), SqueezeExcite + Dropout
+// plain Sequential (simplecnn), Residual (resnet18), SqueezeExcite
 // (efficientnet), DenseBlock (densenet), and Parallel (googlenet).
 var profileArchs = []string{"simplecnn", "resnet18", "efficientnet", "densenet", "googlenet"}
 

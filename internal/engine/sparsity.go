@@ -35,15 +35,16 @@ func (e *Engine) ForwardStats(x *tensor.Tensor, sp []float64) (int, float64) {
 // forward calls, recording each leaf's input sparsity instead of replaying
 // its memory traffic.
 func (e *Engine) statsLayer(l nn.Layer, x *tensor.Tensor) *tensor.Tensor {
+	if isLeaf(l) {
+		e.statSp[e.statIdx] = lineSparsity(x, quantTol(x, e.qlevels))
+		e.statIdx++
+		return e.forward(l, x)
+	}
 	switch l := l.(type) {
 	case *nn.Sequential:
 		for _, sub := range l.Layers {
 			x = e.statsLayer(sub, x)
 		}
-		return x
-	case *nn.Flatten:
-		return e.forward(l, x)
-	case *nn.Dropout:
 		return x
 	case *nn.Residual:
 		body := e.statsLayer(l.Body, x)
@@ -69,9 +70,7 @@ func (e *Engine) statsLayer(l nn.Layer, x *tensor.Tensor) *tensor.Tensor {
 			cur = e.concat(e.pair[:])
 		}
 		return cur
-	default:
-		e.statSp[e.statIdx] = lineSparsity(x, quantTol(x, e.qlevels))
-		e.statIdx++
+	default: // Flatten: a view change, no sample
 		return e.forward(l, x)
 	}
 }

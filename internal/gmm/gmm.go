@@ -78,24 +78,29 @@ func (m *Model) BIC(data []float64) float64 {
 	return -2*m.TotalLogLikelihood(data) + p*math.Log(float64(len(data)))
 }
 
+// The EM settings used throughout the evaluation.
+const (
+	// maxIter bounds EM iterations per restart.
+	maxIter = 100
+	// tol stops EM when the log-likelihood improves by less than
+	// tol·(1+|lnL|).
+	tol = 1e-6
+	// restartCount runs EM from that many seedings and keeps the best fit.
+	restartCount = 3
+	// minVarFraction floors component variances at that fraction of the
+	// data variance, preventing singular collapse onto single points.
+	minVarFraction = 1e-4
+)
+
 // Config controls the EM fit.
 type Config struct {
-	// MaxIter bounds EM iterations per restart.
-	MaxIter int
-	// Tol stops EM when the log-likelihood improves by less than Tol.
-	Tol float64
-	// Restarts runs EM from that many seedings and keeps the best fit.
-	Restarts int
 	// Seed drives the seeding; equal seeds give identical fits.
 	Seed uint64
-	// MinVarScale floors component variances at MinVarScale times the data
-	// variance, preventing singular collapse onto single points.
-	MinVarScale float64
 }
 
-// DefaultConfig returns the settings used throughout the evaluation.
+// DefaultConfig returns the seed used throughout the evaluation.
 func DefaultConfig() Config {
-	return Config{MaxIter: 100, Tol: 1e-6, Restarts: 3, Seed: 1, MinVarScale: 1e-4}
+	return Config{Seed: 1}
 }
 
 // meanVar returns the sample mean and (biased) variance.
@@ -123,21 +128,17 @@ func Fit(data []float64, k int, cfg Config) (*Model, error) {
 		return nil, fmt.Errorf("gmm: %d points cannot support %d components", len(data), k)
 	}
 	dataMu, dataVar := meanVar(data)
-	minVar := cfg.MinVarScale * dataVar
+	minVar := minVarFraction * dataVar
 	if minVar <= 0 {
 		// Constant data: a single (near-)degenerate Gaussian describes it.
 		minVar = math.Max(1e-12, 1e-12*math.Abs(dataMu))
 	}
 	r := rng.New(cfg.Seed)
-	restarts := cfg.Restarts
-	if restarts < 1 {
-		restarts = 1
-	}
 	var best *Model
 	bestLL := math.Inf(-1)
-	for attempt := 0; attempt < restarts; attempt++ {
+	for attempt := 0; attempt < restartCount; attempt++ {
 		m := initModel(data, k, dataVar, minVar, r)
-		ll, err := em(m, data, cfg, minVar)
+		ll, err := em(m, data, minVar)
 		if err != nil {
 			continue
 		}
@@ -185,7 +186,7 @@ func initModel(data []float64, k int, dataVar, minVar float64, r *rng.Rand) *Mod
 
 // em runs the Expectation-Maximisation loop (Algorithm 1) and returns the
 // final total log-likelihood.
-func em(m *Model, data []float64, cfg Config, minVar float64) (float64, error) {
+func em(m *Model, data []float64, minVar float64) (float64, error) {
 	n := len(data)
 	k := m.K()
 	resp := make([]float64, n*k) // responsibilities γ_ik
@@ -195,10 +196,6 @@ func em(m *Model, data []float64, cfg Config, minVar float64) (float64, error) {
 	logConst := make([]float64, k)
 	negHalfInvVar := make([]float64, k)
 	prevLL := math.Inf(-1)
-	maxIter := cfg.MaxIter
-	if maxIter <= 0 {
-		maxIter = 200
-	}
 	for iter := 0; iter < maxIter; iter++ {
 		for j := 0; j < k; j++ {
 			logConst[j] = math.Log(m.Weights[j]) - 0.5*(log2Pi+math.Log(m.Vars[j]))
@@ -253,7 +250,7 @@ func em(m *Model, data []float64, cfg Config, minVar float64) (float64, error) {
 		normalizeWeights(m.Weights)
 		// Relative convergence: scale the tolerance with the likelihood
 		// magnitude so large datasets do not spin for marginal gains.
-		if iter > 0 && ll-prevLL < cfg.Tol*(1+math.Abs(ll)) {
+		if iter > 0 && ll-prevLL < tol*(1+math.Abs(ll)) {
 			return ll, nil
 		}
 		prevLL = ll

@@ -87,18 +87,14 @@ func FitMulti(data [][]float64, k int, cfg Config) (*MultiModel, error) {
 	}
 	minVar := make([]float64, dim)
 	for d := range minVar {
-		minVar[d] = math.Max(cfg.MinVarScale*poolVar[d], 1e-12)
+		minVar[d] = math.Max(minVarFraction*poolVar[d], 1e-12)
 	}
 	r := rng.New(cfg.Seed ^ 0x5bd1e995)
-	restarts := cfg.Restarts
-	if restarts < 1 {
-		restarts = 1
-	}
 	var best *MultiModel
 	bestLL := math.Inf(-1)
-	for attempt := 0; attempt < restarts; attempt++ {
+	for attempt := 0; attempt < restartCount; attempt++ {
 		m := initMulti(data, k, dim, poolVar, minVar, r)
-		ll, err := emMulti(m, data, cfg, minVar)
+		ll, err := emMulti(m, data, minVar)
 		if err != nil {
 			continue
 		}
@@ -150,17 +146,13 @@ func initMulti(data [][]float64, k, dim int, poolVar, minVar []float64, r *rng.R
 }
 
 // emMulti is the diagonal-covariance EM loop.
-func emMulti(m *MultiModel, data [][]float64, cfg Config, minVar []float64) (float64, error) {
+func emMulti(m *MultiModel, data [][]float64, minVar []float64) (float64, error) {
 	n := len(data)
 	k := m.K()
 	dim := m.D
 	resp := make([]float64, n*k)
 	terms := make([]float64, k)
 	prevLL := math.Inf(-1)
-	maxIter := cfg.MaxIter
-	if maxIter <= 0 {
-		maxIter = 200
-	}
 	for iter := 0; iter < maxIter; iter++ {
 		ll := 0.0
 		for i, x := range data {
@@ -202,7 +194,7 @@ func emMulti(m *MultiModel, data [][]float64, cfg Config, minVar []float64) (flo
 			m.Weights[j] = nk / float64(n)
 		}
 		normalizeWeights(m.Weights)
-		if iter > 0 && ll-prevLL < cfg.Tol*(1+math.Abs(ll)) {
+		if iter > 0 && ll-prevLL < tol*(1+math.Abs(ll)) {
 			return ll, nil
 		}
 		prevLL = ll

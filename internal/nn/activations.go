@@ -1,10 +1,6 @@
 package nn
 
-import (
-	"math"
-
-	"advhunter/internal/tensor"
-)
+import "advhunter/internal/tensor"
 
 // ReLU applies max(0, x) element-wise.
 //
@@ -78,49 +74,6 @@ func (l *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
-// Sigmoid applies the logistic function element-wise.
-type Sigmoid struct {
-	label string
-	out   *tensor.Tensor
-}
-
-// NewSigmoid constructs a sigmoid activation.
-func NewSigmoid(label string) *Sigmoid { return &Sigmoid{label: label} }
-
-// Name returns the layer label.
-func (l *Sigmoid) Name() string { return l.label }
-
-// Params returns nil; Sigmoid has no parameters.
-func (l *Sigmoid) Params() []*Param { return nil }
-
-// Forward runs ForwardScratch on fresh buffers and caches the output for
-// Backward.
-func (l *Sigmoid) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	l.out = l.ForwardScratch(x, nil)
-	return l.out
-}
-
-// ForwardScratch implements ScratchForwarder with 1/(1+e^{-x}) (not the
-// branching stable form SqueezeExcite uses).
-func (l *Sigmoid) ForwardScratch(x *tensor.Tensor, s *Scratch) *tensor.Tensor {
-	out := s.Tensor(x.Shape()...)
-	od := out.Data()
-	for i, v := range x.Data() {
-		od[i] = 1 / (1 + math.Exp(-v))
-	}
-	return out
-}
-
-// Backward computes grad · σ(x)·(1−σ(x)).
-func (l *Sigmoid) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	out := tensor.New(grad.Shape()...)
-	gd, od, sd := grad.Data(), out.Data(), l.out.Data()
-	for i := range gd {
-		od[i] = gd[i] * sd[i] * (1 - sd[i])
-	}
-	return out
-}
-
 // Flatten reshapes [N, ...] to [N, features].
 type Flatten struct {
 	label   string
@@ -155,60 +108,4 @@ func (l *Flatten) ForwardScratch(x *tensor.Tensor, s *Scratch) *tensor.Tensor {
 // Backward restores the cached input shape.
 func (l *Flatten) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	return grad.Reshape(l.inShape...)
-}
-
-// Dropout zeroes a fraction of activations during training and rescales the
-// rest (inverted dropout); inference is the identity.
-type Dropout struct {
-	label string
-	// Rate is the drop probability in [0, 1).
-	Rate float64
-	// Rand must be set before training-mode forward passes.
-	Rand interface{ Float64() float64 }
-
-	mask []float64
-}
-
-// NewDropout constructs a dropout layer with the given drop probability.
-func NewDropout(label string, rate float64, r interface{ Float64() float64 }) *Dropout {
-	return &Dropout{label: label, Rate: rate, Rand: r}
-}
-
-// Name returns the layer label.
-func (l *Dropout) Name() string { return l.label }
-
-// Params returns nil; Dropout has no parameters.
-func (l *Dropout) Params() []*Param { return nil }
-
-// Forward drops activations in training mode and is the identity otherwise.
-func (l *Dropout) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if !train || l.Rate == 0 {
-		l.mask = nil
-		return x
-	}
-	keep := 1 - l.Rate
-	out := tensor.New(x.Shape()...)
-	xd, od := x.Data(), out.Data()
-	l.mask = make([]float64, len(xd))
-	for i := range xd {
-		if l.Rand.Float64() >= l.Rate {
-			l.mask[i] = 1 / keep
-			od[i] = xd[i] / keep
-		}
-	}
-	return out
-}
-
-// Backward applies the cached mask (identity if the last forward was
-// inference-mode).
-func (l *Dropout) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if l.mask == nil {
-		return grad
-	}
-	out := tensor.New(grad.Shape()...)
-	gd, od := grad.Data(), out.Data()
-	for i := range gd {
-		od[i] = gd[i] * l.mask[i]
-	}
-	return out
 }

@@ -62,12 +62,8 @@ func cloneLayer(l Layer) Layer {
 		}
 	case *ReLU:
 		return &ReLU{label: c.label}
-	case *Sigmoid:
-		return &Sigmoid{label: c.label}
 	case *Flatten:
 		return &Flatten{label: c.label}
-	case *Dropout:
-		return &Dropout{label: c.label, Rate: c.Rate, Rand: c.Rand}
 	case *MaxPool2D:
 		return &MaxPool2D{label: c.label, Kernel: c.Kernel, Stride: c.Stride, Pad: c.Pad}
 	case *AvgPool2D:

@@ -34,7 +34,6 @@ func scratchLeaves() []scratchLeaf {
 		{NewDepthwiseConv2D("dw", 3, 3, 2, 1), []int{3, 7, 6}},
 		{NewLinear("fc", 12, 5), []int{12}},
 		{NewReLU("relu"), []int{3, 4, 5}},
-		{NewSigmoid("sig"), []int{3, 4, 5}},
 		{NewFlatten("flat"), []int{3, 4, 5}},
 		{bn, []int{3, 4, 5}},
 		{NewMaxPool2DPadded("maxpool", 3, 2, 1), []int{3, 7, 6}},

@@ -41,7 +41,7 @@ type Layer interface {
 	// Name returns a short human-readable identifier for diagnostics.
 	Name() string
 	// Forward computes the layer output for a batched input. train selects
-	// training-mode behaviour (batch statistics, dropout); inference uses
+	// training-mode behaviour (batch statistics); inference uses
 	// train=false.
 	Forward(x *tensor.Tensor, train bool) *tensor.Tensor
 	// Backward consumes the gradient of the loss with respect to the

@@ -37,15 +37,35 @@ type Rule interface {
 	Eval(rec *Recorder, now time.Time) RuleStatus
 }
 
-// LatencyBurnRule fires when a latency quantile over the window exceeds a
-// threshold — the burn-rate shape of a latency SLO: not one slow request,
+// The stock rules' fixed tuning.
+const (
+	// ruleWindow is the evaluation window of the latency and error rules.
+	ruleWindow = time.Minute
+	// minErrorRuleRate gates ErrorRateRule's readiness: below this total
+	// req/s the error fraction is too noisy to judge.
+	minErrorRuleRate = 1.0
+	// driftFitRounds is the number of qualifying evaluations the drift
+	// baseline averages over before judging begins.
+	driftFitRounds = 3
+	// driftSigmas is the drift deviation multiplier: fire when the observed
+	// flag rate exceeds mean + driftSigmas·max(std, driftMinStd).
+	driftSigmas = 3.0
+	// driftMinStd keeps the band open when clean traffic is so uniform its
+	// fitted deviation collapses to ~0.
+	driftMinStd = 0.02
+	// driftMinDecisions is the minimum new decisions per judged drift
+	// evaluation.
+	driftMinDecisions = 20.0
+)
+
+// LatencyBurnRule fires when a latency quantile over the last minute exceeds
+// a threshold — the burn-rate shape of a latency SLO: not one slow request,
 // but a window's worth of them.
 type LatencyBurnRule struct {
 	RuleName  string
-	Family    string        // histogram family (advhunter_request_duration_seconds)
-	Q         float64       // quantile in (0,1), e.g. 0.99
-	Threshold float64       // seconds
-	Window    time.Duration // evaluation window (default 1m)
+	Family    string  // histogram family (advhunter_request_duration_seconds)
+	Q         float64 // quantile in (0,1), e.g. 0.99
+	Threshold float64 // seconds
 }
 
 // Name implements Rule.
@@ -53,19 +73,12 @@ func (r *LatencyBurnRule) Name() string { return r.RuleName }
 
 // Describe implements Rule.
 func (r *LatencyBurnRule) Describe() string {
-	return "p" + formatFloat(r.Q*100) + "(" + r.Family + ") > " + formatFloat(r.Threshold) + "s over " + r.window().String()
-}
-
-func (r *LatencyBurnRule) window() time.Duration {
-	if r.Window > 0 {
-		return r.Window
-	}
-	return time.Minute
+	return "p" + formatFloat(r.Q*100) + "(" + r.Family + ") > " + formatFloat(r.Threshold) + "s over " + ruleWindow.String()
 }
 
 // Eval implements Rule.
 func (r *LatencyBurnRule) Eval(rec *Recorder, _ time.Time) RuleStatus {
-	v := rec.Quantile(r.Family, r.Q, r.window())
+	v := rec.Quantile(r.Family, r.Q, ruleWindow)
 	if math.IsNaN(v) {
 		return RuleStatus{Threshold: r.Threshold}
 	}
@@ -73,19 +86,13 @@ func (r *LatencyBurnRule) Eval(rec *Recorder, _ time.Time) RuleStatus {
 }
 
 // ErrorRateRule fires when the rejected-or-failed fraction of requests over
-// the window exceeds a threshold. By default it counts 429s and every 5xx —
-// backpressure and server faults — against the family's total rate.
+// the last minute exceeds a threshold. It counts 429s and every 5xx —
+// backpressure and server faults — against the family's total rate, and
+// judges only once that rate reaches 1 req/s.
 type ErrorRateRule struct {
 	RuleName  string
-	Family    string        // counter family with a code label (advhunter_requests_total)
-	Threshold float64       // error fraction in (0,1)
-	Window    time.Duration // evaluation window (default 1m)
-	// MinRate gates readiness: below this total req/s the fraction is too
-	// noisy to judge (default 1).
-	MinRate float64
-	// ErrorCode classifies a code label value as an error; nil selects the
-	// default (429 or any 5xx).
-	ErrorCode func(code string) bool
+	Family    string  // counter family with a code label (advhunter_requests_total)
+	Threshold float64 // error fraction in (0,1)
 }
 
 // Name implements Rule.
@@ -93,41 +100,22 @@ func (r *ErrorRateRule) Name() string { return r.RuleName }
 
 // Describe implements Rule.
 func (r *ErrorRateRule) Describe() string {
-	return "429/5xx fraction of " + r.Family + " > " + formatFloat(r.Threshold) + " over " + r.window().String()
-}
-
-func (r *ErrorRateRule) window() time.Duration {
-	if r.Window > 0 {
-		return r.Window
-	}
-	return time.Minute
-}
-
-func (r *ErrorRateRule) isError(code string) bool {
-	if r.ErrorCode != nil {
-		return r.ErrorCode(code)
-	}
-	return code == "429" || strings.HasPrefix(code, "5")
+	return "429/5xx fraction of " + r.Family + " > " + formatFloat(r.Threshold) + " over " + ruleWindow.String()
 }
 
 // Eval implements Rule.
 func (r *ErrorRateRule) Eval(rec *Recorder, _ time.Time) RuleStatus {
-	w := r.window()
-	total := rec.RateFamily(r.Family, w)
-	minRate := r.MinRate
-	if minRate <= 0 {
-		minRate = 1
-	}
-	if total < minRate {
+	total := rec.RateFamily(r.Family, ruleWindow)
+	if total < minErrorRuleRate {
 		return RuleStatus{Threshold: r.Threshold}
 	}
 	prefix := r.Family + "{"
-	bad := rec.Rate(w, func(key string) bool {
+	bad := rec.Rate(ruleWindow, func(key string) bool {
 		if !strings.HasPrefix(key, prefix) {
 			return false
 		}
 		code, ok := labelValue(key, "code")
-		return ok && r.isError(code)
+		return ok && (code == "429" || strings.HasPrefix(code, "5"))
 	})
 	frac := bad / total
 	return RuleStatus{Value: frac, Threshold: r.Threshold, Breach: frac > r.Threshold, Ready: true}
@@ -135,39 +123,21 @@ func (r *ErrorRateRule) Eval(rec *Recorder, _ time.Time) RuleStatus {
 
 // DriftRule is the attack-campaign signal: it watches the flag rate —
 // flagged decisions over total decisions — per evaluation and fires when it
-// deviates above a clean-traffic baseline. The baseline is either given
-// (CleanRate/CleanStd from an offline calibration run) or fitted online from
-// the first FitEvals qualifying evaluations, which must therefore see clean
-// traffic — the same trust-on-first-use assumption every learned baseline
-// makes.
+// exceeds a clean-traffic baseline by more than driftSigmas deviations. The
+// baseline is fitted online from the first driftFitRounds qualifying
+// evaluations, which must therefore see clean traffic — the same
+// trust-on-first-use assumption every learned baseline makes.
 //
 // Each evaluation differences the recorder's latest cumulative totals
 // against the previous evaluation's, so the judged window is the evaluation
 // interval itself (a tumbling window) — timing-free and exact, where a
 // wall-clock window would be sensitive to sampler phase. Evaluations seeing
-// fewer than MinScans new decisions do not judge (and do not advance the
-// cursors), so quiet periods accumulate instead of diluting.
+// fewer than driftMinDecisions new decisions do not judge (and do not
+// advance the cursors), so quiet periods accumulate instead of diluting.
 type DriftRule struct {
 	RuleName string
 	Scans    string // counter family of total decisions (advhunter_scans_total)
 	Flagged  string // counter family of adversarial decisions (advhunter_flagged_total)
-
-	// CleanRate/CleanStd, when CleanStd > 0 or CleanRate > 0, give the
-	// baseline explicitly and skip online fitting.
-	CleanRate float64
-	CleanStd  float64
-	// FitEvals is the number of qualifying evaluations the online baseline
-	// averages over before judging begins (default 3).
-	FitEvals int
-	// Sigma is the deviation multiplier: fire when the observed flag rate
-	// exceeds mean + Sigma·max(std, StdFloor) (default 3).
-	Sigma float64
-	// StdFloor keeps the band open when clean traffic is so uniform its
-	// fitted deviation collapses to ~0 (default 0.02).
-	StdFloor float64
-	// MinScans is the minimum new decisions per judged evaluation
-	// (default 20).
-	MinScans float64
 
 	mu          sync.Mutex
 	started     bool
@@ -184,49 +154,18 @@ func (r *DriftRule) Name() string { return r.RuleName }
 
 // Describe implements Rule.
 func (r *DriftRule) Describe() string {
-	return "flag rate (" + r.Flagged + "/" + r.Scans + ") above clean baseline + " + formatFloat(r.sigma()) + "σ"
+	return "flag rate (" + r.Flagged + "/" + r.Scans + ") above clean baseline + " + formatFloat(driftSigmas) + "σ"
 }
 
-func (r *DriftRule) sigma() float64 {
-	if r.Sigma > 0 {
-		return r.Sigma
-	}
-	return 3
-}
-
-func (r *DriftRule) stdFloor() float64 {
-	if r.StdFloor > 0 {
-		return r.StdFloor
-	}
-	return 0.02
-}
-
-func (r *DriftRule) minScans() float64 {
-	if r.MinScans > 0 {
-		return r.MinScans
-	}
-	return 20
-}
-
-func (r *DriftRule) fitEvals() int {
-	if r.FitEvals > 0 {
-		return r.FitEvals
-	}
-	return 3
-}
-
-// Baseline returns the rule's current clean baseline (mean, std) and whether
-// it is established yet.
-func (r *DriftRule) Baseline() (mean, std float64, ok bool) {
+// baseline returns the rule's current clean baseline (mean, std) and
+// whether it is established yet.
+func (r *DriftRule) baseline() (mean, std float64, ok bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.baselineLocked()
 }
 
 func (r *DriftRule) baselineLocked() (mean, std float64, ok bool) {
-	if r.CleanStd > 0 || r.CleanRate > 0 {
-		return r.CleanRate, r.CleanStd, true
-	}
 	if !r.frozen {
 		return 0, 0, false
 	}
@@ -250,7 +189,7 @@ func (r *DriftRule) Eval(rec *Recorder, _ time.Time) RuleStatus {
 		return RuleStatus{}
 	}
 	ds, df := scans-r.lastScans, flagged-r.lastFlagged
-	if ds < r.minScans() {
+	if ds < driftMinDecisions {
 		return RuleStatus{} // too few new decisions: accumulate, don't judge
 	}
 	r.lastScans, r.lastFlagged = scans, flagged
@@ -258,18 +197,18 @@ func (r *DriftRule) Eval(rec *Recorder, _ time.Time) RuleStatus {
 
 	mean, std, ok := r.baselineLocked()
 	if !ok {
-		// Online fitting (Welford) over the first FitEvals qualifying
+		// Online fitting (Welford) over the first driftFitRounds qualifying
 		// evaluations; judging starts once the baseline freezes.
 		r.fitN++
 		delta := rate - r.fitMean
 		r.fitMean += delta / float64(r.fitN)
 		r.fitM2 += delta * (rate - r.fitMean)
-		if r.fitN >= r.fitEvals() {
+		if r.fitN >= driftFitRounds {
 			r.frozen = true
 		}
 		return RuleStatus{Value: rate}
 	}
-	thr := mean + r.sigma()*math.Max(std, r.stdFloor())
+	thr := mean + driftSigmas*math.Max(std, driftMinStd)
 	return RuleStatus{Value: rate, Threshold: thr, Breach: rate > thr, Ready: true}
 }
 

@@ -1,10 +1,6 @@
 package serve
 
-import (
-	"time"
-
-	"advhunter/internal/obs"
-)
+import "advhunter/internal/obs"
 
 // DefaultAlertRules is the stock rule set for a detection service, bound to
 // the families this package exports:
@@ -28,13 +24,11 @@ func DefaultAlertRules() []obs.Rule {
 			Family:    "advhunter_request_duration_seconds",
 			Q:         0.99,
 			Threshold: 0.25,
-			Window:    time.Minute,
 		},
 		&obs.ErrorRateRule{
 			RuleName:  "error-rate",
 			Family:    "advhunter_requests_total",
 			Threshold: 0.05,
-			Window:    time.Minute,
 		},
 		&obs.DriftRule{
 			RuleName: "detect-drift",

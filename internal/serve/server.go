@@ -67,13 +67,14 @@ type Config struct {
 	// takes ownership and clones it across the replicas, exactly like the
 	// exact measurer. Only exact readings feed advhunter_hpc_event_count.
 	Twin *core.Measurer
-	// TwinDetector optionally scores twin-tier measurements. The twin's
-	// count predictions carry a small systematic bias relative to the exact
-	// simulator, so screening works best with a detector calibrated on
-	// twin-measured templates (same backend, same template protocol). Its
-	// channel list must equal the main detector's, and it should be fitted
-	// under the same decision event: a twin verdict is its own Fused, and
-	// escalation is its own Uncertain. nil reuses the main detector.
+	// TwinDetector scores twin-tier measurements, and New panics when Twin
+	// is set without it. The twin's count predictions carry a small
+	// systematic bias relative to the exact simulator, so the main
+	// detector's thresholds would misfire on them: this one is calibrated
+	// on twin-measured templates (same backend, same template protocol).
+	// Its channel list must equal the main detector's, and it should be
+	// fitted under the same decision event: a twin verdict is its own
+	// Fused, and escalation is its own Uncertain.
 	TwinDetector detect.Detector
 	// EscalationMargin is the auto tier's uncertainty band: a twin verdict
 	// escalates to the exact tier when its deciding score lies within
@@ -225,24 +226,23 @@ func New(m *core.Measurer, det detect.Detector, cfg Config) *Server {
 
 	// The auto tier adds a twin measurement stage in front of the exact one.
 	if cfg.Twin != nil {
-		twinDet := det
-		if cfg.TwinDetector != nil {
-			// The response channel maps are shared across tiers, so the twin
-			// detector must score the same channels in the same order.
-			got := cfg.TwinDetector.Channels()
-			if len(got) != len(channels) {
-				panic(fmt.Sprintf("serve: twin detector has %d channels, main detector %d", len(got), len(channels)))
+		if cfg.TwinDetector == nil {
+			panic("serve: Config.Twin is set without a TwinDetector")
+		}
+		// The response channel maps are shared across tiers, so the twin
+		// detector must score the same channels in the same order.
+		got := cfg.TwinDetector.Channels()
+		if len(got) != len(channels) {
+			panic(fmt.Sprintf("serve: twin detector has %d channels, main detector %d", len(got), len(channels)))
+		}
+		for i, ch := range got {
+			if ch != channels[i] {
+				panic(fmt.Sprintf("serve: twin detector channel %d is %q, main detector has %q", i, ch, channels[i]))
 			}
-			for i, ch := range got {
-				if ch != channels[i] {
-					panic(fmt.Sprintf("serve: twin detector channel %d is %q, main detector has %q", i, ch, channels[i]))
-				}
-			}
-			twinDet = cfg.TwinDetector
 		}
 		s.stats.registerTier(cfg.Twin.Twin, twinTruth)
 		s.twin = &pool{
-			meas: replicate(cfg.Twin, cfg.Workers), truth: twinTruth, det: twinDet,
+			meas: replicate(cfg.Twin, cfg.Workers), truth: twinTruth, det: cfg.TwinDetector,
 			stageMeasure: "twin-measure", stageScore: "twin-score",
 			hits: s.stats.twinTruthHits, misses: s.stats.twinTruthMisses,
 		}

@@ -219,24 +219,26 @@ type channelsDetector struct {
 func (d channelsDetector) Channels() []string { return d.channels }
 
 // TestServeTwinDetectorChannelMismatch: the service decision rule and the
-// response channel maps are shared across tiers, so a twin detector that
-// does not score the main detector's channels in the same order is a panic
-// at construction, never a silently misread verdict.
+// response channel maps are shared across tiers, so a twin tier without its
+// own detector, or with one that does not score the main detector's
+// channels in the same order, is a panic at construction, never a silently
+// misread verdict.
 func TestServeTwinDetectorChannelMismatch(t *testing.T) {
 	f := getFixture(t)
 	main := f.det.Channels()
 	renamed := append([]string(nil), main...)
 	renamed[0] += "-twin"
-	for name, channels := range map[string][]string{
-		"fewer channels":  main[:len(main)-1],
-		"renamed channel": renamed,
+	for name, twinDet := range map[string]detect.Detector{
+		"no twin detector": nil,
+		"fewer channels":   channelsDetector{Detector: f.twinDet, channels: main[:len(main)-1]},
+		"renamed channel":  channelsDetector{Detector: f.twinDet, channels: renamed},
 	} {
 		t.Run(name, func(t *testing.T) {
 			cfg := f.autoConfig(Config{Workers: 1})
-			cfg.TwinDetector = channelsDetector{Detector: f.twinDet, channels: channels}
+			cfg.TwinDetector = twinDet
 			defer func() {
 				if recover() == nil {
-					t.Fatalf("New accepted twin channels %v against main %v", channels, main)
+					t.Fatalf("New accepted a twin tier with %s (main channels %v)", name, main)
 				}
 			}()
 			New(f.meas.Clone(), f.det, cfg)

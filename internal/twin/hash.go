@@ -57,19 +57,21 @@ func ModelHash(m *models.Model) uint64 {
 
 // MachineHash fingerprints a machine configuration. Value-typed parts
 // (cache geometries, TLB, quantization, co-runner) hash by content; the
-// pluggable prefetcher and branch predictor hash by dynamic type, which is
-// what distinguishes configurations in practice — their tuning fields are
-// fixed per type in this codebase.
+// pluggable prefetcher hashes by dynamic type, which is what distinguishes
+// configurations in practice — its tuning fields are fixed per type in this
+// codebase.
 //
-// The trailing literal "scalar=false" is the term of a replay-mode switch
-// the engine no longer has. It stays so that the hashed text, and with it
-// every committed twin table's key, is unchanged; dropping it would make
-// those tables miss and force a re-profile at start-up.
+// The literals "bp=<nil>" and "scalar=false" are the terms of a
+// configurable branch predictor (always unset, so always the engine's
+// gshare) and of a replay-mode switch, both of which the engine no longer
+// has. They stay so that the hashed text, and with it every committed twin
+// table's key, is unchanged; dropping them would make those tables miss and
+// force a re-profile at start-up.
 func MachineHash(cfg engine.MachineConfig) uint64 {
 	h := fnv64(fnvOffset)
-	h.str(fmt.Sprintf("l1i=%#v l1d=%#v l2=%#v llc=%#v dtlb=%#v pf=%T bp=%T branchy=%v q=%d co=%#v scalar=false",
+	h.str(fmt.Sprintf("l1i=%#v l1d=%#v l2=%#v llc=%#v dtlb=%#v pf=%T bp=<nil> branchy=%v q=%d co=%#v scalar=false",
 		cfg.Hierarchy.L1I, cfg.Hierarchy.L1D, cfg.Hierarchy.L2, cfg.Hierarchy.LLC,
-		cfg.Hierarchy.DTLB, cfg.Hierarchy.L1DPrefetcher, cfg.Predictor,
+		cfg.Hierarchy.DTLB, cfg.Hierarchy.L1DPrefetcher,
 		cfg.BranchyKernels, cfg.QuantLevels, cfg.CoRunner))
 	return uint64(h)
 }

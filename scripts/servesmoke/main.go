@@ -214,8 +214,9 @@ func checkStageCounts(base string) error {
 // obsSmoke exercises the observability surfaces after the burst: the
 // flight recorder page (whose sampling loop must have picked the burst up),
 // the request-trace ring (the burst must have left traces carrying request
-// ids), the alerts page with the stock rules, and one frame of `advhunter
-// watch` — the operator dashboard driven purely over HTTP.
+// ids), the alerts page with the stock rules' exact descriptions, and one
+// frame of `advhunter watch` — the operator dashboard driven purely over
+// HTTP.
 func obsSmoke(bin, base string) error {
 	flight, err := awaitFlightRate(base)
 	if err != nil {
@@ -235,14 +236,8 @@ func obsSmoke(bin, base string) error {
 			return fmt.Errorf("/debug/trace missing %q:\n%s", want, traces)
 		}
 	}
-	alerts, err := get(base + "/alerts")
-	if err != nil {
+	if err := checkAlerts(base); err != nil {
 		return err
-	}
-	for _, want := range []string{"latency-p99", "error-rate", "detect-drift"} {
-		if !strings.Contains(string(alerts), want) {
-			return fmt.Errorf("/alerts missing rule %q:\n%s", want, alerts)
-		}
 	}
 	// A /detect probe must echo the caller's request id so traces and logs
 	// can be joined to the edge's — the id-propagation contract over HTTP.
@@ -349,14 +344,48 @@ func runCluster(bin, scenario string, bodies [][]byte) error {
 	if !strings.Contains(string(traces), `"traces"`) {
 		return fmt.Errorf("cluster /debug/trace missing traces:\n%s", traces)
 	}
-	alerts, err := get(base + "/alerts")
+	if err := checkAlerts(base); err != nil {
+		return fmt.Errorf("cluster %w", err)
+	}
+	return drain(cmd)
+}
+
+// stockAlerts is each stock rule with its exact /alerts describe text. The
+// rules' thresholds, windows and multipliers are constants, so one that
+// drifts changes this text and fails the smoke.
+var stockAlerts = []struct{ rule, describe string }{
+	{"latency-p99", "p99(advhunter_request_duration_seconds) > 0.25s over 1m0s"},
+	{"error-rate", "429/5xx fraction of advhunter_requests_total > 0.05 over 1m0s"},
+	{"detect-drift", "flag rate (advhunter_flagged_total/advhunter_scans_total) above clean baseline + 3σ"},
+}
+
+// checkAlerts requires base's /alerts page to list every stock rule with
+// exactly its recorded describe text.
+func checkAlerts(base string) error {
+	page, err := get(base + "/alerts")
 	if err != nil {
 		return err
 	}
-	if !strings.Contains(string(alerts), "detect-drift") {
-		return fmt.Errorf("cluster /alerts missing the drift rule:\n%s", alerts)
+	var doc struct {
+		Alerts []obs.AlertView `json:"alerts"`
 	}
-	return drain(cmd)
+	if err := json.Unmarshal(page, &doc); err != nil {
+		return fmt.Errorf("/alerts is not JSON: %w\n%s", err, page)
+	}
+	got := make(map[string]string, len(doc.Alerts))
+	for _, a := range doc.Alerts {
+		got[a.Rule] = a.Describe
+	}
+	for _, want := range stockAlerts {
+		d, ok := got[want.rule]
+		if !ok {
+			return fmt.Errorf("/alerts missing rule %q:\n%s", want.rule, page)
+		}
+		if d != want.describe {
+			return fmt.Errorf("/alerts rule %q describes %q, want %q", want.rule, d, want.describe)
+		}
+	}
+	return nil
 }
 
 // burstBodies encodes the /detect bodies of the scenario's first 40 test
