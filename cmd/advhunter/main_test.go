@@ -3,6 +3,8 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"advhunter/internal/experiments"
 )
 
 // TestDispatch drives the subcommand switch table-style: each invocation
@@ -137,5 +139,48 @@ func TestDispatch(t *testing.T) {
 				t.Fatalf("stderr missing %q:\n%s", tc.wantStderr, stderr.String())
 			}
 		})
+	}
+}
+
+// TestScanOnCommittedCache runs the README's quickstart command on the
+// committed S2 cache: it prints one line per clean image and one per
+// committed successful targeted-FGSM example, and it regenerates and writes
+// no cache file.
+func TestScanOnCommittedCache(t *testing.T) {
+	_, missesBefore, writesBefore := experiments.CacheStats()
+	var stdout, stderr strings.Builder
+	code := run([]string{"scan", "-scenario", "S2", "-n", "10", "-cache", committedCache}, &stdout, &stderr)
+	_, missesAfter, writesAfter := experiments.CacheStats()
+	if code != 0 {
+		t.Fatalf("scan exited %d\nstderr: %s", code, stderr.String())
+	}
+	if missesAfter != missesBefore || writesAfter != writesBefore {
+		t.Fatalf("scan missed %d and wrote %d cache files, want none",
+			missesAfter-missesBefore, writesAfter-writesBefore)
+	}
+
+	env, err := experiments.LoadEnv("S2", experiments.Options{CacheDir: committedCache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ar, err := env.Attack(experiments.AttackSpec{Kind: "fgsm", Eps: 0.5, Targeted: true}, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ar.Meas) == 0 {
+		t.Fatal("the committed cache holds no successful targeted-FGSM example")
+	}
+	images, aes := 0, 0
+	for _, line := range strings.Split(stdout.String(), "\n") {
+		switch {
+		case strings.HasPrefix(strings.TrimSpace(line), "image "):
+			images++
+		case strings.HasPrefix(strings.TrimSpace(line), "AE "):
+			aes++
+		}
+	}
+	if images != 10 || aes != len(ar.Meas) {
+		t.Fatalf("scan printed %d image and %d AE lines, want 10 and %d:\n%s",
+			images, aes, len(ar.Meas), stdout.String())
 	}
 }

@@ -65,9 +65,6 @@ func (g *Gauge) Add(d float64) { g.c.gauge.add(d) }
 // Inc adds one.
 func (g *Gauge) Inc() { g.c.gauge.add(1) }
 
-// Dec subtracts one.
-func (g *Gauge) Dec() { g.c.gauge.add(-1) }
-
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return g.c.gauge.load() }
 

@@ -40,7 +40,8 @@ type Request struct {
 }
 
 // NewRequest builds the request for one image tensor (shape [C,H,W]) with
-// an explicit noise index — the client-side helper examples and tests use.
+// an explicit noise index — the client-side helper that load generators
+// and tests use.
 func NewRequest(x *tensor.Tensor, index uint64) Request {
 	idx := index
 	return Request{

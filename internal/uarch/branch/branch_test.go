@@ -3,6 +3,8 @@ package branch
 import (
 	"testing"
 	"testing/quick"
+
+	"advhunter/internal/rng"
 )
 
 func TestStaticPredictsTaken(t *testing.T) {
@@ -145,4 +147,14 @@ func BenchmarkGShare(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		g.Predict(uint64(i&1023), i&3 != 0)
 	}
+}
+
+// RandomOutcomes produces a deterministic biased branch stream.
+func RandomOutcomes(seed uint64, n int, pTaken float64) []bool {
+	r := rng.New(seed)
+	out := make([]bool, n)
+	for i := range out {
+		out[i] = r.Float64() < pTaken
+	}
+	return out
 }

@@ -181,11 +181,6 @@ type Sampler struct {
 	r     *rng.Rand
 }
 
-// NewSampler builds a sampler with its own deterministic noise stream.
-func NewSampler(model NoiseModel, seed uint64) *Sampler {
-	return &Sampler{Model: model, r: rng.New(seed)}
-}
-
 // NewSamplerFrom builds a sampler around an existing noise stream. It is the
 // hook for per-sample noise re-keying: callers fork one stream per sample so
 // that reading i is a pure function of (model, truth, seed, i) and therefore

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"advhunter/internal/rng"
 	"advhunter/internal/uarch/branch"
 	"advhunter/internal/uarch/cache"
 )
@@ -74,12 +75,12 @@ func TestCollectMapping(t *testing.T) {
 
 func TestSamplerDeterministic(t *testing.T) {
 	truth := Counts{1e6, 2e5, 1e4, 5e3, 800, 2e3, 100, 600, 200, 50}
-	a := NewSampler(DefaultNoise(), 42).Sample(truth)
-	b := NewSampler(DefaultNoise(), 42).Sample(truth)
+	a := NewSamplerFrom(DefaultNoise(), rng.New(42)).Sample(truth)
+	b := NewSamplerFrom(DefaultNoise(), rng.New(42)).Sample(truth)
 	if a != b {
 		t.Fatal("equal-seed samplers diverged")
 	}
-	c := NewSampler(DefaultNoise(), 43).Sample(truth)
+	c := NewSamplerFrom(DefaultNoise(), rng.New(43)).Sample(truth)
 	if a == c {
 		t.Fatal("different seeds produced identical noise")
 	}
@@ -87,7 +88,7 @@ func TestSamplerDeterministic(t *testing.T) {
 
 func TestSampleNonNegativeAndUnbiasedish(t *testing.T) {
 	truth := Counts{1e6, 2e5, 1e4, 5e3, 800, 2e3, 100, 600, 200, 50}
-	s := NewSampler(DefaultNoise(), 7)
+	s := NewSamplerFrom(DefaultNoise(), rng.New(7))
 	var acc Counts
 	const n = 3000
 	for i := 0; i < n; i++ {
@@ -116,7 +117,7 @@ func TestRepeatsReduceVariance(t *testing.T) {
 	truth := Counts{}
 	truth[CacheMisses] = 1000
 	varOf := func(repeats int) float64 {
-		s := NewSampler(DefaultNoise(), 11)
+		s := NewSamplerFrom(DefaultNoise(), rng.New(11))
 		var vals []float64
 		for i := 0; i < 400; i++ {
 			vals = append(vals, s.MeasureMean(truth, repeats)[CacheMisses])
@@ -147,7 +148,7 @@ func TestNoiseDisturbsQuietEventsLess(t *testing.T) {
 	truth := Counts{}
 	truth[Instructions] = 1e6
 	truth[CacheMisses] = 1e6 // same magnitude to compare floors fairly
-	s := NewSampler(DefaultNoise(), 13)
+	s := NewSamplerFrom(DefaultNoise(), rng.New(13))
 	var devI, devM float64
 	const n = 2000
 	for i := 0; i < n; i++ {
@@ -166,7 +167,7 @@ func TestMeasureMeanPanicsOnZeroRepeats(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewSampler(DefaultNoise(), 1).MeasureMean(Counts{}, 0)
+	NewSamplerFrom(DefaultNoise(), rng.New(1)).MeasureMean(Counts{}, 0)
 }
 
 func TestEventTextMarshalling(t *testing.T) {
